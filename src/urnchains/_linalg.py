@@ -81,6 +81,8 @@ def max_abs_diff(a: Matrix, b: Matrix) -> Fraction:
     dev = ZERO
     for ra, rb in zip(a, b):
         for x, y in zip(ra, rb):
+            if x == y:
+                continue
             d = abs(x - y)
             if d > dev:
                 dev = d

@@ -11,7 +11,9 @@ commute (composition written source-to-target).  Both backends supply a
 closed form for the step and a split section of the equaliser; the builder
 constructs the closed form, checks the square exactly, and cross-checks the
 step against the exact linear solve of the square, so a wrong closed form in
-either backend cannot survive construction.
+either backend cannot survive construction.  The n-1 adjacent transpositions
+generate the symmetries, so they have the same equaliser, and invariance
+checks compare against them alone.
 
 Chain limits are represented at a finite truncation as coherent families of
 legs, not as new objects: for the truncated-exponential chain the coherent
@@ -32,7 +34,7 @@ from ._linalg import ONE, ZERO, LinearSolveError, identity, kron, matmul, max_ab
 from .multiset import Alphabet, Multiset, multinomial
 from .pcoh import Pcs, PcsMatrix, ground_pcs, with_unit_pcs
 from .spaces import IndexSet, multiset_space, symbol_space, tuple_space, unit_space
-from .stoch import FinKernel, all_perms, permute_tuple_columns
+from .stoch import FinKernel, adjacent_transpositions, permute_tuple_columns
 
 
 class ChainError(Exception):
@@ -443,13 +445,16 @@ def factor_delete_cone(cone: Cone) -> Cone:
 
     Every leg must equalise all coordinate symmetries at its level; the
     factorisation eq_n . leg_n' = leg_n is unique because the equalisers are
-    split monos, and the factored family is a DD-cone.
+    split monos, and the factored family is a DD-cone.  Invariance is checked
+    on the n-1 adjacent transpositions, which generate S_n, so a leg is
+    accepted iff it is fixed by every symmetry; a rejected leg is reported
+    with the first transposition that moves it.
     """
     if cone.kind != "delete":
         raise ChainError("expected a delete-cone")
     chain = cone.chain
     for n, leg in enumerate(cone.legs):
-        for perm in all_perms(n):
+        for perm in adjacent_transpositions(n):
             permuted = permute_tuple_columns(_raw(leg), chain.backend.power(n), perm)
             if max_abs_diff(permuted, _raw(leg)) != 0:
                 raise ChainError(

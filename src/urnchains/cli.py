@@ -26,6 +26,7 @@ from .moments import (
     recover_measure,
 )
 from .multiset import Alphabet
+from .optim import LpError
 from .stoch import empirical_law, mixing_moment
 from .verify import Config, run_all_checks
 
@@ -113,7 +114,7 @@ def cmd_recover(args) -> int:
         return 1
     try:
         recovery = recover_measure(b, args.grid, tol=args.tol, mode=args.mode)
-    except MomentProblemError as exc:
+    except (MomentProblemError, LpError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     payload = jsonio.measure_to_json(
@@ -233,9 +234,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
-    for name in ("depth", "prefix_len", "trials", "eq_depth"):
+    for name in ("depth", "trials", "eq_depth"):
         if getattr(args, name, 0) and getattr(args, name) < 0:
             raise FormatError(f"--{name.replace('_', '-')} must be nonnegative")
+    if getattr(args, "prefix_len", 1) < 1:
+        raise FormatError("--prefix-len must be at least 1")
     if getattr(args, "grid", 2) < 2:
         raise FormatError("--grid must be at least 2")
     for name in ("tol", "totality_tol"):

@@ -167,11 +167,30 @@ def difference(mu: Multiset, nu: Multiset) -> Multiset | None:
 
 
 def enumerations(mu: Multiset) -> list[tuple[int, ...]]:
-    """All distinct position tuples whose tally is mu; exactly multinomial(mu) of them."""
-    seq = tuple(
-        itertools.chain.from_iterable([i] * c for i, c in enumerate(mu.counts))
-    )
-    return sorted(set(itertools.permutations(seq)))
+    """All distinct position tuples whose tally is mu, in increasing order.
+
+    There are exactly multinomial(mu) of them.  They are generated by stepping
+    to the next lexicographic permutation from the nondecreasing enumeration
+    (Knuth, TAOCP 7.2.1.2, Algorithm L), so the cost follows the output, not
+    the |mu|! orderings of the positions.
+
+    >>> enumerations(Multiset.from_symbols(BOOL, "ttf"))
+    [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    """
+    a = list(canonical_enumeration(mu))
+    out = [tuple(a)]
+    while True:
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return out
+        k = len(a) - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = reversed(a[j + 1 :])
+        out.append(tuple(a))
 
 
 def canonical_enumeration(mu: Multiset) -> tuple[int, ...]:

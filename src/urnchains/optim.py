@@ -1,10 +1,11 @@
-"""Small dense linear-programming oracle.
+"""Small linear-programming oracle.
 
 Two-phase primal simplex with Bland's rule (lowest-index entering and
-leaving), so termination is guaranteed even on degenerate instances.  Two
-modes: exact rational arithmetic (tolerance zero) and 64-bit float
-(tolerances around 1e-9).  Every solve carries a dual certificate and the
-weak-duality gap is asserted before returning.
+leaving), so termination is guaranteed even on degenerate instances.  The
+tableau is stored densely, but each pivot updates the other rows only at the
+pivot row's nonzero columns.  Two modes: exact rational arithmetic (tolerance
+zero) and 64-bit float (tolerances around 1e-9).  Every solve carries a dual
+certificate and the weak-duality gap is asserted before returning.
 
 Problems are: maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 Sizes are capped (5000 variables, 2000 constraints); this is a desk-scale
@@ -76,7 +77,11 @@ def _num(mode):
 
 
 class _Tableau:
-    """Dense simplex tableau; columns = structural | slack | artificial | rhs."""
+    """Simplex tableau; columns = structural | slack | artificial | rhs.
+
+    Rows are dense lists, but a pivot touches only the columns where the
+    pivot row is nonzero, so its cost follows the fill of the tableau.
+    """
 
     def __init__(self, lp: LinearProgram):
         conv, zero, tol = _num(lp.mode)
@@ -128,13 +133,17 @@ class _Tableau:
         if pv != 1:
             inv = 1 / pv if isinstance(pv, float) else Fraction(1) / pv
             self.rows[r] = prow = [v * inv for v in prow]
+        # Eliminate only at the pivot row's nonzero columns: every skipped
+        # term is f * 0, an exact zero, and x - f * 0.0 == x in floats (only
+        # the sign of a zero entry can differ), so pivots and answers agree.
+        nonzero = [(j, v) for j, v in enumerate(prow) if v]
         for target in self.rows + [cost]:
             if target is prow:
                 continue
             f = target[c]
             if f:
-                for j in range(self.ncols + 1):
-                    target[j] -= f * prow[j]
+                for j, v in nonzero:
+                    target[j] -= f * v
         self.basis[r] = c
 
     def _dump(self, cost, label):
@@ -182,7 +191,9 @@ class _Tableau:
         cost = self._cost_row(c1)
         allowed = [True] * self.ncols
         status = self._iterate(cost, allowed, verbose)
-        assert status == "optimal"  # phase-1 objective is bounded above by 0
+        if status != "optimal":
+            # phase 1 is bounded above by 0, so only float round-off gets here
+            raise LpError(f"simplex phase 1 ended {status} (numerical breakdown)")
         phase1 = -cost[self.ncols]
         feas_tol = self.zero if self.tol == 0 else _FLOAT_FEAS_TOL
         if phase1 < -feas_tol:

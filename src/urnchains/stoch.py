@@ -150,6 +150,18 @@ def all_perms(n: int):
     return itertools.permutations(range(n))
 
 
+def adjacent_transpositions(n: int):
+    """The n-1 transpositions swapping positions i and i+1, which generate S_n.
+
+    A kernel is fixed by every coordinate symmetry iff it is fixed by each of
+    these, so invariance checks need only n-1 comparisons instead of n!.
+    """
+    for i in range(n - 1):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = i + 1, i
+        yield tuple(perm)
+
+
 # -- equaliser / coequaliser of the symmetry action -----------------------
 
 def eq_kernel(alphabet: Alphabet, n: int) -> FinKernel:
@@ -297,10 +309,17 @@ class EqualiseReport:
 
 
 def verify_equalises(f: FinKernel, n: int) -> EqualiseReport:
-    """Check sigma . f = f for every coordinate symmetry on the target."""
+    """Check sigma . f = f for every coordinate symmetry on the target.
+
+    Only the n-1 adjacent transpositions are compared, since they generate
+    S_n: the deviation is zero over them iff it is zero over all n!
+    symmetries, so the verdict is the one of the full check.  On a failing
+    kernel the reported deviation and witness are those of the worst
+    transposition, which may be smaller than the worst deviation over S_n.
+    """
     worst = ZERO
     witness = None
-    for perm in all_perms(n):
+    for perm in adjacent_transpositions(n):
         permuted = permute_tuple_columns(f.rows, f.target, perm)
         dev = max_abs_diff(permuted, f.rows)
         if dev > worst:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,24 @@ def test_factor_rejects_asymmetric_leg_naming_the_swap():
     cone = Cone(chain, unit_space(), legs, "delete")
     with pytest.raises(ChainError, match=r"\(1, 0\)"):
         factor_delete_cone(cone)
+
+
+@pytest.mark.parametrize("n, i", [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2)])
+def test_factor_rejects_leg_moved_by_one_transposition_only(n, i):
+    # a point mass on 1^(i+1) 0^(n-i-1) is fixed by every adjacent swap but (i, i+1)
+    chain = build_dd_chain(stoch_copointed(BOOL), n)
+    legs = []
+    for m in range(n):
+        space = chain.backend.power(m)
+        legs.append(FinKernel(unit_space(), space, ((F(1, len(space)),) * len(space),)))
+    top = chain.backend.power(n)
+    row = [F(0)] * len(top)
+    row[top.index((1,) * (i + 1) + (0,) * (n - i - 1))] = F(1)
+    legs.append(FinKernel(unit_space(), top, (tuple(row),)))
+    swap = list(range(n))
+    swap[i], swap[i + 1] = i + 1, i
+    with pytest.raises(ChainError, match=rf"level {n} .*{re.escape(str(tuple(swap)))}"):
+        factor_delete_cone(Cone(chain, unit_space(), legs, "delete"))
 
 
 def test_trivial_unit_cone_is_fixed_by_both_maps():

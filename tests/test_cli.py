@@ -77,8 +77,33 @@ def test_missing_file_is_input_error(capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_bad_flag_values_are_input_errors(dirac_mixing):
+def test_bad_flag_values_are_input_errors(dirac_mixing, capsys):
     assert main(["definetti", "recover", "--bang", dirac_mixing, "--grid", "1"]) == 2
+    for length in ("0", "-1"):
+        argv = ["definetti", "simulate", "--mixing", dirac_mixing, "--prefix-len", length]
+        assert main(argv) == 2
+        assert "--prefix-len must be at least 1" in capsys.readouterr().err
+
+
+def test_recover_reports_a_failed_float_solve(tmp_path, capsys):
+    # float phase 1 loses feasibility on this mixture; exit 1, no traceback
+    mixing = tmp_path / "mixing.json"
+    mixing.write_text(
+        json.dumps(
+            {
+                "alphabet": {"symbols": ["a", "b", "c"]},
+                "atoms": [
+                    {"point": ["1/4", "1/4", "1/2"], "weight": "1/3"},
+                    {"point": ["1/2", "3/8", "1/8"], "weight": "2/3"},
+                ],
+            }
+        )
+    )
+    bang = str(tmp_path / "bang.json")
+    assert main(["bang", "iota", "--mixing", str(mixing), "--depth", "4", "--out", bang]) == 0
+    argv = ["definetti", "recover", "--bang", bang, "--grid", "16", "--mode", "float"]
+    assert main(argv) == 1
+    assert "phase 1" in capsys.readouterr().err
 
 
 def test_iota_totality_recover_round_trip(tmp_path, dirac_mixing, capsys):

@@ -112,6 +112,13 @@ def test_enumerations_and_canonical():
     assert len(enumerations(m)) == multinomial(m) == 3
 
 
+def test_enumerations_match_distinct_permutations():
+    for n in range(8):
+        for m in enumerate_multisets(ABC, n):
+            seq = canonical_enumeration(m)
+            assert enumerations(m) == sorted(set(itertools.permutations(seq)))
+
+
 def test_bounded_enumeration_sizes():
     out = enumerate_bounded_multisets(BOOL, 2)
     assert [m.size for m in out] == [0, 1, 1, 2, 2, 2]

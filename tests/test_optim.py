@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from urnchains.optim import (
     LinearProgram,
@@ -135,3 +138,50 @@ def test_weak_duality_on_minmax_solves():
         r = feasibility_minmax(cols, target)
         assert r.status == "optimal"
         assert r.solution.duality_gap == 0
+
+
+@st.composite
+def _boxed_programs(draw):
+    """Small LPs with a box on every variable; rows may make them infeasible."""
+    n = draw(st.integers(1, 5))
+    coeff = st.integers(-4, 4)
+    c = draw(st.lists(coeff, min_size=n, max_size=n))
+    a_ub = draw(st.lists(st.lists(coeff, min_size=n, max_size=n), max_size=4))
+    b_ub = draw(st.lists(st.integers(-3, 8), min_size=len(a_ub), max_size=len(a_ub)))
+    a_eq = draw(st.lists(st.lists(coeff, min_size=n, max_size=n), max_size=2))
+    b_eq = draw(st.lists(st.integers(-3, 6), min_size=len(a_eq), max_size=len(a_eq)))
+    box = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    a_ub += [[int(i == j) for j in range(n)] for i in range(n)]
+    b_ub += box
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+@settings(max_examples=80, deadline=None)
+@given(_boxed_programs())
+def test_exact_and_float_agree_with_highs(program):
+    c, a_ub, b_ub, a_eq, b_eq = program
+    ref = linprog(
+        [-v for v in c],
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq or None,
+        b_eq=b_eq or None,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert ref.status in (0, 2)  # boxed, so optimal or infeasible
+    for mode, conv in (("exact", F), ("float", float)):
+        lp = LinearProgram(
+            objective=tuple(map(conv, c)),
+            a_ub=tuple(tuple(map(conv, row)) for row in a_ub),
+            b_ub=tuple(map(conv, b_ub)),
+            a_eq=tuple(tuple(map(conv, row)) for row in a_eq),
+            b_eq=tuple(map(conv, b_eq)),
+            mode=mode,
+        )
+        sol = solve(lp)
+        if ref.status == 2:
+            assert sol.status == "infeasible"
+        else:
+            assert sol.optimal
+            assert abs(float(sol.value) + ref.fun) <= 1e-7

@@ -13,6 +13,7 @@ from urnchains.stoch import (
     AtomicMeasure,
     FinKernel,
     ProbVector,
+    adjacent_transpositions,
     all_perms,
     coeq_kernel,
     compose,
@@ -22,6 +23,7 @@ from urnchains.stoch import (
     eq_kernel,
     identity_kernel,
     multinomial_law,
+    permute_tuple_columns,
     simulate_exchangeable,
     symmetrization_average,
     symmetry_kernel,
@@ -245,6 +247,65 @@ def test_verify_equalises_point_mass_fails_with_swap_witness():
     report = verify_equalises(point, 2)
     assert report.max_deviation == 1
     assert report.witness_perm == (1, 0)
+
+
+def test_adjacent_transpositions():
+    assert list(adjacent_transpositions(0)) == list(adjacent_transpositions(1)) == []
+    assert list(adjacent_transpositions(4)) == [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]
+
+
+@st.composite
+def _tuple_kernels(draw):
+    """Exact kernels from two points into a tuple space, symmetrised or perturbed."""
+    alphabet = draw(st.sampled_from([BOOL, ABC]))
+    n = draw(st.integers(0, 4 if alphabet is BOOL else 3))
+    tsp = tuple_space(alphabet, n)
+    rows = []
+    for _ in range(2):
+        raw = [draw(st.integers(0, 3)) for _ in tsp.labels]
+        raw[draw(st.integers(0, len(tsp) - 1))] += 1
+        rows.append(tuple(F(v, sum(raw)) for v in raw))
+    f = FinKernel(symbol_space(BOOL), tsp, tuple(rows))
+    f = compose(f, symmetrization_average(alphabet, n))
+    if draw(st.booleans()):
+        # move a little mass of one row between two tuples
+        row = list(f.rows[0])
+        i = draw(st.sampled_from([k for k, v in enumerate(row) if v]))
+        j = draw(st.integers(0, len(tsp) - 1))
+        eps = row[i] * F(draw(st.integers(1, 3)), 4)
+        row[i] -= eps
+        row[j] += eps
+        f = FinKernel(f.source, tsp, (tuple(row), f.rows[1]))
+    return alphabet, n, f
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tuple_kernels())
+def test_verify_equalises_agrees_with_every_symmetry(case):
+    alphabet, n, f = case
+    brute = all(
+        compose(f, symmetry_kernel(alphabet, n, perm)) == f for perm in all_perms(n)
+    )
+    report = verify_equalises(f, n)
+    assert report.equalises == brute
+    if not brute:
+        assert report.witness_perm in set(adjacent_transpositions(n))
+        moved = compose(f, symmetry_kernel(alphabet, n, report.witness_perm))
+        assert moved != f and moved.deviation(f) == report.max_deviation
+
+
+def test_verify_equalises_compares_only_the_generators(monkeypatch):
+    import urnchains.stoch as stoch
+
+    calls = []
+
+    def counting(rows, space, perm):
+        calls.append(perm)
+        return permute_tuple_columns(rows, space, perm)
+
+    monkeypatch.setattr(stoch, "permute_tuple_columns", counting)
+    assert verify_equalises(eq_kernel(BOOL, 6), 6).equalises
+    assert calls == list(adjacent_transpositions(6))
 
 
 # -- Monte Carlo ---------------------------------------------------------------------------

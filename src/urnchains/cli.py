@@ -24,9 +24,10 @@ from .moments import (
     check_totality,
     embed_mixing_measure,
     recover_measure,
+    recovery_lp_shape,
 )
 from .multiset import Alphabet
-from .optim import LpError
+from .optim import MAX_CONSTRAINTS, MAX_VARIABLES, LpError
 from .stoch import empirical_law, mixing_moment
 from .verify import Config, run_all_checks
 
@@ -108,6 +109,18 @@ def _derive(path: str, suffix: str) -> str:
 
 def cmd_recover(args) -> int:
     b = jsonio.bang_from_json(jsonio.load_json(args.bang))
+    variables, constraints = recovery_lp_shape(b, args.grid)
+    if variables > MAX_VARIABLES:
+        raise FormatError(
+            f"--grid {args.grid} on {len(b.alphabet)} symbols gives a recovery LP with"
+            f" {variables} variables, over the cap of {MAX_VARIABLES}; lower --grid"
+        )
+    if constraints > MAX_CONSTRAINTS:
+        raise FormatError(
+            f"the bang element, built at depth {b.depth}, gives a recovery LP with"
+            f" {constraints} constraints at any --grid, over the cap of {MAX_CONSTRAINTS};"
+            " rebuild it with a lower bang iota --depth"
+        )
     totality = check_totality(b, tol=args.totality_tol)
     if not totality.total:
         print(f"not total: {totality}", file=sys.stderr)
@@ -237,6 +250,8 @@ def _validate(args) -> None:
     for name in ("depth", "trials", "eq_depth"):
         if getattr(args, name, 0) and getattr(args, name) < 0:
             raise FormatError(f"--{name.replace('_', '-')} must be nonnegative")
+    if args.func is cmd_simulate and args.seed < 0:
+        raise FormatError("--seed must be nonnegative")
     if getattr(args, "prefix_len", 1) < 1:
         raise FormatError("--prefix-len must be at least 1")
     if getattr(args, "grid", 2) < 2:

@@ -222,9 +222,10 @@ def dump_json(data, path: str) -> None:
 
 def histogram_csv(law: EmpiricalLaw) -> str:
     header = ",".join(f"freq_{s}" for s in law.alphabet.symbols)
+    n = law.prefix_length
     lines = [f"{header},count"]
-    for sample, count in law.samples():
-        freqs = ",".join(repr(f) for f in sample.frequency)
+    for counts, count in sorted(law.histogram.items(), reverse=True):
+        freqs = ",".join([repr(c / n) for c in counts])
         lines.append(f"{freqs},{count}")
     return "\n".join(lines) + "\n"
 

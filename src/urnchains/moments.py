@@ -233,6 +233,17 @@ def simplex_grid(alphabet: Alphabet, resolution: int) -> list[tuple]:
     ]
 
 
+def recovery_lp_shape(b: BangElement, grid_resolution: int) -> tuple[int, int]:
+    """(variables, constraints) of the LP recover_measure would solve.
+
+    One weight per grid point plus the epigraph variable, two rows per web
+    point plus the row fixing the total weight (feasibility_minmax); computed
+    without building the grid, so oversized problems can be refused first.
+    """
+    k = len(b.alphabet)
+    return comb(grid_resolution + k - 1, k - 1) + 1, 2 * len(b.coeffs) + 1
+
+
 def recover_measure(
     b: BangElement,
     grid_resolution: int,

@@ -9,6 +9,7 @@ urn laws) is exact; Monte Carlo simulation of exchangeable sequences uses
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -388,16 +389,138 @@ def mixing_moment(mixing: AtomicMeasure, symbol: str, order: int):
     return sum(w * p.weight(symbol) ** order for p, w in mixing.atoms)
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # per-trial stream: deterministic in (seed, trial), independent of how
-    # trials are partitioned across workers
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+# and the multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64)
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+# trials whose states are derived in one numpy pass
+_STATE_CHUNK = 1024
 
 
-def _draw_atom(mixing: AtomicMeasure, rng: np.random.Generator) -> ProbVector:
+def _hash(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    # SeedSequence's hashmix (mult=_MULT_A) and generate_state step (_MULT_B)
+    value = value ^ np.uint32(hash_const)
+    hash_const = (hash_const * mult) & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> np.uint32(16)), hash_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _uint32_words(n: int) -> list[int]:
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _trial_states(seed: int, trials: int):
+    """PCG64 states of the per-trial streams, derived in bulk.
+
+    Yields, for trial = 0, ..., trials - 1, the `PCG64.state` dict of
+    `PCG64(SeedSequence(entropy=seed, spawn_key=(trial,)))` without building
+    either object per trial.  The spawn key is the last word SeedSequence
+    hashes into its pool, so the pool is mixed once over the seed's words
+    and only the last round is vectorised over the trial numbers, in chunks
+    of _STATE_CHUNK; `generate_state(4, uint64)` and PCG64's `set_seed` then
+    follow.  numpy refuses what it refuses today (a negative seed, a float),
+    and trial 0 is checked against numpy's own construction on every call.
+
+    >>> [np.random.PCG64(np.random.SeedSequence(entropy=2**64 + 1, spawn_key=(t,))).state
+    ...  for t in range(3)] == list(_trial_states(2**64 + 1, 3))
+    True
+    """
+    entropy = np.random.SeedSequence(seed).entropy
+    if trials > 1 << 32:
+        raise ValueError("at most 2**32 trials: a larger trial number spans two spawn-key words")
+    words = _uint32_words(int(entropy))
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        h, hash_const = _hash(np.array([word], dtype=np.uint32), hash_const, _MULT_A)
+        pool.append(h)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, hash_const = _hash(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            h, hash_const = _hash(np.array([word], dtype=np.uint32), hash_const, _MULT_A)
+            pool[dst] = _mix(pool[dst], h)
+
+    def derive(start: int, stop: int) -> list[dict]:
+        trial_words = np.arange(start, stop, dtype=np.uint32)
+        hc = hash_const
+        mixed = []
+        for dst in range(_POOL_SIZE):
+            h, hc = _hash(trial_words, hc, _MULT_A)
+            mixed.append(_mix(pool[dst], h))
+        # generate_state(4, np.uint64): 8 uint32 words, read little-endian
+        hc = _INIT_B
+        out = []
+        for i in range(8):
+            h, hc = _hash(mixed[i % _POOL_SIZE], hc, _MULT_B)
+            out.append(h.astype(np.uint64))
+        halves = [(out[2 * j] | (out[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)]
+        states = []
+        for s_hi, s_lo, i_hi, i_lo in zip(*halves):
+            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            states.append(
+                {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+            )
+        return states
+
+    expected = np.random.PCG64(np.random.SeedSequence(entropy=entropy, spawn_key=(0,))).state
+    if derive(0, 1)[0] != expected:
+        raise RuntimeError(
+            f"PCG64 state derivation disagrees with numpy {np.__version__}'s SeedSequence"
+        )
+    return itertools.chain.from_iterable(
+        derive(start, min(start + _STATE_CHUNK, trials))
+        for start in range(0, trials, _STATE_CHUNK)
+    )
+
+
+def _trial_rngs(seed: int, trials: int):
+    """One Generator per trial, in order, on the stream of _trial_states.
+
+    The same Generator is re-seeded for each trial, so use it before taking
+    the next.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state in _trial_states(seed, trials):
+        bit_generator.state = state
+        yield rng
+
+
+def _atom_cdf(mixing: AtomicMeasure) -> list[float]:
+    # the CDF that Generator.choice(len(atoms), p=weights / weights.sum())
+    # searches, with searchsorted(side="right"), for its one uniform
     weights = np.asarray([float(w) for _, w in mixing.atoms])
-    i = rng.choice(len(mixing.atoms), p=weights / weights.sum())
-    return mixing.atoms[i][0]
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def simulate_exchangeable(mixing: AtomicMeasure, length: int, seed: int) -> list[str]:
@@ -407,7 +530,7 @@ def simulate_exchangeable(mixing: AtomicMeasure, length: int, seed: int) -> list
     if length < 0:
         raise ValueError("length must be nonnegative")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    atom = _draw_atom(mixing, rng)
+    atom = mixing.atoms[bisect.bisect_right(_atom_cdf(mixing), rng.random())][0]
     symbols = mixing.alphabet.symbols
     draws = rng.choice(len(symbols), size=length, p=atom.as_floats())
     return [symbols[i] for i in draws]
@@ -440,10 +563,6 @@ class EmpiricalLaw:
     trials: int
     histogram: Counter = field(default_factory=Counter)
 
-    def samples(self):
-        for counts, c in sorted(self.histogram.items(), reverse=True):
-            yield EmpiricalSample(counts, self.prefix_length), c
-
     def moment(self, symbol: str, order: int) -> float:
         i = self.alphabet.index(symbol)
         n = self.prefix_length
@@ -458,18 +577,24 @@ def empirical_law(mixing: AtomicMeasure, n: int, trials: int, seed: int) -> Empi
 
     The frequency vector of a prefix is a deterministic function of its
     symbol counts, so each trial draws the atom and then the multinomial
-    count vector directly.
+    count vector directly.  Trial t runs on the PCG64 stream of
+    SeedSequence(entropy=seed, spawn_key=(t,)): one uniform picks the atom as
+    Generator.choice would, then one multinomial draw gives the counts.  The
+    streams are derived in bulk (_trial_states) and the atom CDF and float
+    atoms once per call, so the histogram is bit-identical to building a
+    default_rng per trial, and does not depend on how trials are split.
     """
     if not mixing.is_probability:
         raise ValueError("empirical law needs a probability mixing measure")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    cdf = _atom_cdf(mixing)
+    points = [p.as_floats() for p, _ in mixing.atoms]
     law = EmpiricalLaw(mixing.alphabet, n, trials)
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        atom = _draw_atom(mixing, rng)
-        counts = rng.multinomial(n, atom.as_floats())
-        law.histogram[tuple(int(c) for c in counts)] += 1
+    histogram = law.histogram
+    for rng in _trial_rngs(seed, trials):
+        counts = rng.multinomial(n, points[bisect.bisect_right(cdf, rng.random())])
+        histogram[tuple(counts.tolist())] += 1
     return law
 
 
@@ -478,15 +603,16 @@ def urn_marginal_law(r: ProbVector, start: int, stop: int, trials: int, seed: in
 
     Each trial draws an urn from multinomial_law(r, start) and applies the
     uniform remove-one step start - stop times; returns a Counter over count
-    vectors for comparison against multinomial_law(r, stop).
+    vectors for comparison against multinomial_law(r, stop).  Trial t runs on
+    the same per-trial stream as empirical_law (SeedSequence(entropy=seed,
+    spawn_key=(t,)) -> PCG64, derived in bulk).
     """
     if stop > start:
         raise ValueError("stop size cannot exceed start size")
     msp = multiset_space(r.alphabet, start)
     masses = [float(v) for v in multinomial_law(r, start).rows[0]]
     hist: Counter = Counter()
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+    for rng in _trial_rngs(seed, trials):
         counts = list(msp.labels[rng.choice(len(msp), p=masses)])
         size = start
         while size > stop:

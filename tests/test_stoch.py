@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from scipy import stats
 from helpers import mm
 from urnchains.multiset import BOOL, Alphabet
 from urnchains.spaces import multiset_space, symbol_space, tuple_space, unit_space
+from urnchains import stoch
 from urnchains.stoch import (
     AtomicMeasure,
     FinKernel,
@@ -31,6 +34,7 @@ from urnchains.stoch import (
     urn_marginal_law,
     verify_equalises,
 )
+from urnchains.stoch import _STATE_CHUNK, _trial_states
 
 F = Fraction
 ABC = Alphabet.of("a", "b", "c")
@@ -371,6 +375,84 @@ def test_empirical_law_deterministic():
     a = empirical_law(mixing, 100, trials=200, seed=5).histogram
     b = empirical_law(mixing, 100, trials=200, seed=5).histogram
     assert a == b
+
+
+def _per_trial_rng(seed, trial):
+    # the reference stream: a fresh generator per trial
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.one_of(
+        st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3]),
+        st.integers(0, 2**200),
+    ),
+    trials=st.integers(1, 3 * _STATE_CHUNK + 2),
+    picks=st.lists(st.integers(0, 2**32), max_size=4),
+)
+def test_trial_states_match_numpy_seed_sequence(seed, trials, picks):
+    states = list(_trial_states(seed, trials))
+    assert len(states) == trials
+    # both sides of every chunk boundary, the last trial and a few others
+    near = {b + d for b in range(0, trials + 1, _STATE_CHUNK) for d in (-1, 0, 1)}
+    for t in sorted({t for t in near if 0 <= t < trials} | {p % trials for p in picks}):
+        expected = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(t,))).state
+        assert states[t] == expected
+
+
+def test_trial_states_refuse_what_numpy_refuses_and_check_numpy(monkeypatch):
+    with pytest.raises(ValueError):
+        _trial_states(-1, 3)
+    with pytest.raises(TypeError):
+        _trial_states(1.5, 3)
+    monkeypatch.setattr(stoch, "_PCG64_MULT", stoch._PCG64_MULT + 2)
+    with pytest.raises(RuntimeError, match=np.__version__):
+        _trial_states(0, 3)
+
+
+def test_empirical_law_matches_per_trial_generators():
+    # exact and float weights; the atom is drawn by Generator.choice
+    exact = AtomicMeasure.of(
+        (ProbVector.of(ABC, F(1, 2), F(1, 3), F(1, 6)), F(1, 4)),
+        (ProbVector.of(ABC, F(1, 10), F(3, 10), F(3, 5)), F(1, 3)),
+        (ProbVector.of(ABC, F(1, 3), F(1, 3), F(1, 3)), F(5, 12)),
+    )
+    floats = AtomicMeasure(
+        ((ProbVector(BOOL, (0.3, 0.7)), 0.1), (ProbVector(BOOL, (0.9, 0.1)), 0.9))
+    )
+    for mixing, n, seed in ((exact, 60, 4), (floats, 25, 2**70 + 5)):
+        weights = np.asarray([float(w) for _, w in mixing.atoms])
+        expected = Counter()
+        for trial in range(_STATE_CHUNK + 7):
+            rng = _per_trial_rng(seed, trial)
+            atom = mixing.atoms[rng.choice(len(mixing.atoms), p=weights / weights.sum())][0]
+            expected[tuple(int(c) for c in rng.multinomial(n, atom.as_floats()))] += 1
+        assert empirical_law(mixing, n, _STATE_CHUNK + 7, seed).histogram == expected
+
+
+def test_urn_marginal_law_matches_per_trial_generators():
+    r = ProbVector.of(ABC, F(1, 3), F(1, 6), F(1, 2))
+    start, stop, trials, seed = 5, 2, _STATE_CHUNK + 3, 17
+    msp = multiset_space(ABC, start)
+    masses = [float(v) for v in multinomial_law(r, start).rows[0]]
+    expected = Counter()
+    for trial in range(trials):
+        rng = _per_trial_rng(seed, trial)
+        counts = list(msp.labels[rng.choice(len(msp), p=masses)])
+        for size in range(start, stop, -1):
+            counts[rng.choice(len(counts), p=[c / size for c in counts])] -= 1
+        expected[tuple(counts)] += 1
+    assert urn_marginal_law(r, start, stop, trials, seed) == expected
+
+
+def test_simulate_exchangeable_draws_the_atom_like_choice():
+    mixing = _two_atom_mixing()
+    for seed in range(10):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+        atom = mixing.atoms[rng.choice(2, p=np.array([0.5, 0.5]))][0]
+        draws = rng.choice(2, size=30, p=atom.as_floats())
+        assert simulate_exchangeable(mixing, 30, seed) == ["tf"[i] for i in draws]
 
 
 def test_urn_chain_marginal_matches_multinomial_law():

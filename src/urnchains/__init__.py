@@ -21,7 +21,6 @@ from .multiset import (
 )
 from .stoch import (
     AtomicMeasure,
-    EmpiricalSample,
     FinKernel,
     ProbVector,
     coeq_kernel,

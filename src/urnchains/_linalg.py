@@ -37,10 +37,6 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
 
-def as_matrix(rows) -> Matrix:
-    return tuple(tuple(frac(v) for v in row) for row in rows)
-
-
 def identity(n: int) -> Matrix:
     return tuple(
         tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)

@@ -7,11 +7,16 @@ unique map making the square
 
     DD_n . eq_n  =  eq_{n+1} . (id^n (x) weaken)
 
-commute (composition written source-to-target).  Both backends supply a
-closed form for the step and a split section of the equaliser; the builder
-constructs the closed form, checks the square exactly, and cross-checks the
-step against the exact linear solve of the square, so a wrong closed form in
-either backend cannot survive construction.  The n-1 adjacent transpositions
+commute (composition written source-to-target).  One `Backend` builds the
+chain in either coordinate system, which is its parameter: uniform
+enumeration (`Backend.stoch`: kernels, eq_kernel split by coeq_kernel) or
+delta coordinates (`Backend.pcoh`: coherence-space matrices, eq_delta split
+by canonical_section).  The two differ by the multinomial diagonal
+(`multinomial_diagonal`), so the step's closed form differs only by the
+uniform draw probability mu(b)/(n+1).  The builder constructs the closed
+form, checks the square exactly, and cross-checks the step against the exact
+linear solve of the square, so a wrong closed form in either coordinate
+system cannot survive construction.  The n-1 adjacent transpositions
 generate the symmetries, so they have the same equaliser, and invariance
 checks compare against them alone.
 
@@ -24,6 +29,7 @@ probability carrier they are the exchangeable urn laws.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -32,23 +38,59 @@ from . import pcoh as _pcoh
 from . import stoch as _stoch
 from ._linalg import ONE, ZERO, LinearSolveError, identity, kron, matmul, max_abs_diff, solve_right
 from .multiset import Alphabet, Multiset, multinomial
-from .pcoh import Pcs, PcsMatrix, ground_pcs, with_unit_pcs
+from .pcoh import Pcs, PcsMatrix, canonical_section, eq_delta, ground_pcs, with_unit_pcs
 from .spaces import IndexSet, multiset_space, symbol_space, tuple_space, unit_space
-from .stoch import FinKernel, adjacent_transpositions, permute_tuple_columns
+from .stoch import (
+    FinKernel,
+    adjacent_transpositions,
+    coeq_kernel,
+    eq_kernel,
+    permute_tuple_columns,
+)
 
 
 class ChainError(Exception):
     pass
 
 
-class StochBackend:
-    """Kernel-side backend: uniform-enumeration equaliser coordinates."""
+@dataclass
+class Backend:
+    """Chain levels and steps over a symbol carrier, in one coordinate system.
 
-    name = "stoch"
+    `matrix` is the matrix type (FinKernel or PcsMatrix), `equaliser` and
+    `splitting` give eq_n and a section of it at level n, `uniform` says
+    whether a step carries the uniform draw probability mu(b)/(n+1), and
+    `generators` are the clique generators of the carrier (none on the
+    kernel side).
+    """
 
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self.carrier = symbol_space(alphabet)
+    alphabet: Alphabet
+    matrix: type
+    equaliser: Callable
+    splitting: Callable
+    uniform: bool
+    generators: tuple = ()
+
+    @classmethod
+    def stoch(cls, alphabet: Alphabet) -> "Backend":
+        """Kernel side: uniform-enumeration equaliser coordinates."""
+        return cls(alphabet, FinKernel, eq_kernel, coeq_kernel, uniform=True)
+
+    @classmethod
+    def pcoh(cls, carrier: Pcs) -> "Backend":
+        """Coherence-space side: delta equaliser coordinates."""
+        return cls(
+            carrier.alphabet,
+            PcsMatrix,
+            eq_delta,
+            canonical_section,
+            uniform=False,
+            generators=carrier.generators,
+        )
+
+    @property
+    def carrier(self) -> IndexSet:
+        return symbol_space(self.alphabet)
 
     def level(self, n: int) -> IndexSet:
         return multiset_space(self.alphabet, n)
@@ -56,25 +98,16 @@ class StochBackend:
     def power(self, n: int) -> IndexSet:
         return tuple_space(self.alphabet, n)
 
-    def make(self, source, target, rows) -> FinKernel:
-        return FinKernel(source, target, tuple(tuple(row) for row in rows))
+    def make(self, source, target, rows):
+        return self.matrix(source, target, tuple(tuple(row) for row in rows))
 
-    def compose(self, f, g):
-        return _stoch.compose(f, g)
+    def eq(self, n: int):
+        return self.equaliser(self.alphabet, n)
 
-    def tensor(self, f, g):
-        return _stoch.tensor(f, g)
+    def section(self, n: int):
+        return self.splitting(self.alphabet, n)
 
-    def identity_on(self, space):
-        return _stoch.identity_kernel(space)
-
-    def eq(self, n: int) -> FinKernel:
-        return _stoch.eq_kernel(self.alphabet, n)
-
-    def section(self, n: int) -> FinKernel:
-        return _stoch.coeq_kernel(self.alphabet, n)
-
-    def delete_map(self, weaken, n: int) -> FinKernel:
+    def delete_map(self, weaken, n: int):
         """id^n (x) weaken on flat tuple spaces."""
         src = self.power(n + 1)
         tgt = self.power(n)
@@ -86,10 +119,11 @@ class StochBackend:
             if w:
                 row[tgt.index(t[:n])] = w
             rows.append(tuple(row))
-        return FinKernel(src, tgt, tuple(rows))
+        return self.matrix(src, tgt, tuple(rows))
 
-    def dd_closed_form(self, weaken, n: int) -> FinKernel:
-        """Weighted remove-one step: entry(mu, mu - [b]) = w_b mu(b)/(n+1)."""
+    def dd_closed_form(self, weaken, n: int):
+        """Weighted remove-one step: entry(mu, mu - [b]) = w_b, times
+        mu(b)/(n+1) in uniform coordinates."""
         src = self.level(n + 1)
         tgt = self.level(n)
         wcol = [row[0] for row in weaken.rows]
@@ -100,93 +134,23 @@ class StochBackend:
                 if c and wcol[b]:
                     nu = list(mu)
                     nu[b] -= 1
-                    row[tgt.index(tuple(nu))] = wcol[b] * Fraction(c, n + 1)
+                    row[tgt.index(tuple(nu))] = (
+                        wcol[b] * Fraction(c, n + 1) if self.uniform else wcol[b]
+                    )
             rows.append(tuple(row))
-        return FinKernel(src, tgt, tuple(rows))
+        return self.matrix(src, tgt, tuple(rows))
 
     def validate_weaken(self, weaken) -> None:
         if weaken.source.labels != self.carrier.labels or len(weaken.target) != 1:
             raise ChainError("weakening must map the carrier to the unit")
-
-
-class PcohBackend:
-    """Coherence-space backend: delta equaliser coordinates."""
-
-    name = "pcoh"
-
-    def __init__(self, carrier_pcs: Pcs):
-        self.pcs = carrier_pcs
-        self.alphabet = carrier_pcs.alphabet
-        self.carrier = carrier_pcs.web
-
-    def level(self, n: int) -> IndexSet:
-        return multiset_space(self.alphabet, n)
-
-    def power(self, n: int) -> IndexSet:
-        return tuple_space(self.alphabet, n)
-
-    def make(self, source, target, rows) -> PcsMatrix:
-        return PcsMatrix(source, target, tuple(tuple(row) for row in rows))
-
-    def compose(self, f, g):
-        return _pcoh.compose(f, g)
-
-    def tensor(self, f, g):
-        return _pcoh.tensor_matrix(f, g)
-
-    def identity_on(self, space):
-        return _pcoh.identity_matrix(space)
-
-    def eq(self, n: int) -> PcsMatrix:
-        return _pcoh.eq_delta(self.alphabet, n)
-
-    def section(self, n: int) -> PcsMatrix:
-        return _pcoh.canonical_section(self.alphabet, n)
-
-    def delete_map(self, weaken, n: int) -> PcsMatrix:
-        src = self.power(n + 1)
-        tgt = self.power(n)
-        wcol = [row[0] for row in weaken.entries]
-        rows = []
-        for t in src.labels:
-            row = [ZERO] * len(tgt)
-            w = wcol[t[n]]
-            if w:
-                row[tgt.index(t[:n])] = w
-            rows.append(tuple(row))
-        return PcsMatrix(src, tgt, tuple(rows))
-
-    def dd_closed_form(self, weaken, n: int) -> PcsMatrix:
-        """Delta-coordinate step: entry(mu, nu) = w_b when mu = nu + [b]."""
-        src = self.level(n + 1)
-        tgt = self.level(n)
-        wcol = [row[0] for row in weaken.entries]
-        rows = []
-        for mu in src.labels:
-            row = [ZERO] * len(tgt)
-            for b, c in enumerate(mu):
-                if c and wcol[b]:
-                    nu = list(mu)
-                    nu[b] -= 1
-                    row[tgt.index(tuple(nu))] = wcol[b]
-            rows.append(tuple(row))
-        return PcsMatrix(src, tgt, tuple(rows))
-
-    def validate_weaken(self, weaken) -> None:
-        if weaken.source.labels != self.carrier.labels or len(weaken.target) != 1:
-            raise ChainError("weakening must map the carrier to the unit")
-        for g in self.pcs.generators:
+        for g in self.generators:
             if weaken.push(g).coeffs[0] > 1:
                 raise ChainError("weakening is not clique-preserving")
 
 
-def _raw(m):
-    return m.rows if isinstance(m, FinKernel) else m.entries
-
-
 @dataclass(frozen=True)
 class CopointedObject:
-    backend: object
+    backend: Backend
     weaken: object
 
     def __post_init__(self):
@@ -194,19 +158,19 @@ class CopointedObject:
 
     @property
     def weaken_column(self) -> tuple:
-        return tuple(row[0] for row in _raw(self.weaken))
+        return tuple(row[0] for row in self.weaken.rows)
 
 
 def stoch_copointed(alphabet: Alphabet) -> CopointedObject:
     """The free copointed object on the kernel side: the carrier itself with
     its unique (all-ones) weakening into the terminal unit."""
-    backend = StochBackend(alphabet)
+    backend = Backend.stoch(alphabet)
     return CopointedObject(backend, _stoch.discard_kernel(backend.carrier))
 
 
 def substoch_copointed(alphabet: Alphabet, weaken_column) -> CopointedObject:
     """A carrier with an arbitrary substochastic weakening."""
-    backend = StochBackend(alphabet)
+    backend = Backend.stoch(alphabet)
     weaken = FinKernel(
         backend.carrier, unit_space(), tuple((v,) for v in weaken_column)
     )
@@ -217,7 +181,7 @@ def pcoh_free_copointed(a: Pcs, pad_symbol: str = "*") -> CopointedObject:
     """The free copointed object a & 1 with the second projection as
     weakening; built concretely over the padded symbol web."""
     carrier = with_unit_pcs(a, pad_symbol)
-    backend = PcohBackend(carrier)
+    backend = Backend.pcoh(carrier)
     col = [ZERO] * len(carrier.web)
     col[-1] = ONE
     weaken = PcsMatrix(carrier.web, unit_space(), tuple((v,) for v in col))
@@ -227,7 +191,7 @@ def pcoh_free_copointed(a: Pcs, pad_symbol: str = "*") -> CopointedObject:
 def pcoh_ground_copointed(alphabet: Alphabet) -> CopointedObject:
     """The image of the kernel-side copointed structure: ground space with
     the all-ones weakening column."""
-    backend = PcohBackend(ground_pcs(alphabet))
+    backend = Backend.pcoh(ground_pcs(alphabet))
     weaken = PcsMatrix(
         backend.carrier, unit_space(), tuple((ONE,) for _ in backend.carrier.labels)
     )
@@ -238,7 +202,7 @@ def copointed_pairing(eta, u):
     """Rows of the mediating map <eta, u> into carrier & 1 given by the
     universal property of the free copointed object."""
     rows = []
-    for row_eta, row_u in zip(_raw(eta), _raw(u)):
+    for row_eta, row_u in zip(eta.rows, u.rows):
         rows.append(tuple(row_eta) + (row_u[0],))
     return rows
 
@@ -275,8 +239,8 @@ class DDChain:
         """Exact defining-square deviations at every level."""
         checks = []
         for n in range(self.depth):
-            lhs = matmul(_raw(self.dds[n]), _raw(self.eqs[n]))
-            rhs = matmul(_raw(self.eqs[n + 1]), _raw(self.deletes[n]))
+            lhs = matmul(self.dds[n].rows, self.eqs[n].rows)
+            rhs = matmul(self.eqs[n + 1].rows, self.deletes[n].rows)
             checks.append(
                 SquareCheck(n, "DD_n . eq_n = eq_{n+1} . (id^n (x) w)", max_abs_diff(lhs, rhs))
             )
@@ -298,16 +262,16 @@ def build_dd_chain(copointed: CopointedObject, depth: int, cross_check: bool = T
     deletes = [backend.delete_map(copointed.weaken, n) for n in range(depth)]
     dds = [backend.dd_closed_form(copointed.weaken, n) for n in range(depth)]
     for n in range(depth):
-        lhs = matmul(_raw(dds[n]), _raw(eqs[n]))
-        rhs = matmul(_raw(eqs[n + 1]), _raw(deletes[n]))
+        lhs = matmul(dds[n].rows, eqs[n].rows)
+        rhs = matmul(eqs[n + 1].rows, deletes[n].rows)
         if max_abs_diff(lhs, rhs) != 0:
             raise ChainError(f"defining square fails at level {n} (backend bug)")
         if cross_check:
             try:
-                solved = solve_right(_raw(eqs[n]), rhs)
+                solved = solve_right(eqs[n].rows, rhs)
             except LinearSolveError as exc:
                 raise ChainError(f"square unsolvable at level {n}: {exc}") from exc
-            if max_abs_diff(solved, _raw(dds[n])) != 0:
+            if max_abs_diff(solved, dds[n].rows) != 0:
                 raise ChainError(
                     f"closed form disagrees with the universal-property solve at level {n}"
                 )
@@ -325,8 +289,8 @@ class ChainMorphism:
     def validate(self) -> list[SquareCheck]:
         checks = []
         for n in range(min(self.source.depth, self.target.depth)):
-            lhs = matmul(_raw(self.components[n + 1]), _raw(self.target.dds[n]))
-            rhs = matmul(_raw(self.source.dds[n]), _raw(self.components[n]))
+            lhs = matmul(self.components[n + 1].rows, self.target.dds[n].rows)
+            rhs = matmul(self.source.dds[n].rows, self.components[n].rows)
             checks.append(
                 SquareCheck(
                     n,
@@ -353,7 +317,7 @@ def lift_copointed_morphism(alpha, chain1: DDChain, chain2: DDChain) -> ChainMor
     b1, b2 = chain1.backend, chain2.backend
     w1 = chain1.copointed.weaken_column
     w2_of_alpha = tuple(
-        row[0] for row in matmul(_raw(alpha), _raw(chain2.copointed.weaken))
+        row[0] for row in matmul(alpha.rows, chain2.copointed.weaken.rows)
     )
     for i, (x, y) in enumerate(zip(w2_of_alpha, w1)):
         if x != y:
@@ -365,9 +329,9 @@ def lift_copointed_morphism(alpha, chain1: DDChain, chain2: DDChain) -> ChainMor
     depth = min(chain1.depth, chain2.depth)
     components = []
     for n in range(depth + 1):
-        target_rows = matmul(_raw(chain1.eqs[n]), _power_rows(_raw(alpha), n))
-        m_rows = matmul(target_rows, _raw(b2.section(n)))
-        if max_abs_diff(matmul(m_rows, _raw(chain2.eqs[n])), target_rows) != 0:
+        target_rows = matmul(chain1.eqs[n].rows, _power_rows(alpha.rows, n))
+        m_rows = matmul(target_rows, b2.section(n).rows)
+        if max_abs_diff(matmul(m_rows, chain2.eqs[n].rows), target_rows) != 0:
             raise ChainError(f"equaliser factorisation fails at level {n}")
         components.append(b2.make(b1.level(n), b2.level(n), m_rows))
     morphism = ChainMorphism(chain1, chain2, components)
@@ -413,7 +377,7 @@ class Cone:
             else "(id^n (x) w) . leg_{n+1} = leg_n"
         )
         return [
-            SquareCheck(n, law, max_abs_diff(matmul(_raw(self.legs[n + 1]), _raw(steps[n])), _raw(self.legs[n])))
+            SquareCheck(n, law, max_abs_diff(matmul(self.legs[n + 1].rows, steps[n].rows), self.legs[n].rows))
             for n in range(len(self.legs) - 1)
         ]
 
@@ -426,7 +390,7 @@ def dd_cone_from_top(chain: DDChain, top) -> Cone:
     legs = [top]
     for n in reversed(range(chain.depth)):
         legs.insert(0, chain.backend.make(
-            top.source, chain.level_space(n), matmul(_raw(legs[0]), _raw(chain.dds[n]))
+            top.source, chain.level_space(n), matmul(legs[0].rows, chain.dds[n].rows)
         ))
     return Cone(chain, top.source, legs, "dd")
 
@@ -435,7 +399,7 @@ def delete_cone_from_top(chain: DDChain, top) -> Cone:
     legs = [top]
     for n in reversed(range(chain.depth)):
         legs.insert(0, chain.backend.make(
-            top.source, chain.backend.power(n), matmul(_raw(legs[0]), _raw(chain.deletes[n]))
+            top.source, chain.backend.power(n), matmul(legs[0].rows, chain.deletes[n].rows)
         ))
     return Cone(chain, top.source, legs, "delete")
 
@@ -455,15 +419,15 @@ def factor_delete_cone(cone: Cone) -> Cone:
     chain = cone.chain
     for n, leg in enumerate(cone.legs):
         for perm in adjacent_transpositions(n):
-            permuted = permute_tuple_columns(_raw(leg), chain.backend.power(n), perm)
-            if max_abs_diff(permuted, _raw(leg)) != 0:
+            permuted = permute_tuple_columns(leg.rows, chain.backend.power(n), perm)
+            if max_abs_diff(permuted, leg.rows) != 0:
                 raise ChainError(
                     f"leg at level {n} does not equalise the symmetry {perm}"
                 )
     legs = []
     for n, leg in enumerate(cone.legs):
-        rows = matmul(_raw(leg), _raw(chain.backend.section(n)))
-        if max_abs_diff(matmul(rows, _raw(chain.eqs[n])), _raw(leg)) != 0:
+        rows = matmul(leg.rows, chain.backend.section(n).rows)
+        if max_abs_diff(matmul(rows, chain.eqs[n].rows), leg.rows) != 0:
             raise ChainError(f"factorisation through the equaliser fails at level {n}")
         legs.append(chain.backend.make(cone.apex, chain.level_space(n), rows))
     out = Cone(chain, cone.apex, legs, "dd")
@@ -480,7 +444,7 @@ def expand_dd_cone(cone: Cone) -> Cone:
     chain = cone.chain
     legs = [
         chain.backend.make(
-            cone.apex, chain.backend.power(n), matmul(_raw(leg), _raw(chain.eqs[n]))
+            cone.apex, chain.backend.power(n), matmul(leg.rows, chain.eqs[n].rows)
         )
         for n, leg in enumerate(cone.legs)
     ]
@@ -516,8 +480,8 @@ def factor_parametrized(f_rows, chain: DDChain, y_space: IndexSet, n: int):
     exactly when f equalises all sigma (x) id_Y.
     """
     backend = chain.backend
-    eq_y = kron(_raw(chain.eqs[n]), identity(len(y_space)))
-    sec_y = kron(_raw(backend.section(n)), identity(len(y_space)))
+    eq_y = kron(chain.eqs[n].rows, identity(len(y_space)))
+    sec_y = kron(backend.section(n).rows, identity(len(y_space)))
     factor = matmul(f_rows, sec_y)
     return factor, max_abs_diff(matmul(factor, eq_y), f_rows)
 
@@ -535,7 +499,7 @@ def verify_tensor_parametrized(chain: DDChain, y_space: IndexSet, samples: int, 
         apex_size = rng.choice((1, 2))
         apex = IndexSet(f"Z{apex_size}", tuple(range(apex_size)))
         h_rows = _random_stochastic_rows(rng, apex_size, len(level) * len(y_space))
-        eq_y = kron(_raw(chain.eqs[n]), identity(len(y_space)))
+        eq_y = kron(chain.eqs[n].rows, identity(len(y_space)))
         f_rows = matmul(h_rows, eq_y)
         factor, dev = factor_parametrized(f_rows, chain, y_space, n)
         dev = max(dev, max_abs_diff(factor, h_rows))
@@ -544,12 +508,12 @@ def verify_tensor_parametrized(chain: DDChain, y_space: IndexSet, samples: int, 
         top_rows = _random_stochastic_rows(
             rng, apex_size, len(chain.level_space(chain.depth)) * len(y_space)
         )
-        dd_y = [kron(_raw(chain.dds[m]), identity(len(y_space))) for m in range(chain.depth)]
+        dd_y = [kron(chain.dds[m].rows, identity(len(y_space))) for m in range(chain.depth)]
         legs = [top_rows]
         for m in reversed(range(chain.depth)):
             legs.insert(0, matmul(legs[0], dd_y[m]))
-        eq_ys = [kron(_raw(chain.eqs[m]), identity(len(y_space))) for m in range(chain.depth + 1)]
-        sec_ys = [kron(_raw(backend.section(m)), identity(len(y_space))) for m in range(chain.depth + 1)]
+        eq_ys = [kron(chain.eqs[m].rows, identity(len(y_space))) for m in range(chain.depth + 1)]
+        sec_ys = [kron(backend.section(m).rows, identity(len(y_space))) for m in range(chain.depth + 1)]
         expanded = [matmul(leg, eq_ys[m]) for m, leg in enumerate(legs)]
         refactored = [matmul(g, sec_ys[m]) for m, g in enumerate(expanded)]
         dev2 = max(
@@ -613,7 +577,7 @@ def bang_from_cone(cone: Cone):
     alphabet = Alphabet(padded.symbols[:-1])
     depth = chain.depth
     bounded, full, mapping = pad_index_bijection(alphabet, depth)
-    top = _raw(cone.legs[depth])[0]
+    top = cone.legs[depth].rows[0]
     table = {counts: top[mapping[i]] for i, counts in enumerate(bounded.labels)}
     return _pcoh.BangElement.from_table(alphabet, depth, table)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from ._linalg import frac
+from ._linalg import ZERO, frac
 from .multiset import Alphabet
 from .pcoh import BangElement
 from .spaces import (
@@ -190,16 +190,26 @@ def bang_to_json(b: BangElement, mode: str = "exact") -> dict:
 
 
 def bang_from_json(data) -> BangElement:
+    """Read a bang element; every listed multiset must be on its web, once."""
     try:
         alphabet = alphabet_from_json(data["alphabet"])
         depth = int(data["depth"])
-        table = {
-            tuple(int(c) for c in entry["multiset"]): _value_in(entry["value"])
-            for entry in data["coeffs"]
-        }
+        table = {}
+        for entry in data["coeffs"]:
+            counts = tuple(entry["multiset"])
+            if counts in table:
+                raise FormatError(f"multiset {list(counts)} is listed twice")
+            table[counts] = _value_in(entry["value"])
+        web = bounded_multiset_space(alphabet, depth)
+        coeffs = tuple(table.pop(counts, ZERO) for counts in web.labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad bang element: {exc}") from exc
-    return BangElement.from_table(alphabet, depth, table)
+    if table:
+        raise FormatError(
+            f"multiset {list(next(iter(table)))} is not a multiset of size <= {depth}"
+            f" over {','.join(alphabet.symbols)}"
+        )
+    return BangElement(alphabet, depth, coeffs)
 
 
 # -- files and CSV -------------------------------------------------------------------

@@ -354,7 +354,7 @@ def verify_embedding_squares(mixing: AtomicMeasure, depth: int) -> list[Embeddin
                         term *= frac(r) ** c
                 v += term
             leg.append(v)
-        rhs = matmul((tuple(leg),), multinomial_embedding(alphabet, n).entries)[0]
+        rhs = matmul((tuple(leg),), multinomial_embedding(alphabet, n).rows)[0]
         dev = max(
             (abs(x - y) for x, y in zip(lhs, rhs)),
             default=ZERO,

@@ -12,7 +12,10 @@ Two coordinate systems for multiset-indexed objects coexist on purpose: the
 uniform-enumeration presentation used by the kernel side of the package and
 the delta presentation used here.  They differ by the diagonal matrix of
 multinomial coefficients (see `chains.multinomial_diagonal`); mixing them
-silently is the main correctness hazard in this corner of the code.
+silently is the main correctness hazard in this corner of the code.  The
+chain builder keeps them apart through one parameter: `chains.Backend.pcoh`
+builds the chain over these matrices in delta coordinates (eq_delta split by
+canonical_section), `chains.Backend.stoch` over kernels in uniform ones.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from ._linalg import ONE, ZERO, as_matrix, frac, identity, matmul, kron, max_abs_diff
+from ._linalg import ONE, ZERO, frac, matmul, max_abs_diff
 from .multiset import (
     Alphabet,
     Multiset,
     canonical_enumeration,
     difference,
+    enumerate_bounded_multisets,
     enumerations,
     multinomial,
 )
@@ -68,9 +72,6 @@ class PcsVector:
     def exact(self) -> bool:
         return all(isinstance(v, (int, Fraction)) for v in self.coeffs)
 
-    def at(self, label):
-        return self.coeffs[self.web.index(label)]
-
 
 @dataclass(frozen=True)
 class PcsMatrix:
@@ -78,24 +79,20 @@ class PcsMatrix:
 
     source: IndexSet
     target: IndexSet
-    entries: tuple
+    rows: tuple
     morphism_checked: bool = False
 
     def __post_init__(self):
-        if len(self.entries) != len(self.source):
+        if len(self.rows) != len(self.source):
             raise ValueError("entry row count must match source web")
-        for row in self.entries:
+        for row in self.rows:
             if len(row) != len(self.target):
                 raise ValueError("entry row width must match target web")
             if any(v < 0 for v in row):
                 raise ValueError("matrix entries must be nonnegative")
 
-    @classmethod
-    def from_entries(cls, source: IndexSet, target: IndexSet, entries) -> "PcsMatrix":
-        return cls(source, target, as_matrix(entries))
-
     def entry(self, src_label, tgt_label):
-        return self.entries[self.source.index(src_label)][self.target.index(tgt_label)]
+        return self.rows[self.source.index(src_label)][self.target.index(tgt_label)]
 
     def push(self, x: PcsVector) -> PcsVector:
         """Apply to a vector over the source web: (f.x)_b = sum_a f[a][b] x_a."""
@@ -104,7 +101,7 @@ class PcsMatrix:
         out = [ZERO] * len(self.target)
         for a, xa in enumerate(x.coeffs):
             if xa:
-                row = self.entries[a]
+                row = self.rows[a]
                 for b, v in enumerate(row):
                     if v:
                         out[b] += xa * v
@@ -113,26 +110,14 @@ class PcsMatrix:
     def deviation(self, other: "PcsMatrix") -> Fraction:
         if self.source.labels != other.source.labels or self.target.labels != other.target.labels:
             raise ValueError("matrices must share webs")
-        return max_abs_diff(self.entries, other.entries)
+        return max_abs_diff(self.rows, other.rows)
 
 
 def compose(f: PcsMatrix, g: PcsMatrix) -> PcsMatrix:
     """Matrix composition, f then g."""
     if f.target.labels != g.source.labels:
         raise ValueError("cannot compose: webs do not match")
-    return PcsMatrix(f.source, g.target, matmul(f.entries, g.entries))
-
-
-def tensor_matrix(f: PcsMatrix, g: PcsMatrix) -> PcsMatrix:
-    return PcsMatrix(
-        product_space(f.source, g.source),
-        product_space(f.target, g.target),
-        kron(f.entries, g.entries),
-    )
-
-
-def identity_matrix(web: IndexSet) -> PcsMatrix:
-    return PcsMatrix(web, web, identity(len(web)))
+    return PcsMatrix(f.source, g.target, matmul(f.rows, g.rows))
 
 
 # -- pairing and (bi)orthogonality ----------------------------------------
@@ -297,21 +282,11 @@ def multiset_pcs(a: Pcs, n: int) -> Pcs:
     return Pcs(web, tuple(gens), f"M{n}({a.name})")
 
 
-def _grid_points(k: int, resolution: int):
-    # all rational subdistribution points with denominator `resolution`
-    for total in range(resolution + 1):
-        for cuts in itertools.combinations(range(total + k - 1), k - 1):
-            parts = []
-            prev = -1
-            for c in cuts:
-                parts.append(c - prev - 1)
-                prev = c
-            parts.append(total + k - 2 - prev)
-            yield tuple(Fraction(p, resolution) for p in parts)
-
-
 def bang_pcs(alphabet: Alphabet, depth: int, grid_resolution: int = 4) -> Pcs:
     """Depth-truncated exponential: promotions at grid points as generators.
+
+    The grid points are the subdistributions with coordinates in multiples
+    of 1/grid_resolution, read off the multisets of size <= grid_resolution.
 
     The true clique is generated by all promotions, an uncountable family;
     this finite under-approximation makes "inside" verdicts sound, while an
@@ -319,7 +294,8 @@ def bang_pcs(alphabet: Alphabet, depth: int, grid_resolution: int = 4) -> Pcs:
     """
     web = bounded_multiset_space(alphabet, depth)
     gens = []
-    for point in _grid_points(len(alphabet), grid_resolution):
+    for m in enumerate_bounded_multisets(alphabet, grid_resolution):
+        point = tuple(Fraction(x, grid_resolution) for x in m.counts)
         coeffs = []
         for counts in web.labels:
             v = ONE
@@ -458,19 +434,6 @@ class BangElement:
 
     def at(self, counts: tuple[int, ...]):
         return self.coeffs[self.web.index(counts)]
-
-    def scale(self, factor) -> "BangElement":
-        f = frac(factor)
-        return BangElement(self.alphabet, self.depth, tuple(f * v for v in self.coeffs))
-
-    def add(self, other: "BangElement") -> "BangElement":
-        if other.alphabet != self.alphabet or other.depth != self.depth:
-            raise ValueError("can only add elements with equal alphabet and depth")
-        return BangElement(
-            self.alphabet,
-            self.depth,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
 
 
 def promotion(x: PcsVector, depth: int) -> BangElement:

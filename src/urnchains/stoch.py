@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import ONE, ZERO, as_matrix, frac, identity, matmul, kron, max_abs_diff
+from ._linalg import ONE, ZERO, frac, identity, matmul, kron, max_abs_diff
 from .multiset import (
     Alphabet,
     Multiset,
@@ -55,10 +55,6 @@ class FinKernel:
                 total += v
             if total > 1:
                 raise ValueError(f"row sum {total} exceeds 1")
-
-    @classmethod
-    def from_rows(cls, source: IndexSet, target: IndexSet, rows) -> "FinKernel":
-        return cls(source, target, as_matrix(rows))
 
     @property
     def kind(self) -> str:
@@ -309,8 +305,10 @@ class EqualiseReport:
         return self.max_deviation == 0
 
 
-def verify_equalises(f: FinKernel, n: int) -> EqualiseReport:
+def verify_equalises(f, n: int) -> EqualiseReport:
     """Check sigma . f = f for every coordinate symmetry on the target.
+
+    f is a FinKernel or a PcsMatrix: only its rows and target are read.
 
     Only the n-1 adjacent transpositions are compared, since they generate
     S_n: the deviation is zero over them iff it is zero over all n!
@@ -534,24 +532,6 @@ def simulate_exchangeable(mixing: AtomicMeasure, length: int, seed: int) -> list
     symbols = mixing.alphabet.symbols
     draws = rng.choice(len(symbols), size=length, p=atom.as_floats())
     return [symbols[i] for i in draws]
-
-
-@dataclass(frozen=True)
-class EmpiricalSample:
-    """Frequency vector of a length-n prefix (entries are multiples of 1/n)."""
-
-    counts: tuple[int, ...]
-    prefix_length: int
-
-    def __post_init__(self):
-        if any((not isinstance(c, int)) or c < 0 for c in self.counts):
-            raise ValueError("prefix counts must be nonnegative integers")
-        if sum(self.counts) != self.prefix_length:
-            raise ValueError("prefix counts must sum to the prefix length")
-
-    @property
-    def frequency(self) -> tuple[float, ...]:
-        return tuple(c / self.prefix_length for c in self.counts)
 
 
 @dataclass

@@ -47,6 +47,7 @@ from .pcoh import (
     eq_delta,
     canonical_section,
     ground_pcs,
+    multinomial_embedding,
     multiset_pcs,
 )
 from .spaces import symbol_space, unit_space
@@ -54,13 +55,10 @@ from .stoch import (
     AtomicMeasure,
     FinKernel,
     ProbVector,
-    adjacent_transpositions,
     compose,
     coeq_kernel,
     eq_kernel,
     identity_kernel,
-    multinomial_law,
-    permute_tuple_columns,
     symmetrization_average,
     verify_equalises,
 )
@@ -191,22 +189,14 @@ def equaliser_checks(config: Config) -> list[CheckResult]:
             )
         )
         delta = eq_delta(alphabet, n)
-        worst = ZERO
-        wit = None
-        # the transpositions generate S_n; see stoch.verify_equalises
-        for perm in adjacent_transpositions(n):
-            dev = max_abs_diff(
-                permute_tuple_columns(delta.entries, delta.target, perm), delta.entries
-            )
-            if dev > worst:
-                worst, wit = dev, perm
+        rep = verify_equalises(delta, n)
         out.append(
             _exact_check(
                 "eq-sigma-invariance",
                 "sigma . eq_n = eq_n for every coordinate symmetry",
                 {"n": n, "backend": "pcoh"},
-                worst,
-                witness=str(wit) if wit else None,
+                rep.max_deviation,
+                witness=str(rep.witness_perm) if rep.witness_perm else None,
             )
         )
         section = canonical_section(alphabet, n)
@@ -216,7 +206,7 @@ def equaliser_checks(config: Config) -> list[CheckResult]:
                 "section_n . eq_n = id on multisets (delta coordinates)",
                 {"n": n},
                 max_abs_diff(
-                    matmul(delta.entries, section.entries), _identity(len(delta.source))
+                    matmul(delta.rows, section.rows), _identity(len(delta.source))
                 ),
             )
         )
@@ -305,8 +295,6 @@ def morphism_checks(config: Config, chains) -> list[CheckResult]:
                 check.deviation,
             )
         )
-    from .pcoh import multinomial_embedding
-
     for n in range(config.depth + 1):
         emb = multinomial_embedding(alphabet, n)
         bounded, full, mapping = pad_index_bijection(alphabet, n)
@@ -314,7 +302,7 @@ def morphism_checks(config: Config, chains) -> list[CheckResult]:
         comp = lift.components[n]
         for i in range(len(emb.source)):
             for j in range(len(bounded)):
-                d = abs(emb.entries[i][j] - comp.entries[i][mapping[j]])
+                d = abs(emb.rows[i][j] - comp.rows[i][mapping[j]])
                 if d > dev:
                     dev = d
         out.append(
@@ -332,9 +320,9 @@ def morphism_checks(config: Config, chains) -> list[CheckResult]:
             diag_n1 = multinomial_diagonal(alphabet, n + 1)
             inv = tuple(
                 tuple(Fraction(1, v) if v else ZERO for v in row)
-                for row in diag_n1.entries
+                for row in diag_n1.rows
             )
-            conj = matmul(matmul(inv, chg.dds[n].entries), diag_n.entries)
+            conj = matmul(matmul(inv, chg.dds[n].rows), diag_n.rows)
             out.append(
                 _exact_check(
                     "coordinate-conjugation",
@@ -372,22 +360,19 @@ def cone_checks(config: Config, chains) -> list[CheckResult]:
                 dd_cone = dd_cone_from_top(chainb, top)
                 expanded = expand_dd_cone(dd_cone)
                 back = factor_delete_cone(expanded)
-                dev = max(
-                    a.deviation(b) if hasattr(a, "deviation") else ZERO
-                    for a, b in zip(back.legs, dd_cone.legs)
-                )
+                dev = max(a.deviation(b) for a, b in zip(back.legs, dd_cone.legs))
                 worst = max(worst, dev)
                 # opposite direction: random symmetric delete-cone
                 sym_top = chainb.backend.make(
                     top.source,
                     chainb.backend.power(chainb.depth),
-                    matmul(_rows(top), _rows(chainb.eqs[chainb.depth])),
+                    matmul(top.rows, chainb.eqs[chainb.depth].rows),
                 )
                 del_cone = delete_cone_from_top(chainb, sym_top)
                 dd2 = factor_delete_cone(del_cone)
                 expanded2 = expand_dd_cone(dd2)
                 dev2 = max(
-                    max_abs_diff(_rows(a), _rows(b))
+                    max_abs_diff(a.rows, b.rows)
                     for a, b in zip(expanded2.legs, del_cone.legs)
                 )
                 worst = max(worst, dev2)
@@ -413,10 +398,6 @@ def cone_checks(config: Config, chains) -> list[CheckResult]:
                 )
             )
     return out
-
-
-def _rows(m):
-    return m.rows if isinstance(m, FinKernel) else m.entries
 
 
 def _random_leg(rng, chain, config):

@@ -114,7 +114,7 @@ def test_criterion_02_multinomial_chain_morphism():
             comp = lift.components[n]
             for i in range(len(emb.source)):
                 for j in range(len(bounded)):
-                    d = abs(emb.entries[i][j] - comp.entries[i][mapping[j]])
+                    d = abs(emb.rows[i][j] - comp.rows[i][mapping[j]])
                     worst = max(worst, d)
     _report(
         2,
@@ -157,7 +157,6 @@ def test_criterion_04_two_formulation_equivalence():
             build_dd_chain(stoch_copointed(alphabet), depth),
             build_dd_chain(pcoh_ground_copointed(alphabet), depth),
         ):
-            raw = lambda m: m.rows if hasattr(m, "rows") else m.entries
             for _ in range(25):
                 size = len(chain.level_space(depth))
                 vals = [F(rng.randint(0, 9)) for _ in range(size)]
@@ -170,20 +169,23 @@ def test_criterion_04_two_formulation_equivalence():
                 dd_cone = dd_cone_from_top(chain, top)
                 back = factor_delete_cone(expand_dd_cone(dd_cone))
                 worst = max(
-                    max_abs_diff(raw(a), raw(b))
-                    for a, b in zip(back.legs, dd_cone.legs)
+                    worst,
+                    max(
+                        max_abs_diff(a.rows, b.rows)
+                        for a, b in zip(back.legs, dd_cone.legs)
+                    ),
                 )
                 sym_top = chain.backend.make(
                     unit_space(),
                     chain.backend.power(depth),
-                    mm(raw(top), raw(chain.eqs[depth])),
+                    mm(top.rows, chain.eqs[depth].rows),
                 )
                 del_cone = delete_cone_from_top(chain, sym_top)
                 expanded = expand_dd_cone(factor_delete_cone(del_cone))
                 worst = max(
                     worst,
                     max(
-                        max_abs_diff(raw(a), raw(b))
+                        max_abs_diff(a.rows, b.rows)
                         for a, b in zip(expanded.legs, del_cone.legs)
                     ),
                 )

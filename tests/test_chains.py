@@ -56,7 +56,7 @@ def test_bang_chain_steps_equal_restrictions():
         dd = chain.dds[n]
         for i, mu in enumerate(b_src.labels):
             for j, nu in enumerate(b_tgt.labels):
-                assert restriction.entries[i][j] == dd.entries[map_src[i]][map_tgt[j]]
+                assert restriction.rows[i][j] == dd.rows[map_src[i]][map_tgt[j]]
 
 
 def test_depth_zero_chain():
@@ -105,7 +105,7 @@ def test_free_copointed_pairing_universal_property():
         assert paired[i][:2] == eta[i]
         assert paired[i][2] == u[i][0]
     # and the weakening of the pairing is u (copointed-morphism condition)
-    weaken_col = [row[0] for row in cop.weaken.entries]
+    weaken_col = [row[0] for row in cop.weaken.rows]
     recovered = [sum(p * w for p, w in zip(row, weaken_col)) for row in paired]
     assert recovered == [row[0] for row in u]
 
@@ -124,7 +124,7 @@ def test_lift_identity_gives_identity_components():
     lift = lift_copointed_morphism(ident, chain, chain)
     for n, comp in enumerate(lift.components):
         size = len(multiset_space(BOOL, n))
-        assert comp.entries == tuple(
+        assert comp.rows == tuple(
             tuple(F(1) if i == j else F(0) for j in range(size)) for i in range(size)
         )
 
@@ -145,9 +145,9 @@ def test_lift_rejects_non_copointed_morphism():
 # -- coordinate change -----------------------------------------------------------------
 
 def test_multinomial_diagonal_values():
-    assert multinomial_diagonal(BOOL, 1).entries == ((F(1), F(0)), (F(0), F(1)))
+    assert multinomial_diagonal(BOOL, 1).rows == ((F(1), F(0)), (F(0), F(1)))
     d2 = multinomial_diagonal(BOOL, 2)
-    assert [d2.entries[i][i] for i in range(3)] == [F(1), F(2), F(1)]
+    assert [d2.rows[i][i] for i in range(3)] == [F(1), F(2), F(1)]
 
 
 @pytest.mark.parametrize("alphabet", [BOOL, ABC])
@@ -155,12 +155,12 @@ def test_conjugation_intertwines_the_two_chains(alphabet):
     stoch_chain = build_dd_chain(stoch_copointed(alphabet), 4)
     delta_chain = build_dd_chain(pcoh_ground_copointed(alphabet), 4)
     for n in range(4):
-        d_n = multinomial_diagonal(alphabet, n).entries
-        d_n1 = multinomial_diagonal(alphabet, n + 1).entries
+        d_n = multinomial_diagonal(alphabet, n).rows
+        d_n1 = multinomial_diagonal(alphabet, n + 1).rows
         inv = tuple(
             tuple(F(1, v) if v else F(0) for v in row) for row in d_n1
         )
-        conj = mm(mm(inv, delta_chain.dds[n].entries), d_n)
+        conj = mm(mm(inv, delta_chain.dds[n].rows), d_n)
         assert conj == stoch_chain.dds[n].rows
 
 
@@ -253,7 +253,6 @@ def test_randomized_round_trips_both_directions(backend):
     else:
         chain = build_dd_chain(pcoh_ground_copointed(BOOL), 4)
     rng = random.Random(17)
-    raw = lambda m: m.rows if hasattr(m, "rows") else m.entries
     for _ in range(25):
         top_len = len(chain.level_space(4))
         vals = [F(rng.randint(0, 9)) for _ in range(top_len)]
@@ -265,17 +264,17 @@ def test_randomized_round_trips_both_directions(backend):
         assert cone.deviation() == 0
         back = factor_delete_cone(expand_dd_cone(cone))
         assert all(
-            max_abs_diff(raw(a), raw(b)) == 0 for a, b in zip(back.legs, cone.legs)
+            max_abs_diff(a.rows, b.rows) == 0 for a, b in zip(back.legs, cone.legs)
         )
         sym_top = chain.backend.make(
             unit_space(),
             chain.backend.power(4),
-            mm(raw(top), raw(chain.eqs[4])),
+            mm(top.rows, chain.eqs[4].rows),
         )
         delete_cone = delete_cone_from_top(chain, sym_top)
         expanded = expand_dd_cone(factor_delete_cone(delete_cone))
         assert all(
-            max_abs_diff(raw(a), raw(b)) == 0
+            max_abs_diff(a.rows, b.rows) == 0
             for a, b in zip(expanded.legs, delete_cone.legs)
         )
 

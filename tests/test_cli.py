@@ -74,6 +74,37 @@ def test_verify_all_fault_injection_names_the_square(tmp_path, capsys):
     assert "defining-square" in capsys.readouterr().err
 
 
+# SHA-256 of the verify-all reports and of the fault run's stderr, recorded
+# before the two chain backends were merged into one
+@pytest.mark.parametrize(
+    "symbols, extra, code, report_digest, stderr_digest",
+    [
+        (None, [], 0,
+         "0fe21e6ec884eebba8c06adaf28acb3aafac1c8187e0334f1c1e7cd7a2799137",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (["a", "b", "c"], [], 0,
+         "39e3dab2f85c76646d6ea7f8a358e33504ba179d095dce719acf49cec52ff84e",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (None, ["--inject-fault"], 1,
+         "9ea69385f42ee42350696fdc32288859ff77a18133a53efec338d1b8a54c50d7",
+         "a9f4c01154037fd26675bf1bb8d555519b3b6afda060623261e3184c0ba4a914"),
+    ],
+    ids=["defaults", "three-symbols", "inject-fault"],
+)
+def test_verify_all_report_digests(tmp_path, capsys, symbols, extra, code, report_digest, stderr_digest):
+    out = str(tmp_path / "report.json")
+    argv = ["verify-all", "--out", out] + extra
+    if symbols is not None:
+        alphabet = tmp_path / "alphabet.json"
+        alphabet.write_text(json.dumps({"symbols": symbols}))
+        argv += ["--alphabet", str(alphabet)]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert hashlib.sha256(open(out, "rb").read()).hexdigest() == report_digest
+    assert hashlib.sha256(err.encode()).hexdigest() == stderr_digest
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["bang", "totality", "--bang", "/nonexistent.json"]) == 2
     assert "input error" in capsys.readouterr().err
@@ -232,6 +263,37 @@ def test_recover_rejects_non_total(tmp_path, sub_mixing, capsys):
     main(["bang", "iota", "--mixing", sub_mixing, "--out", bang])
     assert main(["definetti", "recover", "--bang", bang]) == 1
     assert "not total" in capsys.readouterr().err
+
+
+_BANG_TF_DEPTH_1 = [
+    {"multiset": [0, 0], "value": 1},
+    {"multiset": [1, 0], "value": "1/2"},
+    {"multiset": [0, 1], "value": "1/2"},
+]
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ({"multiset": [5, 0, 0], "value": 7}, "[5, 0, 0]"),
+        ({"multiset": [3, 0], "value": 9}, "[3, 0]"),
+        ({"multiset": [2, -1], "value": 9}, "[2, -1]"),
+        ({"multiset": [0.5, 0], "value": 9}, "[0.5, 0]"),
+        ({"multiset": [1, 0], "value": "1/3"}, "[1, 0] is listed twice"),
+    ],
+    ids=["wrong-arity", "beyond-depth", "negative-count", "fractional-count", "duplicate"],
+)
+def test_bang_entries_off_the_web_are_input_errors(tmp_path, capsys, extra, named):
+    path = tmp_path / "bang.json"
+    path.write_text(
+        json.dumps(
+            {"alphabet": {"symbols": ["t", "f"]}, "depth": 1, "coeffs": _BANG_TF_DEPTH_1 + [extra]}
+        )
+    )
+    for argv in (["bang", "totality"], ["definetti", "recover", "--grid", "4"]):
+        assert main(argv + ["--bang", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and named in err
 
 
 def test_simulate_dirac_and_determinism(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -126,17 +127,17 @@ def test_eq_delta_places_coefficient_at_every_enumeration():
 
 def test_eq_delta_n1_identity_and_swap_invariance():
     eq1 = eq_delta(BOOL, 1)
-    assert eq1.entries == ((F(1), F(0)), (F(0), F(1)))
+    assert eq1.rows == ((F(1), F(0)), (F(0), F(1)))
     eq2 = eq_delta(BOOL, 2)
     for perm in all_perms(2):
-        assert permute_tuple_columns(eq2.entries, eq2.target, perm) == eq2.entries
+        assert permute_tuple_columns(eq2.rows, eq2.target, perm) == eq2.rows
 
 
 def test_canonical_section_splits_eq_delta():
     for n in range(4):
         eq = eq_delta(BOOL, n)
         sec = canonical_section(BOOL, n)
-        prod = mm(eq.entries, sec.entries)
+        prod = mm(eq.rows, sec.rows)
         assert all(
             prod[i][j] == (1 if i == j else 0)
             for i in range(len(prod))
@@ -148,18 +149,18 @@ def test_canonical_section_splits_eq_delta():
 
 def test_dd_restriction_examples():
     r0 = dd_restriction(BOOL, 0)
-    assert [row[0] for row in r0.entries] == [F(1), F(0), F(0)]
+    assert [row[0] for row in r0.rows] == [F(1), F(0), F(0)]
     b = BangElement.from_table(BOOL, 2, {(0, 0): 1, (1, 0): F(1, 2), (2, 0): F(1, 4)})
     r1 = dd_restriction(BOOL, 1)
     vec = restrict_to_depth(b, 2)
-    out = mm((vec.coeffs,), r1.entries)[0]
+    out = mm((vec.coeffs,), r1.rows)[0]
     assert out == restrict_to_depth(b, 1).coeffs
 
 
 def test_dd_restriction_composition_is_restriction():
     r1 = dd_restriction(BOOL, 1)
     r2 = dd_restriction(BOOL, 2)
-    both = mm(r2.entries, r1.entries)
+    both = mm(r2.rows, r1.rows)
     web3 = bounded_multiset_space(BOOL, 3)
     web1 = bounded_multiset_space(BOOL, 1)
     for i, mu in enumerate(web3.labels):
@@ -189,9 +190,9 @@ def _ones_delete(alphabet, n):
 @pytest.mark.parametrize("alphabet", [BOOL, Alphabet.of("a", "b", "c")])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_dd_inclusion_solves_defining_square_uniquely(alphabet, n):
-    rhs = mm(eq_delta(alphabet, n + 1).entries, _ones_delete(alphabet, n))
-    solved = solve_right(eq_delta(alphabet, n).entries, rhs)
-    assert solved == dd_inclusion(alphabet, n).entries
+    rhs = mm(eq_delta(alphabet, n + 1).rows, _ones_delete(alphabet, n))
+    solved = solve_right(eq_delta(alphabet, n).rows, rhs)
+    assert solved == dd_inclusion(alphabet, n).rows
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -207,7 +208,7 @@ def test_dd_inclusion_conjugate_to_uniform_kernel(n):
     src_mult = [multinomial(Multiset(abc, c)) for c in incl.source.labels]
     tgt_mult = [multinomial(Multiset(abc, c)) for c in incl.target.labels]
     conj = tuple(
-        tuple(incl.entries[i][j] * tgt_mult[j] / src_mult[i] for j in range(len(tgt_mult)))
+        tuple(incl.rows[i][j] * tgt_mult[j] / src_mult[i] for j in range(len(tgt_mult)))
         for i in range(len(src_mult))
     )
     assert conj == dd_kernel(abc, n).rows
@@ -321,8 +322,8 @@ def test_multinomial_embedding_is_the_unique_square_solution(alphabet, n):
             for arow in alpha:
                 new.append(tuple(x * y for x in row for y in arow))
         pow_rows = tuple(new)
-    rhs = mm(eq_delta(alphabet, n).entries, pow_rows)
-    solved = solve_right(eq_delta(padded, n).entries, rhs)
+    rhs = mm(eq_delta(alphabet, n).rows, pow_rows)
+    solved = solve_right(eq_delta(padded, n).rows, rhs)
     emb = multinomial_embedding(alphabet, n)
     bounded = bounded_multiset_space(alphabet, n)
     from urnchains.spaces import multiset_space
@@ -331,7 +332,7 @@ def test_multinomial_embedding_is_the_unique_square_solution(alphabet, n):
     for i in range(len(emb.source)):
         for j, counts in enumerate(bounded.labels):
             padded_counts = counts + (n - sum(counts),)
-            assert emb.entries[i][j] == solved[i][full.index(padded_counts)]
+            assert emb.rows[i][j] == solved[i][full.index(padded_counts)]
         # columns not hit by the padding map must vanish
         hit = {counts + (n - sum(counts),) for counts in bounded.labels}
         for j, lab in enumerate(full.labels):
@@ -367,6 +368,21 @@ def test_bang_pcs_contains_promotions_and_flags_scaled_ones():
     assert not space.contains(PcsVector(space.web, doubled)).inside
 
 
+@pytest.mark.parametrize("alphabet, depth, res", [(BOOL, 2, 4), (Alphabet.of("a", "b", "c"), 2, 3)])
+def test_bang_pcs_generators_are_promotions_of_every_grid_point(alphabet, depth, res):
+    # oracle: every point with coordinates in {0, 1/res, ..., 1} and sum <= 1
+    k = len(alphabet)
+    web = symbol_space(alphabet)
+    expected = [
+        promotion(PcsVector(web, tuple(F(c, res) for c in counts)), depth).coeffs
+        for counts in itertools.product(range(res + 1), repeat=k)
+        if sum(counts) <= res
+    ]
+    gens = [g.coeffs for g in bang_pcs(alphabet, depth, grid_resolution=res).generators]
+    assert len(gens) == len(expected) == len(set(expected))
+    assert set(gens) == set(expected)
+
+
 # -- morphism certification -------------------------------------------------------------------------
 
 def test_certify_uniform_equaliser_as_morphism():
@@ -376,7 +392,7 @@ def test_certify_uniform_equaliser_as_morphism():
     flagged, report = certify_morphism(uniform, m2, t2)
     assert report.ok and flagged.morphism_checked
     doubled = PcsMatrix(
-        m2.web, t2.web, tuple(tuple(2 * v for v in row) for row in uniform.entries)
+        m2.web, t2.web, tuple(tuple(2 * v for v in row) for row in uniform.rows)
     )
     _, bad = certify_morphism(doubled, m2, t2)
     assert not bad.ok
@@ -386,4 +402,4 @@ def test_certify_uniform_equaliser_as_morphism():
 def test_compose_matches_plain_product():
     a = eq_delta(BOOL, 2)
     b = canonical_section(BOOL, 2)
-    assert compose(a, b).entries == mm(a.entries, b.entries)
+    assert compose(a, b).rows == mm(a.rows, b.rows)

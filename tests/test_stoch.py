@@ -474,15 +474,6 @@ def test_discard_kernel_is_all_ones_column():
     assert d.rows == ((F(1),), (F(1),), (F(1),))
 
 
-def test_empirical_sample_invariant():
-    from urnchains.stoch import EmpiricalSample
-
-    s = EmpiricalSample((3, 7), 10)
-    assert s.frequency == (0.3, 0.7)
-    with pytest.raises(ValueError):
-        EmpiricalSample((3, 6), 10)
-
-
 def test_kernel_validation_rejects_bad_rows():
     x = symbol_space(BOOL)
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ square exactly; `moments` solves the inverse problem of representing a total
 element as a mixture of promotions via a grid linear program.
 """
 
+from ._linalg import compose
 from .multiset import (
     Alphabet,
     Multiset,
@@ -24,7 +25,6 @@ from .stoch import (
     FinKernel,
     ProbVector,
     coeq_kernel,
-    compose,
     dd_kernel,
     empirical_law,
     eq_kernel,

@@ -1,16 +1,27 @@
-"""Exact rational matrix helpers: products, Kronecker products, linear solves.
+"""Exact rational matrices: the shared matrix base, products, linear solves.
 
-Matrices are tuples of row tuples of Fractions, indexed (source, target);
-composition "f then g" is the plain product f @ g.  Products skip zero
-entries, which matters because equaliser and permutation matrices here are
-very sparse.
+`Matrix(source, target, rows)` is the one presentation of the maps on both
+sides of the package: a nonnegative exact matrix indexed (source label,
+target label), with `rows` a tuple of dense row tuples of Fractions.
+`FinKernel` and `PcsMatrix` subclass it and keep only what is their own:
+validation, `FinKernel.kind`, `PcsMatrix.push`.
+`Matrix.build` is the one place that fills dense rows: each row is given
+as a {target label: value} dict and every other entry is ZERO, so a sparse
+row format would be a change to this module alone.  `compose(f, g)`, "f
+then g", is the plain product of the rows.
+
+The helpers below act on bare row tuples.  Products skip zero entries,
+which matters because equaliser and permutation matrices here are very
+sparse.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
-Matrix = tuple
+from .spaces import IndexSet
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -37,13 +48,51 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
 
-def identity(n: int) -> Matrix:
+@dataclass(frozen=True)
+class Matrix:
+    """Exact matrix indexed (source label, target label)."""
+
+    source: IndexSet
+    target: IndexSet
+    rows: tuple
+
+    @classmethod
+    def build(cls, source: IndexSet, target: IndexSet, row: Callable[[object], dict]):
+        """The matrix whose row at each source label is row(label), a
+        {target label: value} dict; every other entry is ZERO."""
+        rows = []
+        for label in source.labels:
+            dense = [ZERO] * len(target)
+            for tgt_label, value in row(label).items():
+                dense[target.index(tgt_label)] = value
+            rows.append(tuple(dense))
+        return cls(source, target, tuple(rows))
+
+    def entry(self, src_label, tgt_label) -> Fraction:
+        return self.rows[self.source.index(src_label)][self.target.index(tgt_label)]
+
+    def deviation(self, other: "Matrix") -> Fraction:
+        if self.source.labels != other.source.labels or self.target.labels != other.target.labels:
+            raise ValueError("matrices must share source and target index sets")
+        return max_abs_diff(self.rows, other.rows)
+
+
+def compose(f: Matrix, g: Matrix) -> Matrix:
+    """Composition f then g, as the matrix product, in the type of f."""
+    if f.target.labels != g.source.labels:
+        raise ValueError(
+            f"cannot compose: target {f.target.name} != source {g.source.name}"
+        )
+    return type(f)(f.source, g.target, matmul(f.rows, g.rows))
+
+
+def identity(n: int) -> tuple:
     return tuple(
         tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
     )
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
+def matmul(a: tuple, b: tuple) -> tuple:
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} @ {len(b)}x{len(b[0])}")
     ncols = len(b[0]) if b else 0
@@ -60,7 +109,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
+def kron(a: tuple, b: tuple) -> tuple:
     """Kronecker product, matching row-major product index order."""
     rows = []
     for arow in a:
@@ -71,7 +120,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return tuple(rows)
 
 
-def max_abs_diff(a: Matrix, b: Matrix) -> Fraction:
+def max_abs_diff(a: tuple, b: tuple) -> Fraction:
     if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
         raise ValueError("shape mismatch in max_abs_diff")
     dev = ZERO
@@ -85,7 +134,7 @@ def max_abs_diff(a: Matrix, b: Matrix) -> Fraction:
     return dev
 
 
-def solve_right(e: Matrix, b: Matrix) -> Matrix:
+def solve_right(e: tuple, b: tuple) -> tuple:
     """Solve m @ e = b for m, requiring the solution to be unique.
 
     e must have full row rank (it is a split mono in every use here); raises

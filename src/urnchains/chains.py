@@ -109,36 +109,28 @@ class Backend:
 
     def delete_map(self, weaken, n: int):
         """id^n (x) weaken on flat tuple spaces."""
-        src = self.power(n + 1)
-        tgt = self.power(n)
         wcol = [row[0] for row in weaken.rows]
-        rows = []
-        for t in src.labels:
-            row = [ZERO] * len(tgt)
-            w = wcol[t[n]]
-            if w:
-                row[tgt.index(t[:n])] = w
-            rows.append(tuple(row))
-        return self.matrix(src, tgt, tuple(rows))
+        return self.matrix.build(
+            self.power(n + 1),
+            self.power(n),
+            lambda t: {t[:n]: wcol[t[n]]} if wcol[t[n]] else {},
+        )
 
     def dd_closed_form(self, weaken, n: int):
         """Weighted remove-one step: entry(mu, mu - [b]) = w_b, times
         mu(b)/(n+1) in uniform coordinates."""
-        src = self.level(n + 1)
-        tgt = self.level(n)
         wcol = [row[0] for row in weaken.rows]
-        rows = []
-        for mu in src.labels:
-            row = [ZERO] * len(tgt)
-            for b, c in enumerate(mu):
-                if c and wcol[b]:
-                    nu = list(mu)
-                    nu[b] -= 1
-                    row[tgt.index(tuple(nu))] = (
-                        wcol[b] * Fraction(c, n + 1) if self.uniform else wcol[b]
-                    )
-            rows.append(tuple(row))
-        return self.matrix(src, tgt, tuple(rows))
+
+        def row(mu):
+            return {
+                mu[:b] + (c - 1,) + mu[b + 1:]: (
+                    wcol[b] * Fraction(c, n + 1) if self.uniform else wcol[b]
+                )
+                for b, c in enumerate(mu)
+                if c and wcol[b]
+            }
+
+        return self.matrix.build(self.level(n + 1), self.level(n), row)
 
     def validate_weaken(self, weaken) -> None:
         if weaken.source.labels != self.carrier.labels or len(weaken.target) != 1:
@@ -181,20 +173,17 @@ def pcoh_free_copointed(a: Pcs, pad_symbol: str = "*") -> CopointedObject:
     """The free copointed object a & 1 with the second projection as
     weakening; built concretely over the padded symbol web."""
     carrier = with_unit_pcs(a, pad_symbol)
-    backend = Backend.pcoh(carrier)
-    col = [ZERO] * len(carrier.web)
-    col[-1] = ONE
-    weaken = PcsMatrix(carrier.web, unit_space(), tuple((v,) for v in col))
-    return CopointedObject(backend, weaken)
+    weaken = PcsMatrix.build(
+        carrier.web, unit_space(), lambda label: {"*": ONE} if label == pad_symbol else {}
+    )
+    return CopointedObject(Backend.pcoh(carrier), weaken)
 
 
 def pcoh_ground_copointed(alphabet: Alphabet) -> CopointedObject:
     """The image of the kernel-side copointed structure: ground space with
     the all-ones weakening column."""
     backend = Backend.pcoh(ground_pcs(alphabet))
-    weaken = PcsMatrix(
-        backend.carrier, unit_space(), tuple((ONE,) for _ in backend.carrier.labels)
-    )
+    weaken = PcsMatrix.build(backend.carrier, unit_space(), lambda _: {"*": ONE})
     return CopointedObject(backend, weaken)
 
 
@@ -346,12 +335,9 @@ def multinomial_diagonal(alphabet: Alphabet, n: int) -> PcsMatrix:
     diag(multinomial(mu)) over size-n multisets.  Conjugating the uniform
     kernel chain by these diagonals gives the delta-coordinate chain."""
     space = multiset_space(alphabet, n)
-    rows = []
-    for i, counts in enumerate(space.labels):
-        row = [ZERO] * len(space)
-        row[i] = Fraction(multinomial(Multiset(alphabet, counts)))
-        rows.append(tuple(row))
-    return PcsMatrix(space, space, tuple(rows))
+    return PcsMatrix.build(
+        space, space, lambda counts: {counts: Fraction(multinomial(Multiset(alphabet, counts)))}
+    )
 
 
 # -- cones and the two De Finetti formulations at finite truncation ------------
@@ -559,10 +545,8 @@ def bang_cone(b, chain: DDChain) -> Cone:
     legs = []
     for n in range(chain.depth + 1):
         bounded, full, mapping = pad_index_bijection(alphabet, n)
-        row = [ZERO] * len(full)
-        for i, counts in enumerate(bounded.labels):
-            row[mapping[i]] = b.at(counts)
-        legs.append(chain.backend.make(unit_space(), full, (tuple(row),)))
+        top = {full.labels[j]: b.at(counts) for counts, j in zip(bounded.labels, mapping)}
+        legs.append(chain.backend.matrix.build(unit_space(), full, lambda _: top))
     cone = Cone(chain, unit_space(), legs, "dd")
     if cone.deviation() != 0:
         raise ChainError("element table is not restriction-coherent")

@@ -1,4 +1,4 @@
-"""JSON and CSV formats for alphabets, kernels, measures and bang elements.
+"""JSON and CSV formats for alphabets, measures and bang elements.
 
 Rational values travel as "p/q" strings (or plain integers); floats are
 accepted on input and parsed through their decimal representation, so a file
@@ -8,20 +8,12 @@ containing 0.1 means exactly 1/10.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from ._linalg import ZERO, frac
 from .multiset import Alphabet
 from .pcoh import BangElement
-from .spaces import (
-    IndexSet,
-    bounded_multiset_space,
-    multiset_space,
-    symbol_space,
-    tuple_space,
-    unit_space,
-)
-from .stoch import AtomicMeasure, EmpiricalLaw, FinKernel, ProbVector
+from .spaces import bounded_multiset_space
+from .stoch import AtomicMeasure, EmpiricalLaw, ProbVector
 
 
 class FormatError(Exception):
@@ -52,97 +44,6 @@ def alphabet_from_json(data) -> Alphabet:
         return Alphabet(tuple(data["symbols"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad alphabet: {exc}") from exc
-
-
-# -- index-set descriptors -----------------------------------------------------
-
-def space_from_json(data) -> IndexSet:
-    kind = data.get("kind")
-    if kind == "unit":
-        return unit_space()
-    if kind == "symbols":
-        return symbol_space(Alphabet(tuple(data["alphabet"])))
-    if kind == "tuples":
-        return tuple_space(Alphabet(tuple(data["alphabet"])), int(data["n"]))
-    if kind == "multisets":
-        return multiset_space(Alphabet(tuple(data["alphabet"])), int(data["n"]))
-    if kind == "bounded-multisets":
-        return bounded_multiset_space(Alphabet(tuple(data["alphabet"])), int(data["n"]))
-    if kind == "labels":
-        return IndexSet(data.get("name", "labels"), tuple(_relabel(l) for l in data["labels"]))
-    raise FormatError(f"unknown index-set kind {kind!r}")
-
-
-def _relabel(label):
-    return tuple(label) if isinstance(label, list) else label
-
-
-# -- kernels -------------------------------------------------------------------
-
-def kernel_to_json(kernel: FinKernel) -> dict:
-    return {
-        "source": space_to_json(kernel.source),
-        "target": space_to_json(kernel.target),
-        "rows": [
-            [[v.numerator, v.denominator] for v in row] for row in kernel.rows
-        ],
-    }
-
-
-def space_to_json(space: IndexSet) -> dict:
-    data = _space_descriptor_by_name(space)
-    if data is not None:
-        # only trust the name-derived descriptor if it round-trips the labels
-        # (symbols containing "," or ")" would corrupt it)
-        try:
-            if space_from_json(data).labels == space.labels:
-                return data
-        except (FormatError, ValueError):
-            pass
-    return {
-        "kind": "labels",
-        "name": space.name,
-        "labels": [list(l) if isinstance(l, tuple) else l for l in space.labels],
-    }
-
-
-def _space_descriptor_by_name(space: IndexSet) -> dict | None:
-    name = space.name
-    if name == "1":
-        return {"kind": "unit"}
-    if name.startswith("X(") and "^" in name:
-        alpha, _, n = name.partition("^")
-        return {"kind": "tuples", "alphabet": alpha[2:-1].split(","), "n": int(n)}
-    if name.startswith("X("):
-        return {"kind": "symbols", "alphabet": list(space.labels)}
-    if name.startswith("M<="):
-        head, _, rest = name.partition("(")
-        return {
-            "kind": "bounded-multisets",
-            "alphabet": rest[:-1].split(","),
-            "n": int(head[3:]),
-        }
-    if name.startswith("M"):
-        head, _, rest = name.partition("(")
-        return {
-            "kind": "multisets",
-            "alphabet": rest[:-1].split(","),
-            "n": int(head[1:]),
-        }
-    return None
-
-
-def kernel_from_json(data) -> FinKernel:
-    try:
-        source = space_from_json(data["source"])
-        target = space_from_json(data["target"])
-        rows = tuple(
-            tuple(Fraction(int(num), int(den)) for num, den in row)
-            for row in data["rows"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad kernel: {exc}") from exc
-    return FinKernel(source, target, rows)
 
 
 # -- measures --------------------------------------------------------------------

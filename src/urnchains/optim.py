@@ -146,18 +146,8 @@ class _Tableau:
                     target[j] -= f * v
         self.basis[r] = c
 
-    def _dump(self, cost, label):
-        import sys
-
-        print(f"[simplex] {label}: basis {self.basis}", file=sys.stderr)
-        for i, row in enumerate(self.rows):
-            print(f"[simplex]   row {i}: {[str(v) for v in row]}", file=sys.stderr)
-        print(f"[simplex]   cost: {[str(v) for v in cost]}", file=sys.stderr)
-
-    def _iterate(self, cost, allowed, verbose=False) -> str:
+    def _iterate(self, cost, allowed) -> str:
         while True:
-            if verbose:
-                self._dump(cost, "tableau")
             enter = None
             for j in range(self.ncols):
                 if allowed[j] and cost[j] > self.tol:
@@ -182,7 +172,7 @@ class _Tableau:
                 return "unbounded"
             self._pivot(cost, leave, enter)
 
-    def solve(self, verbose=False):
+    def solve(self):
         conv, zero = self.conv, self.zero
         # phase 1: maximize -(sum of artificials)
         c1 = [zero] * self.ncols
@@ -190,7 +180,7 @@ class _Tableau:
             c1[j] = conv(-1)
         cost = self._cost_row(c1)
         allowed = [True] * self.ncols
-        status = self._iterate(cost, allowed, verbose)
+        status = self._iterate(cost, allowed)
         if status != "optimal":
             # phase 1 is bounded above by 0, so only float round-off gets here
             raise LpError(f"simplex phase 1 ended {status} (numerical breakdown)")
@@ -210,7 +200,7 @@ class _Tableau:
             allowed[j] = False
         c2 = [self.c[j] if j < self.n else zero for j in range(self.ncols)]
         cost = self._cost_row(c2)
-        status = self._iterate(cost, allowed, verbose)
+        status = self._iterate(cost, allowed)
         if status == "unbounded":
             return "unbounded", None, None
         x = [zero] * self.ncols
@@ -224,13 +214,10 @@ class _Tableau:
         return "optimal", x[: self.n], y
 
 
-def solve(lp: LinearProgram, verbose: bool = False) -> LpSolution:
-    """Solve the LP; optimal solutions carry a dual certificate and zero/tiny gap.
-
-    verbose dumps the tableau to stderr at every pivot (debugging aid only).
-    """
+def solve(lp: LinearProgram) -> LpSolution:
+    """Solve the LP; optimal solutions carry a dual certificate and zero/tiny gap."""
     t = _Tableau(lp)
-    status, x, y = t.solve(verbose)
+    status, x, y = t.solve()
     if status != "optimal":
         return LpSolution(status=status)
     dual_ub = tuple(y[: t.m_ub])

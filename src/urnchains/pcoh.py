@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from ._linalg import ONE, ZERO, frac, matmul, max_abs_diff
+from ._linalg import ONE, ZERO, Matrix, frac
 from .multiset import (
     Alphabet,
     Multiset,
@@ -74,12 +74,9 @@ class PcsVector:
 
 
 @dataclass(frozen=True)
-class PcsMatrix:
+class PcsMatrix(Matrix):
     """Nonnegative matrix indexed (source web, target web)."""
 
-    source: IndexSet
-    target: IndexSet
-    rows: tuple
     morphism_checked: bool = False
 
     def __post_init__(self):
@@ -90,9 +87,6 @@ class PcsMatrix:
                 raise ValueError("entry row width must match target web")
             if any(v < 0 for v in row):
                 raise ValueError("matrix entries must be nonnegative")
-
-    def entry(self, src_label, tgt_label):
-        return self.rows[self.source.index(src_label)][self.target.index(tgt_label)]
 
     def push(self, x: PcsVector) -> PcsVector:
         """Apply to a vector over the source web: (f.x)_b = sum_a f[a][b] x_a."""
@@ -106,18 +100,6 @@ class PcsMatrix:
                     if v:
                         out[b] += xa * v
         return PcsVector(self.target, tuple(out))
-
-    def deviation(self, other: "PcsMatrix") -> Fraction:
-        if self.source.labels != other.source.labels or self.target.labels != other.target.labels:
-            raise ValueError("matrices must share webs")
-        return max_abs_diff(self.rows, other.rows)
-
-
-def compose(f: PcsMatrix, g: PcsMatrix) -> PcsMatrix:
-    """Matrix composition, f then g."""
-    if f.target.labels != g.source.labels:
-        raise ValueError("cannot compose: webs do not match")
-    return PcsMatrix(f.source, g.target, matmul(f.rows, g.rows))
 
 
 # -- pairing and (bi)orthogonality ----------------------------------------
@@ -321,81 +303,55 @@ def eq_delta(space, n: int) -> PcsMatrix:
     """Delta-coordinate equaliser: spreads the coefficient at mu to every
     enumeration of mu.  Equalises all n! coordinate symmetries exactly."""
     alphabet = _alphabet_of(space)
-    src = multiset_space(alphabet, n)
-    tgt = tuple_space(alphabet, n)
-    rows = []
-    for counts in src.labels:
-        row = [ZERO] * len(tgt)
-        for t in enumerations(Multiset(alphabet, counts)):
-            row[tgt.index(t)] = ONE
-        rows.append(tuple(row))
-    return PcsMatrix(src, tgt, tuple(rows))
+    return PcsMatrix.build(
+        multiset_space(alphabet, n),
+        tuple_space(alphabet, n),
+        lambda counts: dict.fromkeys(enumerations(Multiset(alphabet, counts)), ONE),
+    )
 
 
 def canonical_section(space, n: int) -> PcsMatrix:
     """Right inverse of eq_delta: reads one fixed enumeration per multiset."""
     alphabet = _alphabet_of(space)
-    src = tuple_space(alphabet, n)
     tgt = multiset_space(alphabet, n)
-    rows = []
-    canon = {
-        canonical_enumeration(Multiset(alphabet, counts)): tgt.index(counts)
-        for counts in tgt.labels
-    }
-    for t in src.labels:
-        row = [ZERO] * len(tgt)
-        if t in canon:
-            row[canon[t]] = ONE
-        rows.append(tuple(row))
-    return PcsMatrix(src, tgt, tuple(rows))
+    canon = {canonical_enumeration(Multiset(alphabet, counts)): counts for counts in tgt.labels}
+    return PcsMatrix.build(
+        tuple_space(alphabet, n), tgt, lambda t: {canon[t]: ONE} if t in canon else {}
+    )
 
 
 def dd_inclusion(alphabet: Alphabet, n: int) -> PcsMatrix:
     """Delta form of the draw-and-delete step: entry 1 exactly when nu is
     included in mu (|mu| = n+1, |nu| = n).  Conjugate to the uniform kernel
     by the multinomial diagonal."""
-    src = multiset_space(alphabet, n + 1)
-    tgt = multiset_space(alphabet, n)
-    rows = []
-    for mu in src.labels:
-        row = [ZERO] * len(tgt)
-        for x in range(len(alphabet)):
-            if mu[x]:
-                nu = list(mu)
-                nu[x] -= 1
-                row[tgt.index(tuple(nu))] = ONE
-        rows.append(tuple(row))
-    return PcsMatrix(src, tgt, tuple(rows))
+    return PcsMatrix.build(
+        multiset_space(alphabet, n + 1),
+        multiset_space(alphabet, n),
+        lambda mu: {mu[:x] + (c - 1,) + mu[x + 1:]: ONE for x, c in enumerate(mu) if c},
+    )
 
 
 def dd_restriction(alphabet: Alphabet, n: int) -> PcsMatrix:
     """Chain step for the truncated exponential: keep multisets of size <= n,
     drop those of size n+1."""
-    src = bounded_multiset_space(alphabet, n + 1)
-    tgt = bounded_multiset_space(alphabet, n)
-    rows = []
-    for mu in src.labels:
-        row = [ZERO] * len(tgt)
-        if sum(mu) <= n:
-            row[tgt.index(mu)] = ONE
-        rows.append(tuple(row))
-    return PcsMatrix(src, tgt, tuple(rows))
+    return PcsMatrix.build(
+        bounded_multiset_space(alphabet, n + 1),
+        bounded_multiset_space(alphabet, n),
+        lambda mu: {mu: ONE} if sum(mu) <= n else {},
+    )
 
 
 def multinomial_embedding(alphabet: Alphabet, n: int) -> PcsMatrix:
     """Canonical chain map from exact-size to bounded multiset coordinates:
     entry(mu, nu) = multinomial(mu - nu) when nu is included in mu, else 0."""
-    src = multiset_space(alphabet, n)
     tgt = bounded_multiset_space(alphabet, n)
-    rows = []
-    for mc in src.labels:
+
+    def row(mc):
         mu = Multiset(alphabet, mc)
-        row = []
-        for nc in tgt.labels:
-            d = difference(mu, Multiset(alphabet, nc))
-            row.append(Fraction(multinomial(d)) if d is not None else ZERO)
-        rows.append(tuple(row))
-    return PcsMatrix(src, tgt, tuple(rows))
+        diffs = {nc: difference(mu, Multiset(alphabet, nc)) for nc in tgt.labels}
+        return {nc: Fraction(multinomial(d)) for nc, d in diffs.items() if d is not None}
+
+    return PcsMatrix.build(multiset_space(alphabet, n), tgt, row)
 
 
 # -- truncated exponential elements -----------------------------------------

@@ -1,10 +1,10 @@
 """The finite fragment of the category of (sub)stochastic kernels.
 
-Kernels are exact rational matrices indexed (source label, target label);
-`compose(f, g)` is "f then g".  Everything structural (equalisers of the
-symmetry action on tuple spaces, the draw-and-delete kernel, the multinomial
-urn laws) is exact; Monte Carlo simulation of exchangeable sequences uses
-64-bit floats and explicit seeds.
+Kernels are exact rational matrices indexed (source label, target label),
+on the shared `_linalg.Matrix` base; `_linalg.compose(f, g)` is "f then g".
+Everything structural (equalisers of the symmetry action on tuple spaces,
+the draw-and-delete kernel, the multinomial urn laws) is exact; Monte Carlo
+simulation of exchangeable sequences uses 64-bit floats and explicit seeds.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import ONE, ZERO, frac, identity, matmul, kron, max_abs_diff
+from ._linalg import ONE, ZERO, Matrix, frac, identity, kron, max_abs_diff
 from .multiset import (
     Alphabet,
     Multiset,
@@ -34,13 +34,9 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class FinKernel:
+@dataclass(frozen=True, eq=False)
+class FinKernel(Matrix):
     """Substochastic kernel between finite index sets (exact rational entries)."""
-
-    source: IndexSet
-    target: IndexSet
-    rows: tuple
 
     def __post_init__(self):
         if len(self.rows) != len(self.source):
@@ -60,14 +56,6 @@ class FinKernel:
     def kind(self) -> str:
         return "stochastic" if all(sum(r) == 1 for r in self.rows) else "substochastic"
 
-    def entry(self, src_label, tgt_label) -> Fraction:
-        return self.rows[self.source.index(src_label)][self.target.index(tgt_label)]
-
-    def deviation(self, other: "FinKernel") -> Fraction:
-        if self.source.labels != other.source.labels or self.target.labels != other.target.labels:
-            raise ValueError("kernels must share source and target index sets")
-        return max_abs_diff(self.rows, other.rows)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FinKernel)
@@ -86,16 +74,7 @@ def identity_kernel(space: IndexSet) -> FinKernel:
 
 def discard_kernel(space: IndexSet) -> FinKernel:
     """The unique kernel into the terminal one-point space (all-ones column)."""
-    return FinKernel(space, unit_space(), tuple((ONE,) for _ in space.labels))
-
-
-def compose(f: FinKernel, g: FinKernel) -> FinKernel:
-    """Kleisli composition, f then g, as the matrix product."""
-    if f.target.labels != g.source.labels:
-        raise ValueError(
-            f"cannot compose: target {f.target.name} != source {g.source.name}"
-        )
-    return FinKernel(f.source, g.target, matmul(f.rows, g.rows))
+    return FinKernel.build(space, unit_space(), lambda _: {"*": ONE})
 
 
 def tensor(f: FinKernel, g: FinKernel) -> FinKernel:
@@ -122,12 +101,7 @@ def symmetry_kernel(alphabet: Alphabet, n: int, perm: tuple[int, ...]) -> FinKer
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
     space = tuple_space(alphabet, n)
-    rows = []
-    for t in space.labels:
-        row = [ZERO] * len(space)
-        row[space.index(apply_perm(perm, t))] = ONE
-        rows.append(tuple(row))
-    return FinKernel(space, space, tuple(rows))
+    return FinKernel.build(space, space, lambda t: {apply_perm(perm, t): ONE})
 
 
 def permute_tuple_columns(rows: tuple, space: IndexSet, perm: tuple[int, ...]) -> tuple:
@@ -163,29 +137,21 @@ def adjacent_transpositions(n: int):
 
 def eq_kernel(alphabet: Alphabet, n: int) -> FinKernel:
     """Equaliser leg: multiset -> uniform distribution over its enumerations."""
-    msp = multiset_space(alphabet, n)
-    tsp = tuple_space(alphabet, n)
-    rows = []
-    for counts in msp.labels:
+
+    def row(counts):
         mu = Multiset(alphabet, counts)
-        row = [ZERO] * len(tsp)
-        w = Fraction(1, multinomial(mu))
-        for t in enumerations(mu):
-            row[tsp.index(t)] = w
-        rows.append(tuple(row))
-    return FinKernel(msp, tsp, tuple(rows))
+        return dict.fromkeys(enumerations(mu), Fraction(1, multinomial(mu)))
+
+    return FinKernel.build(multiset_space(alphabet, n), tuple_space(alphabet, n), row)
 
 
 def coeq_kernel(alphabet: Alphabet, n: int) -> FinKernel:
     """Coequaliser leg: tuple -> its multiset, deterministically."""
-    msp = multiset_space(alphabet, n)
-    tsp = tuple_space(alphabet, n)
-    rows = []
-    for t in tsp.labels:
-        row = [ZERO] * len(msp)
-        row[msp.index(multiset_of(alphabet, t).counts)] = ONE
-        rows.append(tuple(row))
-    return FinKernel(tsp, msp, tuple(rows))
+    return FinKernel.build(
+        tuple_space(alphabet, n),
+        multiset_space(alphabet, n),
+        lambda t: {multiset_of(alphabet, t).counts: ONE},
+    )
 
 
 def symmetrization_average(alphabet: Alphabet, n: int) -> FinKernel:
@@ -195,17 +161,13 @@ def symmetrization_average(alphabet: Alphabet, n: int) -> FinKernel:
     permutation matrices.
     """
     tsp = tuple_space(alphabet, n)
-    size = len(tsp)
-    counts = [[0] * size for _ in range(size)]
-    nperms = 0
-    for perm in all_perms(n):
-        nperms += 1
-        for j, t in enumerate(tsp.labels):
-            counts[j][tsp.index(apply_perm(perm, t))] += 1
-    rows = tuple(
-        tuple(Fraction(c, nperms) for c in row) for row in counts
-    )
-    return FinKernel(tsp, tsp, rows)
+    perms = list(all_perms(n))
+
+    def row(t):
+        images = Counter(apply_perm(perm, t) for perm in perms)
+        return {u: Fraction(c, len(perms)) for u, c in images.items()}
+
+    return FinKernel.build(tsp, tsp, row)
 
 
 # -- the draw-and-delete kernel and urn laws ------------------------------
@@ -217,19 +179,13 @@ def dd_kernel(alphabet: Alphabet, n: int) -> FinKernel:
     eq_n . DD_n = (id^n (x) discard) . eq_{n+1} commute, a fact the chain
     builder re-verifies against the exact linear solve.
     """
-    src = multiset_space(alphabet, n + 1)
-    tgt = multiset_space(alphabet, n)
-    rows = []
-    for counts in src.labels:
-        mu = Multiset(alphabet, counts)
-        row = [ZERO] * len(tgt)
-        for x, c in enumerate(counts):
-            if c:
-                nu = list(counts)
-                nu[x] -= 1
-                row[tgt.index(tuple(nu))] = Fraction(c, n + 1)
-        rows.append(tuple(row))
-    return FinKernel(src, tgt, tuple(rows))
+    return FinKernel.build(
+        multiset_space(alphabet, n + 1),
+        multiset_space(alphabet, n),
+        lambda mu: {
+            mu[:x] + (c - 1,) + mu[x + 1:]: Fraction(c, n + 1) for x, c in enumerate(mu) if c
+        },
+    )
 
 
 @dataclass(frozen=True)

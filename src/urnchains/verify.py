@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._linalg import ZERO, matmul, max_abs_diff
+from ._linalg import ONE, ZERO, compose, matmul, max_abs_diff
 from ._linalg import identity as _identity
 from .chains import (
     build_dd_chain,
@@ -55,7 +55,6 @@ from .stoch import (
     AtomicMeasure,
     FinKernel,
     ProbVector,
-    compose,
     coeq_kernel,
     eq_kernel,
     identity_kernel,
@@ -216,12 +215,14 @@ def equaliser_checks(config: Config) -> list[CheckResult]:
 # -- chains ----------------------------------------------------------------------
 
 def _tamper(chain) -> None:
-    # reverse the first row of the level-1 step so exactly one square breaks
+    # reverse the first row of the level-1 step (level 0 at depth 1) so
+    # exactly one square breaks; halve it where reversing leaves it unchanged
     level = min(1, chain.depth - 1)
     dd = chain.dds[level]
-    rows = [list(r) for r in dd.rows]
-    rows[0] = list(reversed(rows[0]))
-    chain.dds[level] = FinKernel(dd.source, dd.target, tuple(tuple(r) for r in rows))
+    first = dd.rows[0][::-1]
+    if first == dd.rows[0]:
+        first = tuple(v / 2 for v in first)
+    chain.dds[level] = FinKernel(dd.source, dd.target, (first,) + dd.rows[1:])
 
 
 def chain_checks(config: Config):
@@ -277,14 +278,10 @@ def morphism_checks(config: Config, chains) -> list[CheckResult]:
     if "pcoh-definetti" not in chains or "pcoh-bang" not in chains:
         return out
     chg, chb = chains["pcoh-definetti"], chains["pcoh-bang"]
-    k = len(alphabet)
-    alpha_rows = []
-    for i in range(k):
-        row = [ZERO] * (k + 1)
-        row[i] = Fraction(1)
-        row[k] = Fraction(1)
-        alpha_rows.append(tuple(row))
-    alpha = PcsMatrix(chg.backend.carrier, chb.backend.carrier, tuple(alpha_rows))
+    pad = chb.backend.carrier.labels[-1]
+    alpha = PcsMatrix.build(
+        chg.backend.carrier, chb.backend.carrier, lambda symbol: {symbol: ONE, pad: ONE}
+    )
     lift = lift_copointed_morphism(alpha, chg, chb)
     for check in lift.validate():
         out.append(
@@ -352,7 +349,8 @@ def cone_checks(config: Config, chains) -> list[CheckResult]:
                 cone.deviation(),
             )
         )
-        for backend_label in ("stoch", "pcoh-definetti"):
+        built = [label for label in ("stoch", "pcoh-definetti") if label in chains]
+        for backend_label in built:
             chainb = chains[backend_label]
             worst = ZERO
             for s in range(config.cone_samples):
@@ -385,7 +383,7 @@ def cone_checks(config: Config, chains) -> list[CheckResult]:
                 )
             )
         y_space = symbol_space(Alphabet.of("t", "f"))
-        for backend_label in ("stoch", "pcoh-definetti"):
+        for backend_label in built:
             report = verify_tensor_parametrized(
                 chains[backend_label], y_space, config.tensor_samples, config.seed
             )

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import mm, vertex_oracle_inside
-from urnchains._linalg import max_abs_diff
+from urnchains._linalg import compose, max_abs_diff
 from urnchains.chains import (
     build_dd_chain,
     dd_cone_from_top,
@@ -50,7 +50,6 @@ from urnchains.stoch import (
     AtomicMeasure,
     ProbVector,
     coeq_kernel,
-    compose,
     dd_kernel,
     empirical_law,
     eq_kernel,

@@ -74,6 +74,57 @@ def test_verify_all_fault_injection_names_the_square(tmp_path, capsys):
     assert "defining-square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("symbols", [["a"], ["a", "b"], ["a", "b", "c"]], ids=len)
+def test_fault_injection_breaks_one_square_at_every_size(tmp_path, symbols, depth):
+    # on one symbol, and at depth 1 where the step maps into the one-point
+    # M0, the tampered row has a single entry that reversing leaves alone
+    alphabet = tmp_path / "alphabet.json"
+    alphabet.write_text(json.dumps({"symbols": symbols}))
+    out = str(tmp_path / "report.json")
+    argv = [
+        "verify-all", "--alphabet", str(alphabet), "--depth", str(depth), "--eq-depth", "2",
+        "--cone-samples", "2", "--tensor-samples", "2", "--grid", "4", "--out", out,
+    ]
+    assert main(argv + ["--inject-fault"]) == 1
+    report = json.loads(open(out).read())
+    assert [c["check"] for c in report["checks"] if not c["passed"]] == ["defining-square"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--inject-fault"]], ids=["plain", "inject-fault"])
+def test_verify_all_refuses_depth_zero(tmp_path, capsys, extra):
+    out = str(tmp_path / "report.json")
+    assert main(["verify-all", "--depth", "0", "--out", out] + extra) == 2
+    assert "--depth" in capsys.readouterr().err
+
+
+def test_iota_accepts_depth_zero(tmp_path, dirac_mixing):
+    bang = str(tmp_path / "bang.json")
+    assert main(["bang", "iota", "--mixing", dirac_mixing, "--depth", "0", "--out", bang]) == 0
+
+
+def test_pcoh_chain_that_fails_to_build_is_a_check_failure(tmp_path, capsys, monkeypatch):
+    # a wrong delta-coordinate closed form must read as a failed check (exit
+    # 1), not as bad input (exit 2)
+    from urnchains.chains import Backend
+
+    closed_form = Backend.dd_closed_form
+
+    def reversed_first_row(self, weaken, n):
+        step = closed_form(self, weaken, n)
+        if self.uniform:
+            return step
+        return type(step)(step.source, step.target, (step.rows[0][::-1],) + step.rows[1:])
+
+    monkeypatch.setattr(Backend, "dd_closed_form", reversed_first_row)
+    out = str(tmp_path / "report.json")
+    assert main(_small_verify_args(out)) == 1
+    report = json.loads(open(out).read())
+    failed = {c["check"] for c in report["checks"] if not c["passed"]}
+    assert failed == {"dd-universal-solve"}
+    assert "dd-universal-solve" in capsys.readouterr().err
+
+
 # SHA-256 of the verify-all reports and of the fault run's stderr, recorded
 # before the two chain backends were merged into one
 @pytest.mark.parametrize(

@@ -4,22 +4,9 @@ import pytest
 
 from urnchains import jsonio
 from urnchains.jsonio import FormatError
-from urnchains.multiset import BOOL, Alphabet
+from urnchains.multiset import BOOL
 from urnchains.pcoh import BangElement
-from urnchains.spaces import (
-    bounded_multiset_space,
-    multiset_space,
-    tuple_space,
-    unit_space,
-)
-from urnchains.stoch import (
-    AtomicMeasure,
-    ProbVector,
-    dd_kernel,
-    empirical_law,
-    eq_kernel,
-    multinomial_law,
-)
+from urnchains.stoch import AtomicMeasure, ProbVector, empirical_law
 
 F = Fraction
 
@@ -30,31 +17,6 @@ def test_alphabet_round_trip():
     assert jsonio.alphabet_from_json(data) == BOOL
     with pytest.raises(FormatError):
         jsonio.alphabet_from_json({"symbols": ["t", "t"]})
-
-
-@pytest.mark.parametrize(
-    "space",
-    [
-        unit_space(),
-        tuple_space(BOOL, 2),
-        multiset_space(Alphabet.of("a", "b", "c"), 3),
-        bounded_multiset_space(BOOL, 2),
-    ],
-)
-def test_space_descriptor_round_trip(space):
-    data = jsonio.space_to_json(space)
-    back = jsonio.space_from_json(data)
-    assert back.labels == space.labels
-
-
-@pytest.mark.parametrize(
-    "kernel",
-    [eq_kernel(BOOL, 2), dd_kernel(BOOL, 2), multinomial_law(ProbVector.of(BOOL, F(1, 3), F(2, 3)), 3)],
-)
-def test_kernel_round_trip(kernel):
-    back = jsonio.kernel_from_json(jsonio.kernel_to_json(kernel))
-    assert back.rows == kernel.rows
-    assert back.source.labels == kernel.source.labels
 
 
 def test_measure_round_trip_with_mixed_value_styles():
@@ -90,21 +52,11 @@ def test_bang_float_mode_values():
     assert values == {(0, 0): 1.0, (1, 0): 0.5}
 
 
-def test_awkward_symbol_names_fall_back_to_label_descriptors():
-    weird = Alphabet.of("x,y", "z)")
-    space = multiset_space(weird, 2)
-    data = jsonio.space_to_json(space)
-    assert data["kind"] == "labels"
-    assert jsonio.space_from_json(data).labels == space.labels
-
-
 def test_malformed_inputs_raise_format_errors():
     with pytest.raises(FormatError):
         jsonio.measure_from_json({"atoms": []})
     with pytest.raises(FormatError):
         jsonio.bang_from_json({"alphabet": {"symbols": ["t", "f"]}, "coeffs": []})
-    with pytest.raises(FormatError):
-        jsonio.kernel_from_json({"source": {"kind": "nope"}, "target": {}, "rows": []})
     with pytest.raises(FormatError):
         jsonio.load_json("/nonexistent/path.json")
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import mm, vertex_oracle_inside
-from urnchains._linalg import solve_right
+from urnchains._linalg import compose, solve_right
 from urnchains.multiset import BOOL, Alphabet, Multiset, multinomial
 from urnchains.pcoh import (
     BangElement,
@@ -19,7 +19,6 @@ from urnchains.pcoh import (
     bool_pcs,
     canonical_section,
     certify_morphism,
-    compose,
     dd_inclusion,
     dd_restriction,
     dual_membership,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import mm
+from urnchains._linalg import compose
 from urnchains.multiset import BOOL, Alphabet
 from urnchains.spaces import multiset_space, symbol_space, tuple_space, unit_space
 from urnchains import stoch
@@ -19,7 +20,6 @@ from urnchains.stoch import (
     adjacent_transpositions,
     all_perms,
     coeq_kernel,
-    compose,
     dd_kernel,
     discard_kernel,
     empirical_law,

@@ -250,8 +250,6 @@ def _validate(args) -> None:
     for name in ("depth", "trials", "eq_depth"):
         if getattr(args, name, 0) and getattr(args, name) < 0:
             raise FormatError(f"--{name.replace('_', '-')} must be nonnegative")
-    if args.func is cmd_verify_all and args.depth < 1:
-        raise FormatError("verify-all needs --depth at least 1: a depth-0 chain has no step to check")
     if args.func is cmd_simulate and args.seed < 0:
         raise FormatError("--seed must be nonnegative")
     if getattr(args, "prefix_len", 1) < 1:

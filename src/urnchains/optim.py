@@ -2,10 +2,22 @@
 
 Two-phase primal simplex with Bland's rule (lowest-index entering and
 leaving), so termination is guaranteed even on degenerate instances.  The
-tableau is stored densely, but each pivot updates the other rows only at the
-pivot row's nonzero columns.  Two modes: exact rational arithmetic (tolerance
-zero) and 64-bit float (tolerances around 1e-9).  Every solve carries a dual
-certificate and the weak-duality gap is asserted before returning.
+tableau is one dense numpy array: float64 in float mode (tolerances around
+1e-9), dtype=object holding Fractions in exact mode (tolerance zero).  A
+pivot updates only the block of rows with a nonzero in the pivot column by
+columns where the pivot row is nonzero, so its cost follows the fill.
+
+Exact mode first solves the float copy of the program and then confirms its
+final basis in rational arithmetic, after Applegate, Cook, Dash and
+Espinoza, "Exact solutions to linear programming problems", Oper. Res. Lett.
+35 (2007): the basis columns are pivoted into the exact tableau and, when
+that basis is exactly primal feasible, exact phase 2 runs from it (with no
+pivot when it is exactly optimal).  When the float solve fails, overflows
+or ends non-optimal, or its basis is not exactly feasible, the exact
+two-phase solve runs from scratch, so every status is decided in exact
+arithmetic.  Every optimal answer carries a dual certificate and the
+weak-duality gap is asserted before returning (at tolerance zero in exact
+mode).
 
 Problems are: maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 Sizes are capped (5000 variables, 2000 constraints); this is a desk-scale
@@ -14,8 +26,11 @@ solver, not a production one.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from ._linalg import frac
 
@@ -64,6 +79,11 @@ class LpSolution:
     dual_ub: tuple = ()
     dual_eq: tuple = ()
     duality_gap: object = None
+    # pivots of the tableau that gave the answer: (phase 1, phase 2); when
+    # the exact answer started from the float basis, phase 1 counts the
+    # pivots that installed that basis and the float solve is not counted
+    pivots: tuple = (0, 0)
+    from_float_basis: bool = False
 
     @property
     def optimal(self) -> bool:
@@ -79,8 +99,12 @@ def _num(mode):
 class _Tableau:
     """Simplex tableau; columns = structural | slack | artificial | rhs.
 
-    Rows are dense lists, but a pivot touches only the columns where the
-    pivot row is nonzero, so its cost follows the fill of the tableau.
+    `t` holds the m constraint rows and, as its last row, the reduced-cost
+    row of the current phase.  Float answers are pinned bit for bit, signs
+    of zeros included (tests/test_optim_float_golden.py), so the pivot row
+    is scaled whole by 1 / pivot and the cost row is built densely: both
+    touch zero entries, whose signs can change and then show in x or the
+    duals.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -91,10 +115,15 @@ class _Tableau:
         self.m_eq = len(lp.a_eq)
         self.m = self.m_ub + self.m_eq
         self.c = [conv(v) for v in lp.objective]
+        # slack columns for (possibly negated) ub rows, then one artificial per row
+        self.slack0 = self.n
+        self.art0 = self.n + self.m_ub
+        self.ncols = self.art0 + self.m
+        dtype = object if lp.mode == "exact" else float
+        self.t = t = np.full((self.m + 1, self.ncols + 1), zero, dtype=dtype)
         self.negated = []
-        rows = []
-        rhs = []
-        for a_row, b in list(zip(lp.a_ub, lp.b_ub)) + list(zip(lp.a_eq, lp.b_eq)):
+        constraints = list(zip(lp.a_ub, lp.b_ub)) + list(zip(lp.a_eq, lp.b_eq))
+        for i, (a_row, b) in enumerate(constraints):
             row = [conv(v) for v in a_row]
             b = conv(b)
             neg = b < zero
@@ -102,124 +131,172 @@ class _Tableau:
                 row = [-v for v in row]
                 b = -b
             self.negated.append(neg)
-            rows.append(row)
-            rhs.append(b)
-        # slack columns for (possibly negated) ub rows, then one artificial per row
-        self.slack0 = self.n
-        self.art0 = self.n + self.m_ub
-        self.ncols = self.art0 + self.m
-        self.rows = []
-        for i in range(self.m):
-            row = rows[i] + [zero] * (self.m_ub + self.m) + [rhs[i]]
+            t[i, : self.n] = row
+            t[i, self.ncols] = b
             if i < self.m_ub:
-                row[self.slack0 + i] = conv(-1) if self.negated[i] else conv(1)
-            row[self.art0 + i] = conv(1)
-            self.rows.append(row)
-        self.basis = [self.art0 + i for i in range(self.m)]
+                t[i, self.slack0 + i] = conv(-1) if neg else conv(1)
+            t[i, self.art0 + i] = conv(1)
+        self.basis = np.arange(self.art0, self.ncols)
+        self.pivots = 0
+        self.phase1_pivots = 0
+        self.from_float_basis = False
 
-    def _cost_row(self, c_full):
+    def copy(self, as_float: bool = False) -> _Tableau:
+        """An independent copy; `as_float` converts an exact one to float64
+        (raising OverflowError when an entry is beyond float range)."""
+        other = copy.copy(self)
+        other.basis = self.basis.copy()
+        if as_float:
+            other.conv, other.zero, other.tol = _num("float")
+            other.c = [float(v) for v in self.c]
+            other.t = self.t.astype(float)
+        else:
+            other.t = self.t.copy()
+        return other
+
+    def _set_cost(self, c_full):
         # reduced-cost row for maximization, basic columns eliminated
-        row = list(c_full) + [self.zero]
+        cost = self.t[self.m]
+        cost[: self.ncols] = c_full
+        cost[self.ncols] = self.zero
         for i, b in enumerate(self.basis):
-            coeff = row[b]
+            coeff = cost[b]
             if coeff:
-                for j in range(self.ncols + 1):
-                    row[j] -= coeff * self.rows[i][j]
-        return row
+                cost -= coeff * self.t[i]
 
-    def _pivot(self, cost, r, c):
-        prow = self.rows[r]
-        pv = prow[c]
+    def _pivot(self, r, c):
+        self.pivots += 1
+        t = self.t
+        pv = t[r, c]
         if pv != 1:
-            inv = 1 / pv if isinstance(pv, float) else Fraction(1) / pv
-            self.rows[r] = prow = [v * inv for v in prow]
+            t[r] *= 1 / pv
+        prow = t[r]
         # Eliminate only at the pivot row's nonzero columns: every skipped
-        # term is f * 0, an exact zero, and x - f * 0.0 == x in floats (only
-        # the sign of a zero entry can differ), so pivots and answers agree.
-        nonzero = [(j, v) for j, v in enumerate(prow) if v]
-        for target in self.rows + [cost]:
-            if target is prow:
-                continue
-            f = target[c]
-            if f:
-                for j, v in nonzero:
-                    target[j] -= f * v
+        # term is f * 0, an exact zero, and x - f * 0.0 == x in floats.
+        cols = np.flatnonzero(prow)
+        rows = np.flatnonzero(t[:, c])
+        rows = rows[rows != r]
+        if rows.size:
+            t[np.ix_(rows, cols)] -= np.multiply.outer(t[rows, c], prow[cols])
         self.basis[r] = c
 
-    def _iterate(self, cost, allowed) -> str:
+    def _iterate(self, allowed) -> str:
+        t, m, tol = self.t, self.m, self.tol
         while True:
-            enter = None
-            for j in range(self.ncols):
-                if allowed[j] and cost[j] > self.tol:
-                    enter = j
-                    break
-            if enter is None:
+            entering = np.flatnonzero(allowed & (t[m, : self.ncols] > tol))
+            if not entering.size:
                 return "optimal"
-            leave = None
-            best = None
-            for i in range(self.m):
-                a = self.rows[i][enter]
-                if a > self.tol:
-                    ratio = self.rows[i][self.ncols] / a
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[i] < self.basis[leave])
-                    ):
-                        best = ratio
-                        leave = i
-            if leave is None:
+            enter = entering[0]
+            col = t[:m, enter]
+            rows = np.flatnonzero(col > tol)
+            if not rows.size:
                 return "unbounded"
-            self._pivot(cost, leave, enter)
+            ratios = t[rows, self.ncols] / col[rows]
+            # least ratio; among ties, the row whose basic column is lowest
+            ties = rows[ratios == ratios.min()]
+            if not ties.size:
+                raise LpError("simplex ratio test met a non-finite entry (numerical breakdown)")
+            self._pivot(ties[np.argmin(self.basis[ties])], enter)
+
+    def _drive_out_artificials(self, feas_tol):
+        # basic artificials at zero leave where possible; redundant rows stay put
+        t = self.t
+        for i in range(self.m):
+            if self.basis[i] >= self.art0 and abs(t[i, self.ncols]) <= feas_tol:
+                nonzero = np.flatnonzero(abs(t[i, : self.art0]) > self.tol)
+                if nonzero.size:
+                    self._pivot(i, nonzero[0])
+        self.phase1_pivots = self.pivots
 
     def solve(self):
         conv, zero = self.conv, self.zero
         # phase 1: maximize -(sum of artificials)
-        c1 = [zero] * self.ncols
-        for j in range(self.art0, self.ncols):
-            c1[j] = conv(-1)
-        cost = self._cost_row(c1)
-        allowed = [True] * self.ncols
-        status = self._iterate(cost, allowed)
+        self._set_cost([zero] * self.art0 + [conv(-1)] * self.m)
+        allowed = np.ones(self.ncols, dtype=bool)
+        status = self._iterate(allowed)
         if status != "optimal":
             # phase 1 is bounded above by 0, so only float round-off gets here
             raise LpError(f"simplex phase 1 ended {status} (numerical breakdown)")
-        phase1 = -cost[self.ncols]
+        phase1 = -self.t[self.m, self.ncols]
         feas_tol = self.zero if self.tol == 0 else _FLOAT_FEAS_TOL
         if phase1 < -feas_tol:
+            self.phase1_pivots = self.pivots
             return "infeasible", None, None
-        # drive basic artificials out where possible; redundant rows stay put
-        for i in range(self.m):
-            if self.basis[i] >= self.art0 and abs(self.rows[i][self.ncols]) <= feas_tol:
-                for j in range(self.art0):
-                    if abs(self.rows[i][j]) > self.tol:
-                        self._pivot(cost, i, j)
-                        break
-        # phase 2
-        for j in range(self.art0, self.ncols):
-            allowed[j] = False
-        c2 = [self.c[j] if j < self.n else zero for j in range(self.ncols)]
-        cost = self._cost_row(c2)
-        status = self._iterate(cost, allowed)
+        self._drive_out_artificials(feas_tol)
+        return self._phase2()
+
+    def solve_from(self, basis):
+        """Exact phase 2 from `basis` (the float solve's final one).
+
+        Pivots each non-artificial column of `basis` into this fresh
+        tableau; returns None, to ask for a cold solve, when those columns
+        are singular or the basis they make is not exactly primal feasible
+        with every basic artificial at zero.
+        """
+        t, m = self.t, self.m
+        for r, col in enumerate(basis):
+            if col >= self.art0:
+                continue
+            if self.basis[r] < self.art0 or not t[r, col]:
+                free = np.flatnonzero((self.basis >= self.art0) & (t[:m, col] != 0))
+                if not free.size:
+                    return None
+                r = free[0]
+            self._pivot(r, col)
+        rhs = t[:m, self.ncols]
+        if (rhs < 0).any() or (rhs[self.basis >= self.art0] != 0).any():
+            return None
+        self._drive_out_artificials(self.zero)
+        self.from_float_basis = True
+        return self._phase2()
+
+    def _phase2(self):
+        zero = self.zero
+        allowed = np.arange(self.ncols) < self.art0
+        self._set_cost(self.c + [zero] * (self.ncols - self.n))
+        status = self._iterate(allowed)
         if status == "unbounded":
             return "unbounded", None, None
         x = [zero] * self.ncols
-        for i, b in enumerate(self.basis):
-            x[b] = self.rows[i][self.ncols]
+        for b, v in zip(self.basis, self.t[: self.m, self.ncols].tolist()):
+            x[b] = v
         # duals from the artificial columns' reduced costs: art i has unit
         # coefficient in (sign-normalized) row i and zero objective, so its
         # reduced cost is -y_i for the normalized system
-        y = [-cost[self.art0 + i] for i in range(self.m)]
+        y = [-v for v in self.t[self.m, self.art0 : self.ncols].tolist()]
         y = [-v if self.negated[i] else v for i, v in enumerate(y)]
         return "optimal", x[: self.n], y
 
 
+def _exact_solve(lp: LinearProgram):
+    """(tableau, answer) of the exact solve: warm from the float basis when
+    that basis is exactly feasible, cold two-phase otherwise."""
+    cold = _Tableau(lp)
+    warm = cold.copy()
+    try:
+        approx = cold.copy(as_float=True)
+        status, _, _ = approx.solve()
+    except (LpError, OverflowError):
+        status = None
+    if status == "optimal":
+        answer = warm.solve_from(approx.basis)
+        if answer is not None:
+            return warm, answer
+    return cold, cold.solve()
+
+
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve the LP; optimal solutions carry a dual certificate and zero/tiny gap."""
-    t = _Tableau(lp)
-    status, x, y = t.solve()
+    # float overflow gives inf and nan as it does in Python floats, silently
+    with np.errstate(all="ignore"):
+        if lp.mode == "exact":
+            t, (status, x, y) = _exact_solve(lp)
+        else:
+            t = _Tableau(lp)
+            status, x, y = t.solve()
+    pivots = (t.phase1_pivots, t.pivots - t.phase1_pivots)
     if status != "optimal":
-        return LpSolution(status=status)
+        return LpSolution(status=status, pivots=pivots, from_float_basis=t.from_float_basis)
     dual_ub = tuple(y[: t.m_ub])
     dual_eq = tuple(y[t.m_ub :])
     value = sum((c * v for c, v in zip(t.c, x)), start=t.zero)
@@ -238,6 +315,8 @@ def solve(lp: LinearProgram) -> LpSolution:
         dual_ub=dual_ub,
         dual_eq=dual_eq,
         duality_gap=gap,
+        pivots=pivots,
+        from_float_basis=t.from_float_basis,
     )
 
 

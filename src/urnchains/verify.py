@@ -76,6 +76,12 @@ class Config:
     seed: int = 0
     inject_fault: bool = False
 
+    def __post_init__(self):
+        # a depth-0 bang element has no recurrence to break, so the
+        # damped-defect check would report a false failure
+        if self.depth < 1:
+            raise ValueError("verify-all needs --depth at least 1: a depth-0 chain has no step to check")
+
 
 @dataclass
 class CheckResult:

@@ -1,10 +1,22 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 from urnchains.cli import _build_parser, _validate, main
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only oracle: importing scipy.optimize adds tens of MiB
+    # of resident memory and its load time to every command
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, urnchains.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.fixture

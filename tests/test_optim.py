@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 from urnchains.optim import (
     LinearProgram,
     LpError,
+    _Tableau,
     feasibility_minmax,
     solve,
 )
@@ -185,3 +186,150 @@ def test_exact_and_float_agree_with_highs(program):
         else:
             assert sol.optimal
             assert abs(float(sol.value) + ref.fun) <= 1e-7
+
+
+# -- exact mode: the float basis confirmed in rationals --------------------------
+
+
+@st.composite
+def _programs(draw):
+    """Small exact LPs; without the optional box they may be unbounded."""
+    n = draw(st.integers(1, 5))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    c = draw(st.lists(coeff, min_size=n, max_size=n))
+    a_ub = draw(st.lists(st.lists(coeff, min_size=n, max_size=n), max_size=4))
+    b_ub = draw(st.lists(coeff, min_size=len(a_ub), max_size=len(a_ub)))
+    a_eq = draw(st.lists(st.lists(coeff, min_size=n, max_size=n), max_size=2))
+    b_eq = draw(st.lists(coeff, min_size=len(a_eq), max_size=len(a_eq)))
+    if draw(st.booleans()):
+        a_ub.append([F(1)] * n)
+        b_ub.append(draw(st.integers(0, 5)))
+    return LinearProgram(
+        objective=tuple(c),
+        a_ub=tuple(map(tuple, a_ub)),
+        b_ub=tuple(b_ub),
+        a_eq=tuple(map(tuple, a_eq)),
+        b_eq=tuple(b_eq),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_programs())
+def test_exact_solve_matches_the_cold_exact_solve(lp):
+    sol = solve(lp)
+    cold = _Tableau(lp)
+    status, x, y = cold.solve()
+    assert sol.status == status
+    if status != "optimal":
+        return
+    assert sol.value == sum((c * v for c, v in zip(cold.c, x)), start=F(0))
+    # A degenerate program has several optimal bases, and the float path may
+    # break an exact ratio tie the other way; x and the duals are then still
+    # optimal (the certificate is checked at tolerance zero) but need not be
+    # the cold ones.  They are equal wherever the optimum is unique.
+    basic = set(cold.basis.tolist())
+    reduced = cold.t[cold.m, : cold.art0]
+    if all(reduced[j] < 0 for j in range(cold.art0) if j not in basic):
+        assert sol.x == tuple(x)  # dual nondegenerate: x is the unique optimum
+    values = cold.t[: cold.m, cold.ncols]
+    if all(values > 0) and all(b < cold.art0 for b in basic):
+        assert sol.dual_ub + sol.dual_eq == tuple(y)  # primal nondegenerate: unique duals
+
+
+def test_degenerate_program_may_end_at_another_optimal_basis():
+    # the float solve breaks a zero-ratio tie by a 1e-16 residue, so the
+    # confirmed basis differs from the cold one: same x and value, other duals
+    lp = LinearProgram(
+        objective=(-2, F(-1, 3), 0, F(2, 3), -3),
+        a_ub=((1, 0, -2, F(3, 2), 0), (0, -1, 1, 1, -3)),
+        b_ub=(F(5, 3), 0),
+        a_eq=((-1, 3, 3, 0, 2),),
+        b_eq=(0,),
+    )
+    sol = solve(lp)
+    status, x, y = _Tableau(lp).solve()
+    assert sol.from_float_basis and status == "optimal"
+    assert sol.value == 0 and sol.x == tuple(x) == (F(0),) * 5
+    assert sol.dual_ub + sol.dual_eq == (0, F(2, 3), F(1, 9))
+    assert y == [0, F(25, 21), F(2, 7)]
+
+
+def test_float_basis_that_is_exactly_optimal_needs_no_exact_phase_2_pivot():
+    lp = LinearProgram(objective=(1, 2), a_ub=((1, 1), (1, 3)), b_ub=(4, 6))
+    sol = solve(lp)
+    assert sol.from_float_basis and sol.pivots[1] == 0
+    assert sol.x == (F(3), F(1)) and sol.value == 5
+
+
+def test_objective_tie_below_float_resolution_is_pivoted_exactly():
+    # in floats both objective coefficients are 1.0 and Bland stops at x1;
+    # exactly, x2 is better by 1e-20, so exact phase 2 must pivot
+    lp = LinearProgram(objective=(1, 1 + F(1, 10**20)), a_ub=((1, 1),), b_ub=(1,))
+    sol = solve(lp)
+    assert sol.from_float_basis and sol.pivots[1] == 1
+    assert sol.x == (0, 1) and sol.value == 1 + F(1, 10**20)
+
+
+def test_float_overflow_falls_back_to_the_cold_exact_solve():
+    lp = LinearProgram(objective=(1, 1), a_ub=((10**400, 1),), b_ub=(10**400,))
+    sol = solve(lp)
+    assert not sol.from_float_basis
+    assert sol.x == (0, 10**400) and sol.duality_gap == 0
+
+
+def test_float_breakdown_falls_back_to_the_cold_exact_solve():
+    # each entry of column 0 is below the float pivot tolerance but their
+    # sum is not, so float phase 1 ends "unbounded" and raises
+    tiny = F(9, 10**10)
+    lp = LinearProgram(objective=(1, 0), a_ub=((tiny, 1), (tiny, 1)), b_ub=(1, 1))
+    with pytest.raises(LpError, match="phase 1"):
+        solve(_as_float(lp))
+    sol = solve(lp)
+    assert not sol.from_float_basis
+    assert sol.x == (1 / tiny, 0)
+
+
+def _as_float(lp):
+    return LinearProgram(
+        objective=tuple(map(float, lp.objective)),
+        a_ub=tuple(tuple(map(float, row)) for row in lp.a_ub),
+        b_ub=tuple(map(float, lp.b_ub)),
+        a_eq=tuple(tuple(map(float, row)) for row in lp.a_eq),
+        b_eq=tuple(map(float, lp.b_eq)),
+        mode="float",
+    )
+
+
+@pytest.mark.parametrize(
+    "lp, status, float_status, from_float_basis",
+    [
+        # infeasible in floats too: the status comes from the cold exact solve
+        (LinearProgram(objective=(1,), a_ub=((1,), (-1,)), b_ub=(1, -2)), "infeasible", "infeasible", False),
+        # feasible in floats (x = 1), infeasible exactly: the float basis is
+        # not exactly feasible, so the cold exact solve decides
+        (
+            LinearProgram(objective=(1,), a_ub=((1,), (-1,)), b_ub=(1, -(1 + F(1, 10**20)))),
+            "infeasible",
+            "optimal",
+            False,
+        ),
+        # unbounded in floats too
+        (LinearProgram(objective=(1, 0), a_ub=((0, 1),), b_ub=(1,)), "unbounded", "unbounded", False),
+        # bounded in floats (the objective rounds to 0), unbounded exactly:
+        # exact phase 2 from the float basis finds the ray
+        (LinearProgram(objective=(0, F(1, 10**20)), a_ub=((1, 0),), b_ub=(1,)), "unbounded", "optimal", True),
+    ],
+    ids=["infeasible", "infeasible-below-float", "unbounded", "unbounded-below-float"],
+)
+def test_exact_status_never_comes_from_floats(lp, status, float_status, from_float_basis):
+    assert solve(_as_float(lp)).status == float_status
+    sol = solve(lp)
+    assert sol.status == status == _Tableau(lp).solve()[0]
+    assert sol.from_float_basis == from_float_basis
+
+
+def test_pivot_counts_per_phase():
+    # phase 1 pivots x1 into the equality row; phase 2 then trades it for x2
+    lp = LinearProgram(objective=(1, 2), a_eq=((1, 1),), b_eq=(1,), mode="float")
+    sol = solve(lp)
+    assert sol.pivots == (1, 1) and sol.x == (0.0, 1.0)

@@ -1,3 +1,5 @@
+import pytest
+
 from urnchains.verify import Config, run_all_checks
 
 
@@ -42,3 +44,9 @@ def test_three_symbol_suite():
         )
     )
     assert report.passed
+
+
+def test_depth_zero_config_is_refused():
+    # a depth-0 bang element has no recurrence, so damped-defect would fail falsely
+    with pytest.raises(ValueError, match="depth at least 1"):
+        run_all_checks(Config(depth=0, eq_depth=2, grid=4))

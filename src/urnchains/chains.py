@@ -40,13 +40,7 @@ from ._linalg import ONE, ZERO, LinearSolveError, identity, kron, matmul, max_ab
 from .multiset import Alphabet, Multiset, multinomial
 from .pcoh import Pcs, PcsMatrix, canonical_section, eq_delta, ground_pcs, with_unit_pcs
 from .spaces import IndexSet, multiset_space, symbol_space, tuple_space, unit_space
-from .stoch import (
-    FinKernel,
-    adjacent_transpositions,
-    coeq_kernel,
-    eq_kernel,
-    permute_tuple_columns,
-)
+from .stoch import FinKernel, coeq_kernel, eq_kernel, verify_equalises
 
 
 class ChainError(Exception):
@@ -160,15 +154,6 @@ def stoch_copointed(alphabet: Alphabet) -> CopointedObject:
     return CopointedObject(backend, _stoch.discard_kernel(backend.carrier))
 
 
-def substoch_copointed(alphabet: Alphabet, weaken_column) -> CopointedObject:
-    """A carrier with an arbitrary substochastic weakening."""
-    backend = Backend.stoch(alphabet)
-    weaken = FinKernel(
-        backend.carrier, unit_space(), tuple((v,) for v in weaken_column)
-    )
-    return CopointedObject(backend, weaken)
-
-
 def pcoh_free_copointed(a: Pcs, pad_symbol: str = "*") -> CopointedObject:
     """The free copointed object a & 1 with the second projection as
     weakening; built concretely over the padded symbol web."""
@@ -185,15 +170,6 @@ def pcoh_ground_copointed(alphabet: Alphabet) -> CopointedObject:
     backend = Backend.pcoh(ground_pcs(alphabet))
     weaken = PcsMatrix.build(backend.carrier, unit_space(), lambda _: {"*": ONE})
     return CopointedObject(backend, weaken)
-
-
-def copointed_pairing(eta, u):
-    """Rows of the mediating map <eta, u> into carrier & 1 given by the
-    universal property of the free copointed object."""
-    rows = []
-    for row_eta, row_u in zip(eta.rows, u.rows):
-        rows.append(tuple(row_eta) + (row_u[0],))
-    return rows
 
 
 # -- chain construction -------------------------------------------------------
@@ -221,8 +197,10 @@ class DDChain:
     def backend(self):
         return self.copointed.backend
 
-    def level_space(self, n: int) -> IndexSet:
-        return self.backend.level(n)
+    def steps(self, kind: str) -> list:
+        """The maps a cone of this kind commutes with: the chain steps for
+        "dd", the delete maps id^n (x) w for "delete"."""
+        return self.dds if kind == "dd" else self.deletes
 
     def validate(self) -> list[SquareCheck]:
         """Exact defining-square deviations at every level."""
@@ -234,6 +212,17 @@ class DDChain:
                 SquareCheck(n, "DD_n . eq_n = eq_{n+1} . (id^n (x) w)", max_abs_diff(lhs, rhs))
             )
         return checks
+
+    def factor(self, rows, n: int):
+        """The unique rows' with rows' . eq_n = rows, namely rows . section_n.
+
+        Refuses rows that do not factor through eq_n, that is rows whose
+        round trip through section_n and eq_n does not give them back.
+        """
+        factored = matmul(rows, self.backend.section(n).rows)
+        if max_abs_diff(matmul(factored, self.eqs[n].rows), rows) != 0:
+            raise ChainError(f"factorisation through the equaliser fails at level {n}")
+        return factored
 
 
 def build_dd_chain(copointed: CopointedObject, depth: int, cross_check: bool = True) -> DDChain:
@@ -250,21 +239,22 @@ def build_dd_chain(copointed: CopointedObject, depth: int, cross_check: bool = T
     eqs = [backend.eq(n) for n in range(depth + 1)]
     deletes = [backend.delete_map(copointed.weaken, n) for n in range(depth)]
     dds = [backend.dd_closed_form(copointed.weaken, n) for n in range(depth)]
+    chain = DDChain(copointed, depth, eqs, deletes, dds)
+    for check in chain.validate():
+        if not check.holds:
+            raise ChainError(f"defining square fails at level {check.level} (backend bug)")
+    if not cross_check:
+        return chain
     for n in range(depth):
-        lhs = matmul(dds[n].rows, eqs[n].rows)
-        rhs = matmul(eqs[n + 1].rows, deletes[n].rows)
-        if max_abs_diff(lhs, rhs) != 0:
-            raise ChainError(f"defining square fails at level {n} (backend bug)")
-        if cross_check:
-            try:
-                solved = solve_right(eqs[n].rows, rhs)
-            except LinearSolveError as exc:
-                raise ChainError(f"square unsolvable at level {n}: {exc}") from exc
-            if max_abs_diff(solved, dds[n].rows) != 0:
-                raise ChainError(
-                    f"closed form disagrees with the universal-property solve at level {n}"
-                )
-    return DDChain(copointed, depth, eqs, deletes, dds)
+        try:
+            solved = solve_right(eqs[n].rows, matmul(eqs[n + 1].rows, deletes[n].rows))
+        except LinearSolveError as exc:
+            raise ChainError(f"square unsolvable at level {n}: {exc}") from exc
+        if max_abs_diff(solved, dds[n].rows) != 0:
+            raise ChainError(
+                f"closed form disagrees with the universal-property solve at level {n}"
+            )
+    return chain
 
 
 # -- chain morphisms -----------------------------------------------------------
@@ -319,10 +309,7 @@ def lift_copointed_morphism(alpha, chain1: DDChain, chain2: DDChain) -> ChainMor
     components = []
     for n in range(depth + 1):
         target_rows = matmul(chain1.eqs[n].rows, _power_rows(alpha.rows, n))
-        m_rows = matmul(target_rows, b2.section(n).rows)
-        if max_abs_diff(matmul(m_rows, chain2.eqs[n].rows), target_rows) != 0:
-            raise ChainError(f"equaliser factorisation fails at level {n}")
-        components.append(b2.make(b1.level(n), b2.level(n), m_rows))
+        components.append(b2.make(b1.level(n), b2.level(n), chain2.factor(target_rows, n)))
     morphism = ChainMorphism(chain1, chain2, components)
     for check in morphism.validate():
         if not check.holds:
@@ -356,7 +343,7 @@ class Cone:
     kind: str
 
     def validate(self) -> list[SquareCheck]:
-        steps = self.chain.dds if self.kind == "dd" else self.chain.deletes
+        steps = self.chain.steps(self.kind)
         law = (
             "DD_n . leg_{n+1} = leg_n"
             if self.kind == "dd"
@@ -371,23 +358,21 @@ class Cone:
         return max((c.deviation for c in self.validate()), default=ZERO)
 
 
-def dd_cone_from_top(chain: DDChain, top) -> Cone:
-    """The DD-cone generated by an arbitrary top leg, closing downwards."""
-    legs = [top]
-    for n in reversed(range(chain.depth)):
-        legs.insert(0, chain.backend.make(
-            top.source, chain.level_space(n), matmul(legs[0].rows, chain.dds[n].rows)
-        ))
-    return Cone(chain, top.source, legs, "dd")
+def _close_down(top_rows, steps) -> list:
+    """Rows of the family generated by a top leg: leg_n = leg_{n+1} . step_n."""
+    legs = [top_rows]
+    for step in reversed(steps):
+        legs.insert(0, matmul(legs[0], step))
+    return legs
 
 
-def delete_cone_from_top(chain: DDChain, top) -> Cone:
-    legs = [top]
-    for n in reversed(range(chain.depth)):
-        legs.insert(0, chain.backend.make(
-            top.source, chain.backend.power(n), matmul(legs[0].rows, chain.deletes[n].rows)
-        ))
-    return Cone(chain, top.source, legs, "delete")
+def cone_from_top(chain: DDChain, top, kind: str) -> Cone:
+    """The cone of the given kind generated by an arbitrary top leg, closing
+    downwards: onto the multiset levels for "dd", the tuple powers for "delete"."""
+    space = chain.backend.level if kind == "dd" else chain.backend.power
+    rows = _close_down(top.rows, [step.rows for step in chain.steps(kind)])
+    legs = [chain.backend.make(top.source, space(n), r) for n, r in enumerate(rows[:-1])]
+    return Cone(chain, top.source, legs + [top], kind)
 
 
 def factor_delete_cone(cone: Cone) -> Cone:
@@ -396,26 +381,23 @@ def factor_delete_cone(cone: Cone) -> Cone:
     Every leg must equalise all coordinate symmetries at its level; the
     factorisation eq_n . leg_n' = leg_n is unique because the equalisers are
     split monos, and the factored family is a DD-cone.  Invariance is checked
-    on the n-1 adjacent transpositions, which generate S_n, so a leg is
-    accepted iff it is fixed by every symmetry; a rejected leg is reported
-    with the first transposition that moves it.
+    by verify_equalises, so a leg is accepted iff it is fixed by every
+    symmetry; a rejected leg is reported with the transposition that moves
+    it furthest.
     """
     if cone.kind != "delete":
         raise ChainError("expected a delete-cone")
     chain = cone.chain
     for n, leg in enumerate(cone.legs):
-        for perm in adjacent_transpositions(n):
-            permuted = permute_tuple_columns(leg.rows, chain.backend.power(n), perm)
-            if max_abs_diff(permuted, leg.rows) != 0:
-                raise ChainError(
-                    f"leg at level {n} does not equalise the symmetry {perm}"
-                )
-    legs = []
-    for n, leg in enumerate(cone.legs):
-        rows = matmul(leg.rows, chain.backend.section(n).rows)
-        if max_abs_diff(matmul(rows, chain.eqs[n].rows), leg.rows) != 0:
-            raise ChainError(f"factorisation through the equaliser fails at level {n}")
-        legs.append(chain.backend.make(cone.apex, chain.level_space(n), rows))
+        report = verify_equalises(leg, n)
+        if not report.equalises:
+            raise ChainError(
+                f"leg at level {n} does not equalise the symmetry {report.witness_perm}"
+            )
+    legs = [
+        chain.backend.make(cone.apex, chain.backend.level(n), chain.factor(leg.rows, n))
+        for n, leg in enumerate(cone.legs)
+    ]
     out = Cone(chain, cone.apex, legs, "dd")
     if out.deviation() != 0:
         raise ChainError("factored family is not a DD-cone")
@@ -481,7 +463,7 @@ def verify_tensor_parametrized(chain: DDChain, y_space: IndexSet, samples: int, 
     checks = []
     for s in range(samples):
         n = 1 + (s % chain.depth) if chain.depth else 0
-        level = chain.level_space(n)
+        level = chain.backend.level(n)
         apex_size = rng.choice((1, 2))
         apex = IndexSet(f"Z{apex_size}", tuple(range(apex_size)))
         h_rows = _random_stochastic_rows(rng, apex_size, len(level) * len(y_space))
@@ -492,12 +474,11 @@ def verify_tensor_parametrized(chain: DDChain, y_space: IndexSet, samples: int, 
         checks.append(TensorCheck(n, s, dev))
         # parametrized cone round trip from a random top leg
         top_rows = _random_stochastic_rows(
-            rng, apex_size, len(chain.level_space(chain.depth)) * len(y_space)
+            rng, apex_size, len(chain.backend.level(chain.depth)) * len(y_space)
         )
-        dd_y = [kron(chain.dds[m].rows, identity(len(y_space))) for m in range(chain.depth)]
-        legs = [top_rows]
-        for m in reversed(range(chain.depth)):
-            legs.insert(0, matmul(legs[0], dd_y[m]))
+        legs = _close_down(
+            top_rows, [kron(chain.dds[m].rows, identity(len(y_space))) for m in range(chain.depth)]
+        )
         eq_ys = [kron(chain.eqs[m].rows, identity(len(y_space))) for m in range(chain.depth + 1)]
         sec_ys = [kron(backend.section(m).rows, identity(len(y_space))) for m in range(chain.depth + 1)]
         expanded = [matmul(leg, eq_ys[m]) for m, leg in enumerate(legs)]

@@ -41,7 +41,11 @@ def alphabet_to_json(alphabet: Alphabet) -> dict:
 
 def alphabet_from_json(data) -> Alphabet:
     try:
-        return Alphabet(tuple(data["symbols"]))
+        symbols = tuple(data["symbols"])
+        for symbol in symbols:
+            if not isinstance(symbol, str):
+                raise FormatError(f"bad alphabet: symbol {symbol!r} is not a string")
+        return Alphabet(symbols)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad alphabet: {exc}") from exc
 

@@ -1,17 +1,23 @@
 """Mixing measures inside the truncated exponential and the way back.
 
 A probability measure on the simplex embeds into the depth-N exponential as
-a finite mixture of promotions; the image is characterised among all
-elements by the totality recurrence
+a finite mixture of promotions, and every such image satisfies the totality
+recurrence
 
     coeffs(mu) = sum_x coeffs(mu + [x])        (and coeffs([]) = 1).
 
+At finite depth the recurrence does not characterise the image.  The depth-2
+element of the urn holding one t and one f (coefficient 1/2 at [t], [f] and
+[t,f], 0 at [t,t] and [f,f]) is total, but no mixture of promotions has it
+as image: E[p^2] >= E[p]^2 keeps the coefficient at [t,t] at 1/4 or more
+once the one at [t] is 1/2.
+
 The inverse direction is a truncated moment problem: given a total element,
 find an atomic measure on a rational grid of the simplex whose mixture of
-promotions reproduces the coefficient table.  Existence at truncation is
-certified constructively by a feasible min-max linear program; failure at a
-given grid is reported as "increase the resolution", never as
-non-existence.
+promotions reproduces the coefficient table, by a min-max linear program.  A
+residual above tolerance means the grid is too coarse or the element is the
+image of no mixing measure; the program does not tell the two apart (the urn
+above has residual 1/4 at every grid).
 """
 
 from __future__ import annotations
@@ -20,15 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from ._linalg import ONE, ZERO, frac, matmul
+from ._linalg import ZERO, frac, matmul
 from .chains import Cone, DDChain, build_dd_chain, pcoh_ground_copointed
-from .multiset import Alphabet, enumerate_multisets
+from .multiset import Alphabet, enumerate_multisets, multiset_count
 from .optim import feasibility_minmax
-from .pcoh import (
-    BangElement,
-    multinomial_embedding,
-    restrict_to_depth,
-)
+from .pcoh import BangElement, _monomial, multinomial_embedding, restrict_to_depth
 from .spaces import bounded_multiset_space, multiset_space, unit_space
 from .stoch import AtomicMeasure, ProbVector
 
@@ -57,12 +59,9 @@ def embed_mixing_measure(
     web = bounded_multiset_space(alphabet, depth)
     coeffs = [ZERO] * len(web)
     for point, w in mixing.atoms:
+        start = frac(w) if isinstance(w, (int, Fraction)) else w
         for i, counts in enumerate(web.labels):
-            v = frac(w) if isinstance(w, (int, Fraction)) else w
-            for r, c in zip(point.weights, counts):
-                if c:
-                    v *= frac(r) ** c if isinstance(r, (int, Fraction)) else r**c
-            coeffs[i] += v
+            coeffs[i] += _monomial(point.weights, counts, start)
     return BangElement(alphabet, depth, tuple(coeffs))
 
 
@@ -220,10 +219,6 @@ class Recovery:
     grid_resolution: int
     diagnostic: str | None = None
 
-    @property
-    def within_tolerance(self) -> bool:
-        return self.diagnostic is None
-
 
 def simplex_grid(alphabet: Alphabet, resolution: int) -> list[tuple]:
     """All proper distributions with denominator `resolution`."""
@@ -240,8 +235,7 @@ def recovery_lp_shape(b: BangElement, grid_resolution: int) -> tuple[int, int]:
     point plus the row fixing the total weight (feasibility_minmax); computed
     without building the grid, so oversized problems can be refused first.
     """
-    k = len(b.alphabet)
-    return comb(grid_resolution + k - 1, k - 1) + 1, 2 * len(b.coeffs) + 1
+    return multiset_count(len(b.alphabet), grid_resolution) + 1, 2 * len(b.coeffs) + 1
 
 
 def recover_measure(
@@ -257,7 +251,9 @@ def recover_measure(
     between the grid mixture of promotions and the target table (epigraph
     linear program).  Weights below tol are pruned and the remaining ones
     renormalised; the reported residual is recomputed for the returned
-    measure.  A residual above tol only means this grid is too coarse.
+    measure.  A residual above tol means this grid is too coarse or b is the
+    image of no mixing measure: totality does not rule the latter out at
+    finite depth (see the module docstring).
     """
     if grid_resolution < 2:
         raise MomentProblemError("grid resolution must be at least 2")
@@ -268,16 +264,7 @@ def recover_measure(
     web = b.web
     grid = simplex_grid(alphabet, grid_resolution)
     conv = (lambda v: frac(v)) if mode == "exact" else float
-    columns = []
-    for point in grid:
-        col = []
-        for counts in web.labels:
-            v = ONE
-            for p, c in zip(point, counts):
-                if c:
-                    v *= p**c
-            col.append(conv(v))
-        columns.append(tuple(col))
+    columns = [tuple(conv(_monomial(point, counts)) for counts in web.labels) for point in grid]
     target = tuple(conv(v) for v in b.coeffs)
     result = feasibility_minmax(columns, target, mode=mode)
     if result.status != "optimal":
@@ -340,20 +327,14 @@ def verify_embedding_squares(mixing: AtomicMeasure, depth: int) -> list[Embeddin
         raise ValueError("embedding squares are stated for probability mixings")
     alphabet = mixing.alphabet
     image = embed_mixing_measure(mixing, depth)
+    atoms = [(tuple(map(frac, point.weights)), frac(w)) for point, w in mixing.atoms]
     checks = []
     for n in range(depth + 1):
         lhs = restrict_to_depth(image, n).coeffs
-        level = multiset_space(alphabet, n)
-        leg = []
-        for counts in level.labels:
-            v = ZERO
-            for point, w in mixing.atoms:
-                term = frac(w)
-                for r, c in zip(point.weights, counts):
-                    if c:
-                        term *= frac(r) ** c
-                v += term
-            leg.append(v)
+        leg = [
+            sum((_monomial(point, counts, w) for point, w in atoms), start=ZERO)
+            for counts in multiset_space(alphabet, n).labels
+        ]
         rhs = matmul((tuple(leg),), multinomial_embedding(alphabet, n).rows)[0]
         dev = max(
             (abs(x - y) for x, y in zip(lhs, rhs)),

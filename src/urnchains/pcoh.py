@@ -21,7 +21,7 @@ canonical_section), `chains.Backend.stoch` over kernels in uniform ones.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -43,7 +43,6 @@ from .spaces import (
     product_space,
     symbol_space,
     tuple_space,
-    unit_space,
 )
 
 FLOAT_TOL = 1e-9
@@ -76,8 +75,6 @@ class PcsVector:
 @dataclass(frozen=True)
 class PcsMatrix(Matrix):
     """Nonnegative matrix indexed (source web, target web)."""
-
-    morphism_checked: bool = False
 
     def __post_init__(self):
         if len(self.rows) != len(self.source):
@@ -188,11 +185,6 @@ class Pcs:
         return Alphabet(self.web.labels)
 
 
-def unit_pcs() -> Pcs:
-    web = unit_space()
-    return Pcs(web, (PcsVector.of(web, 1),), "unit")
-
-
 def ground_pcs(alphabet: Alphabet) -> Pcs:
     """Subdistributions over the alphabet: unit-vector generators."""
     web = symbol_space(alphabet)
@@ -264,6 +256,17 @@ def multiset_pcs(a: Pcs, n: int) -> Pcs:
     return Pcs(web, tuple(gens), f"M{n}({a.name})")
 
 
+def _monomial(point, counts, start=ONE):
+    """start * prod_a point[a]^counts[a], the coefficient at counts of the
+    promotion of point.  Multiplies left to right from start, skipping zero
+    counts; exact entries are read as Fractions, float entries stay floats."""
+    v = start
+    for x, c in zip(point, counts):
+        if c:
+            v *= frac(x) ** c if isinstance(x, (int, Fraction)) else x**c
+    return v
+
+
 def bang_pcs(alphabet: Alphabet, depth: int, grid_resolution: int = 4) -> Pcs:
     """Depth-truncated exponential: promotions at grid points as generators.
 
@@ -278,31 +281,15 @@ def bang_pcs(alphabet: Alphabet, depth: int, grid_resolution: int = 4) -> Pcs:
     gens = []
     for m in enumerate_bounded_multisets(alphabet, grid_resolution):
         point = tuple(Fraction(x, grid_resolution) for x in m.counts)
-        coeffs = []
-        for counts in web.labels:
-            v = ONE
-            for p, c in zip(point, counts):
-                if c:
-                    v *= p**c
-            coeffs.append(v)
-        gens.append(PcsVector(web, tuple(coeffs)))
+        gens.append(PcsVector(web, tuple(_monomial(point, counts) for counts in web.labels)))
     return Pcs(web, tuple(gens), f"bang-truncation(depth={depth},grid={grid_resolution})")
 
 
 # -- structural matrices ----------------------------------------------------
 
-def _alphabet_of(space) -> Alphabet:
-    if isinstance(space, Pcs):
-        return space.alphabet
-    if isinstance(space, Alphabet):
-        return space
-    raise TypeError("expected a Pcs or an Alphabet")
-
-
-def eq_delta(space, n: int) -> PcsMatrix:
+def eq_delta(alphabet: Alphabet, n: int) -> PcsMatrix:
     """Delta-coordinate equaliser: spreads the coefficient at mu to every
     enumeration of mu.  Equalises all n! coordinate symmetries exactly."""
-    alphabet = _alphabet_of(space)
     return PcsMatrix.build(
         multiset_space(alphabet, n),
         tuple_space(alphabet, n),
@@ -310,9 +297,8 @@ def eq_delta(space, n: int) -> PcsMatrix:
     )
 
 
-def canonical_section(space, n: int) -> PcsMatrix:
+def canonical_section(alphabet: Alphabet, n: int) -> PcsMatrix:
     """Right inverse of eq_delta: reads one fixed enumeration per multiset."""
-    alphabet = _alphabet_of(space)
     tgt = multiset_space(alphabet, n)
     canon = {canonical_enumeration(Multiset(alphabet, counts)): counts for counts in tgt.labels}
     return PcsMatrix.build(
@@ -405,14 +391,7 @@ def promotion(x: PcsVector, depth: int) -> BangElement:
         raise ValueError("promotion requires a subdistribution (coefficients sum <= 1)")
     alphabet = Alphabet(x.web.labels)
     web = bounded_multiset_space(alphabet, depth)
-    coeffs = []
-    for counts in web.labels:
-        v = ONE
-        for xa, c in zip(x.coeffs, counts):
-            if c:
-                v *= frac(xa) ** c if isinstance(xa, (int, Fraction)) else xa**c
-        coeffs.append(v)
-    return BangElement(alphabet, depth, tuple(coeffs))
+    return BangElement(alphabet, depth, tuple(_monomial(x.coeffs, counts) for counts in web.labels))
 
 
 def restrict_to_depth(b: BangElement, n: int) -> PcsVector:
@@ -423,22 +402,3 @@ def restrict_to_depth(b: BangElement, n: int) -> PcsVector:
     src = b.web
     return PcsVector(web, tuple(b.coeffs[src.index(lab)] for lab in web.labels))
 
-
-# -- morphism certification --------------------------------------------------
-
-@dataclass(frozen=True)
-class CertificationReport:
-    ok: bool
-    witness_generator: PcsVector | None
-    membership: Membership | None
-
-
-def certify_morphism(
-    m: PcsMatrix, source: Pcs, target: Pcs, mode: str | None = None
-) -> tuple[PcsMatrix, CertificationReport]:
-    """Check that m maps every source generator into the target clique."""
-    for g in source.generators:
-        result = target.contains(m.push(g), mode=mode)
-        if not result.inside:
-            return m, CertificationReport(False, g, result)
-    return replace(m, morphism_checked=True), CertificationReport(True, None, None)

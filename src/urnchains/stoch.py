@@ -25,6 +25,7 @@ from .multiset import (
     multinomial,
     multiset_of,
 )
+from .pcoh import _monomial
 from .spaces import (
     IndexSet,
     multiset_space,
@@ -239,14 +240,11 @@ def multinomial_law(r: ProbVector, n: int) -> FinKernel:
     if not r.exact:
         raise ValueError("multinomial_law needs exact rational weights")
     msp = multiset_space(r.alphabet, n)
-    row = []
-    for counts in msp.labels:
-        mass = Fraction(multinomial(Multiset(r.alphabet, counts)))
-        for w, c in zip(r.weights, counts):
-            if c:
-                mass *= frac(w) ** c
-        row.append(mass)
-    return FinKernel(unit_space(), msp, (tuple(row),))
+    row = tuple(
+        _monomial(r.weights, counts, Fraction(multinomial(Multiset(r.alphabet, counts))))
+        for counts in msp.labels
+    )
+    return FinKernel(unit_space(), msp, (row,))
 
 
 # -- verification ----------------------------------------------------------
@@ -533,27 +531,3 @@ def empirical_law(mixing: AtomicMeasure, n: int, trials: int, seed: int) -> Empi
         histogram[tuple(counts.tolist())] += 1
     return law
 
-
-def urn_marginal_law(r: ProbVector, start: int, stop: int, trials: int, seed: int) -> Counter:
-    """Empirical law at size `stop` of urns drawn at size `start` then shrunk.
-
-    Each trial draws an urn from multinomial_law(r, start) and applies the
-    uniform remove-one step start - stop times; returns a Counter over count
-    vectors for comparison against multinomial_law(r, stop).  Trial t runs on
-    the same per-trial stream as empirical_law (SeedSequence(entropy=seed,
-    spawn_key=(t,)) -> PCG64, derived in bulk).
-    """
-    if stop > start:
-        raise ValueError("stop size cannot exceed start size")
-    msp = multiset_space(r.alphabet, start)
-    masses = [float(v) for v in multinomial_law(r, start).rows[0]]
-    hist: Counter = Counter()
-    for rng in _trial_rngs(seed, trials):
-        counts = list(msp.labels[rng.choice(len(msp), p=masses)])
-        size = start
-        while size > stop:
-            x = rng.choice(len(counts), p=[c / size for c in counts])
-            counts[x] -= 1
-            size -= 1
-        hist[tuple(counts)] += 1
-    return hist

@@ -16,8 +16,7 @@ from ._linalg import ONE, ZERO, compose, matmul, max_abs_diff
 from ._linalg import identity as _identity
 from .chains import (
     build_dd_chain,
-    dd_cone_from_top,
-    delete_cone_from_top,
+    cone_from_top,
     expand_dd_cone,
     factor_delete_cone,
     lift_copointed_morphism,
@@ -30,6 +29,7 @@ from .chains import (
     verify_tensor_parametrized,
 )
 from .moments import (
+    MomentProblemError,
     bang_from_moments,
     check_totality,
     damp,
@@ -39,7 +39,7 @@ from .moments import (
     verify_embedding_squares,
 )
 from .multiset import Alphabet, enumerate_multisets, multinomial
-from .optim import LinearProgram, solve
+from .optim import LinearProgram, LpError, solve
 from .pcoh import (
     PcsMatrix,
     PcsVector,
@@ -72,7 +72,6 @@ class Config:
     tensor_samples: int = 6
     grid: int = 16
     recovery_tol: float = 1e-6
-    totality_tol: float = 1e-9
     seed: int = 0
     inject_fault: bool = False
 
@@ -240,29 +239,22 @@ def chain_checks(config: Config):
         ("pcoh-definetti", pcoh_ground_copointed(alphabet)),
         ("pcoh-bang", pcoh_free_copointed(ground_pcs(alphabet))),
     ):
+        chain, deviation = None, ZERO
         try:
             chain = build_dd_chain(copointed, config.depth, cross_check=True)
-            built = True
         except Exception as exc:  # construction itself is a check
-            out.append(
-                CheckResult(
-                    "dd-universal-solve",
-                    "closed-form DD equals the unique solution of the defining square",
-                    {"backend": label, "depth": config.depth},
-                    str(exc),
-                    False,
-                )
-            )
-            continue
+            deviation = str(exc)
         out.append(
             CheckResult(
                 "dd-universal-solve",
                 "closed-form DD equals the unique solution of the defining square",
                 {"backend": label, "depth": config.depth},
-                ZERO,
-                built,
+                deviation,
+                chain is not None,
             )
         )
+        if chain is None:
+            continue
         if label == "stoch" and config.inject_fault:
             _tamper(chain)
         for check in chain.validate():
@@ -300,20 +292,14 @@ def morphism_checks(config: Config, chains) -> list[CheckResult]:
         )
     for n in range(config.depth + 1):
         emb = multinomial_embedding(alphabet, n)
-        bounded, full, mapping = pad_index_bijection(alphabet, n)
-        dev = ZERO
-        comp = lift.components[n]
-        for i in range(len(emb.source)):
-            for j in range(len(bounded)):
-                d = abs(emb.rows[i][j] - comp.rows[i][mapping[j]])
-                if d > dev:
-                    dev = d
+        _, _, mapping = pad_index_bijection(alphabet, n)
+        comp = tuple(tuple(row[j] for j in mapping) for row in lift.components[n].rows)
         out.append(
             _exact_check(
                 "multinomial-embedding",
                 "lifted component equals multinomial(mu - nu) on included nu",
                 {"n": n},
-                dev,
+                max_abs_diff(emb.rows, comp),
             )
         )
     if "stoch" in chains and not config.inject_fault:
@@ -361,7 +347,7 @@ def cone_checks(config: Config, chains) -> list[CheckResult]:
             worst = ZERO
             for s in range(config.cone_samples):
                 top = _random_leg(rng, chainb, config)
-                dd_cone = dd_cone_from_top(chainb, top)
+                dd_cone = cone_from_top(chainb, top, "dd")
                 expanded = expand_dd_cone(dd_cone)
                 back = factor_delete_cone(expanded)
                 dev = max(a.deviation(b) for a, b in zip(back.legs, dd_cone.legs))
@@ -372,7 +358,7 @@ def cone_checks(config: Config, chains) -> list[CheckResult]:
                     chainb.backend.power(chainb.depth),
                     matmul(top.rows, chainb.eqs[chainb.depth].rows),
                 )
-                del_cone = delete_cone_from_top(chainb, sym_top)
+                del_cone = cone_from_top(chainb, sym_top, "delete")
                 dd2 = factor_delete_cone(del_cone)
                 expanded2 = expand_dd_cone(dd2)
                 dev2 = max(
@@ -406,7 +392,7 @@ def cone_checks(config: Config, chains) -> list[CheckResult]:
 
 def _random_leg(rng, chain, config):
     apex = unit_space()
-    level = chain.level_space(chain.depth)
+    level = chain.backend.level(chain.depth)
     raw = [Fraction(rng.randint(0, 9)) for _ in range(len(level))]
     total = sum(raw) or Fraction(1)
     row = tuple(v / total for v in raw)
@@ -482,13 +468,13 @@ def moment_checks(config: Config) -> list[CheckResult]:
         (ProbVector(alphabet, tuple(Fraction(1) if i == k - 1 else ZERO for i in range(k))), Fraction(2, 3)),
     )
     bv = embed_mixing_measure(vertex_mixing, config.depth)
-    rec = recover_measure(bv, max(config.grid, 2), tol=config.recovery_tol, mode="exact")
     out.append(
-        _exact_check(
+        _recovery_check(
             "vertex-recovery",
             "vertex-atom mixings are recovered with zero residual in exact mode",
             {"grid": max(config.grid, 2)},
-            rec.residual,
+            0,
+            lambda: recover_measure(bv, max(config.grid, 2), tol=config.recovery_tol, mode="exact"),
         )
     )
     g = config.grid
@@ -498,17 +484,26 @@ def moment_checks(config: Config) -> list[CheckResult]:
         tuple(Fraction(base + (1 if i < rem else 0), g) for i in range(k)),
     )
     bh = embed_mixing_measure(AtomicMeasure.dirac(on_grid), config.depth)
-    rec2 = recover_measure(bh, config.grid, tol=config.recovery_tol, mode="float")
     out.append(
-        _bounded_check(
+        _recovery_check(
             "grid-recovery",
             "recovery of an on-grid mixing meets the residual tolerance",
             {"grid": config.grid, "tol": config.recovery_tol},
-            rec2.residual,
             config.recovery_tol,
+            lambda: recover_measure(bh, config.grid, tol=config.recovery_tol, mode="float"),
         )
     )
     return out
+
+
+def _recovery_check(name, law, params, tol, recover) -> CheckResult:
+    # a recovery that raises fails its check with the message as deviation,
+    # as a chain that cannot be built fails dd-universal-solve
+    try:
+        residual = recover().residual
+    except (MomentProblemError, LpError) as exc:
+        return CheckResult(name, law, params, str(exc), False)
+    return _bounded_check(name, law, params, residual, tol)
 
 
 # -- membership -----------------------------------------------------------------------

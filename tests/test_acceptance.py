@@ -16,8 +16,7 @@ from helpers import mm, vertex_oracle_inside
 from urnchains._linalg import compose, max_abs_diff
 from urnchains.chains import (
     build_dd_chain,
-    dd_cone_from_top,
-    delete_cone_from_top,
+    cone_from_top,
     expand_dd_cone,
     factor_delete_cone,
     lift_copointed_morphism,
@@ -157,15 +156,15 @@ def test_criterion_04_two_formulation_equivalence():
             build_dd_chain(pcoh_ground_copointed(alphabet), depth),
         ):
             for _ in range(25):
-                size = len(chain.level_space(depth))
+                size = len(chain.backend.level(depth))
                 vals = [F(rng.randint(0, 9)) for _ in range(size)]
                 total = sum(vals) or F(1)
                 top = chain.backend.make(
                     unit_space(),
-                    chain.level_space(depth),
+                    chain.backend.level(depth),
                     (tuple(v / total for v in vals),),
                 )
-                dd_cone = dd_cone_from_top(chain, top)
+                dd_cone = cone_from_top(chain, top, "dd")
                 back = factor_delete_cone(expand_dd_cone(dd_cone))
                 worst = max(
                     worst,
@@ -179,7 +178,7 @@ def test_criterion_04_two_formulation_equivalence():
                     chain.backend.power(depth),
                     mm(top.rows, chain.eqs[depth].rows),
                 )
-                del_cone = delete_cone_from_top(chain, sym_top)
+                del_cone = cone_from_top(chain, sym_top, "delete")
                 expanded = expand_dd_cone(factor_delete_cone(del_cone))
                 worst = max(
                     worst,

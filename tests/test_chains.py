@@ -7,14 +7,14 @@ import pytest
 from helpers import mm
 from urnchains._linalg import max_abs_diff
 from urnchains.chains import (
+    Backend,
     ChainError,
     Cone,
+    CopointedObject,
     build_dd_chain,
     bang_cone,
     bang_from_cone,
-    copointed_pairing,
-    dd_cone_from_top,
-    delete_cone_from_top,
+    cone_from_top,
     expand_dd_cone,
     factor_delete_cone,
     factor_parametrized,
@@ -25,7 +25,6 @@ from urnchains.chains import (
     pcoh_free_copointed,
     pcoh_ground_copointed,
     stoch_copointed,
-    substoch_copointed,
     verify_tensor_parametrized,
 )
 from urnchains.multiset import BOOL, Alphabet
@@ -66,7 +65,9 @@ def test_depth_zero_chain():
 
 
 def test_substochastic_weakening_chain():
-    cop = substoch_copointed(BOOL, (F(1, 2), F(1, 3)))
+    backend = Backend.stoch(BOOL)
+    weaken = FinKernel(backend.carrier, unit_space(), ((F(1, 2),), (F(1, 3),)))
+    cop = CopointedObject(backend, weaken)
     chain = build_dd_chain(cop, 3)
     assert all(c.deviation == 0 for c in chain.validate())
     # step mass reflects the weakening: remove-one weighted by w
@@ -90,29 +91,6 @@ def test_square_unsatisfiable_signals_backend_bug(monkeypatch):
 
 
 # -- copointed structure ------------------------------------------------------------
-
-def test_free_copointed_pairing_universal_property():
-    cop = pcoh_free_copointed(bool_pcs())
-    apex = symbol_space(ABC)
-    rng = random.Random(1)
-    eta = tuple(
-        tuple(F(rng.randint(0, 3), 6) for _ in range(2)) for _ in range(3)
-    )
-    u = tuple((F(rng.randint(0, 5), 5),) for _ in range(3))
-    paired = copointed_pairing(_mat(apex, symbol_space(BOOL), eta), _mat(apex, unit_space(), u))
-    # the pairing projects back onto both components
-    for i in range(3):
-        assert paired[i][:2] == eta[i]
-        assert paired[i][2] == u[i][0]
-    # and the weakening of the pairing is u (copointed-morphism condition)
-    weaken_col = [row[0] for row in cop.weaken.rows]
-    recovered = [sum(p * w for p, w in zip(row, weaken_col)) for row in paired]
-    assert recovered == [row[0] for row in u]
-
-
-def _mat(src, tgt, rows):
-    return PcsMatrix(src, tgt, tuple(tuple(row) for row in rows))
-
 
 def test_lift_identity_gives_identity_components():
     chain = build_dd_chain(pcoh_ground_copointed(BOOL), 3)
@@ -235,7 +213,7 @@ def test_trivial_unit_cone_is_fixed_by_both_maps():
     # all legs through the point urn [t^n]
     legs = []
     for n in range(4):
-        space = chain.level_space(n)
+        space = chain.backend.level(n)
         row = [F(0)] * len(space)
         row[space.index((n, 0))] = F(1)
         legs.append(FinKernel(unit_space(), space, (tuple(row),)))
@@ -254,13 +232,13 @@ def test_randomized_round_trips_both_directions(backend):
         chain = build_dd_chain(pcoh_ground_copointed(BOOL), 4)
     rng = random.Random(17)
     for _ in range(25):
-        top_len = len(chain.level_space(4))
+        top_len = len(chain.backend.level(4))
         vals = [F(rng.randint(0, 9)) for _ in range(top_len)]
         total = sum(vals) or F(1)
         top = chain.backend.make(
-            unit_space(), chain.level_space(4), (tuple(v / total for v in vals),)
+            unit_space(), chain.backend.level(4), (tuple(v / total for v in vals),)
         )
-        cone = dd_cone_from_top(chain, top)
+        cone = cone_from_top(chain, top, "dd")
         assert cone.deviation() == 0
         back = factor_delete_cone(expand_dd_cone(cone))
         assert all(
@@ -271,7 +249,7 @@ def test_randomized_round_trips_both_directions(backend):
             chain.backend.power(4),
             mm(top.rows, chain.eqs[4].rows),
         )
-        delete_cone = delete_cone_from_top(chain, sym_top)
+        delete_cone = cone_from_top(chain, sym_top, "delete")
         expanded = expand_dd_cone(factor_delete_cone(delete_cone))
         assert all(
             max_abs_diff(a.rows, b.rows) == 0
@@ -297,7 +275,7 @@ def test_tensor_parametrized_broken_map_reports_deviation():
     chain = build_dd_chain(stoch_copointed(BOOL), 2)
     y = symbol_space(BOOL)
     n = 2
-    level_y = len(chain.level_space(n)) * len(y)
+    level_y = len(chain.backend.level(n)) * len(y)
     # symmetric map, then a deliberate asymmetry
     h = ((F(1, level_y),) * level_y,)
     from urnchains._linalg import kron, identity, matmul

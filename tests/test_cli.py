@@ -110,6 +110,36 @@ def test_verify_all_refuses_depth_zero(tmp_path, capsys, extra):
     assert "--depth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "tol, failed", [("0.9", ["vertex-recovery"]), ("2", ["vertex-recovery", "grid-recovery"])]
+)
+def test_recovery_that_raises_is_a_failed_check(tmp_path, capsys, tol, failed):
+    # a --tol this large prunes every recovered weight; the recovery error is
+    # the failed check's deviation, not a traceback
+    out = str(tmp_path / "report.json")
+    argv = ["verify-all", "--tol", tol, "--depth", "2", "--eq-depth", "2", "--out", out]
+    assert main(argv) == 1
+    report = json.loads(open(out).read())
+    bad = [c for c in report["checks"] if not c["passed"]]
+    assert [c["check"] for c in bad] == failed
+    assert all("all weights pruned" in c["deviation"] for c in bad)
+    assert "all weights pruned" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-all", "bang iota"])
+def test_non_string_alphabet_symbols_are_input_errors(tmp_path, capsys, command):
+    if command == "verify-all":
+        alphabet = tmp_path / "alphabet.json"
+        alphabet.write_text(json.dumps({"symbols": [1, 2]}))
+        argv = ["verify-all", "--alphabet", str(alphabet)]
+    else:
+        mixing = _write_mixing(tmp_path / "mixing.json", [1, 2], [(["1/2", "1/2"], 1)])
+        argv = ["bang", "iota", "--mixing", mixing]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "symbol 1 is not a string" in err
+
+
 def test_iota_accepts_depth_zero(tmp_path, dirac_mixing):
     bang = str(tmp_path / "bang.json")
     assert main(["bang", "iota", "--mixing", dirac_mixing, "--depth", "0", "--out", bang]) == 0

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from helpers import mm
 from urnchains._linalg import compose
 from urnchains.multiset import BOOL, Alphabet
-from urnchains.spaces import multiset_space, symbol_space, tuple_space, unit_space
+from urnchains.spaces import symbol_space, tuple_space, unit_space
 from urnchains import stoch
 from urnchains.stoch import (
     AtomicMeasure,
@@ -31,7 +30,6 @@ from urnchains.stoch import (
     symmetrization_average,
     symmetry_kernel,
     tensor,
-    urn_marginal_law,
     verify_equalises,
 )
 from urnchains.stoch import _STATE_CHUNK, _trial_states
@@ -431,21 +429,6 @@ def test_empirical_law_matches_per_trial_generators():
         assert empirical_law(mixing, n, _STATE_CHUNK + 7, seed).histogram == expected
 
 
-def test_urn_marginal_law_matches_per_trial_generators():
-    r = ProbVector.of(ABC, F(1, 3), F(1, 6), F(1, 2))
-    start, stop, trials, seed = 5, 2, _STATE_CHUNK + 3, 17
-    msp = multiset_space(ABC, start)
-    masses = [float(v) for v in multinomial_law(r, start).rows[0]]
-    expected = Counter()
-    for trial in range(trials):
-        rng = _per_trial_rng(seed, trial)
-        counts = list(msp.labels[rng.choice(len(msp), p=masses)])
-        for size in range(start, stop, -1):
-            counts[rng.choice(len(counts), p=[c / size for c in counts])] -= 1
-        expected[tuple(counts)] += 1
-    assert urn_marginal_law(r, start, stop, trials, seed) == expected
-
-
 def test_simulate_exchangeable_draws_the_atom_like_choice():
     mixing = _two_atom_mixing()
     for seed in range(10):
@@ -453,20 +436,6 @@ def test_simulate_exchangeable_draws_the_atom_like_choice():
         atom = mixing.atoms[rng.choice(2, p=np.array([0.5, 0.5]))][0]
         draws = rng.choice(2, size=30, p=atom.as_floats())
         assert simulate_exchangeable(mixing, 30, seed) == ["tf"[i] for i in draws]
-
-
-def test_urn_chain_marginal_matches_multinomial_law():
-    # draw a size-6 urn from the iid law, shrink to size 3, chi-square against
-    # the size-3 law
-    r = ProbVector.of(BOOL, F(1, 3), F(2, 3))
-    trials = 10_000
-    hist = urn_marginal_law(r, start=6, stop=3, trials=trials, seed=123)
-    space = multiset_space(BOOL, 3)
-    expected_masses = multinomial_law(r, 3).rows[0]
-    observed = [hist.get(lab, 0) for lab in space.labels]
-    expected = [float(m) * trials for m in expected_masses]
-    result = stats.chisquare(observed, expected)
-    assert result.pvalue > 0.01
 
 
 def test_discard_kernel_is_all_ones_column():

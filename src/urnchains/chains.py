@@ -13,10 +13,13 @@ enumeration (`Backend.stoch`: kernels, eq_kernel split by coeq_kernel) or
 delta coordinates (`Backend.pcoh`: coherence-space matrices, eq_delta split
 by canonical_section).  The two differ by the multinomial diagonal
 (`multinomial_diagonal`), so the step's closed form differs only by the
-uniform draw probability mu(b)/(n+1).  The builder constructs the closed
-form, checks the square exactly, and cross-checks the step against the exact
-linear solve of the square, so a wrong closed form in either coordinate
-system cannot survive construction.  The n-1 adjacent transpositions
+uniform draw probability mu(b)/(n+1).  A `DDChain` holds every map it is
+built from: the equalisers, their sections, the delete maps and the steps.
+The builder checks each square once, through the exact linear solve of the
+square: a closed form equal to the unique solution satisfies it, so a wrong
+closed form in either coordinate system cannot survive construction.  Every
+factorisation through an equaliser, with or without a parameter Y, is the
+one round trip of `DDChain.factor`.  The n-1 adjacent transpositions
 generate the symmetries, so they have the same equaliser, and invariance
 checks compare against them alone.
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
@@ -95,12 +98,6 @@ class Backend:
     def make(self, source, target, rows):
         return self.matrix(source, target, tuple(tuple(row) for row in rows))
 
-    def eq(self, n: int):
-        return self.equaliser(self.alphabet, n)
-
-    def section(self, n: int):
-        return self.splitting(self.alphabet, n)
-
     def delete_map(self, weaken, n: int):
         """id^n (x) weaken on flat tuple spaces."""
         wcol = [row[0] for row in weaken.rows]
@@ -141,10 +138,6 @@ class CopointedObject:
 
     def __post_init__(self):
         self.backend.validate_weaken(self.weaken)
-
-    @property
-    def weaken_column(self) -> tuple:
-        return tuple(row[0] for row in self.weaken.rows)
 
 
 def stoch_copointed(alphabet: Alphabet) -> CopointedObject:
@@ -187,11 +180,17 @@ class SquareCheck:
 
 @dataclass
 class DDChain:
+    """Levels 0..depth of the chain of a copointed object, with every map it
+    is built from: the equalisers eq_n, their sections, the delete maps
+    id^n (x) w and the steps DD_n.  `build_dd_chain` builds each once."""
+
     copointed: CopointedObject
     depth: int
     eqs: list
+    sections: list
     deletes: list
     dds: list
+    _by_y: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def backend(self):
@@ -213,48 +212,59 @@ class DDChain:
             )
         return checks
 
-    def factor(self, rows, n: int):
-        """The unique rows' with rows' . eq_n = rows, namely rows . section_n.
+    def tensored(self, y: IndexSet | None = None) -> tuple:
+        """Rows of eq_n, section_n and DD_n at every level, each (x) id_Y when
+        Y is given; the tensored rows are built once per Y and kept."""
+        maps = (self.eqs, self.sections, self.dds)
+        if y is None:
+            return tuple([m.rows for m in level_maps] for level_maps in maps)
+        if len(y) not in self._by_y:
+            ident = identity(len(y))
+            self._by_y[len(y)] = tuple([kron(m.rows, ident) for m in level_maps] for level_maps in maps)
+        return self._by_y[len(y)]
 
-        Refuses rows that do not factor through eq_n, that is rows whose
-        round trip through section_n and eq_n does not give them back.
+    def factor(self, rows, n: int, y: IndexSet | None = None):
+        """The unique rows' with rows' . (eq_n (x) id_Y) = rows, namely
+        rows . (section_n (x) id_Y); without Y, through eq_n itself.
+
+        Refuses rows that do not factor through the equaliser, that is rows
+        whose round trip through the section and the equaliser does not give
+        them back.
         """
-        factored = matmul(rows, self.backend.section(n).rows)
-        if max_abs_diff(matmul(factored, self.eqs[n].rows), rows) != 0:
-            raise ChainError(f"factorisation through the equaliser fails at level {n}")
+        eqs, sections, _ = self.tensored(y)
+        factored = matmul(rows, sections[n])
+        if max_abs_diff(matmul(factored, eqs[n]), rows) != 0:
+            where = f"level {n}" if y is None else f"level {n} (x) {y.name}"
+            raise ChainError(f"factorisation through the equaliser fails at {where}")
         return factored
 
 
-def build_dd_chain(copointed: CopointedObject, depth: int, cross_check: bool = True) -> DDChain:
-    """Build levels 0..depth with their equalisers and chain steps.
+def build_dd_chain(copointed: CopointedObject, depth: int) -> DDChain:
+    """Build levels 0..depth with their equalisers, sections and chain steps.
 
-    The steps come from the backend closed form; each defining square is
-    checked exactly and, when cross_check is set, the step is compared
-    entrywise against the unique solution of the square obtained by exact
-    linear solving.  Any mismatch is a backend bug and raises ChainError.
+    The steps come from the backend closed form.  Each defining square
+    DD_n . eq_n = eq_{n+1} . (id^n (x) w) is checked once, exactly, by
+    solving it for its unique solution (eq_n is a split mono): the closed
+    form satisfies the square iff it equals that solution.  A mismatch is a
+    backend bug and raises ChainError naming the level.
     """
     if depth < 0:
         raise ChainError("depth must be nonnegative")
-    backend = copointed.backend
-    eqs = [backend.eq(n) for n in range(depth + 1)]
+    backend, alphabet = copointed.backend, copointed.backend.alphabet
+    eqs = [backend.equaliser(alphabet, n) for n in range(depth + 1)]
+    sections = [backend.splitting(alphabet, n) for n in range(depth + 1)]
     deletes = [backend.delete_map(copointed.weaken, n) for n in range(depth)]
     dds = [backend.dd_closed_form(copointed.weaken, n) for n in range(depth)]
-    chain = DDChain(copointed, depth, eqs, deletes, dds)
-    for check in chain.validate():
-        if not check.holds:
-            raise ChainError(f"defining square fails at level {check.level} (backend bug)")
-    if not cross_check:
-        return chain
     for n in range(depth):
         try:
             solved = solve_right(eqs[n].rows, matmul(eqs[n + 1].rows, deletes[n].rows))
         except LinearSolveError as exc:
-            raise ChainError(f"square unsolvable at level {n}: {exc}") from exc
+            raise ChainError(f"defining square unsolvable at level {n}: {exc}") from exc
         if max_abs_diff(solved, dds[n].rows) != 0:
             raise ChainError(
-                f"closed form disagrees with the universal-property solve at level {n}"
+                f"defining square fails at level {n}: the closed form differs from its unique solution"
             )
-    return chain
+    return DDChain(copointed, depth, eqs, sections, deletes, dds)
 
 
 # -- chain morphisms -----------------------------------------------------------
@@ -280,12 +290,6 @@ class ChainMorphism:
         return checks
 
 
-def _power_rows(rows, n: int):
-    if n == 0:
-        return identity(1)
-    return reduce(kron, [rows] * n)
-
-
 def lift_copointed_morphism(alpha, chain1: DDChain, chain2: DDChain) -> ChainMorphism:
     """Lift a copointed-object morphism to the unique chain morphism with
     eq_n^target . M_n = alpha^n . eq_n^source at every level.
@@ -294,11 +298,8 @@ def lift_copointed_morphism(alpha, chain1: DDChain, chain2: DDChain) -> ChainMor
     first carrier label where the two weakening columns differ.
     """
     b1, b2 = chain1.backend, chain2.backend
-    w1 = chain1.copointed.weaken_column
-    w2_of_alpha = tuple(
-        row[0] for row in matmul(alpha.rows, chain2.copointed.weaken.rows)
-    )
-    for i, (x, y) in enumerate(zip(w2_of_alpha, w1)):
+    w2_of_alpha = matmul(alpha.rows, chain2.copointed.weaken.rows)
+    for i, ((x,), (y,)) in enumerate(zip(w2_of_alpha, chain1.copointed.weaken.rows)):
         if x != y:
             label = b1.carrier.labels[i]
             raise ChainError(
@@ -308,7 +309,7 @@ def lift_copointed_morphism(alpha, chain1: DDChain, chain2: DDChain) -> ChainMor
     depth = min(chain1.depth, chain2.depth)
     components = []
     for n in range(depth + 1):
-        target_rows = matmul(chain1.eqs[n].rows, _power_rows(alpha.rows, n))
+        target_rows = matmul(chain1.eqs[n].rows, reduce(kron, [alpha.rows] * n, identity(1)))
         components.append(b2.make(b1.level(n), b2.level(n), chain2.factor(target_rows, n)))
     morphism = ChainMorphism(chain1, chain2, components)
     for check in morphism.validate():
@@ -424,70 +425,32 @@ def expand_dd_cone(cone: Cone) -> Cone:
 
 # -- parametrized variants ----------------------------------------------------
 
-@dataclass(frozen=True)
-class TensorCheck:
-    level: int
-    sample: int
-    deviation: Fraction
+def verify_tensor_parametrized(chain: DDChain, y_space: IndexSet, samples: int, seed: int) -> list[SquareCheck]:
+    """Randomized check that equaliser factorisations and cone round trips
+    commute with tensoring by Y.
 
-
-@dataclass
-class TensorReport:
-    samples: int
-    checks: list
-
-    @property
-    def max_deviation(self) -> Fraction:
-        return max((c.deviation for c in self.checks), default=ZERO)
-
-
-def factor_parametrized(f_rows, chain: DDChain, y_space: IndexSet, n: int):
-    """Factor a symmetric map into power(n) (x) Y through eq_n (x) id_Y.
-
-    Returns (factor rows, round-trip deviation); the deviation is zero
-    exactly when f equalises all sigma (x) id_Y.
+    Each sample factors h . (eq_n (x) id_Y) for a random h into level n
+    (x) Y, then closes a random top leg into a Y-parametrized DD-cone and
+    factors each leg back from its expansion.  Both round trips run through
+    `DDChain.factor`, which raises ChainError on a map that does not factor;
+    each check records how far the factor is from the map it started from.
     """
-    backend = chain.backend
-    eq_y = kron(chain.eqs[n].rows, identity(len(y_space)))
-    sec_y = kron(backend.section(n).rows, identity(len(y_space)))
-    factor = matmul(f_rows, sec_y)
-    return factor, max_abs_diff(matmul(factor, eq_y), f_rows)
-
-
-def verify_tensor_parametrized(chain: DDChain, y_space: IndexSet, samples: int, seed: int) -> TensorReport:
-    """Randomized check that equalisers and cone factorisations commute with
-    tensoring by Y: symmetric maps into power(n) (x) Y factor uniquely
-    through eq_n (x) id_Y, and the parametrized cone round trips are exact."""
     rng = random.Random(seed)
-    backend = chain.backend
+    eqs, _, dds = chain.tensored(y_space)
     checks = []
     for s in range(samples):
         n = 1 + (s % chain.depth) if chain.depth else 0
-        level = chain.backend.level(n)
         apex_size = rng.choice((1, 2))
-        apex = IndexSet(f"Z{apex_size}", tuple(range(apex_size)))
-        h_rows = _random_stochastic_rows(rng, apex_size, len(level) * len(y_space))
-        eq_y = kron(chain.eqs[n].rows, identity(len(y_space)))
-        f_rows = matmul(h_rows, eq_y)
-        factor, dev = factor_parametrized(f_rows, chain, y_space, n)
-        dev = max(dev, max_abs_diff(factor, h_rows))
-        checks.append(TensorCheck(n, s, dev))
-        # parametrized cone round trip from a random top leg
-        top_rows = _random_stochastic_rows(
-            rng, apex_size, len(chain.backend.level(chain.depth)) * len(y_space)
-        )
-        legs = _close_down(
-            top_rows, [kron(chain.dds[m].rows, identity(len(y_space))) for m in range(chain.depth)]
-        )
-        eq_ys = [kron(chain.eqs[m].rows, identity(len(y_space))) for m in range(chain.depth + 1)]
-        sec_ys = [kron(backend.section(m).rows, identity(len(y_space))) for m in range(chain.depth + 1)]
-        expanded = [matmul(leg, eq_ys[m]) for m, leg in enumerate(legs)]
-        refactored = [matmul(g, sec_ys[m]) for m, g in enumerate(expanded)]
-        dev2 = max(
-            max_abs_diff(a, b) for a, b in zip(refactored, legs)
-        )
-        checks.append(TensorCheck(chain.depth, s, dev2))
-    return TensorReport(samples, checks)
+        h_rows = _random_stochastic_rows(rng, apex_size, len(eqs[n]))
+        factor = chain.factor(matmul(h_rows, eqs[n]), n, y_space)
+        checks.append(SquareCheck(n, "h . (eq_n (x) id_Y) factors back to h", max_abs_diff(factor, h_rows)))
+        top_rows = _random_stochastic_rows(rng, apex_size, len(eqs[chain.depth]))
+        for m, leg in enumerate(_close_down(top_rows, dds)):
+            back = chain.factor(matmul(leg, eqs[m]), m, y_space)
+            checks.append(
+                SquareCheck(m, "leg_m . (eq_m (x) id_Y) factors back to leg_m", max_abs_diff(back, leg))
+            )
+    return checks
 
 
 def _random_stochastic_rows(rng: random.Random, nrows: int, ncols: int):

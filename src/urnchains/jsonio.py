@@ -29,7 +29,10 @@ def _value_out(v, mode: str = "exact"):
 
 def _value_in(v):
     if isinstance(v, (int, float, str)):
-        return frac(v)
+        try:
+            return frac(v)
+        except ZeroDivisionError:
+            raise FormatError(f"value {v!r} has a zero denominator") from None
     raise FormatError(f"cannot parse value {v!r}")
 
 
@@ -41,11 +44,13 @@ def alphabet_to_json(alphabet: Alphabet) -> dict:
 
 def alphabet_from_json(data) -> Alphabet:
     try:
-        symbols = tuple(data["symbols"])
+        symbols = data["symbols"]
+        if not isinstance(symbols, list):
+            raise FormatError(f"bad alphabet: symbols must be a JSON list, not {symbols!r}")
         for symbol in symbols:
             if not isinstance(symbol, str):
                 raise FormatError(f"bad alphabet: symbol {symbol!r} is not a string")
-        return Alphabet(symbols)
+        return Alphabet(tuple(symbols))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad alphabet: {exc}") from exc
 
@@ -98,7 +103,9 @@ def bang_from_json(data) -> BangElement:
     """Read a bang element; every listed multiset must be on its web, once."""
     try:
         alphabet = alphabet_from_json(data["alphabet"])
-        depth = int(data["depth"])
+        depth = data["depth"]
+        if type(depth) is not int or depth < 0:
+            raise FormatError(f"bad bang element: depth {depth!r} is not a nonnegative integer")
         table = {}
         for entry in data["coeffs"]:
             counts = tuple(entry["multiset"])

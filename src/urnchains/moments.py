@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 
 from ._linalg import ZERO, frac, matmul
-from .chains import Cone, DDChain, build_dd_chain, pcoh_ground_copointed
+from .chains import Cone, DDChain, SquareCheck, build_dd_chain, pcoh_ground_copointed
 from .multiset import Alphabet, enumerate_multisets, multiset_count
 from .optim import feasibility_minmax
 from .pcoh import BangElement, _monomial, multinomial_embedding, restrict_to_depth
@@ -305,17 +305,7 @@ def _achieved_residual(measure: AtomicMeasure, b: BangElement, mode: str):
 
 # -- the embedding's chain squares ----------------------------------------------
 
-@dataclass(frozen=True)
-class EmbeddingCheck:
-    level: int
-    deviation: object
-
-    @property
-    def holds(self) -> bool:
-        return self.deviation == 0
-
-
-def verify_embedding_squares(mixing: AtomicMeasure, depth: int) -> list[EmbeddingCheck]:
+def verify_embedding_squares(mixing: AtomicMeasure, depth: int) -> list[SquareCheck]:
     """Exact check that restricting the embedded measure to each depth equals
     pushing its level law through the multinomial embedding.
 
@@ -340,5 +330,7 @@ def verify_embedding_squares(mixing: AtomicMeasure, depth: int) -> list[Embeddin
             (abs(x - y) for x, y in zip(lhs, rhs)),
             default=ZERO,
         )
-        checks.append(EmbeddingCheck(n, dev))
+        checks.append(
+            SquareCheck(n, "restrict(embed(mixing), n) = level law . multinomial embedding", dev)
+        )
     return checks

@@ -15,6 +15,7 @@ from fractions import Fraction
 from ._linalg import ONE, ZERO, compose, matmul, max_abs_diff
 from ._linalg import identity as _identity
 from .chains import (
+    ChainError,
     build_dd_chain,
     cone_from_top,
     expand_dd_cone,
@@ -80,6 +81,9 @@ class Config:
         # damped-defect check would report a false failure
         if self.depth < 1:
             raise ValueError("verify-all needs --depth at least 1: a depth-0 chain has no step to check")
+        for flag, samples in (("--cone-samples", self.cone_samples), ("--tensor-samples", self.tensor_samples)):
+            if samples < 0:
+                raise ValueError(f"verify-all needs {flag} at least 0, not {samples}")
 
 
 @dataclass
@@ -241,7 +245,7 @@ def chain_checks(config: Config):
     ):
         chain, deviation = None, ZERO
         try:
-            chain = build_dd_chain(copointed, config.depth, cross_check=True)
+            chain = build_dd_chain(copointed, config.depth)
         except Exception as exc:  # construction itself is a check
             deviation = str(exc)
         out.append(
@@ -376,15 +380,21 @@ def cone_checks(config: Config, chains) -> list[CheckResult]:
             )
         y_space = symbol_space(Alphabet.of("t", "f"))
         for backend_label in built:
-            report = verify_tensor_parametrized(
-                chains[backend_label], y_space, config.tensor_samples, config.seed
-            )
+            # a map that does not factor fails the check with the refusal as
+            # its deviation, as a chain that cannot be built fails dd-universal-solve
+            try:
+                checks = verify_tensor_parametrized(
+                    chains[backend_label], y_space, config.tensor_samples, config.seed
+                )
+                deviation = max((c.deviation for c in checks), default=ZERO)
+            except ChainError as exc:
+                deviation = str(exc)
             out.append(
                 _exact_check(
                     "tensor-parametrized",
                     "equaliser factorisation and cone round trips commute with (x) Y",
                     {"backend": backend_label, "samples": config.tensor_samples},
-                    report.max_deviation,
+                    deviation,
                 )
             )
     return out

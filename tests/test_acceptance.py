@@ -81,7 +81,7 @@ def test_criterion_01_chain_squares_both_backends():
             pcoh_ground_copointed(alphabet),
             pcoh_free_copointed(ground_pcs(alphabet)),
         ):
-            chain = build_dd_chain(cop, 4, cross_check=True)
+            chain = build_dd_chain(cop, 4)
             worst = max(worst, max((c.deviation for c in chain.validate()), default=F(0)))
     elapsed = time.time() - t0
     _report(
@@ -190,8 +190,8 @@ def test_criterion_04_two_formulation_equivalence():
                 cones += 2
     # parametrized variants with Y = Bool
     chain = build_dd_chain(stoch_copointed(BOOL), 3)
-    report = verify_tensor_parametrized(chain, symbol_space(BOOL), samples=10, seed=31)
-    worst = max(worst, report.max_deviation)
+    checks = verify_tensor_parametrized(chain, symbol_space(BOOL), samples=10, seed=31)
+    worst = max([worst] + [c.deviation for c in checks])
     _report(
         4,
         "factor/expand mutually inverse on randomized cones, parametrized variants included",

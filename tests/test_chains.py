@@ -17,7 +17,6 @@ from urnchains.chains import (
     cone_from_top,
     expand_dd_cone,
     factor_delete_cone,
-    factor_parametrized,
     lift_copointed_morphism,
     multinomial_cone,
     multinomial_diagonal,
@@ -88,6 +87,23 @@ def test_square_unsatisfiable_signals_backend_bug(monkeypatch):
     monkeypatch.setattr(cop.backend, "dd_closed_form", broken)
     with pytest.raises(ChainError):
         build_dd_chain(cop, 2)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_closed_form_breaking_one_square_is_refused_naming_its_level(monkeypatch, level):
+    cop = stoch_copointed(BOOL)
+    closed_form = Backend.dd_closed_form
+
+    def halved_at_level(weaken, n):
+        step = closed_form(cop.backend, weaken, n)
+        if n != level:
+            return step
+        first = tuple(v / 2 for v in step.rows[0])
+        return FinKernel(step.source, step.target, (first,) + step.rows[1:])
+
+    monkeypatch.setattr(cop.backend, "dd_closed_form", halved_at_level)
+    with pytest.raises(ChainError, match=f"square fails at level {level}:"):
+        build_dd_chain(cop, 3)
 
 
 # -- copointed structure ------------------------------------------------------------
@@ -261,14 +277,14 @@ def test_randomized_round_trips_both_directions(backend):
 
 def test_tensor_parametrized_unit_reduces_to_plain():
     chain = build_dd_chain(stoch_copointed(BOOL), 3)
-    report = verify_tensor_parametrized(chain, unit_space(), samples=4, seed=0)
-    assert report.max_deviation == 0
+    checks = verify_tensor_parametrized(chain, unit_space(), samples=4, seed=0)
+    assert checks and max(c.deviation for c in checks) == 0
 
 
 def test_tensor_parametrized_with_bool():
     chain = build_dd_chain(stoch_copointed(BOOL), 3)
-    report = verify_tensor_parametrized(chain, symbol_space(BOOL), samples=6, seed=1)
-    assert report.max_deviation == 0
+    checks = verify_tensor_parametrized(chain, symbol_space(BOOL), samples=6, seed=1)
+    assert checks and max(c.deviation for c in checks) == 0
 
 
 def test_tensor_parametrized_broken_map_reports_deviation():
@@ -284,8 +300,8 @@ def test_tensor_parametrized_broken_map_reports_deviation():
     broken = [list(r) for r in f_rows]
     # bump the ((t,f), t) column; its swap image ((f,t), t) stays put
     broken[0][2] += F(1, 7)
-    _, dev = factor_parametrized(tuple(map(tuple, broken)), chain, y, n)
-    assert dev > 0
+    with pytest.raises(ChainError, match=r"fails at level 2 \(x\) X\(t,f\)"):
+        chain.factor(tuple(map(tuple, broken)), n, y)
 
 
 # -- reified truncation limits ----------------------------------------------------------------------

@@ -140,6 +140,24 @@ def test_non_string_alphabet_symbols_are_input_errors(tmp_path, capsys, command)
     assert err.startswith("input error") and "symbol 1 is not a string" in err
 
 
+def test_string_alphabet_is_an_input_error(tmp_path, capsys):
+    # a string is not read as the list of its characters
+    alphabet = tmp_path / "alphabet.json"
+    alphabet.write_text(json.dumps({"symbols": "tf"}))
+    assert main(["verify-all", "--alphabet", str(alphabet)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "JSON list" in err
+
+
+@pytest.mark.parametrize("flag", ["--cone-samples", "--tensor-samples"])
+def test_verify_all_refuses_negative_sample_counts(tmp_path, capsys, flag):
+    out = tmp_path / "report.json"
+    assert main(["verify-all", flag, "-3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and flag in err
+    assert not out.exists()
+
+
 def test_iota_accepts_depth_zero(tmp_path, dirac_mixing):
     bang = str(tmp_path / "bang.json")
     assert main(["bang", "iota", "--mixing", dirac_mixing, "--depth", "0", "--out", bang]) == 0
@@ -165,6 +183,29 @@ def test_pcoh_chain_that_fails_to_build_is_a_check_failure(tmp_path, capsys, mon
     failed = {c["check"] for c in report["checks"] if not c["passed"]}
     assert failed == {"dd-universal-solve"}
     assert "dd-universal-solve" in capsys.readouterr().err
+
+
+def test_tensor_map_that_does_not_factor_is_a_check_failure(tmp_path, capsys, monkeypatch):
+    # a refusal inside the (x) Y round trips reads as a failed check (exit 1),
+    # with the refusal as its deviation, not as a traceback
+    from urnchains.chains import DDChain
+
+    tensored = DDChain.tensored
+
+    def halved_sections(self, y=None):
+        eqs, sections, dds = tensored(self, y)
+        if y is None:
+            return eqs, sections, dds
+        return eqs, [tuple(tuple(v / 2 for v in row) for row in s) for s in sections], dds
+
+    monkeypatch.setattr(DDChain, "tensored", halved_sections)
+    out = str(tmp_path / "report.json")
+    assert main(_small_verify_args(out)) == 1
+    report = json.loads(open(out).read())
+    bad = [c for c in report["checks"] if not c["passed"]]
+    assert {c["check"] for c in bad} == {"tensor-parametrized"} and len(bad) == 2
+    assert all("fails at level 1 (x) X(t,f)" in c["deviation"] for c in bad)
+    assert "tensor-parametrized" in capsys.readouterr().err
 
 
 # SHA-256 of the verify-all reports and of the fault run's stderr, recorded
@@ -387,6 +428,37 @@ def test_bang_entries_off_the_web_are_input_errors(tmp_path, capsys, extra, name
         assert main(argv + ["--bang", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error") and named in err
+
+
+@pytest.mark.parametrize("point, weight", [(["1/0", "1/2"], 1), (["1/2", "1/2"], "1/0")], ids=["point", "weight"])
+def test_zero_denominator_in_a_mixing_is_an_input_error(tmp_path, capsys, point, weight):
+    mixing = _write_mixing(tmp_path / "mixing.json", ["t", "f"], [(point, weight)])
+    simulate = ["definetti", "simulate", "--trials", "10", "--prefix-len", "10"]
+    for argv in (["bang", "iota"], simulate):
+        assert main(argv + ["--mixing", mixing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "'1/0'" in err
+
+
+def test_zero_denominator_in_a_bang_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bang.json"
+    coeffs = _BANG_TF_DEPTH_1[:2] + [{"multiset": [0, 1], "value": "1/0"}]
+    path.write_text(json.dumps({"alphabet": {"symbols": ["t", "f"]}, "depth": 1, "coeffs": coeffs}))
+    assert main(["bang", "totality", "--bang", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "'1/0'" in err
+
+
+@pytest.mark.parametrize("depth", [1.5, True, -1, "1"], ids=["fraction", "bool", "negative", "string"])
+def test_bang_depth_that_is_not_a_nonnegative_integer_is_an_input_error(tmp_path, capsys, depth):
+    path = tmp_path / "bang.json"
+    path.write_text(
+        json.dumps({"alphabet": {"symbols": ["t", "f"]}, "depth": depth, "coeffs": _BANG_TF_DEPTH_1})
+    )
+    for argv in (["bang", "totality"], ["definetti", "recover", "--grid", "4"]):
+        assert main(argv + ["--bang", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and f"depth {depth!r}" in err
 
 
 def test_simulate_dirac_and_determinism(tmp_path, capsys):

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from urnchains import chains
 from urnchains.verify import Config, run_all_checks
 
 
@@ -50,3 +53,28 @@ def test_depth_zero_config_is_refused():
     # a depth-0 bang element has no recurrence, so damped-defect would fail falsely
     with pytest.raises(ValueError, match="depth at least 1"):
         run_all_checks(Config(depth=0, eq_depth=2, grid=4))
+
+
+def test_each_chain_builds_its_sections_once_and_validates_once(monkeypatch):
+    # factorisations read the sections a chain was built with, and each
+    # square is checked by the one validate() pass of the chain checks
+    sections, validated = Counter(), Counter()
+    for name in ("coeq_kernel", "canonical_section"):
+
+        def counted(alphabet, n, name=name, original=getattr(chains, name)):
+            sections[name, alphabet.symbols, n] += 1
+            return original(alphabet, n)
+
+        monkeypatch.setattr(chains, name, counted)
+    validate = chains.DDChain.validate
+
+    def counted_validate(chain):
+        validated[id(chain)] += 1
+        return validate(chain)
+
+    monkeypatch.setattr(chains.DDChain, "validate", counted_validate)
+    report = run_all_checks(Config(depth=2, eq_depth=1, cone_samples=2, tensor_samples=2, grid=4))
+    assert report.passed
+    # levels 0..2 of the stoch chain, the delta chain and the padded bang chain
+    assert len(sections) == 9 and set(sections.values()) == {1}
+    assert sorted(validated.values()) == [1, 1, 1]

@@ -17,7 +17,9 @@ uniform draw probability mu(b)/(n+1).  A `DDChain` holds every map it is
 built from: the equalisers, their sections, the delete maps and the steps.
 The builder checks each square once, through the exact linear solve of the
 square: a closed form equal to the unique solution satisfies it, so a wrong
-closed form in either coordinate system cannot survive construction.  Every
+closed form in either coordinate system cannot survive construction.  Next
+to it, the builder checks the split law section_n . eq_n = id at every level
+(`split_deviation`), which every factorisation rests on.  Every
 factorisation through an equaliser, with or without a parameter Y, is the
 one round trip of `DDChain.factor`.  The n-1 adjacent transpositions
 generate the symmetries, so they have the same equaliser, and invariance
@@ -239,13 +241,20 @@ class DDChain:
         return factored
 
 
+def split_deviation(eq, section) -> Fraction:
+    """How far section_n . eq_n is from the identity on level n (composition
+    source-to-target); zero iff the section splits the equaliser."""
+    return max_abs_diff(matmul(eq.rows, section.rows), identity(len(eq.source)))
+
+
 def build_dd_chain(copointed: CopointedObject, depth: int) -> DDChain:
     """Build levels 0..depth with their equalisers, sections and chain steps.
 
-    The steps come from the backend closed form.  Each defining square
+    The steps come from the backend closed form.  At every level the split
+    law section_n . eq_n = id is checked exactly, and each defining square
     DD_n . eq_n = eq_{n+1} . (id^n (x) w) is checked once, exactly, by
     solving it for its unique solution (eq_n is a split mono): the closed
-    form satisfies the square iff it equals that solution.  A mismatch is a
+    form satisfies the square iff it equals that solution.  A failure is a
     backend bug and raises ChainError naming the level.
     """
     if depth < 0:
@@ -255,6 +264,9 @@ def build_dd_chain(copointed: CopointedObject, depth: int) -> DDChain:
     sections = [backend.splitting(alphabet, n) for n in range(depth + 1)]
     deletes = [backend.delete_map(copointed.weaken, n) for n in range(depth)]
     dds = [backend.dd_closed_form(copointed.weaken, n) for n in range(depth)]
+    for n, (eq, section) in enumerate(zip(eqs, sections)):
+        if split_deviation(eq, section) != 0:
+            raise ChainError(f"the section does not split the equaliser at level {n}")
     for n in range(depth):
         try:
             solved = solve_right(eqs[n].rows, matmul(eqs[n + 1].rows, deletes[n].rows))

@@ -14,7 +14,6 @@ All commands are deterministic given their flags and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import jsonio
@@ -59,11 +58,7 @@ def cmd_verify_all(args) -> int:
         "seed": config.seed,
         "grid": config.grid,
     }
-    if args.out:
-        jsonio.dump_json(payload, args.out)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    jsonio.dump_json(payload, args.out)
     for check in report.failures():
         print(f"FAIL {check.name} {check.params}: deviation {check.deviation}", file=sys.stderr)
     print(
@@ -75,8 +70,6 @@ def cmd_verify_all(args) -> int:
 
 def cmd_simulate(args) -> int:
     mixing = jsonio.measure_from_json(jsonio.load_json(args.mixing))
-    if not mixing.is_probability:
-        raise FormatError("mixing measure must be a probability measure")
     law = empirical_law(mixing, args.prefix_len, args.trials, args.seed)
     hist_csv = jsonio.histogram_csv(law)
     rows = []
@@ -121,12 +114,8 @@ def cmd_recover(args) -> int:
             f" {constraints} constraints at any --grid, over the cap of {MAX_CONSTRAINTS};"
             " rebuild it with a lower bang iota --depth"
         )
-    totality = check_totality(b, tol=args.totality_tol)
-    if not totality.total:
-        print(f"not total: {totality}", file=sys.stderr)
-        return 1
     try:
-        recovery = recover_measure(b, args.grid, tol=args.tol, mode=args.mode)
+        recovery = recover_measure(b, args.grid, tol=args.tol, mode=args.mode, totality_tol=args.totality_tol)
     except (MomentProblemError, LpError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -140,12 +129,9 @@ def cmd_recover(args) -> int:
     )
     if recovery.diagnostic:
         payload["diagnostic"] = recovery.diagnostic
+    jsonio.dump_json(payload, args.out)
     if args.out:
-        jsonio.dump_json(payload, args.out)
         print(f"measure -> {args.out}")
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
     print(
         f"atoms: {len(recovery.measure.atoms)}, residual: {recovery.residual},"
         f" grid: {recovery.grid_resolution}"
@@ -157,12 +143,9 @@ def cmd_iota(args) -> int:
     mixing = jsonio.measure_from_json(jsonio.load_json(args.mixing))
     b = embed_mixing_measure(mixing, args.depth)
     payload = jsonio.bang_to_json(b, mode=args.mode)
+    jsonio.dump_json(payload, args.out)
     if args.out:
-        jsonio.dump_json(payload, args.out)
         print(f"bang element -> {args.out}")
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
     if not mixing.is_probability:
         print("note: substochastic mixing; the image will not be total")
     return 0
@@ -247,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
-    for name in ("depth", "trials", "eq_depth"):
+    for name in ("depth", "trials"):
         if getattr(args, name, 0) and getattr(args, name) < 0:
             raise FormatError(f"--{name.replace('_', '-')} must be nonnegative")
     if args.func is cmd_simulate and args.seed < 0:
@@ -267,10 +250,7 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         return args.func(args)
-    except FormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (FormatError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,8 @@ containing 0.1 means exactly 1/10.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import nullcontext
 
 from ._linalg import ZERO, frac
 from .multiset import Alphabet
@@ -136,8 +138,9 @@ def load_json(path: str) -> dict:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def dump_json(data, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def dump_json(data, path: str | None) -> None:
+    """Indented, key-sorted JSON and a newline, to path or, without one, to stdout."""
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

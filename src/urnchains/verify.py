@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._linalg import ONE, ZERO, compose, matmul, max_abs_diff
-from ._linalg import identity as _identity
 from .chains import (
     ChainError,
     build_dd_chain,
@@ -26,6 +25,7 @@ from .chains import (
     pad_index_bijection,
     pcoh_free_copointed,
     pcoh_ground_copointed,
+    split_deviation,
     stoch_copointed,
     verify_tensor_parametrized,
 )
@@ -45,8 +45,6 @@ from .pcoh import (
     PcsMatrix,
     PcsVector,
     bool_pcs,
-    eq_delta,
-    canonical_section,
     ground_pcs,
     multinomial_embedding,
     multiset_pcs,
@@ -56,9 +54,6 @@ from .stoch import (
     AtomicMeasure,
     FinKernel,
     ProbVector,
-    coeq_kernel,
-    eq_kernel,
-    identity_kernel,
     symmetrization_average,
     verify_equalises,
 )
@@ -81,9 +76,10 @@ class Config:
         # damped-defect check would report a false failure
         if self.depth < 1:
             raise ValueError("verify-all needs --depth at least 1: a depth-0 chain has no step to check")
-        for flag, samples in (("--cone-samples", self.cone_samples), ("--tensor-samples", self.tensor_samples)):
-            if samples < 0:
-                raise ValueError(f"verify-all needs {flag} at least 0, not {samples}")
+        flags = ("--eq-depth", "--cone-samples", "--tensor-samples")
+        for flag, count in zip(flags, (self.eq_depth, self.cone_samples, self.tensor_samples)):
+            if count < 0:
+                raise ValueError(f"verify-all needs {flag} at least 0, not {count}")
 
 
 @dataclass
@@ -123,12 +119,26 @@ class Report:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
 
+# what the library raises when it refuses to build or solve something
+_REFUSALS = (ChainError, MomentProblemError, LpError, ValueError)
+
+
+def _or_refusal(run):
+    """run(), or the message of the refusal it meets: a refused check fails
+    with the refusal as its deviation, never with a traceback."""
+    try:
+        return run()
+    except _REFUSALS as exc:
+        return str(exc)
+
+
 def _exact_check(name, law, params, deviation, witness=None) -> CheckResult:
     return CheckResult(name, law, params, deviation, deviation == 0, witness)
 
 
 def _bounded_check(name, law, params, deviation, tol, witness=None) -> CheckResult:
-    return CheckResult(name, law, params, deviation, deviation <= tol, witness)
+    passed = not isinstance(deviation, str) and deviation <= tol
+    return CheckResult(name, law, params, deviation, passed, witness)
 
 
 # -- combinatorics -------------------------------------------------------------
@@ -151,12 +161,11 @@ def multiset_checks(config: Config) -> list[CheckResult]:
             msets[i].counts > msets[i + 1].counts for i in range(len(msets) - 1)
         )
         out.append(
-            CheckResult(
+            _exact_check(
                 "multiset-order",
                 "enumeration is strictly descending and duplicate-free",
                 {"n": n, "k": k},
                 0 if sorted_ok else 1,
-                sorted_ok,
             )
         )
     return out
@@ -164,60 +173,54 @@ def multiset_checks(config: Config) -> list[CheckResult]:
 
 # -- equaliser laws -------------------------------------------------------------
 
-def equaliser_checks(config: Config) -> list[CheckResult]:
+# the chains the suite builds, by report label
+_COPOINTED = {
+    "stoch": stoch_copointed,
+    "pcoh-definetti": pcoh_ground_copointed,
+    "pcoh-bang": lambda alphabet: pcoh_free_copointed(ground_pcs(alphabet)),
+}
+
+# per coordinate system: the chain holding its equalisers, its report label,
+# and the name and law of its split check
+_COORDINATES = (
+    ("stoch", "stoch", "eq-coeq-identity", "coeq_n . eq_n = id on multisets"),
+    ("pcoh-definetti", "pcoh", "delta-eq-split", "section_n . eq_n = id on multisets (delta coordinates)"),
+)
+
+
+def equaliser_checks(config: Config, chains) -> list[CheckResult]:
+    """Invariance and split laws of eq_n in both coordinate systems: on the
+    chain's maps up to its depth, else on the maps its backend builds."""
     out = []
     alphabet = config.alphabet
     for n in range(config.eq_depth + 1):
-        eq = eq_kernel(alphabet, n)
-        coeq = coeq_kernel(alphabet, n)
-        rep = verify_equalises(eq, n)
-        out.append(
-            _exact_check(
-                "eq-sigma-invariance",
-                "sigma . eq_n = eq_n for every coordinate symmetry",
-                {"n": n, "backend": "stoch"},
-                rep.max_deviation,
-                witness=str(rep.witness_perm) if rep.witness_perm else None,
+        for label, coordinates, split_name, split_law in _COORDINATES:
+            chain = chains.get(label)
+            if chain is not None and n <= chain.depth:
+                eq, section = chain.eqs[n], chain.sections[n]
+            else:
+                backend = _COPOINTED[label](alphabet).backend
+                eq, section = backend.equaliser(alphabet, n), backend.splitting(alphabet, n)
+            rep = verify_equalises(eq, n)
+            out.append(
+                _exact_check(
+                    "eq-sigma-invariance",
+                    "sigma . eq_n = eq_n for every coordinate symmetry",
+                    {"n": n, "backend": coordinates},
+                    rep.max_deviation,
+                    witness=str(rep.witness_perm) if rep.witness_perm else None,
+                )
             )
-        )
-        out.append(
-            _exact_check(
-                "eq-coeq-identity",
-                "coeq_n . eq_n = id on multisets",
-                {"n": n},
-                compose(eq, coeq).deviation(identity_kernel(eq.source)),
-            )
-        )
-        out.append(
-            _exact_check(
-                "symmetrization-average",
-                "eq_n . coeq_n = (1/n!) sum_sigma sigma",
-                {"n": n},
-                compose(coeq, eq).deviation(symmetrization_average(alphabet, n)),
-            )
-        )
-        delta = eq_delta(alphabet, n)
-        rep = verify_equalises(delta, n)
-        out.append(
-            _exact_check(
-                "eq-sigma-invariance",
-                "sigma . eq_n = eq_n for every coordinate symmetry",
-                {"n": n, "backend": "pcoh"},
-                rep.max_deviation,
-                witness=str(rep.witness_perm) if rep.witness_perm else None,
-            )
-        )
-        section = canonical_section(alphabet, n)
-        out.append(
-            _exact_check(
-                "delta-eq-split",
-                "section_n . eq_n = id on multisets (delta coordinates)",
-                {"n": n},
-                max_abs_diff(
-                    matmul(delta.rows, section.rows), _identity(len(delta.source))
-                ),
-            )
-        )
+            out.append(_exact_check(split_name, split_law, {"n": n}, split_deviation(eq, section)))
+            if coordinates == "stoch":
+                out.append(
+                    _exact_check(
+                        "symmetrization-average",
+                        "eq_n . coeq_n = (1/n!) sum_sigma sigma",
+                        {"n": n},
+                        compose(section, eq).deviation(symmetrization_average(alphabet, n)),
+                    )
+                )
     return out
 
 
@@ -238,26 +241,18 @@ def chain_checks(config: Config):
     out = []
     alphabet = config.alphabet
     chains = {}
-    for label, copointed in (
-        ("stoch", stoch_copointed(alphabet)),
-        ("pcoh-definetti", pcoh_ground_copointed(alphabet)),
-        ("pcoh-bang", pcoh_free_copointed(ground_pcs(alphabet))),
-    ):
-        chain, deviation = None, ZERO
-        try:
-            chain = build_dd_chain(copointed, config.depth)
-        except Exception as exc:  # construction itself is a check
-            deviation = str(exc)
+    for label, copointed in _COPOINTED.items():
+        chain = _or_refusal(lambda: build_dd_chain(copointed(alphabet), config.depth))
+        built = not isinstance(chain, str)
         out.append(
-            CheckResult(
+            _exact_check(
                 "dd-universal-solve",
                 "closed-form DD equals the unique solution of the defining square",
                 {"backend": label, "depth": config.depth},
-                deviation,
-                chain is not None,
+                ZERO if built else chain,
             )
         )
-        if chain is None:
+        if not built:
             continue
         if label == "stoch" and config.inject_fault:
             _tamper(chain)
@@ -284,28 +279,33 @@ def morphism_checks(config: Config, chains) -> list[CheckResult]:
     alpha = PcsMatrix.build(
         chg.backend.carrier, chb.backend.carrier, lambda symbol: {symbol: ONE, pad: ONE}
     )
-    lift = lift_copointed_morphism(alpha, chg, chb)
-    for check in lift.validate():
-        out.append(
-            _exact_check(
-                "chain-morphism-square",
-                check.law,
-                {"level": check.level, "morphism": "pairing of identity and weakening"},
-                check.deviation,
+    morphism = "pairing of identity and weakening"
+    lift = _or_refusal(lambda: lift_copointed_morphism(alpha, chg, chb))
+    if isinstance(lift, str):
+        law = "alpha lifts to a chain morphism"
+        out.append(_exact_check("chain-morphism-square", law, {"morphism": morphism}, lift))
+    else:
+        for check in lift.validate():
+            out.append(
+                _exact_check(
+                    "chain-morphism-square",
+                    check.law,
+                    {"level": check.level, "morphism": morphism},
+                    check.deviation,
+                )
             )
-        )
-    for n in range(config.depth + 1):
-        emb = multinomial_embedding(alphabet, n)
-        _, _, mapping = pad_index_bijection(alphabet, n)
-        comp = tuple(tuple(row[j] for j in mapping) for row in lift.components[n].rows)
-        out.append(
-            _exact_check(
-                "multinomial-embedding",
-                "lifted component equals multinomial(mu - nu) on included nu",
-                {"n": n},
-                max_abs_diff(emb.rows, comp),
+        for n in range(config.depth + 1):
+            emb = multinomial_embedding(alphabet, n)
+            _, _, mapping = pad_index_bijection(alphabet, n)
+            comp = tuple(tuple(row[j] for j in mapping) for row in lift.components[n].rows)
+            out.append(
+                _exact_check(
+                    "multinomial-embedding",
+                    "lifted component equals multinomial(mu - nu) on included nu",
+                    {"n": n},
+                    max_abs_diff(emb.rows, comp),
+                )
             )
-        )
     if "stoch" in chains and not config.inject_fault:
         chs = chains["stoch"]
         for n in range(config.depth):
@@ -336,59 +336,32 @@ def cone_checks(config: Config, chains) -> list[CheckResult]:
     r = ProbVector(alphabet, tuple(weights))
     if "stoch" in chains and not config.inject_fault:
         chain = chains["stoch"]
-        cone = multinomial_cone(r, chain)
         out.append(
             _exact_check(
                 "iid-urn-cone",
                 "multinomial_law(r, n) = DD_n . multinomial_law(r, n+1)",
                 {"depth": chain.depth, "r": str(r.weights)},
-                cone.deviation(),
+                _or_refusal(lambda: multinomial_cone(r, chain).deviation()),
             )
         )
         built = [label for label in ("stoch", "pcoh-definetti") if label in chains]
         for backend_label in built:
-            chainb = chains[backend_label]
-            worst = ZERO
-            for s in range(config.cone_samples):
-                top = _random_leg(rng, chainb, config)
-                dd_cone = cone_from_top(chainb, top, "dd")
-                expanded = expand_dd_cone(dd_cone)
-                back = factor_delete_cone(expanded)
-                dev = max(a.deviation(b) for a, b in zip(back.legs, dd_cone.legs))
-                worst = max(worst, dev)
-                # opposite direction: random symmetric delete-cone
-                sym_top = chainb.backend.make(
-                    top.source,
-                    chainb.backend.power(chainb.depth),
-                    matmul(top.rows, chainb.eqs[chainb.depth].rows),
-                )
-                del_cone = cone_from_top(chainb, sym_top, "delete")
-                dd2 = factor_delete_cone(del_cone)
-                expanded2 = expand_dd_cone(dd2)
-                dev2 = max(
-                    max_abs_diff(a.rows, b.rows)
-                    for a, b in zip(expanded2.legs, del_cone.legs)
-                )
-                worst = max(worst, dev2)
             out.append(
                 _exact_check(
                     "cone-round-trip",
                     "factor and expand are mutually inverse on cones",
                     {"backend": backend_label, "samples": config.cone_samples},
-                    worst,
+                    _or_refusal(lambda: _round_trip_deviation(rng, chains[backend_label], config)),
                 )
             )
         y_space = symbol_space(Alphabet.of("t", "f"))
         for backend_label in built:
-            # a map that does not factor fails the check with the refusal as
-            # its deviation, as a chain that cannot be built fails dd-universal-solve
-            try:
-                checks = verify_tensor_parametrized(
+            checks = _or_refusal(
+                lambda: verify_tensor_parametrized(
                     chains[backend_label], y_space, config.tensor_samples, config.seed
                 )
-                deviation = max((c.deviation for c in checks), default=ZERO)
-            except ChainError as exc:
-                deviation = str(exc)
+            )
+            deviation = checks if isinstance(checks, str) else max((c.deviation for c in checks), default=ZERO)
             out.append(
                 _exact_check(
                     "tensor-parametrized",
@@ -400,13 +373,40 @@ def cone_checks(config: Config, chains) -> list[CheckResult]:
     return out
 
 
-def _random_leg(rng, chain, config):
-    apex = unit_space()
+def _round_trip_deviation(rng, chain, config):
+    """Worst deviation of factor-then-expand and expand-then-factor over
+    random DD-cones and the symmetric delete-cones they present."""
+    worst = ZERO
+    for s in range(config.cone_samples):
+        top = _random_leg(rng, chain)
+        dd_cone = cone_from_top(chain, top, "dd")
+        expanded = expand_dd_cone(dd_cone)
+        back = factor_delete_cone(expanded)
+        dev = max(a.deviation(b) for a, b in zip(back.legs, dd_cone.legs))
+        worst = max(worst, dev)
+        # opposite direction: random symmetric delete-cone
+        sym_top = chain.backend.make(
+            top.source,
+            chain.backend.power(chain.depth),
+            matmul(top.rows, chain.eqs[chain.depth].rows),
+        )
+        del_cone = cone_from_top(chain, sym_top, "delete")
+        dd2 = factor_delete_cone(del_cone)
+        expanded2 = expand_dd_cone(dd2)
+        dev2 = max(
+            max_abs_diff(a.rows, b.rows)
+            for a, b in zip(expanded2.legs, del_cone.legs)
+        )
+        worst = max(worst, dev2)
+    return worst
+
+
+def _random_leg(rng, chain):
     level = chain.backend.level(chain.depth)
     raw = [Fraction(rng.randint(0, 9)) for _ in range(len(level))]
     total = sum(raw) or Fraction(1)
     row = tuple(v / total for v in raw)
-    return chain.backend.make(apex, level, (row,))
+    return chain.backend.make(unit_space(), level, (row,))
 
 
 # -- moments ------------------------------------------------------------------------
@@ -426,6 +426,9 @@ def moment_checks(config: Config) -> list[CheckResult]:
             prev = c
         parts.append(Fraction(12 - prev, 12))
         return ProbVector(alphabet, tuple(parts))
+
+    def residual(b, grid, mode):
+        return _or_refusal(lambda: recover_measure(b, grid, tol=config.recovery_tol, mode=mode).residual)
 
     mixing = AtomicMeasure.of((rational_point(), Fraction(1, 3)), (rational_point(), Fraction(2, 3)))
     checks = verify_embedding_squares(mixing, config.depth)
@@ -479,12 +482,12 @@ def moment_checks(config: Config) -> list[CheckResult]:
     )
     bv = embed_mixing_measure(vertex_mixing, config.depth)
     out.append(
-        _recovery_check(
+        _bounded_check(
             "vertex-recovery",
             "vertex-atom mixings are recovered with zero residual in exact mode",
             {"grid": max(config.grid, 2)},
+            residual(bv, max(config.grid, 2), "exact"),
             0,
-            lambda: recover_measure(bv, max(config.grid, 2), tol=config.recovery_tol, mode="exact"),
         )
     )
     g = config.grid
@@ -495,25 +498,15 @@ def moment_checks(config: Config) -> list[CheckResult]:
     )
     bh = embed_mixing_measure(AtomicMeasure.dirac(on_grid), config.depth)
     out.append(
-        _recovery_check(
+        _bounded_check(
             "grid-recovery",
             "recovery of an on-grid mixing meets the residual tolerance",
             {"grid": config.grid, "tol": config.recovery_tol},
+            residual(bh, config.grid, "float"),
             config.recovery_tol,
-            lambda: recover_measure(bh, config.grid, tol=config.recovery_tol, mode="float"),
         )
     )
     return out
-
-
-def _recovery_check(name, law, params, tol, recover) -> CheckResult:
-    # a recovery that raises fails its check with the message as deviation,
-    # as a chain that cannot be built fails dd-universal-solve
-    try:
-        residual = recover().residual
-    except (MomentProblemError, LpError) as exc:
-        return CheckResult(name, law, params, str(exc), False)
-    return _bounded_check(name, law, params, residual, tol)
 
 
 # -- membership -----------------------------------------------------------------------
@@ -531,12 +524,11 @@ def membership_checks(config: Config) -> list[CheckResult]:
         and all(v == 1 for v in over.witness.coeffs)
     )
     out.append(
-        CheckResult(
+        _exact_check(
             "ground-membership",
             "subdistributions are inside; witness for mass 3/2 is the all-ones dual",
             {},
             ZERO if ok else 1,
-            ok,
         )
     )
     m2 = multiset_pcs(ground, 2)
@@ -583,11 +575,8 @@ def membership_checks(config: Config) -> list[CheckResult]:
 
 def run_all_checks(config: Config | None = None) -> Report:
     config = config or Config()
-    checks = []
-    checks.extend(multiset_checks(config))
-    checks.extend(equaliser_checks(config))
     chain_results, chains = chain_checks(config)
-    checks.extend(chain_results)
+    checks = multiset_checks(config) + equaliser_checks(config, chains) + chain_results
     checks.extend(morphism_checks(config, chains))
     checks.extend(cone_checks(config, chains))
     checks.extend(moment_checks(config))

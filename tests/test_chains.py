@@ -106,6 +106,23 @@ def test_closed_form_breaking_one_square_is_refused_naming_its_level(monkeypatch
         build_dd_chain(cop, 3)
 
 
+def test_section_that_does_not_split_is_refused_naming_its_level(monkeypatch):
+    from urnchains import chains
+
+    coeq_kernel = chains.coeq_kernel
+
+    def swapped_from_level_2(alphabet, n):
+        section = coeq_kernel(alphabet, n)
+        if n < 2:
+            return section
+        rows = (section.rows[1], section.rows[0]) + section.rows[2:]
+        return FinKernel(section.source, section.target, rows)
+
+    monkeypatch.setattr(chains, "coeq_kernel", swapped_from_level_2)
+    with pytest.raises(ChainError, match="does not split the equaliser at level 2$"):
+        build_dd_chain(stoch_copointed(BOOL), 3)
+
+
 # -- copointed structure ------------------------------------------------------------
 
 def test_lift_identity_gives_identity_components():

@@ -149,7 +149,7 @@ def test_string_alphabet_is_an_input_error(tmp_path, capsys):
     assert err.startswith("input error") and "JSON list" in err
 
 
-@pytest.mark.parametrize("flag", ["--cone-samples", "--tensor-samples"])
+@pytest.mark.parametrize("flag", ["--cone-samples", "--tensor-samples", "--eq-depth"])
 def test_verify_all_refuses_negative_sample_counts(tmp_path, capsys, flag):
     out = tmp_path / "report.json"
     assert main(["verify-all", flag, "-3", "--out", str(out)]) == 2
@@ -206,6 +206,58 @@ def test_tensor_map_that_does_not_factor_is_a_check_failure(tmp_path, capsys, mo
     assert {c["check"] for c in bad} == {"tensor-parametrized"} and len(bad) == 2
     assert all("fails at level 1 (x) X(t,f)" in c["deviation"] for c in bad)
     assert "tensor-parametrized" in capsys.readouterr().err
+
+
+def test_section_that_does_not_split_is_a_check_failure(tmp_path, capsys, monkeypatch):
+    # a wrong stoch section is refused when its chain is built, and the
+    # equaliser checks find it on the maps the stoch backend builds
+    from urnchains import chains
+    from urnchains.stoch import FinKernel
+
+    coeq_kernel = chains.coeq_kernel
+
+    def swapped_from_level_2(alphabet, n):
+        section = coeq_kernel(alphabet, n)
+        if n < 2:
+            return section
+        rows = (section.rows[1], section.rows[0]) + section.rows[2:]
+        return FinKernel(section.source, section.target, rows)
+
+    monkeypatch.setattr(chains, "coeq_kernel", swapped_from_level_2)
+    out = str(tmp_path / "report.json")
+    assert main(_small_verify_args(out)) == 1
+    bad = [c for c in json.loads(open(out).read())["checks"] if not c["passed"]]
+    built = [c for c in bad if c["check"] == "dd-universal-solve"]
+    assert [c["params"]["backend"] for c in built] == ["stoch"]
+    assert "does not split the equaliser at level 2" in built[0]["deviation"]
+    assert [c["params"]["n"] for c in bad if c["check"] == "eq-coeq-identity"] == [2, 3]
+    assert "dd-universal-solve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "site, check",
+    [
+        ("lift_copointed_morphism", "chain-morphism-square"),
+        ("multinomial_cone", "iid-urn-cone"),
+        ("factor_delete_cone", "cone-round-trip"),
+    ],
+)
+def test_refusal_inside_a_check_is_a_check_failure(tmp_path, capsys, monkeypatch, site, check):
+    # a refusal reads as a failed check with the refusal as its deviation
+    # (exit 1), never as a traceback
+    from urnchains import verify
+    from urnchains.chains import ChainError
+
+    def refuse(*args, **kwargs):
+        raise ChainError("boom")
+
+    monkeypatch.setattr(verify, site, refuse)
+    out = str(tmp_path / "report.json")
+    assert main(_small_verify_args(out)) == 1
+    bad = [c for c in json.loads(open(out).read())["checks"] if not c["passed"]]
+    assert bad and {c["check"] for c in bad} == {check}
+    assert all(c["deviation"] == "boom" for c in bad)
+    assert check in capsys.readouterr().err
 
 
 # SHA-256 of the verify-all reports and of the fault run's stderr, recorded
@@ -396,6 +448,22 @@ def test_recover_rejects_non_total(tmp_path, sub_mixing, capsys):
     bang = str(tmp_path / "bang.json")
     main(["bang", "iota", "--mixing", sub_mixing, "--out", bang])
     assert main(["definetti", "recover", "--bang", bang]) == 1
+    assert "not total" in capsys.readouterr().err
+
+
+def test_recover_checks_totality_at_the_flag_tolerance(tmp_path, capsys):
+    # the bang file is off total by 1e-10 in its [f] entry
+    path = tmp_path / "bang.json"
+    coeffs = [
+        {"multiset": [0, 0], "value": 1},
+        {"multiset": [1, 0], "value": 0.3},
+        {"multiset": [0, 1], "value": 0.7000000001},
+    ]
+    path.write_text(json.dumps({"alphabet": {"symbols": ["t", "f"]}, "depth": 1, "coeffs": coeffs}))
+    recover = ["definetti", "recover", "--bang", str(path), "--grid", "8"]
+    assert main(recover) == 0
+    assert "atoms: 2," in capsys.readouterr().out
+    assert main(recover + ["--totality-tol", "1e-11"]) == 1
     assert "not total" in capsys.readouterr().err
 
 

@@ -55,6 +55,12 @@ def test_depth_zero_config_is_refused():
         run_all_checks(Config(depth=0, eq_depth=2, grid=4))
 
 
+def test_negative_eq_depth_config_is_refused():
+    # at eq_depth -1 no equaliser check would run and the report would pass
+    with pytest.raises(ValueError, match="--eq-depth at least 0, not -1"):
+        run_all_checks(Config(depth=2, eq_depth=-1, grid=4))
+
+
 def test_each_chain_builds_its_sections_once_and_validates_once(monkeypatch):
     # factorisations read the sections a chain was built with, and each
     # square is checked by the one validate() pass of the chain checks
@@ -78,3 +84,21 @@ def test_each_chain_builds_its_sections_once_and_validates_once(monkeypatch):
     # levels 0..2 of the stoch chain, the delta chain and the padded bang chain
     assert len(sections) == 9 and set(sections.values()) == {1}
     assert sorted(validated.values()) == [1, 1, 1]
+
+
+def test_equaliser_checks_above_the_chain_depth_build_each_section_once(monkeypatch):
+    # up to the depth the equaliser checks read the chains' sections; above
+    # it each coordinate system's backend builds the level's section once
+    sections = Counter()
+    for name in ("coeq_kernel", "canonical_section"):
+
+        def counted(alphabet, n, name=name, original=getattr(chains, name)):
+            sections[name, alphabet.symbols, n] += 1
+            return original(alphabet, n)
+
+        monkeypatch.setattr(chains, name, counted)
+    report = run_all_checks(Config(depth=2, eq_depth=3, cone_samples=2, tensor_samples=2, grid=4))
+    assert report.passed
+    # levels 0..3 of the stoch and delta coordinates, levels 0..2 of the padded bang chain
+    assert len(sections) == 11 and set(sections.values()) == {1}
+    assert {n for _, symbols, n in sections if symbols == ("t", "f")} == {0, 1, 2, 3}

@@ -13,6 +13,11 @@ then g", is the plain product of the rows.
 The helpers below act on bare row tuples.  Products skip zero entries,
 which matters because equaliser and permutation matrices here are very
 sparse.
+
+This module also holds the package's one exact-versus-float policy: values
+that are all ints or Fractions (`is_exact`) are compared at tolerance zero,
+anything else in floats at `FLOAT_TOL`; `arithmetic` gives the conversion,
+zero and tolerance of either side.  No other module decides this itself.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from .spaces import IndexSet
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# the tolerance of every float comparison whose exact counterpart is equality
+FLOAT_TOL = 1e-9
 
 
 class LinearSolveError(Exception):
@@ -46,6 +53,31 @@ def frac(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(str(x))
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
+
+
+def is_exact(values) -> bool:
+    """Whether every value is an int or a Fraction, so that comparisons on
+    them are made at tolerance zero."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def arithmetic(exact: bool):
+    """(conversion, zero, tolerance) of exact arithmetic (frac, 0, 0) or of
+    float arithmetic (float, 0.0, FLOAT_TOL)."""
+    if exact:
+        return frac, ZERO, ZERO
+    return float, 0.0, FLOAT_TOL
+
+
+def _monomial(point, counts, start=ONE):
+    """start * prod_a point[a]^counts[a], the coefficient at counts of the
+    promotion of point.  Multiplies left to right from start, skipping zero
+    counts; exact entries are read as Fractions, float entries stay floats."""
+    v = start
+    for x, c in zip(point, counts):
+        if c:
+            v *= frac(x) ** c if isinstance(x, (int, Fraction)) else x**c
+    return v
 
 
 @dataclass(frozen=True)

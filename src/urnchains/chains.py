@@ -149,12 +149,14 @@ def stoch_copointed(alphabet: Alphabet) -> CopointedObject:
     return CopointedObject(backend, _stoch.discard_kernel(backend.carrier))
 
 
-def pcoh_free_copointed(a: Pcs, pad_symbol: str = "*") -> CopointedObject:
+def pcoh_free_copointed(a: Pcs) -> CopointedObject:
     """The free copointed object a & 1 with the second projection as
-    weakening; built concretely over the padded symbol web."""
-    carrier = with_unit_pcs(a, pad_symbol)
+    weakening; built concretely over the padded symbol web, whose last
+    label is the pad."""
+    carrier = with_unit_pcs(a)
+    pad = carrier.web.labels[-1]
     weaken = PcsMatrix.build(
-        carrier.web, unit_space(), lambda label: {"*": ONE} if label == pad_symbol else {}
+        carrier.web, unit_space(), lambda label: {"*": ONE} if label == pad else {}
     )
     return CopointedObject(Backend.pcoh(carrier), weaken)
 
@@ -479,10 +481,10 @@ def _random_stochastic_rows(rng: random.Random, nrows: int, ncols: int):
 
 # -- reified truncation limits --------------------------------------------------
 
-def pad_index_bijection(alphabet: Alphabet, n: int, pad_symbol: str = "*"):
+def pad_index_bijection(alphabet: Alphabet, n: int):
     """Index map from multisets of size <= n over the alphabet to size-n
-    multisets over the padded alphabet (append stars up to size n)."""
-    padded = alphabet.pad(pad_symbol)
+    multisets over the padded alphabet (append pads up to size n)."""
+    padded = alphabet.pad()
     bounded = _pcoh.bounded_multiset_space(alphabet, n)
     full = multiset_space(padded, n)
     mapping = []

@@ -14,11 +14,14 @@ All commands are deterministic given their flags and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import jsonio
+from ._linalg import FLOAT_TOL
 from .jsonio import FormatError
 from .moments import (
+    RECOVERY_TOL,
     MomentProblemError,
     check_totality,
     embed_mixing_measure,
@@ -178,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     va.add_argument("--cone-samples", type=int, default=20, dest="cone_samples")
     va.add_argument("--tensor-samples", type=int, default=6, dest="tensor_samples")
     va.add_argument("--grid", type=int, default=16)
-    va.add_argument("--tol", type=float, default=1e-6)
+    va.add_argument("--tol", type=float, default=RECOVERY_TOL)
     va.add_argument("--seed", type=int, default=0)
     va.add_argument("--out", help="report JSON path (default: stdout)")
     va.add_argument(
@@ -203,8 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rec = dfsub.add_parser("recover", help="recover a mixing measure from a bang element")
     rec.add_argument("--bang", required=True, help="bang-element JSON file")
     rec.add_argument("--grid", type=int, default=64)
-    rec.add_argument("--tol", type=float, default=1e-6)
-    rec.add_argument("--totality-tol", type=float, default=1e-9, dest="totality_tol")
+    rec.add_argument("--tol", type=float, default=RECOVERY_TOL)
+    rec.add_argument("--totality-tol", type=float, default=FLOAT_TOL, dest="totality_tol")
     rec.add_argument("--mode", choices=("exact", "float"), default="float")
     rec.add_argument("--out", help="measure JSON path (default: stdout)")
     rec.set_defaults(func=cmd_recover)
@@ -223,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tot = bangsub.add_parser("totality", help="check the totality recurrence")
     tot.add_argument("--bang", required=True, help="bang-element JSON file")
-    tot.add_argument("--tol", type=float, default=1e-9)
+    tot.add_argument("--tol", type=float, default=FLOAT_TOL)
     tot.set_defaults(func=cmd_totality)
 
     return parser
@@ -240,8 +243,9 @@ def _validate(args) -> None:
     if getattr(args, "grid", 2) < 2:
         raise FormatError("--grid must be at least 2")
     for name in ("tol", "totality_tol"):
-        if getattr(args, name, 1.0) <= 0:
-            raise FormatError(f"--{name.replace('_', '-')} must be positive")
+        value = getattr(args, name, 1.0)
+        if not 0 < value < math.inf:
+            raise FormatError(f"--{name.replace('_', '-')} must be a finite positive number, not {value}")
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,9 @@ promotions reproduces the coefficient table, by a min-max linear program.  A
 residual above tolerance means the grid is too coarse or the element is the
 image of no mixing measure; the program does not tell the two apart (the urn
 above has residual 1/4 at every grid).
+
+Exact tables are checked at tolerance zero and float ones at
+`_linalg.FLOAT_TOL`, the package's one exact-versus-float policy.
 """
 
 from __future__ import annotations
@@ -26,15 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from ._linalg import ZERO, frac, matmul
+from ._linalg import ZERO, _monomial, arithmetic, frac, is_exact, matmul
 from .chains import Cone, DDChain, SquareCheck, build_dd_chain, pcoh_ground_copointed
 from .multiset import Alphabet, enumerate_multisets, multiset_count
 from .optim import feasibility_minmax
-from .pcoh import BangElement, _monomial, multinomial_embedding, restrict_to_depth
+from .pcoh import BangElement, multinomial_embedding, restrict_to_depth
 from .spaces import bounded_multiset_space, multiset_space, unit_space
 from .stoch import AtomicMeasure, ProbVector
 
-TOTALITY_TOL = 1e-9
 RECOVERY_TOL = 1e-6
 
 
@@ -59,7 +61,7 @@ def embed_mixing_measure(
     web = bounded_multiset_space(alphabet, depth)
     coeffs = [ZERO] * len(web)
     for point, w in mixing.atoms:
-        start = frac(w) if isinstance(w, (int, Fraction)) else w
+        start = frac(w) if is_exact((w,)) else w
         for i, counts in enumerate(web.labels):
             coeffs[i] += _monomial(point.weights, counts, start)
     return BangElement(alphabet, depth, tuple(coeffs))
@@ -87,10 +89,11 @@ def check_totality(b: BangElement, tol=None) -> TotalityReport:
 
     The recurrence coeffs(mu) = sum_x coeffs(mu + [x]) for every |mu| < depth
     is exactly the compatibility of the element's level family with the
-    draw-and-delete chain; the worst-violating multiset is reported.
+    draw-and-delete chain; the worst-violating multiset is reported.  The
+    tolerance defaults to the one `_linalg.arithmetic` gives the table.
     """
     if tol is None:
-        tol = ZERO if b.exact else TOTALITY_TOL
+        _, _, tol = arithmetic(is_exact(b.coeffs))
     web = b.web
     k = len(b.alphabet)
     worst = ZERO
@@ -118,6 +121,11 @@ def check_totality(b: BangElement, tol=None) -> TotalityReport:
     return TotalityReport(True, worst, None)
 
 
+def _require_total(report: TotalityReport) -> None:
+    if not report.total:
+        raise MomentProblemError(f"element is {report}")
+
+
 def damp(b: BangElement, p) -> BangElement:
     """Scale the coefficient at mu by p^|mu|; models a behaviour that keeps
     refusing to answer with probability 1-p at every call.  Damping a total
@@ -130,16 +138,14 @@ def damp(b: BangElement, p) -> BangElement:
     return BangElement(b.alphabet, b.depth, coeffs)
 
 
-def cone_from_total_element(b: BangElement, chain: DDChain | None = None, tol=None) -> Cone:
+def cone_from_total_element(b: BangElement, chain: DDChain | None = None) -> Cone:
     """The level family of a total element on the delta De Finetti chain.
 
     Leg n is the restriction of the table to multisets of size exactly n;
     the chain compatibility of these legs is the totality recurrence itself,
     so non-total input is rejected with the witnessing multiset.
     """
-    report = check_totality(b, tol=tol)
-    if not report.total:
-        raise MomentProblemError(f"element is not total: {report}")
+    _require_total(check_totality(b))
     if chain is None:
         chain = build_dd_chain(pcoh_ground_copointed(b.alphabet), b.depth)
     if chain.depth > b.depth:
@@ -171,13 +177,11 @@ class MomentTable:
         return len(self.values) - 1
 
 
-def moment_sequence(b: BangElement, tol=None) -> MomentTable:
+def moment_sequence(b: BangElement) -> MomentTable:
     """Read m_a = coeffs([first-symbol^a]) off a total two-symbol element."""
     if len(b.alphabet) != 2:
         raise MomentProblemError("moment tables are for two-symbol alphabets")
-    report = check_totality(b, tol=tol)
-    if not report.total:
-        raise MomentProblemError(f"element is not total: {report}")
+    _require_total(check_totality(b))
     return MomentTable(tuple(b.at((a, 0)) for a in range(b.depth + 1)))
 
 
@@ -257,50 +261,29 @@ def recover_measure(
     """
     if grid_resolution < 2:
         raise MomentProblemError("grid resolution must be at least 2")
-    report = check_totality(b, tol=totality_tol)
-    if not report.total:
-        raise MomentProblemError(f"element is not total: {report}")
+    _require_total(check_totality(b, totality_tol))
     alphabet = b.alphabet
-    web = b.web
     grid = simplex_grid(alphabet, grid_resolution)
-    conv = (lambda v: frac(v)) if mode == "exact" else float
-    columns = [tuple(conv(_monomial(point, counts)) for counts in web.labels) for point in grid]
-    target = tuple(conv(v) for v in b.coeffs)
-    result = feasibility_minmax(columns, target, mode=mode)
+    columns = [tuple(_monomial(point, counts) for counts in b.web.labels) for point in grid]
+    result = feasibility_minmax(columns, b.coeffs, mode=mode)
     if result.status != "optimal":
         raise MomentProblemError(f"recovery program ended {result.status}")
-    kept = [
-        (point, w)
-        for point, w in zip(grid, result.weights)
-        if w >= (frac(tol) if mode == "exact" else float(tol))
-    ]
+    conv, _, _ = arithmetic(mode == "exact")
+    threshold = conv(tol)
+    kept = [(point, w) for point, w in zip(grid, result.weights) if w >= threshold]
     total = sum(w for _, w in kept)
     if not kept or total == 0:
         raise MomentProblemError("all weights pruned; lower tol or refine the grid")
-    atoms = tuple(
-        (ProbVector(alphabet, point), w / total if mode == "exact" else float(w / total))
-        for point, w in kept
-    )
-    measure = AtomicMeasure(atoms)
-    achieved = _achieved_residual(measure, b, mode)
+    measure = AtomicMeasure(tuple((ProbVector(alphabet, point), conv(w / total)) for point, w in kept))
+    image = embed_mixing_measure(measure, b.depth)
+    achieved = max(abs(conv(x) - conv(y)) for x, y in zip(image.coeffs, b.coeffs))
     diagnostic = None
-    cmp_tol = frac(tol) if mode == "exact" else float(tol)
-    if achieved > cmp_tol:
+    if achieved > threshold:
         diagnostic = (
             f"residual {achieved} above tolerance at resolution {grid_resolution};"
             " increase the grid resolution"
         )
     return Recovery(measure, achieved, grid_resolution, diagnostic)
-
-
-def _achieved_residual(measure: AtomicMeasure, b: BangElement, mode: str):
-    image = embed_mixing_measure(measure, b.depth)
-    worst = ZERO if mode == "exact" else 0.0
-    for x, y in zip(image.coeffs, b.coeffs):
-        d = abs((x - y) if mode == "exact" else float(x) - float(y))
-        if d > worst:
-            worst = d
-    return worst
 
 
 # -- the embedding's chain squares ----------------------------------------------

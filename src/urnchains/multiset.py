@@ -42,11 +42,13 @@ class Alphabet:
         except ValueError:
             raise KeyError(f"symbol {symbol!r} not in alphabet {self.symbols}") from None
 
-    def pad(self, pad_symbol: str = "*") -> "Alphabet":
-        """Alphabet extended with a fresh padding symbol (appended last)."""
-        if pad_symbol in self.symbols:
-            raise ValueError(f"padding symbol {pad_symbol!r} already present")
-        return Alphabet(self.symbols + (pad_symbol,))
+    def pad(self) -> "Alphabet":
+        """Alphabet extended with a fresh padding symbol, appended last: the
+        shortest run of "*" that is not already a symbol."""
+        pad = "*"
+        while pad in self.symbols:
+            pad += "*"
+        return Alphabet(self.symbols + (pad,))
 
 
 BOOL = Alphabet.of("t", "f")

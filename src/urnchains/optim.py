@@ -2,8 +2,9 @@
 
 Two-phase primal simplex with Bland's rule (lowest-index entering and
 leaving), so termination is guaranteed even on degenerate instances.  The
-tableau is one dense numpy array: float64 in float mode (tolerances around
-1e-9), dtype=object holding Fractions in exact mode (tolerance zero).  A
+tableau is one dense numpy array: float64 in float mode, dtype=object
+holding Fractions in exact mode; its pivot tolerance is the one of
+`_linalg.arithmetic` (zero in exact mode, `_linalg.FLOAT_TOL` in float).  A
 pivot updates only the block of rows with a nonzero in the pivot column by
 columns where the pivot row is nonzero, so its cost follows the fill.
 
@@ -28,16 +29,15 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import frac
+from ._linalg import arithmetic
 
 MAX_VARIABLES = 5000
 MAX_CONSTRAINTS = 2000
 
-_FLOAT_PIVOT_TOL = 1e-9
+# certificate tolerances of a float solve (an exact one checks at zero)
 _FLOAT_FEAS_TOL = 1e-7
 _FLOAT_GAP_TOL = 1e-8
 
@@ -90,12 +90,6 @@ class LpSolution:
         return self.status == "optimal"
 
 
-def _num(mode):
-    if mode == "exact":
-        return frac, Fraction(0), Fraction(0)
-    return float, 0.0, _FLOAT_PIVOT_TOL
-
-
 class _Tableau:
     """Simplex tableau; columns = structural | slack | artificial | rhs.
 
@@ -108,7 +102,7 @@ class _Tableau:
     """
 
     def __init__(self, lp: LinearProgram):
-        conv, zero, tol = _num(lp.mode)
+        conv, zero, tol = arithmetic(lp.mode == "exact")
         self.conv, self.zero, self.tol = conv, zero, tol
         self.n = len(lp.objective)
         self.m_ub = len(lp.a_ub)
@@ -147,7 +141,7 @@ class _Tableau:
         other = copy.copy(self)
         other.basis = self.basis.copy()
         if as_float:
-            other.conv, other.zero, other.tol = _num("float")
+            other.conv, other.zero, other.tol = arithmetic(False)
             other.c = [float(v) for v in self.c]
             other.t = self.t.astype(float)
         else:
@@ -332,10 +326,10 @@ def _assert_certificate(lp, t, x, dual_ub, dual_eq, gap):
     for j in range(t.n):
         lhs = sum(t.conv(row[j]) * y for row, y in zip(lp.a_ub, dual_ub))
         lhs += sum(t.conv(row[j]) * y for row, y in zip(lp.a_eq, dual_eq))
-        if lhs < t.c[j] - (t.zero if tol == 0 else 1e-7):
+        if lhs < t.c[j] - (t.zero if tol == 0 else _FLOAT_FEAS_TOL):
             raise LpError(f"dual certificate violates column {j}")
     # primal feasibility of the returned point
-    ptol = t.zero if tol == 0 else _FLOAT_PIVOT_TOL * 100
+    ptol = tol * 100
     for row, b in zip(lp.a_ub, lp.b_ub):
         if sum(t.conv(a) * v for a, v in zip(row, x)) > t.conv(b) + ptol:
             raise LpError("primal point violates an inequality")
@@ -361,7 +355,7 @@ def feasibility_minmax(columns, b_target, mode: str = "exact") -> MinmaxResult:
     """
     ncols = len(columns)
     nrows = len(b_target)
-    conv, zero, _ = _num(mode)
+    conv, zero, _ = arithmetic(mode == "exact")
     if ncols == 0:
         return MinmaxResult(status="infeasible")
     for col in columns:

@@ -6,7 +6,9 @@ in that closure is decided by a linear program over the dual polytope
 (maximise the pairing against the candidate subject to every generator
 pairing at most 1).  Structural matrices (equalisers of the symmetry action
 in delta coordinates, restriction and inclusion steps, the multinomial
-embedding) are exact rationals; only the LP may run in float mode.
+embedding) are exact rationals; only the LP may run in float mode, and
+whether it does, and at what tolerance, is decided by `_linalg.is_exact` and
+`_linalg.arithmetic` from the vectors given.
 
 Two coordinate systems for multiset-indexed objects coexist on purpose: the
 uniform-enumeration presentation used by the kernel side of the package and
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from ._linalg import ONE, ZERO, Matrix, frac
+from ._linalg import ONE, ZERO, Matrix, _monomial, arithmetic, frac, is_exact
 from .multiset import (
     Alphabet,
     Multiset,
@@ -44,8 +46,6 @@ from .spaces import (
     symbol_space,
     tuple_space,
 )
-
-FLOAT_TOL = 1e-9
 
 
 class WebConditionError(Exception):
@@ -66,10 +66,6 @@ class PcsVector:
     @classmethod
     def of(cls, web: IndexSet, *coeffs) -> "PcsVector":
         return cls(web, tuple(frac(v) for v in coeffs))
-
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -107,10 +103,9 @@ def pairing(x: PcsVector, u: PcsVector):
     return sum((a * b for a, b in zip(x.coeffs, u.coeffs)), start=ZERO)
 
 
-def dual_membership(generators, u: PcsVector, tol=None) -> bool:
+def dual_membership(generators, u: PcsVector) -> bool:
     """Whether u pairs at most 1 with every generator."""
-    if tol is None:
-        tol = ZERO if u.exact and all(g.exact for g in generators) else FLOAT_TOL
+    _, _, tol = arithmetic(all(is_exact(v.coeffs) for v in (u, *generators)))
     return all(pairing(g, u) <= 1 + tol for g in generators)
 
 
@@ -121,18 +116,18 @@ class Membership:
     witness: PcsVector | None  # separating dual point when outside
 
 
-def biorthogonal_membership(generators, x: PcsVector, mode: str | None = None) -> Membership:
+def biorthogonal_membership(generators, x: PcsVector) -> Membership:
     """Decide x in (generators)^{perp perp} by solving the dual-polytope LP.
 
     Maximises <x, u> over u >= 0 with <g, u> <= 1 for every generator; x is
     in the closure exactly when the optimum is at most 1.  An unbounded LP
     means some coordinate of x is unsupported by every generator, which
-    violates the web condition.
+    violates the web condition.  The LP is exact when x and every generator
+    are.
     """
     if not generators:
         raise ValueError("need at least one generator")
-    if mode is None:
-        mode = "exact" if x.exact and all(g.exact for g in generators) else "float"
+    exact = all(is_exact(v.coeffs) for v in (x, *generators))
     web = x.web
     for g in generators:
         if g.web.labels != web.labels:
@@ -141,14 +136,14 @@ def biorthogonal_membership(generators, x: PcsVector, mode: str | None = None) -
         objective=tuple(x.coeffs),
         a_ub=tuple(tuple(g.coeffs) for g in generators),
         b_ub=(1,) * len(generators),
-        mode=mode,
+        mode="exact" if exact else "float",
     )
     sol = solve(lp)
     if sol.status == "unbounded":
         raise WebConditionError(
             "dual polytope unbounded: some web coordinate has no generator support"
         )
-    tol = ZERO if mode == "exact" else FLOAT_TOL
+    _, _, tol = arithmetic(exact)
     inside = sol.value <= 1 + tol
     witness = None if inside else PcsVector(web, tuple(sol.x))
     return Membership(inside, sol.value, witness)
@@ -174,8 +169,8 @@ class Pcs:
                     f"web coordinate {label!r} unsupported by every generator"
                 )
 
-    def contains(self, x: PcsVector, mode: str | None = None) -> Membership:
-        return biorthogonal_membership(self.generators, x, mode=mode)
+    def contains(self, x: PcsVector) -> Membership:
+        return biorthogonal_membership(self.generators, x)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -210,14 +205,14 @@ def tensor_pcs(a: Pcs, b: Pcs) -> Pcs:
     return Pcs(web, gens, f"tensor({a.name},{b.name})")
 
 
-def with_unit_pcs(a: Pcs, pad_symbol: str = "*") -> Pcs:
-    """The cartesian product a & 1 over the padded symbol web.
+def with_unit_pcs(a: Pcs) -> Pcs:
+    """The cartesian product a & 1 over the padded symbol web (`Alphabet.pad`).
 
     Elements are pairs (element of a, scalar in [0,1]); the generators pad
     each generator of a with a unit coordinate, and their biorthogonal
     closure is exactly that product.
     """
-    padded = a.alphabet.pad(pad_symbol)
+    padded = a.alphabet.pad()
     web = symbol_space(padded)
     gens = tuple(
         PcsVector(web, tuple(g.coeffs) + (ONE,)) for g in a.generators
@@ -254,17 +249,6 @@ def multiset_pcs(a: Pcs, n: int) -> Pcs:
     if n == 0:
         gens = [PcsVector(web, (ONE,))]
     return Pcs(web, tuple(gens), f"M{n}({a.name})")
-
-
-def _monomial(point, counts, start=ONE):
-    """start * prod_a point[a]^counts[a], the coefficient at counts of the
-    promotion of point.  Multiplies left to right from start, skipping zero
-    counts; exact entries are read as Fractions, float entries stay floats."""
-    v = start
-    for x, c in zip(point, counts):
-        if c:
-            v *= frac(x) ** c if isinstance(x, (int, Fraction)) else x**c
-    return v
 
 
 def bang_pcs(alphabet: Alphabet, depth: int, grid_resolution: int = 4) -> Pcs:
@@ -364,10 +348,6 @@ class BangElement:
     def web(self) -> IndexSet:
         return bounded_multiset_space(self.alphabet, self.depth)
 
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self.coeffs)
-
     @classmethod
     def from_table(cls, alphabet: Alphabet, depth: int, table: dict) -> "BangElement":
         web = bounded_multiset_space(alphabet, depth)
@@ -386,7 +366,7 @@ def promotion(x: PcsVector, depth: int) -> BangElement:
     and nu.
     """
     total = sum(x.coeffs, start=ZERO)
-    tol = ZERO if x.exact else FLOAT_TOL
+    _, _, tol = arithmetic(is_exact(x.coeffs))
     if total > 1 + tol:
         raise ValueError("promotion requires a subdistribution (coefficients sum <= 1)")
     alphabet = Alphabet(x.web.labels)

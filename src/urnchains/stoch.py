@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import ONE, ZERO, Matrix, frac, identity, kron, max_abs_diff
+from ._linalg import ONE, ZERO, Matrix, _monomial, frac, identity, is_exact, kron, max_abs_diff
 from .multiset import (
     Alphabet,
     Multiset,
@@ -25,7 +25,6 @@ from .multiset import (
     multinomial,
     multiset_of,
 )
-from .pcoh import _monomial
 from .spaces import (
     IndexSet,
     multiset_space,
@@ -189,6 +188,12 @@ def dd_kernel(alphabet: Alphabet, n: int) -> FinKernel:
     )
 
 
+def _sum_slack(values):
+    """How far a probability sum of these values may pass 1: not at all when
+    they are exact, by float round-off otherwise."""
+    return 0 if is_exact(values) else 1e-12
+
+
 @dataclass(frozen=True)
 class ProbVector:
     """Point of the subsimplex over an alphabet; proper when weights sum to 1."""
@@ -201,10 +206,7 @@ class ProbVector:
             raise ValueError("weight vector length must match alphabet size")
         if any(w < 0 for w in self.weights):
             raise ValueError(f"negative weight in {self.weights}")
-        if self.exact:
-            if sum(self.weights, start=ZERO) > 1:
-                raise ValueError("weights sum beyond 1")
-        elif sum(self.weights) > 1 + 1e-12:
+        if sum(self.weights, start=ZERO) > 1 + _sum_slack(self.weights):
             raise ValueError("weights sum beyond 1")
 
     @classmethod
@@ -212,14 +214,8 @@ class ProbVector:
         return cls(alphabet, tuple(frac(w) for w in weights))
 
     @property
-    def exact(self) -> bool:
-        return all(isinstance(w, (int, Fraction)) for w in self.weights)
-
-    @property
     def is_proper(self) -> bool:
-        if self.exact:
-            return sum(self.weights, start=ZERO) == 1
-        return abs(sum(self.weights) - 1.0) <= 1e-12
+        return abs(sum(self.weights, start=ZERO) - 1) <= _sum_slack(self.weights)
 
     def weight(self, symbol: str):
         return self.weights[self.alphabet.index(symbol)]
@@ -237,7 +233,7 @@ def multinomial_law(r: ProbVector, n: int) -> FinKernel:
     """
     if not r.is_proper:
         raise ValueError("multinomial_law needs a proper probability vector")
-    if not r.exact:
+    if not is_exact(r.weights):
         raise ValueError("multinomial_law needs exact rational weights")
     msp = multiset_space(r.alphabet, n)
     row = tuple(
@@ -300,7 +296,8 @@ class AtomicMeasure:
                 raise ValueError("negative atom weight")
             if not point.is_proper:
                 raise ValueError("atom points must be proper distributions")
-        if self.total_weight > 1 + (0 if self.exact else 1e-12):
+        total = self.total_weight
+        if total > 1 + _sum_slack((total,)):
             raise ValueError("total weight exceeds 1")
 
     @classmethod
@@ -312,12 +309,6 @@ class AtomicMeasure:
         return cls(((point, ONE),))
 
     @property
-    def exact(self) -> bool:
-        return all(
-            p.exact and isinstance(w, (int, Fraction)) for p, w in self.atoms
-        )
-
-    @property
     def alphabet(self) -> Alphabet:
         if not self.atoms:
             raise ValueError("empty measure has no alphabet")
@@ -325,15 +316,14 @@ class AtomicMeasure:
 
     @property
     def total_weight(self):
-        if not self.atoms:
-            return ZERO
-        start = ZERO if self.exact else 0.0
-        return sum((w for _, w in self.atoms), start=start)
+        """Exact when every weight and atom coordinate is, a float otherwise."""
+        exact = is_exact(v for p, w in self.atoms for v in (w, *p.weights))
+        return sum((w for _, w in self.atoms), start=ZERO if exact else 0.0)
 
     @property
     def is_probability(self) -> bool:
-        tw = self.total_weight
-        return tw == 1 if self.exact else abs(tw - 1.0) <= 1e-12
+        total = self.total_weight
+        return abs(total - 1) <= _sum_slack((total,))
 
 
 def mixing_moment(mixing: AtomicMeasure, symbol: str, order: int):

@@ -9,7 +9,7 @@ this suite and exits nonzero when any check fails.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from ._linalg import ONE, ZERO, compose, matmul, max_abs_diff
@@ -30,6 +30,7 @@ from .chains import (
     verify_tensor_parametrized,
 )
 from .moments import (
+    RECOVERY_TOL,
     MomentProblemError,
     bang_from_moments,
     check_totality,
@@ -67,7 +68,7 @@ class Config:
     cone_samples: int = 20
     tensor_samples: int = 6
     grid: int = 16
-    recovery_tol: float = 1e-6
+    recovery_tol: float = RECOVERY_TOL
     seed: int = 0
     inject_fault: bool = False
 
@@ -76,10 +77,16 @@ class Config:
         # damped-defect check would report a false failure
         if self.depth < 1:
             raise ValueError("verify-all needs --depth at least 1: a depth-0 chain has no step to check")
-        flags = ("--eq-depth", "--cone-samples", "--tensor-samples")
-        for flag, count in zip(flags, (self.eq_depth, self.cone_samples, self.tensor_samples)):
-            if count < 0:
-                raise ValueError(f"verify-all needs {flag} at least 0, not {count}")
+        # recover_measure refuses a grid below 2, and grid 0 has no on-grid point
+        least = (
+            ("--grid", 2, self.grid),
+            ("--eq-depth", 0, self.eq_depth),
+            ("--cone-samples", 0, self.cone_samples),
+            ("--tensor-samples", 0, self.tensor_samples),
+        )
+        for flag, bound, value in least:
+            if value < bound:
+                raise ValueError(f"verify-all needs {flag} at least {bound}, not {value}")
 
 
 @dataclass
@@ -485,8 +492,8 @@ def moment_checks(config: Config) -> list[CheckResult]:
         _bounded_check(
             "vertex-recovery",
             "vertex-atom mixings are recovered with zero residual in exact mode",
-            {"grid": max(config.grid, 2)},
-            residual(bv, max(config.grid, 2), "exact"),
+            {"grid": config.grid},
+            residual(bv, config.grid, "exact"),
             0,
         )
     )
@@ -550,15 +557,9 @@ def membership_checks(config: Config) -> list[CheckResult]:
         rows = [[Fraction(rng.randint(0, 4), 4) for _ in range(n)] for _ in range(4)]
         rows.append([Fraction(1)] * n)  # keep it bounded
         b = [Fraction(rng.randint(1, 4), 2) for _ in range(5)]
-        exact = solve(LinearProgram(tuple(c), tuple(map(tuple, rows)), tuple(b), mode="exact"))
-        approx = solve(
-            LinearProgram(
-                tuple(float(v) for v in c),
-                tuple(tuple(float(v) for v in row) for row in rows),
-                tuple(float(v) for v in b),
-                mode="float",
-            )
-        )
+        lp = LinearProgram(tuple(c), tuple(map(tuple, rows)), tuple(b), mode="exact")
+        exact = solve(lp)
+        approx = solve(replace(lp, mode="float"))
         if exact.optimal and approx.optimal:
             worst = max(worst, abs(float(exact.value) - approx.value))
     out.append(

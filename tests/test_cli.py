@@ -448,7 +448,42 @@ def test_recover_rejects_non_total(tmp_path, sub_mixing, capsys):
     bang = str(tmp_path / "bang.json")
     main(["bang", "iota", "--mixing", sub_mixing, "--out", bang])
     assert main(["definetti", "recover", "--bang", bang]) == 1
-    assert "not total" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("element is not total: at (0, 0)") and err.count("not total") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["bang", "totality"], "--tol"),
+        (["definetti", "recover"], "--totality-tol"),
+        (["verify-all"], "--tol"),
+    ],
+    ids=["totality", "recover", "verify-all"],
+)
+def test_tolerance_that_is_not_finite_and_positive_is_an_input_error(tmp_path, capsys, command, flag, value):
+    # the table is not total at any tolerance below 1/2: a nan tolerance
+    # used to print "total" and exit 0 on it
+    path = tmp_path / "bang.json"
+    coeffs = [{"multiset": [0, 0], "value": 1}, {"multiset": [1, 0], "value": "1/2"}]
+    path.write_text(json.dumps({"alphabet": {"symbols": ["t", "f"]}, "depth": 1, "coeffs": coeffs}))
+    inputs = [] if command == ["verify-all"] else ["--bang", str(path)]
+    assert main(command + inputs + [f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error") and f"{flag} must be a finite positive number" in captured.err
+    assert captured.out == ""
+
+
+def test_alphabet_holding_the_pad_symbol_passes_verify_all(tmp_path, capsys):
+    # the pcoh-bang chain pads with a fresh symbol, "**" here
+    alphabet = tmp_path / "alphabet.json"
+    alphabet.write_text(json.dumps({"symbols": ["*", "a"]}))
+    out = str(tmp_path / "report.json")
+    argv = ["verify-all", "--alphabet", str(alphabet), "--depth", "2", "--eq-depth", "2"]
+    assert main(argv + ["--out", out]) == 0
+    report = json.loads(open(out).read())
+    assert report["passed"] and report["config"]["alphabet"] == ["*", "a"]
 
 
 def test_recover_checks_totality_at_the_flag_tolerance(tmp_path, capsys):

@@ -205,6 +205,19 @@ def test_recover_requires_totality():
         recover_measure(sub, 8)
 
 
+@pytest.mark.parametrize(
+    "refuse",
+    [cone_from_total_element, moment_sequence, lambda b: recover_measure(b, 8)],
+    ids=["cone", "moments", "recover"],
+)
+def test_non_total_refusal_says_not_total_once(refuse):
+    sub = promotion(PcsVector.of(symbol_space(BOOL), "2/5", "2/5"), 3)
+    with pytest.raises(MomentProblemError) as info:
+        refuse(sub)
+    assert str(info.value).startswith("element is not total: at (0, 0)")
+    assert str(info.value).count("not total") == 1
+
+
 def test_recover_off_grid_atom_improves_with_resolution():
     third = ProbVector.of(BOOL, F(1, 3), F(2, 3))
     b = embed_mixing_measure(AtomicMeasure.dirac(third), 6)

@@ -28,6 +28,13 @@ def test_alphabet_rejects_duplicates_and_empty():
         Alphabet(())
 
 
+def test_pad_appends_the_shortest_fresh_run_of_stars():
+    assert Alphabet.of("t", "f").pad().symbols == ("t", "f", "*")
+    assert Alphabet.of("*", "a").pad().symbols == ("*", "a", "**")
+    assert Alphabet.of("**", "*", "a").pad().symbols == ("**", "*", "a", "***")
+    assert Alphabet.of("**", "a").pad().symbols == ("**", "a", "*")
+
+
 def test_enumerate_bool_size_two():
     out = [m.counts for m in enumerate_multisets(BOOL, 2)]
     assert out == [(2, 0), (1, 1), (0, 2)]  # [t,t], [t,f], [f,f]

@@ -61,6 +61,14 @@ def test_negative_eq_depth_config_is_refused():
         run_all_checks(Config(depth=2, eq_depth=-1, grid=4))
 
 
+@pytest.mark.parametrize("grid", [0, 1])
+def test_grid_below_two_config_is_refused(grid):
+    # grid 0 divided by zero in moment_checks; grid 1 failed grid-recovery falsely
+    config = dict(depth=1, eq_depth=0, cone_samples=0, tensor_samples=0, grid=grid)
+    with pytest.raises(ValueError, match=f"--grid at least 2, not {grid}"):
+        run_all_checks(Config(**config))
+
+
 def test_each_chain_builds_its_sections_once_and_validates_once(monkeypatch):
     # factorisations read the sections a chain was built with, and each
     # square is checked by the one validate() pass of the chain checks

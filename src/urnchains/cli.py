@@ -14,6 +14,7 @@ All commands are deterministic given their flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -167,6 +168,7 @@ def cmd_totality(args) -> int:
     return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="urnchains",
@@ -226,7 +228,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tot = bangsub.add_parser("totality", help="check the totality recurrence")
     tot.add_argument("--bang", required=True, help="bang-element JSON file")
-    tot.add_argument("--tol", type=float, default=FLOAT_TOL)
+    tot.add_argument(
+        "--tol",
+        type=float,
+        help=f"defect tolerance (default: 0 on exact tables, {FLOAT_TOL:g} on float ones)",
+    )
     tot.set_defaults(func=cmd_totality)
 
     return parser
@@ -243,8 +249,8 @@ def _validate(args) -> None:
     if getattr(args, "grid", 2) < 2:
         raise FormatError("--grid must be at least 2")
     for name in ("tol", "totality_tol"):
-        value = getattr(args, name, 1.0)
-        if not 0 < value < math.inf:
+        value = getattr(args, name, None)
+        if value is not None and not 0 < value < math.inf:
             raise FormatError(f"--{name.replace('_', '-')} must be a finite positive number, not {value}")
 
 

@@ -20,20 +20,25 @@ image of no mixing measure; the program does not tell the two apart (the urn
 above has residual 1/4 at every grid).
 
 Exact tables are checked at tolerance zero and float ones at
-`_linalg.FLOAT_TOL`, the package's one exact-versus-float policy.
+`_linalg.FLOAT_TOL`, the package's one exact-versus-float policy.  Exact
+arithmetic runs on integer numerators: the embedding of exact atoms is built
+by `pcoh.promotion_mixture` over one common denominator per multiset size,
+and the totality recurrence of an exact table runs on the table times the
+lcm of its denominators, so its defects are ints until they are reported as
+Fractions.  Float inputs keep the float loops, operation for operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from ._linalg import ZERO, _monomial, arithmetic, frac, is_exact, matmul
 from .chains import Cone, DDChain, SquareCheck, build_dd_chain, pcoh_ground_copointed
 from .multiset import Alphabet, enumerate_multisets, multiset_count
 from .optim import feasibility_minmax
-from .pcoh import BangElement, multinomial_embedding, restrict_to_depth
+from .pcoh import BangElement, multinomial_embedding, promotion_mixture, restrict_to_depth
 from .spaces import bounded_multiset_space, multiset_space, unit_space
 from .stoch import AtomicMeasure, ProbVector
 
@@ -59,12 +64,15 @@ def embed_mixing_measure(
     elif alphabet is None:
         raise ValueError("empty measure needs an explicit alphabet")
     web = bounded_multiset_space(alphabet, depth)
+    atoms = [(point.weights, w) for point, w in mixing.atoms]
+    if is_exact(v for point, w in atoms for v in (w, *point)):
+        return BangElement.on_web(web, alphabet, depth, promotion_mixture(web, atoms))
     coeffs = [ZERO] * len(web)
-    for point, w in mixing.atoms:
+    for point, w in atoms:
         start = frac(w) if is_exact((w,)) else w
         for i, counts in enumerate(web.labels):
-            coeffs[i] += _monomial(point.weights, counts, start)
-    return BangElement(alphabet, depth, tuple(coeffs))
+            coeffs[i] += _monomial(point, counts, start)
+    return BangElement.on_web(web, alphabet, depth, tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -92,33 +100,48 @@ def check_totality(b: BangElement, tol=None) -> TotalityReport:
     draw-and-delete chain; the worst-violating multiset is reported.  The
     tolerance defaults to the one `_linalg.arithmetic` gives the table.
     """
+    exact = is_exact(b.coeffs)
     if tol is None:
-        _, _, tol = arithmetic(is_exact(b.coeffs))
+        _, _, tol = arithmetic(exact)
+    if exact:
+        # the recurrence on ints: the table times the lcm of its denominators
+        scale = lcm(*(v.denominator for v in b.coeffs))
+        values = [v.numerator * (scale // v.denominator) for v in b.coeffs]
+        worst, witness, lhs, rhs = _worst_defect(b, values, scale, 0)
+        worst, lhs, rhs = (v if v is None else Fraction(v, scale) for v in (worst, lhs, rhs))
+    else:
+        worst, witness, lhs, rhs = _worst_defect(b, b.coeffs, 1, ZERO)
+    if worst > tol:
+        return TotalityReport(False, worst, witness, lhs, rhs)
+    return TotalityReport(True, worst, None)
+
+
+def _worst_defect(b: BangElement, values, one, zero):
+    """(defect, witness, lhs, rhs) of the first of the worst violations of
+    values[empty] = one and of the recurrence, for `values` aligned with
+    b.web; witness, lhs and rhs are None when no defect exceeds `zero`."""
     web = b.web
     k = len(b.alphabet)
-    worst = ZERO
-    witness = None
-    lhs_w = rhs_w = None
+    worst = zero
+    witness = lhs_w = rhs_w = None
     empty = (0,) * k
-    norm = b.at(empty)
-    defect = abs(norm - 1)
+    norm = values[web.index(empty)]
+    defect = abs(norm - one)
     if defect > worst:
-        worst, witness, lhs_w, rhs_w = defect, empty, norm, 1
-    for counts in web.labels:
+        worst, witness, lhs_w, rhs_w = defect, empty, norm, one
+    for i, counts in enumerate(web.labels):
         if sum(counts) >= b.depth:
             continue
-        lhs = b.at(counts)
-        rhs = ZERO
+        lhs = values[i]
+        rhs = zero
         for x in range(k):
             succ = list(counts)
             succ[x] += 1
-            rhs += b.at(tuple(succ))
+            rhs += values[web.index(tuple(succ))]
         defect = abs(lhs - rhs)
         if defect > worst:
             worst, witness, lhs_w, rhs_w = defect, counts, lhs, rhs
-    if worst > tol:
-        return TotalityReport(False, worst, witness, lhs_w, rhs_w)
-    return TotalityReport(True, worst, None)
+    return worst, witness, lhs_w, rhs_w
 
 
 def _require_total(report: TotalityReport) -> None:
@@ -135,7 +158,7 @@ def damp(b: BangElement, p) -> BangElement:
     coeffs = tuple(
         p ** sum(counts) * v for counts, v in zip(b.web.labels, b.coeffs)
     )
-    return BangElement(b.alphabet, b.depth, coeffs)
+    return BangElement.on_web(b.web, b.alphabet, b.depth, coeffs)
 
 
 def cone_from_total_element(b: BangElement, chain: DDChain | None = None) -> Cone:
@@ -198,7 +221,7 @@ def bang_from_moments(m: MomentTable, alphabet: Alphabet | None = None) -> BangE
         raise MomentProblemError("moment tables are for two-symbol alphabets")
     depth = m.depth
     web = bounded_multiset_space(alphabet, depth)
-    table = {}
+    coeffs = []
     for counts in web.labels:
         a, b_ = counts
         value = sum(
@@ -210,8 +233,8 @@ def bang_from_moments(m: MomentTable, alphabet: Alphabet | None = None) -> BangE
                 f"moment sequence is not completely monotone: coefficient at"
                 f" {counts} reconstructs to {value}"
             )
-        table[counts] = value
-    return BangElement.from_table(alphabet, depth, table)
+        coeffs.append(value)
+    return BangElement.on_web(web, alphabet, depth, tuple(coeffs))
 
 
 # -- measure recovery ----------------------------------------------------------

@@ -8,6 +8,7 @@ this suite and exits nonzero when any check fails.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -87,6 +88,10 @@ class Config:
         for flag, bound, value in least:
             if value < bound:
                 raise ValueError(f"verify-all needs {flag} at least {bound}, not {value}")
+        if not 0 < self.recovery_tol < math.inf:
+            raise ValueError(
+                f"verify-all needs --tol to be a finite positive number, not {self.recovery_tol}"
+            )
 
 
 @dataclass

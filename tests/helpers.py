@@ -72,3 +72,39 @@ def vertex_oracle_inside(generator_rows, x):
         default=Fraction(0),
     )
     return best <= 1, best
+
+
+def promotion_mixture_oracle(atoms, labels):
+    """{mu: sum_j w_j prod_a r_j(a)^mu(a)} over the count vectors mu, in
+    Fractions, term by term; atoms are (point, weight) pairs."""
+    table = {}
+    for mu in labels:
+        total = Fraction(0)
+        for point, w in atoms:
+            term = Fraction(w)
+            for r, c in zip(point, mu):
+                term *= Fraction(r) ** c
+            total += term
+        table[mu] = total
+    return table
+
+
+def totality_oracle(table, labels, depth):
+    """(defect, witness, lhs, rhs) of the first worst violation, in the
+    order of `labels`, of table[empty] = 1 and of the recurrence
+    table[mu] = sum_x table[mu + [x]] for |mu| < depth, in Fractions;
+    witness, lhs and rhs are None when the table is total."""
+    k = len(labels[0])
+    empty = (0,) * k
+    worst, found = abs(table[empty] - 1), (empty, table[empty], Fraction(1))
+    if worst == 0:
+        found = (None, None, None)
+    for mu in labels:
+        if sum(mu) >= depth:
+            continue
+        rhs = sum(
+            (table[mu[:x] + (mu[x] + 1,) + mu[x + 1 :]] for x in range(k)), start=Fraction(0)
+        )
+        if abs(table[mu] - rhs) > worst:
+            worst, found = abs(table[mu] - rhs), (mu, table[mu], rhs)
+    return (worst, *found)

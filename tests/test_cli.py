@@ -1,3 +1,4 @@
+import cProfile
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import time
 
 import pytest
 
+from urnchains import spaces
 from urnchains.cli import _build_parser, _validate, main
 
 
@@ -16,6 +18,14 @@ def test_cli_import_leaves_scipy_unloaded():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, urnchains.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_import_builds_no_parser():
+    # the parser is built on the first main() call, so it costs nothing at import
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, urnchains.cli as cli; sys.exit(cli._build_parser.cache_info().currsize)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -601,3 +611,72 @@ def test_simulate_dirac_and_determinism(tmp_path, capsys):
 
 def test_simulate_rejects_subprobability(sub_mixing):
     assert main(["definetti", "simulate", "--mixing", sub_mixing]) == 2
+
+
+def _off_total_by_1e10(tmp_path):
+    # an exact t,f depth-1 table whose [t] and [f] entries sum to 1 + 1/10^10
+    path = tmp_path / "off-total.json"
+    coeffs = [
+        {"multiset": [0, 0], "value": 1},
+        {"multiset": [1, 0], "value": "3/10"},
+        {"multiset": [0, 1], "value": "7000000001/10000000000"},
+    ]
+    path.write_text(json.dumps({"alphabet": {"symbols": ["t", "f"]}, "depth": 1, "coeffs": coeffs}))
+    return str(path)
+
+
+def test_totality_judges_an_exact_table_at_tolerance_zero(tmp_path, capsys):
+    # the default --tol was 1e-9 for every table, which called this one total
+    totality = ["bang", "totality", "--bang", _off_total_by_1e10(tmp_path)]
+    assert main(totality) == 1
+    assert "(defect 1/10000000000)" in capsys.readouterr().out
+    assert main(totality + ["--tol", "1e-9"]) == 0
+    assert capsys.readouterr().out == "total (worst defect 1/10000000000)\n"
+
+
+@pytest.mark.parametrize("command", ["iota", "totality"])
+def test_bang_commands_build_the_web_once(tmp_path, dirac_mixing, command):
+    bang = str(tmp_path / "bang.json")
+    assert main(["bang", "iota", "--mixing", dirac_mixing, "--depth", "5", "--out", bang]) == 0
+    argv = {
+        "iota": ["bang", "iota", "--mixing", dirac_mixing, "--depth", "5", "--out", bang],
+        "totality": ["bang", "totality", "--bang", bang],
+    }[command]
+    profile = cProfile.Profile()
+    assert profile.runcall(main, argv) == 0
+    calls = sum(
+        e.callcount for e in profile.getstats() if e.code is spaces.bounded_multiset_space.__code__
+    )
+    assert calls == 1
+
+
+def test_repeated_main_calls_give_the_same_results(tmp_path, dirac_mixing, capsys):
+    # main() reuses one parser; a second run of the same calls must not see the first
+    bang = str(tmp_path / "bang.json")
+    hist = str(tmp_path / "hist.csv")
+    calls = [
+        ["verify-all", "--depth", "0"],
+        ["verify-all", "--tol", "nan"],
+        ["verify-all", "--grid", "1"],
+        ["bang", "iota", "--mixing", dirac_mixing, "--depth", "3", "--out", bang],
+        ["bang", "iota", "--mixing", dirac_mixing, "--depth", "2"],
+        ["bang", "totality", "--bang", bang],
+        ["bang", "totality", "--bang", _off_total_by_1e10(tmp_path)],
+        ["definetti", "simulate", "--mixing", dirac_mixing, "--trials", "20", "--prefix-len", "10", "--out", hist],
+    ]
+
+    def run():
+        results = []
+        for argv in calls:
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        written = sorted(p for p in tmp_path.iterdir() if p.suffix == ".csv" or p.name == "bang.json")
+        results.append([(p.name, p.read_bytes()) for p in written])
+        for p in written:
+            p.unlink()
+        return results
+
+    first = run()
+    assert [r[0] for r in first[:-1]] == [2, 2, 2, 0, 0, 0, 1, 0]
+    assert len(first[-1]) == 3
+    assert run() == first

@@ -69,6 +69,15 @@ def test_grid_below_two_config_is_refused(grid):
         run_all_checks(Config(**config))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0], ids=repr)
+def test_recovery_tolerance_that_is_not_finite_and_positive_is_refused(tol):
+    # nan used to fail vertex-recovery with "Invalid literal for Fraction",
+    # and -1.0 to fail grid-recovery at deviation 0.0
+    config = dict(depth=1, eq_depth=0, cone_samples=0, tensor_samples=0, recovery_tol=tol)
+    with pytest.raises(ValueError, match=f"--tol to be a finite positive number, not {tol}"):
+        run_all_checks(Config(**config))
+
+
 def test_each_chain_builds_its_sections_once_and_validates_once(monkeypatch):
     # factorisations read the sections a chain was built with, and each
     # square is checked by the one validate() pass of the chain checks

@@ -22,7 +22,7 @@ above has residual 1/4 at every grid).
 Exact tables are checked at tolerance zero and float ones at
 `_linalg.FLOAT_TOL`, the package's one exact-versus-float policy.  Exact
 arithmetic runs on integer numerators: the embedding of exact atoms is built
-by `pcoh.promotion_mixture` over one common denominator per multiset size,
+by `_exact_mixture` over one common denominator per multiset size,
 and the totality recurrence of an exact table runs on the table times the
 lcm of its denominators, so its defects are ints until they are reported as
 Fractions.  Float inputs keep the float loops, operation for operation.
@@ -38,7 +38,7 @@ from ._linalg import ZERO, _monomial, arithmetic, frac, is_exact, matmul
 from .chains import Cone, DDChain, SquareCheck, build_dd_chain, pcoh_ground_copointed
 from .multiset import Alphabet, enumerate_multisets, multiset_count
 from .optim import feasibility_minmax
-from .pcoh import BangElement, multinomial_embedding, promotion_mixture, restrict_to_depth
+from .pcoh import BangElement, multinomial_embedding, restrict_to_depth
 from .spaces import bounded_multiset_space, multiset_space, unit_space
 from .stoch import AtomicMeasure, ProbVector
 
@@ -66,13 +66,49 @@ def embed_mixing_measure(
     web = bounded_multiset_space(alphabet, depth)
     atoms = [(point.weights, w) for point, w in mixing.atoms]
     if is_exact(v for point, w in atoms for v in (w, *point)):
-        return BangElement.on_web(web, alphabet, depth, promotion_mixture(web, atoms))
+        return BangElement.on_web(web, alphabet, depth, _exact_mixture(web, atoms))
     coeffs = [ZERO] * len(web)
     for point, w in atoms:
         start = frac(w) if is_exact((w,)) else w
         for i, counts in enumerate(web.labels):
             coeffs[i] += _monomial(point, counts, start)
     return BangElement.on_web(web, alphabet, depth, tuple(coeffs))
+
+
+def _exact_mixture(web, atoms) -> tuple:
+    """The exact table sum_j w_j prod_a r_j(a)^mu(a) over the labels mu of
+    `web`, a bounded multiset web, of exact (point r_j, weight w_j) atoms.
+
+    Each point is written over its own common denominator d_j, so that its
+    monomial at mu is an integer over d_j^|mu|, built with one int product
+    per label: every nonempty label is a smaller label plus its first
+    symbol.  At each size s the atoms are summed over the common denominator
+    D_s = lcm_j(den(w_j) d_j^s), one Fraction per coefficient.
+    """
+    labels = web.labels
+    # for each nonempty label: the index of the label less its first symbol, and that symbol
+    steps = []
+    for counts in labels[1:]:
+        x = next(x for x, c in enumerate(counts) if c)
+        steps.append((web.index(counts[:x] + (counts[x] - 1,) + counts[x + 1 :]), x))
+    terms = []
+    for point, w in atoms:
+        d = lcm(*(v.denominator for v in point))
+        nums = [v.numerator * (d // v.denominator) for v in point]
+        monomials = [1]
+        for parent, x in steps:
+            monomials.append(monomials[parent] * nums[x])
+        terms.append((w.numerator, w.denominator, d, monomials))
+    coeffs = []
+    last = None
+    for i, counts in enumerate(labels):
+        size = sum(counts)
+        if size != last:
+            last = size
+            den = lcm(*(q * d**size for _, q, d, _ in terms))
+            scales = [(p * (den // (q * d**size)), monomials) for p, q, d, monomials in terms]
+        coeffs.append(Fraction(sum(c * monomials[i] for c, monomials in scales), den))
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)

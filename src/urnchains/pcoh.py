@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import comb
 
 from ._linalg import ONE, ZERO, Matrix, _monomial, arithmetic, frac, is_exact
 from .multiset import (
@@ -369,42 +369,6 @@ class BangElement:
         return self.coeffs[self.web.index(counts)]
 
 
-def promotion_mixture(web: IndexSet, atoms) -> tuple:
-    """The exact table sum_j w_j prod_a r_j(a)^mu(a) over the labels mu of
-    `web`, a bounded multiset web, of exact (point r_j, weight w_j) atoms.
-
-    Each point is written over its own common denominator d_j, so that its
-    monomial at mu is an integer over d_j^|mu|, built with one int product
-    per label: every nonempty label is a smaller label plus its first
-    symbol.  At each size s the atoms are summed over the common denominator
-    D_s = lcm_j(den(w_j) d_j^s), one Fraction per coefficient.
-    """
-    labels = web.labels
-    # for each nonempty label: the index of the label less its first symbol, and that symbol
-    steps = []
-    for counts in labels[1:]:
-        x = next(x for x, c in enumerate(counts) if c)
-        steps.append((web.index(counts[:x] + (counts[x] - 1,) + counts[x + 1 :]), x))
-    terms = []
-    for point, w in atoms:
-        d = lcm(*(v.denominator for v in point))
-        nums = [v.numerator * (d // v.denominator) for v in point]
-        monomials = [1]
-        for parent, x in steps:
-            monomials.append(monomials[parent] * nums[x])
-        terms.append((w.numerator, w.denominator, d, monomials))
-    coeffs = []
-    last = None
-    for i, counts in enumerate(labels):
-        size = sum(counts)
-        if size != last:
-            last = size
-            den = lcm(*(q * d**size for _, q, d, _ in terms))
-            scales = [(p * (den // (q * d**size)), monomials) for p, q, d, monomials in terms]
-        coeffs.append(Fraction(sum(c * monomials[i] for c, monomials in scales), den))
-    return tuple(coeffs)
-
-
 def promotion(x: PcsVector, depth: int) -> BangElement:
     """Promotion of a subdistribution: coefficient prod_a x_a^mu(a) at mu.
 
@@ -413,16 +377,12 @@ def promotion(x: PcsVector, depth: int) -> BangElement:
     and nu.
     """
     total = sum(x.coeffs, start=ZERO)
-    exact = is_exact(x.coeffs)
-    _, _, tol = arithmetic(exact)
+    _, _, tol = arithmetic(is_exact(x.coeffs))
     if total > 1 + tol:
         raise ValueError("promotion requires a subdistribution (coefficients sum <= 1)")
     alphabet = Alphabet(x.web.labels)
     web = bounded_multiset_space(alphabet, depth)
-    if exact:
-        coeffs = promotion_mixture(web, ((x.coeffs, ONE),))
-    else:
-        coeffs = tuple(_monomial(x.coeffs, counts) for counts in web.labels)
+    coeffs = tuple(_monomial(x.coeffs, counts) for counts in web.labels)
     return BangElement.on_web(web, alphabet, depth, coeffs)
 
 

@@ -1,10 +1,11 @@
 """Exact bang tables on integer numerators, against plain Fraction oracles.
 
-`pcoh.promotion_mixture` builds the exact tables of `promotion` and
-`moments.embed_mixing_measure` over common denominators, and
-`moments.check_totality` runs the recurrence of an exact table on ints.
-These tests compare both with term-by-term Fraction arithmetic, and check
-that float inputs still take the `_monomial` loop.
+`moments.embed_mixing_measure` builds exact tables over common
+denominators, and `moments.check_totality` runs the recurrence of an exact
+table on ints.
+These tests compare both, and the `_monomial` tables of `pcoh.promotion`,
+with term-by-term Fraction arithmetic, and check that float inputs to the
+embedding still take the `_monomial` loop.
 """
 
 import itertools
@@ -126,12 +127,3 @@ def test_float_embedding_is_the_monomial_loop(case, float_points, float_weights)
         for i, counts in enumerate(b.web.labels):
             expected[i] += _monomial(point, counts, w if float_weights else F(w))
     assert _bits(b.coeffs) == _bits(expected)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 6), simplex_points(k + 1))))
-def test_float_promotion_is_the_monomial_loop(case):
-    k, depth, point = case
-    coords = tuple(map(float, point[:k]))
-    b = promotion(PcsVector(symbol_space(Alphabet(SYMBOLS[:k])), coords), depth)
-    assert _bits(b.coeffs) == _bits(_monomial(coords, counts) for counts in b.web.labels)

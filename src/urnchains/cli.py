@@ -133,6 +133,7 @@ def cmd_recover(args) -> int:
     )
     if recovery.diagnostic:
         payload["diagnostic"] = recovery.diagnostic
+        print(recovery.diagnostic, file=sys.stderr)
     jsonio.dump_json(payload, args.out)
     if args.out:
         print(f"measure -> {args.out}")

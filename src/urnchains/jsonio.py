@@ -2,14 +2,20 @@
 
 Rational values travel as "p/q" strings (or plain integers); floats are
 accepted on input and parsed through their decimal representation, so a file
-containing 0.1 means exactly 1/10.
+containing 0.1 means exactly 1/10.  JSON booleans are refused as values, and
+multiset counts must be JSON integers.
+
+Every JSON file and stdout payload is 2-space indented, key-sorted JSON and a
+newline, byte-identical to `json.dump(data, fh, indent=2, sort_keys=True)`
+followed by "\n"; `dump_json` renders the whole text first and writes it once.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from contextlib import nullcontext
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from ._linalg import ZERO, frac
 from .multiset import Alphabet
@@ -26,16 +32,22 @@ def _value_out(v, mode: str = "exact"):
     if mode == "float":
         return float(v)
     f = frac(v)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return f.numerator if f.denominator == 1 else str(f)
 
 
 def _value_in(v):
-    if isinstance(v, (int, float, str)):
-        try:
-            return frac(v)
-        except ZeroDivisionError:
-            raise FormatError(f"value {v!r} has a zero denominator") from None
-    raise FormatError(f"cannot parse value {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise FormatError(f"cannot parse value {v!r}")
+    try:
+        if type(v) is str:
+            # "p/q" and "p" in ASCII digits go straight to int; signs, spaces,
+            # decimals and the rest take Fraction's parser
+            num, slash, den = v.partition("/")
+            if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+                return Fraction(int(num), int(den) if slash else 1)
+        return frac(v)
+    except ZeroDivisionError:
+        raise FormatError(f"value {v!r} has a zero denominator") from None
 
 
 # -- alphabets ---------------------------------------------------------------
@@ -111,6 +123,9 @@ def bang_from_json(data) -> BangElement:
         table = {}
         for entry in data["coeffs"]:
             counts = tuple(entry["multiset"])
+            for c in counts:
+                if type(c) is not int:
+                    raise FormatError(f"multiset {list(counts)} has a count {c!r} that is not an integer")
             if counts in table:
                 raise FormatError(f"multiset {list(counts)} is listed twice")
             table[counts] = _value_in(entry["value"])
@@ -139,10 +154,53 @@ def load_json(path: str) -> dict:
 
 
 def dump_json(data, path: str | None) -> None:
-    """Indented, key-sorted JSON and a newline, to path or, without one, to stdout."""
-    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Indented, key-sorted JSON and a newline, to path or, without one, to
+    stdout, in one write; the bytes json.dump(indent=2, sort_keys=True) gives."""
+    text = _render(data, "\n") + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _render(o, newline: str) -> str:
+    """o as json's indented, key-sorted text; `newline` is a newline and the
+    indent of o's own line.  The type tests follow json.encoder's order."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _FLOAT_SPECIALS.get(text, text)
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        # ints (multiset counts) skip the call, as str values do below
+        items = [int.__repr__(v) if type(v) is int else _render(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = []
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            text = encode_basestring_ascii(value) if type(value) is str else _render(value, inner)
+            items.append(encode_basestring_ascii(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def histogram_csv(law: EmpiricalLaw) -> str:

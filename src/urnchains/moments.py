@@ -171,9 +171,7 @@ def _worst_defect(b: BangElement, values, one, zero):
         lhs = values[i]
         rhs = zero
         for x in range(k):
-            succ = list(counts)
-            succ[x] += 1
-            rhs += values[web.index(tuple(succ))]
+            rhs += values[web.index(counts[:x] + (counts[x] + 1,) + counts[x + 1 :])]
         defect = abs(lhs - rhs)
         if defect > worst:
             worst, witness, lhs_w, rhs_w = defect, counts, lhs, rhs

@@ -62,10 +62,11 @@ class Multiset:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.counts) != len(self.alphabet):
+        if len(self.counts) != len(self.alphabet.symbols):
             raise ValueError("count vector length must match alphabet size")
-        if any((not isinstance(c, int)) or c < 0 for c in self.counts):
-            raise ValueError(f"counts must be nonnegative integers: {self.counts}")
+        for c in self.counts:
+            if not isinstance(c, int) or c < 0:
+                raise ValueError(f"counts must be nonnegative integers: {self.counts}")
 
     @classmethod
     def from_symbols(cls, alphabet: Alphabet, symbols) -> "Multiset":
@@ -104,14 +105,26 @@ class Multiset:
         return f"[{inner}]"
 
 
-def _compositions_desc(n: int, k: int):
-    # all k-part compositions of n, in descending lexicographic order
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions_desc(n - first, k - 1):
-            yield (first,) + rest
+def _compositions_desc(n: int, k: int) -> list[tuple[int, ...]]:
+    """All k-part compositions of n, in descending lexicographic order.
+
+    Stars and bars: k-1 bars among n+k-1 slots cut the other n slots into k
+    runs.  The bar positions come from itertools.combinations in
+    lexicographic order, which is the ascending order of their compositions,
+    so the list is reversed.
+    """
+    slots = n + k - 1
+    out = []
+    for bars in itertools.combinations(range(slots), k - 1):
+        parts = []
+        prev = -1
+        for bar in bars:
+            parts.append(bar - prev - 1)
+            prev = bar
+        parts.append(slots - prev - 1)
+        out.append(tuple(parts))
+    out.reverse()
+    return out
 
 
 def enumerate_multisets(alphabet: Alphabet, n: int) -> list[Multiset]:

@@ -343,8 +343,10 @@ class BangElement:
             raise ValueError(
                 f"need {expected} coefficients for depth {self.depth}, got {len(self.coeffs)}"
             )
-        if any(v < 0 for v in self.coeffs):
-            raise ValueError("coefficients must be nonnegative")
+        for v in self.coeffs:
+            # an exact coefficient's sign is its numerator's
+            if (v.numerator if type(v) is Fraction else v) < 0:
+                raise ValueError("coefficients must be nonnegative")
 
     @cached_property
     def web(self) -> IndexSet:

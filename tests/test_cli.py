@@ -405,6 +405,31 @@ def test_simulate_output_digests(tmp_path, mixing, prefix, trials, seed, hist_di
     assert digests == [hist_digest, moments_digest]
 
 
+_FOUR_SYMBOL_MIXING = ["w", "x", "y", "z"], [
+    (["1/4", "0", "3/4", "0"], "2/7"),
+    (["1/7", "2/7", "3/7", "1/7"], "3/7"),
+    ([1, 0, 0, 0], "2/7"),
+]
+
+
+# SHA-256 of the bang iota output files, recorded with the writer that
+# called json.dump(indent=2, sort_keys=True); they pin its bytes
+@pytest.mark.parametrize(
+    "mixing, depth, digest",
+    [
+        (_README_MIXING, 16, "e7f9532f099b06e52b5535d2c22a8476bb5f0a6997b7a8e29f009a18f83d7d87"),
+        (_THREE_SYMBOL_MIXING, 8, "a8b319bd6d10f40dd2453a3b7d8ea31d9c2aa71d4dc2a6c82a2b23168446f998"),
+        (_FOUR_SYMBOL_MIXING, 5, "4ee0d945460feb2244a276cc91bfe126a56223de7e7110d3c13e7ce882770f0e"),
+    ],
+    ids=["two-symbols", "three-symbols", "four-symbols"],
+)
+def test_iota_output_digests(tmp_path, mixing, depth, digest):
+    path = _write_mixing(tmp_path / "mixing.json", *mixing)
+    out = str(tmp_path / "bang.json")
+    assert main(["bang", "iota", "--mixing", path, "--depth", str(depth), "--out", out]) == 0
+    assert hashlib.sha256(open(out, "rb").read()).hexdigest() == digest
+
+
 def test_recover_reports_a_failed_float_solve(tmp_path, capsys):
     # float phase 1 loses feasibility on this mixture; exit 1, no traceback
     mixing = tmp_path / "mixing.json"
@@ -572,6 +597,61 @@ def test_bang_depth_that_is_not_a_nonnegative_integer_is_an_input_error(tmp_path
         assert main(argv + ["--bang", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error") and f"depth {depth!r}" in err
+
+
+# JSON true was read as 1 and [1.0, 0] as the multiset [1, 0], so each of
+# these tables was called total
+@pytest.mark.parametrize(
+    "coeffs, named",
+    [
+        ([{"multiset": [0, 0], "value": True}] + _BANG_TF_DEPTH_1[1:], "value True"),
+        (
+            [_BANG_TF_DEPTH_1[0], {"multiset": [True, False], "value": "1/2"}, _BANG_TF_DEPTH_1[2]],
+            "multiset [True, False] has a count True",
+        ),
+        (
+            [_BANG_TF_DEPTH_1[0], {"multiset": [1.0, 0], "value": "1/2"}, _BANG_TF_DEPTH_1[2]],
+            "multiset [1.0, 0] has a count 1.0",
+        ),
+    ],
+    ids=["boolean-value", "boolean-counts", "float-count"],
+)
+def test_booleans_and_float_counts_in_a_bang_file_are_input_errors(tmp_path, capsys, coeffs, named):
+    path = tmp_path / "bang.json"
+    path.write_text(json.dumps({"alphabet": {"symbols": ["t", "f"]}, "depth": 1, "coeffs": coeffs}))
+    for argv in (["bang", "totality"], ["definetti", "recover", "--grid", "4"]):
+        assert main(argv + ["--bang", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and named in err
+
+
+@pytest.mark.parametrize("point, weight", [([True, False], 1), (["1/2", "1/2"], True)], ids=["point", "weight"])
+def test_booleans_in_a_mixing_are_input_errors(tmp_path, capsys, point, weight):
+    mixing = _write_mixing(tmp_path / "mixing.json", ["t", "f"], [(point, weight)])
+    simulate = ["definetti", "simulate", "--trials", "10", "--prefix-len", "10"]
+    for argv in (["bang", "iota"], simulate):
+        assert main(argv + ["--mixing", mixing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "value True" in err
+
+
+def test_recover_prints_its_diagnostic_to_stderr(tmp_path, dirac_mixing, capsys):
+    # the depth-2 urn table, two draws without replacement from {t, f}, is
+    # total but no mixture of promotions; grid 8 leaves residual 1/4
+    urn = tmp_path / "urn.json"
+    coeffs = _BANG_TF_DEPTH_1 + [{"multiset": [1, 1], "value": "1/2"}]
+    urn.write_text(json.dumps({"alphabet": {"symbols": ["t", "f"]}, "depth": 2, "coeffs": coeffs}))
+    out = str(tmp_path / "measure.json")
+    assert main(["definetti", "recover", "--bang", str(urn), "--grid", "8", "--out", out]) == 0
+    diagnostic = json.loads(open(out).read())["diagnostic"]
+    assert diagnostic.startswith("residual 0.25 above tolerance")
+    assert capsys.readouterr().err == diagnostic + "\n"
+    # a recovery within tolerance prints nothing there
+    bang = str(tmp_path / "bang.json")
+    assert main(["bang", "iota", "--mixing", dirac_mixing, "--depth", "2", "--out", bang]) == 0
+    assert main(["definetti", "recover", "--bang", bang, "--grid", "8", "--out", out]) == 0
+    assert "diagnostic" not in json.loads(open(out).read())
+    assert capsys.readouterr().err == ""
 
 
 def test_simulate_dirac_and_determinism(tmp_path, capsys):

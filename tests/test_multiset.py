@@ -97,6 +97,15 @@ def test_enumeration_descending_and_unique(k, n):
     assert counts == sorted(set(counts), reverse=True)
 
 
+def test_enumeration_is_every_count_vector_in_descending_order():
+    # the stars-and-bars enumeration against a filter of all count vectors
+    for k in range(1, 6):
+        alphabet = Alphabet(tuple("abcde"[:k]))
+        for n in range(7):
+            every = [c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n]
+            assert [m.counts for m in enumerate_multisets(alphabet, n)] == every[::-1]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 6))
 def test_tally_fibers_have_multinomial_size(k, n):

@@ -141,6 +141,14 @@ def test_canonical_section_splits_eq_delta():
         )
 
 
+@pytest.mark.parametrize("negative", [F(-1, 10**30), -1, -1e-300])
+def test_bang_element_refuses_a_negative_coefficient(negative):
+    for v in (F(0), 0, 0.0, F(1, 10**30)):
+        BangElement(BOOL, 1, (1, v, 0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        BangElement(BOOL, 1, (1, negative, 0))
+
+
 # -- chain step matrices -----------------------------------------------------------------
 
 def test_dd_restriction_examples():

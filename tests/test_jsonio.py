@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import re
 import tempfile
 from fractions import Fraction
 
@@ -176,16 +175,3 @@ def test_value_in_reads_digit_strings_as_fraction_does(num, den):
 )
 def test_value_in_falls_back_to_fraction_on_other_strings(s):
     assert _outcome(jsonio._value_in, s) == _outcome(_frac_reader, s)
-
-
-@pytest.mark.parametrize("value", [True, False, None, [1], {"p": 1}])
-def test_value_in_refuses_booleans_and_containers(value):
-    with pytest.raises(FormatError, match=re.escape(repr(value))):
-        jsonio._value_in(value)
-
-
-def test_bang_multiset_counts_must_be_json_integers():
-    for counts in ([True, False], [1.0, 0], ["1", 0]):
-        data = {"alphabet": {"symbols": ["t", "f"]}, "depth": 1, "coeffs": [{"multiset": counts, "value": 1}]}
-        with pytest.raises(FormatError, match="is not an integer"):
-            jsonio.bang_from_json(data)

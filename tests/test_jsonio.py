@@ -142,8 +142,7 @@ def _outcome(read, v):
 
 
 def _frac_reader(v):
-    # every string through Fraction's parser, as the reader did before its
-    # ASCII-digit path
+    # the reference reader: every string through Fraction's parser
     try:
         return frac(v)
     except ZeroDivisionError:

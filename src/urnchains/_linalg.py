@@ -4,7 +4,7 @@
 sides of the package: a nonnegative exact matrix indexed (source label,
 target label), with `rows` a tuple of dense row tuples of Fractions.
 `FinKernel` and `PcsMatrix` subclass it and keep only what is their own:
-validation, `FinKernel.kind`, `PcsMatrix.push`.
+validation, `FinKernel`'s label-based equality, `PcsMatrix.push`.
 `Matrix.build` is the one place that fills dense rows: each row is given
 as a {target label: value} dict and every other entry is ZERO, so a sparse
 row format would be a change to this module alone.  `compose(f, g)`, "f

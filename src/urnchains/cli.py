@@ -240,9 +240,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
-    for name in ("depth", "trials"):
-        if getattr(args, name, 0) and getattr(args, name) < 0:
-            raise FormatError(f"--{name.replace('_', '-')} must be nonnegative")
+    if getattr(args, "depth", 0) < 0:
+        raise FormatError("--depth must be nonnegative")
+    if getattr(args, "trials", 1) < 1:
+        raise FormatError("--trials must be at least 1")
     if args.func is cmd_simulate and args.seed < 0:
         raise FormatError("--seed must be nonnegative")
     if getattr(args, "prefix_len", 1) < 1:

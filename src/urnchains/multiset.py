@@ -29,10 +29,6 @@ class Alphabet:
     def of(cls, *symbols: str) -> "Alphabet":
         return cls(tuple(symbols))
 
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -75,22 +71,9 @@ class Multiset:
             counts[alphabet.index(s)] += 1
         return cls(alphabet, tuple(counts))
 
-    @classmethod
-    def empty(cls, alphabet: Alphabet) -> "Multiset":
-        return cls(alphabet, (0,) * len(alphabet))
-
     @property
     def size(self) -> int:
         return sum(self.counts)
-
-    def count(self, symbol: str) -> int:
-        return self.counts[self.alphabet.index(symbol)]
-
-    def add(self, position: int) -> "Multiset":
-        """New multiset with one extra copy of the symbol at `position`."""
-        c = list(self.counts)
-        c[position] += 1
-        return Multiset(self.alphabet, tuple(c))
 
     def contains(self, other: "Multiset") -> bool:
         """Componentwise inclusion other <= self."""

@@ -5,8 +5,9 @@ clique it denotes is the biorthogonal closure of the generators.  Membership
 in that closure is decided by a linear program over the dual polytope
 (maximise the pairing against the candidate subject to every generator
 pairing at most 1).  Structural matrices (equalisers of the symmetry action
-in delta coordinates, restriction and inclusion steps, the multinomial
-embedding) are exact rationals; only the LP may run in float mode, and
+in delta coordinates and their sections, the multinomial embedding) are
+exact rationals; the delta form of the draw-and-delete step is
+`chains.Backend.dd_closed_form`.  Only the LP may run in float mode, and
 whether it does, and at what tolerance, is decided by `_linalg.is_exact` and
 `_linalg.arithmetic` from the vectors given.
 
@@ -34,7 +35,6 @@ from .multiset import (
     Multiset,
     canonical_enumeration,
     difference,
-    enumerate_bounded_multisets,
     enumerations,
     multinomial,
 )
@@ -43,7 +43,6 @@ from .spaces import (
     IndexSet,
     bounded_multiset_space,
     multiset_space,
-    product_space,
     symbol_space,
     tuple_space,
 )
@@ -96,19 +95,7 @@ class PcsMatrix(Matrix):
         return PcsVector(self.target, tuple(out))
 
 
-# -- pairing and (bi)orthogonality ----------------------------------------
-
-def pairing(x: PcsVector, u: PcsVector):
-    if x.web.labels != u.web.labels:
-        raise ValueError("pairing requires a shared web")
-    return sum((a * b for a, b in zip(x.coeffs, u.coeffs)), start=ZERO)
-
-
-def dual_membership(generators, u: PcsVector) -> bool:
-    """Whether u pairs at most 1 with every generator."""
-    _, _, tol = arithmetic(all(is_exact(v.coeffs) for v in (u, *generators)))
-    return all(pairing(g, u) <= 1 + tol for g in generators)
-
+# -- biorthogonality ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class Membership:
@@ -196,16 +183,6 @@ def bool_pcs() -> Pcs:
     return ground_pcs(Alphabet.of("t", "f"))
 
 
-def tensor_pcs(a: Pcs, b: Pcs) -> Pcs:
-    web = product_space(a.web, b.web)
-    gens = tuple(
-        PcsVector(web, tuple(x * y for x in ga.coeffs for y in gb.coeffs))
-        for ga in a.generators
-        for gb in b.generators
-    )
-    return Pcs(web, gens, f"tensor({a.name},{b.name})")
-
-
 def with_unit_pcs(a: Pcs) -> Pcs:
     """The cartesian product a & 1 over the padded symbol web (`Alphabet.pad`).
 
@@ -252,24 +229,6 @@ def multiset_pcs(a: Pcs, n: int) -> Pcs:
     return Pcs(web, tuple(gens), f"M{n}({a.name})")
 
 
-def bang_pcs(alphabet: Alphabet, depth: int, grid_resolution: int = 4) -> Pcs:
-    """Depth-truncated exponential: promotions at grid points as generators.
-
-    The grid points are the subdistributions with coordinates in multiples
-    of 1/grid_resolution, read off the multisets of size <= grid_resolution.
-
-    The true clique is generated by all promotions, an uncountable family;
-    this finite under-approximation makes "inside" verdicts sound, while an
-    "outside" verdict is only as strong as the grid resolution used.
-    """
-    web = bounded_multiset_space(alphabet, depth)
-    gens = []
-    for m in enumerate_bounded_multisets(alphabet, grid_resolution):
-        point = tuple(Fraction(x, grid_resolution) for x in m.counts)
-        gens.append(PcsVector(web, tuple(_monomial(point, counts) for counts in web.labels)))
-    return Pcs(web, tuple(gens), f"bang-truncation(depth={depth},grid={grid_resolution})")
-
-
 # -- structural matrices ----------------------------------------------------
 
 def eq_delta(alphabet: Alphabet, n: int) -> PcsMatrix:
@@ -288,27 +247,6 @@ def canonical_section(alphabet: Alphabet, n: int) -> PcsMatrix:
     canon = {canonical_enumeration(Multiset(alphabet, counts)): counts for counts in tgt.labels}
     return PcsMatrix.build(
         tuple_space(alphabet, n), tgt, lambda t: {canon[t]: ONE} if t in canon else {}
-    )
-
-
-def dd_inclusion(alphabet: Alphabet, n: int) -> PcsMatrix:
-    """Delta form of the draw-and-delete step: entry 1 exactly when nu is
-    included in mu (|mu| = n+1, |nu| = n).  Conjugate to the uniform kernel
-    by the multinomial diagonal."""
-    return PcsMatrix.build(
-        multiset_space(alphabet, n + 1),
-        multiset_space(alphabet, n),
-        lambda mu: {mu[:x] + (c - 1,) + mu[x + 1:]: ONE for x, c in enumerate(mu) if c},
-    )
-
-
-def dd_restriction(alphabet: Alphabet, n: int) -> PcsMatrix:
-    """Chain step for the truncated exponential: keep multisets of size <= n,
-    drop those of size n+1."""
-    return PcsMatrix.build(
-        bounded_multiset_space(alphabet, n + 1),
-        bounded_multiset_space(alphabet, n),
-        lambda mu: {mu: ONE} if sum(mu) <= n else {},
     )
 
 

@@ -66,8 +66,3 @@ def bounded_multiset_space(alphabet: Alphabet, n: int) -> IndexSet:
     """Multisets of size <= n; sizes 0..n concatenated."""
     labels = tuple(m.counts for m in enumerate_bounded_multisets(alphabet, n))
     return IndexSet(f"M<={n}({','.join(alphabet.symbols)})", labels)
-
-
-def product_space(a: IndexSet, b: IndexSet) -> IndexSet:
-    labels = tuple(itertools.product(a.labels, b.labels))
-    return IndexSet(f"({a.name})*({b.name})", labels)

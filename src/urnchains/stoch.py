@@ -3,8 +3,9 @@
 Kernels are exact rational matrices indexed (source label, target label),
 on the shared `_linalg.Matrix` base; `_linalg.compose(f, g)` is "f then g".
 Everything structural (equalisers of the symmetry action on tuple spaces,
-the draw-and-delete kernel, the multinomial urn laws) is exact; Monte Carlo
-simulation of exchangeable sequences uses 64-bit floats and explicit seeds.
+the multinomial urn laws) is exact; the draw-and-delete step between the
+equalisers is `chains.Backend.dd_closed_form`.  The Monte Carlo law of
+exchangeable prefixes uses 64-bit floats and explicit seeds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import ONE, ZERO, Matrix, _monomial, frac, identity, is_exact, kron, max_abs_diff
+from ._linalg import ONE, ZERO, Matrix, _monomial, frac, is_exact, max_abs_diff
 from .multiset import (
     Alphabet,
     Multiset,
@@ -28,7 +29,6 @@ from .multiset import (
 from .spaces import (
     IndexSet,
     multiset_space,
-    product_space,
     tuple_space,
     unit_space,
 )
@@ -52,10 +52,6 @@ class FinKernel(Matrix):
             if total > 1:
                 raise ValueError(f"row sum {total} exceeds 1")
 
-    @property
-    def kind(self) -> str:
-        return "stochastic" if all(sum(r) == 1 for r in self.rows) else "substochastic"
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FinKernel)
@@ -68,22 +64,9 @@ class FinKernel(Matrix):
         return hash((self.source.labels, self.target.labels, self.rows))
 
 
-def identity_kernel(space: IndexSet) -> FinKernel:
-    return FinKernel(space, space, identity(len(space)))
-
-
 def discard_kernel(space: IndexSet) -> FinKernel:
     """The unique kernel into the terminal one-point space (all-ones column)."""
     return FinKernel.build(space, unit_space(), lambda _: {"*": ONE})
-
-
-def tensor(f: FinKernel, g: FinKernel) -> FinKernel:
-    """Product-measure kernel on the product index sets (Kronecker product)."""
-    return FinKernel(
-        product_space(f.source, g.source),
-        product_space(f.target, g.target),
-        kron(f.rows, g.rows),
-    )
 
 
 # -- symmetries on tuple spaces ------------------------------------------
@@ -170,23 +153,7 @@ def symmetrization_average(alphabet: Alphabet, n: int) -> FinKernel:
     return FinKernel.build(tsp, tsp, row)
 
 
-# -- the draw-and-delete kernel and urn laws ------------------------------
-
-def dd_kernel(alphabet: Alphabet, n: int) -> FinKernel:
-    """Draw-and-delete: remove one element of a size-(n+1) urn uniformly.
-
-    Entry (mu, mu - [x]) is mu(x)/(n+1); this is the unique kernel making
-    eq_n . DD_n = (id^n (x) discard) . eq_{n+1} commute, a fact the chain
-    builder re-verifies against the exact linear solve.
-    """
-    return FinKernel.build(
-        multiset_space(alphabet, n + 1),
-        multiset_space(alphabet, n),
-        lambda mu: {
-            mu[:x] + (c - 1,) + mu[x + 1:]: Fraction(c, n + 1) for x, c in enumerate(mu) if c
-        },
-    )
-
+# -- urn laws --------------------------------------------------------------
 
 def _sum_slack(values):
     """How far a probability sum of these values may pass 1: not at all when
@@ -228,8 +195,8 @@ def multinomial_law(r: ProbVector, n: int) -> FinKernel:
     """Law of the multiset of n i.i.d. draws from r, as a kernel 1 -> M_n.
 
     mass(mu) = multinomial(mu) * prod_a r_a^mu(a).  For proper rational r the
-    cone law multinomial_law(r, n) = multinomial_law(r, n+1) then dd_kernel(n)
-    holds exactly.
+    cone law multinomial_law(r, n) = multinomial_law(r, n+1) then DD_n holds
+    exactly, with DD_n the step of the kernel-side chain (`chains.stoch_copointed`).
     """
     if not r.is_proper:
         raise ValueError("multinomial_law needs a proper probability vector")
@@ -463,19 +430,6 @@ def _atom_cdf(mixing: AtomicMeasure) -> list[float]:
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     return cdf.tolist()
-
-
-def simulate_exchangeable(mixing: AtomicMeasure, length: int, seed: int) -> list[str]:
-    """Sample one atom by its weight, then i.i.d. symbols from that atom."""
-    if not mixing.is_probability:
-        raise ValueError("simulation needs a probability mixing measure")
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    atom = mixing.atoms[bisect.bisect_right(_atom_cdf(mixing), rng.random())][0]
-    symbols = mixing.alphabet.symbols
-    draws = rng.choice(len(symbols), size=length, p=atom.as_floats())
-    return [symbols[i] for i in draws]
 
 
 @dataclass

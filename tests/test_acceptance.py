@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import mm, vertex_oracle_inside
-from urnchains._linalg import compose, max_abs_diff
+from urnchains._linalg import compose, identity, max_abs_diff
 from urnchains.chains import (
     build_dd_chain,
     cone_from_top,
@@ -42,17 +42,14 @@ from urnchains.pcoh import (
     bool_pcs,
     ground_pcs,
     multinomial_embedding,
-    tensor_pcs,
 )
 from urnchains.spaces import symbol_space, unit_space
 from urnchains.stoch import (
     AtomicMeasure,
     ProbVector,
     coeq_kernel,
-    dd_kernel,
     empirical_law,
     eq_kernel,
-    identity_kernel,
     mixing_moment,
     multinomial_law,
     symmetrization_average,
@@ -130,9 +127,7 @@ def test_criterion_03_equaliser_laws():
             eq = eq_kernel(alphabet, n)
             coeq = coeq_kernel(alphabet, n)
             worst = max(worst, verify_equalises(eq, n).max_deviation)
-            worst = max(
-                worst, compose(eq, coeq).deviation(identity_kernel(eq.source))
-            )
+            worst = max(worst, max_abs_diff(compose(eq, coeq).rows, identity(len(eq.source))))
             worst = max(
                 worst,
                 compose(coeq, eq).deviation(symmetrization_average(alphabet, n)),
@@ -209,8 +204,10 @@ def test_criterion_05_iid_limit_cone():
             ProbVector.of(ALPHABETS[3], F(1, 6), F(1, 3), F(1, 2)),
         ),
     ):
+        cop = stoch_copointed(alphabet)
         for n in range(6):
-            lhs = mm(multinomial_law(r, n + 1).rows, dd_kernel(alphabet, n).rows)
+            dd = cop.backend.dd_closed_form(cop.weaken, n)
+            lhs = mm(multinomial_law(r, n + 1).rows, dd.rows)
             worst = max(worst, max_abs_diff(lhs, multinomial_law(r, n).rows))
     _report(
         5,
@@ -352,7 +349,8 @@ def test_criterion_09_lp_oracle():
 
 def test_criterion_10_biorthogonality_oracle():
     rng = random.Random(1010)
-    spaces = [bool_pcs(), tensor_pcs(bool_pcs(), bool_pcs())]
+    # the tensor square of bool_pcs() is the ground space on the four pairs
+    spaces = [bool_pcs(), ground_pcs(Alphabet.of("tt", "tf", "ft", "ff"))]
     checked = 0
     for space in spaces:
         gen_rows = [g.coeffs for g in space.generators]

@@ -27,9 +27,9 @@ from urnchains.chains import (
     verify_tensor_parametrized,
 )
 from urnchains.multiset import BOOL, Alphabet
-from urnchains.pcoh import PcsMatrix, PcsVector, bool_pcs, dd_restriction, promotion
+from urnchains.pcoh import PcsMatrix, PcsVector, bool_pcs, promotion
 from urnchains.spaces import multiset_space, symbol_space, unit_space
-from urnchains.stoch import FinKernel, ProbVector, dd_kernel, multinomial_law
+from urnchains.stoch import FinKernel, ProbVector, multinomial_law
 
 F = Fraction
 ABC = Alphabet.of("a", "b", "c")
@@ -41,20 +41,27 @@ ABC = Alphabet.of("a", "b", "c")
 def test_stoch_chain_steps_equal_uniform_kernel(alphabet):
     chain = build_dd_chain(stoch_copointed(alphabet), 3)
     for n in range(3):
-        assert chain.dds[n].rows == dd_kernel(alphabet, n).rows
+        # remove one element uniformly: entry (mu, mu - [b]) is mu(b)/(n+1)
+        dd = chain.dds[n]
+        for i, mu in enumerate(dd.source.labels):
+            for j, nu in enumerate(dd.target.labels):
+                diff = [x - y for x, y in zip(mu, nu)]
+                removed_one = sorted(diff) == [0] * (len(diff) - 1) + [1]
+                expected = F(mu[diff.index(1)], n + 1) if removed_one else 0
+                assert dd.rows[i][j] == expected
     assert all(c.deviation == 0 for c in chain.validate())
 
 
 def test_bang_chain_steps_equal_restrictions():
     chain = build_dd_chain(pcoh_free_copointed(bool_pcs()), 3)
     for n in range(3):
-        restriction = dd_restriction(BOOL, n)
+        # in bounded coordinates the step keeps each multiset of size <= n
         b_src, full_src, map_src = pad_index_bijection(BOOL, n + 1)
         b_tgt, full_tgt, map_tgt = pad_index_bijection(BOOL, n)
         dd = chain.dds[n]
         for i, mu in enumerate(b_src.labels):
             for j, nu in enumerate(b_tgt.labels):
-                assert restriction.rows[i][j] == dd.rows[map_src[i]][map_tgt[j]]
+                assert dd.rows[map_src[i]][map_tgt[j]] == (1 if mu == nu else 0)
 
 
 def test_depth_zero_chain():

@@ -312,6 +312,10 @@ def test_bad_flag_values_are_input_errors(dirac_mixing, capsys):
         argv = ["definetti", "simulate", "--mixing", dirac_mixing, "--prefix-len", length]
         assert main(argv) == 2
         assert "--prefix-len must be at least 1" in capsys.readouterr().err
+    for trials in ("0", "-1"):
+        argv = ["definetti", "simulate", "--mixing", dirac_mixing, "--trials", trials]
+        assert main(argv) == 2
+        assert "--trials must be at least 1" in capsys.readouterr().err
     argv = ["definetti", "simulate", "--mixing", dirac_mixing, "--seed", "-1"]
     assert main(argv) == 2
     assert "--seed must be nonnegative" in capsys.readouterr().err

@@ -69,8 +69,8 @@ def _constructors(alphabet):
         "morphism_checks.alpha": _alpha(alphabet),
     }
     for module, names in (
-        (stoch, ("eq_kernel", "coeq_kernel", "dd_kernel")),
-        (pcoh, ("eq_delta", "canonical_section", "dd_inclusion", "dd_restriction", "multinomial_embedding")),
+        (stoch, ("eq_kernel", "coeq_kernel")),
+        (pcoh, ("eq_delta", "canonical_section", "multinomial_embedding")),
     ):
         for name in names:
             out[name] = [getattr(module, name)(alphabet, n) for n in SIZES]
@@ -102,12 +102,6 @@ GOLDEN = {
             "171b921bf541def9c75b7fdd7abe9b2e7d7adb339ab40470b1947a528e1ba30c",
         "coeq_kernel":
             "637de6e73fe15b7504be287691343ed41b7529ff295861ce8edebc02c97f3793",
-        "dd_inclusion":
-            "c4300d0bfb213fe5838995140c9ade4e9926fb42c5bf3756e277ef771134952a",
-        "dd_kernel":
-            "c3977fec6a47c7ef0d1e3c7f08d8d62d5464828ae87933b51b37888692679dfa",
-        "dd_restriction":
-            "e237deed4b906d34ad172411a1f07831d3bd0e8bc0acdf5118674193c17ca378",
         "discard_kernel":
             "9a7ffa4fbc7ded38f54e6646a797a6d1c0692d448f5109f37834893fce6d5343",
         "eq_delta":
@@ -148,12 +142,6 @@ GOLDEN = {
             "ec5d7a1102d656c51616fbdf9446633565a14c4b967a3474c86f525efa2b0544",
         "coeq_kernel":
             "9d3fcf4f73ec586e466c3296c4e7b74901594d8e53adb66aae9066e45f8586af",
-        "dd_inclusion":
-            "429d14dd28d8786080421e54291f35209f75971392938a9c22ab7667b90e6d31",
-        "dd_kernel":
-            "3a04f8903ea2a7ff47c76fbab7738b5663a3d13f2635ee5a3994f5f6abfb34e4",
-        "dd_restriction":
-            "87cdfe87d59912f012f6738d271f778c336919ade3e56e588aab7f65baf0a7d2",
         "discard_kernel":
             "2c07bc1b53139de4718fecdb7744216bd3a2a0df238227a6e32fc189a6467b9f",
         "eq_delta":
@@ -194,12 +182,6 @@ GOLDEN = {
             "2a44378ab0cb72ebf48136f9a51e81eb42e0ee450762b455e300bf286c266de5",
         "coeq_kernel":
             "3a6f4a85437ecb1b0856726baa5ab582e713be00f2f76bf19449990d6abf14ad",
-        "dd_inclusion":
-            "16e845c1b2d3409b7c865abab95cfdd76c6e52eabcd57d79f09773a9e617797d",
-        "dd_kernel":
-            "d3d53f360ba123e63a635785a97faa4349ddf284405ffab335745b913bd46036",
-        "dd_restriction":
-            "77e6f1661b33d83bd4470bd90bb81b67618642f6e8c4e4f4933b1a53c34824d2",
         "discard_kernel":
             "97604e4b45e8bdca19fd79045f03f164e229401fc3416b43a5e943fba733a456",
         "eq_delta":

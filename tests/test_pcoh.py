@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -8,62 +7,42 @@ from hypothesis import strategies as st
 
 from helpers import mm, vertex_oracle_inside
 from urnchains._linalg import compose, solve_right
+from urnchains.chains import Backend, pcoh_ground_copointed
 from urnchains.multiset import BOOL, Alphabet, Multiset, multinomial
 from urnchains.pcoh import (
     BangElement,
     PcsMatrix,
     PcsVector,
     WebConditionError,
-    bang_pcs,
     biorthogonal_membership,
     bool_pcs,
     canonical_section,
-    dd_inclusion,
-    dd_restriction,
-    dual_membership,
     eq_delta,
     ground_pcs,
     multinomial_embedding,
     multiset_pcs,
-    pairing,
     promotion,
     restrict_to_depth,
-    tensor_pcs,
     with_unit_pcs,
 )
 from urnchains.spaces import bounded_multiset_space, symbol_space, tuple_space
-from urnchains.stoch import all_perms, eq_kernel, permute_tuple_columns
+from urnchains.stoch import all_perms, discard_kernel, eq_kernel, permute_tuple_columns
 
 F = Fraction
 GROUND = bool_pcs()
 WEB = GROUND.web
+# the tensor square of GROUND: its generators e_x (x) e_y are the unit
+# vectors on the pairs, so it is the ground space on them
+GROUND_SQUARE = ground_pcs(Alphabet.of("tt", "tf", "ft", "ff"))
 
 
-# -- pairing and duals ------------------------------------------------------------
-
-def test_pairing_examples():
-    zero = PcsVector.of(WEB, 0, 0)
-    anything = PcsVector.of(WEB, "1/3", "2/3")
-    assert pairing(zero, anything) == 0
-    sub = PcsVector.of(WEB, "1/2", "1/4")
-    ones = PcsVector.of(WEB, 1, 1)
-    assert pairing(sub, ones) == F(3, 4)
-    e_t = PcsVector.of(WEB, 1, 0)
-    assert pairing(sub, e_t) == F(1, 2)
+def _dd_inclusion(alphabet, n):
+    # the delta-coordinate draw-and-delete step of the ground chain
+    cop = pcoh_ground_copointed(alphabet)
+    return cop.backend.dd_closed_form(cop.weaken, n)
 
 
-def test_pairing_web_mismatch():
-    with pytest.raises(ValueError):
-        pairing(PcsVector.of(WEB, 1, 0), PcsVector.of(symbol_space(Alphabet.of("a")), 1))
-
-
-def test_dual_membership_examples():
-    gens = [PcsVector.of(WEB, "1/2", "1/2"), PcsVector.of(WEB, 1, 0)]
-    assert dual_membership(gens, PcsVector.of(WEB, 0, 0))
-    # all-ones against subdistribution generators
-    assert dual_membership(GROUND.generators, PcsVector.of(WEB, 1, 1))
-    assert not dual_membership([PcsVector.of(WEB, 1, 0)], PcsVector.of(WEB, 2, 0))
-
+# -- biorthogonality ------------------------------------------------------------
 
 def test_biorthogonal_membership_examples():
     gen = GROUND.generators[0]
@@ -94,14 +73,6 @@ def test_singleton_ground_is_unit_interval():
     one = ground_pcs(Alphabet.of("x"))
     assert one.contains(PcsVector.of(one.web, "7/10")).inside
     assert not one.contains(PcsVector.of(one.web, "6/5")).inside
-
-
-def test_tensor_pcs_is_subdistributions_on_product():
-    t2 = tensor_pcs(GROUND, GROUND)
-    ok = PcsVector.of(t2.web, "1/4", "1/4", "1/4", "1/4")
-    assert t2.contains(ok).inside
-    too_much = PcsVector.of(t2.web, "1/2", "1/2", "1/2", 0)
-    assert not t2.contains(too_much).inside
 
 
 def test_with_unit_adds_independent_unit_coordinate():
@@ -151,29 +122,8 @@ def test_bang_element_refuses_a_negative_coefficient(negative):
 
 # -- chain step matrices -----------------------------------------------------------------
 
-def test_dd_restriction_examples():
-    r0 = dd_restriction(BOOL, 0)
-    assert [row[0] for row in r0.rows] == [F(1), F(0), F(0)]
-    b = BangElement.from_table(BOOL, 2, {(0, 0): 1, (1, 0): F(1, 2), (2, 0): F(1, 4)})
-    r1 = dd_restriction(BOOL, 1)
-    vec = restrict_to_depth(b, 2)
-    out = mm((vec.coeffs,), r1.rows)[0]
-    assert out == restrict_to_depth(b, 1).coeffs
-
-
-def test_dd_restriction_composition_is_restriction():
-    r1 = dd_restriction(BOOL, 1)
-    r2 = dd_restriction(BOOL, 2)
-    both = mm(r2.rows, r1.rows)
-    web3 = bounded_multiset_space(BOOL, 3)
-    web1 = bounded_multiset_space(BOOL, 1)
-    for i, mu in enumerate(web3.labels):
-        for j, nu in enumerate(web1.labels):
-            assert both[i][j] == (1 if mu == nu else 0)
-
-
 def test_dd_inclusion_rows():
-    dd = dd_inclusion(BOOL, 1)
+    dd = _dd_inclusion(BOOL, 1)
     assert dd.entry((1, 1), (1, 0)) == 1
     assert dd.entry((1, 1), (0, 1)) == 1
     assert dd.entry((2, 0), (1, 0)) == 1
@@ -196,15 +146,13 @@ def _ones_delete(alphabet, n):
 def test_dd_inclusion_solves_defining_square_uniquely(alphabet, n):
     rhs = mm(eq_delta(alphabet, n + 1).rows, _ones_delete(alphabet, n))
     solved = solve_right(eq_delta(alphabet, n).rows, rhs)
-    assert solved == dd_inclusion(alphabet, n).rows
+    assert solved == _dd_inclusion(alphabet, n).rows
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_dd_inclusion_conjugate_to_uniform_kernel(n):
-    from urnchains.stoch import dd_kernel
-
     abc = Alphabet.of("a", "b", "c")
-    incl = dd_inclusion(abc, n)
+    incl = _dd_inclusion(abc, n)
     diag = lambda m: [
         multinomial(Multiset(abc, c))
         for c in incl.source.labels if sum(c) == m
@@ -215,7 +163,8 @@ def test_dd_inclusion_conjugate_to_uniform_kernel(n):
         tuple(incl.rows[i][j] * tgt_mult[j] / src_mult[i] for j in range(len(tgt_mult)))
         for i in range(len(src_mult))
     )
-    assert conj == dd_kernel(abc, n).rows
+    uniform = Backend.stoch(abc).dd_closed_form(discard_kernel(symbol_space(abc)), n)
+    assert conj == uniform.rows
 
 
 # -- symmetric powers -----------------------------------------------------------------------
@@ -235,7 +184,7 @@ def test_multiset_pcs_binomial_point_inside():
     # oracle: push through the uniform-enumeration equaliser and test on the
     # tensor square
     pushed = mm((binom.coeffs,), eq_kernel(BOOL, 2).rows)[0]
-    t2 = tensor_pcs(GROUND, GROUND)
+    t2 = GROUND_SQUARE
     assert pushed == (F(1, 4),) * 4
     assert t2.contains(PcsVector(t2.web, tuple(pushed))).inside
     assert not m2.contains(PcsVector.of(m2.web, "1/2", "3/4", "1/2")).inside
@@ -348,7 +297,7 @@ def test_multinomial_embedding_is_the_unique_square_solution(alphabet, n):
 
 @pytest.mark.parametrize(
     "space,denominator",
-    [(GROUND, 6), (tensor_pcs(GROUND, GROUND), 4)],
+    [(GROUND, 6), (GROUND_SQUARE, 4)],
 )
 def test_membership_agrees_with_vertex_enumeration(space, denominator):
     rng = random.Random(2024)
@@ -364,34 +313,11 @@ def test_membership_agrees_with_vertex_enumeration(space, denominator):
     assert agree == 100
 
 
-def test_bang_pcs_contains_promotions_and_flags_scaled_ones():
-    space = bang_pcs(BOOL, 2, grid_resolution=4)
-    inside = promotion(PcsVector.of(WEB, "1/4", "1/2"), 2)
-    assert space.contains(PcsVector(space.web, inside.coeffs)).inside
-    doubled = tuple(2 * v for v in inside.coeffs)
-    assert not space.contains(PcsVector(space.web, doubled)).inside
-
-
-@pytest.mark.parametrize("alphabet, depth, res", [(BOOL, 2, 4), (Alphabet.of("a", "b", "c"), 2, 3)])
-def test_bang_pcs_generators_are_promotions_of_every_grid_point(alphabet, depth, res):
-    # oracle: every point with coordinates in {0, 1/res, ..., 1} and sum <= 1
-    k = len(alphabet)
-    web = symbol_space(alphabet)
-    expected = [
-        promotion(PcsVector(web, tuple(F(c, res) for c in counts)), depth).coeffs
-        for counts in itertools.product(range(res + 1), repeat=k)
-        if sum(counts) <= res
-    ]
-    gens = [g.coeffs for g in bang_pcs(alphabet, depth, grid_resolution=res).generators]
-    assert len(gens) == len(expected) == len(set(expected))
-    assert set(gens) == set(expected)
-
-
 # -- morphism certification -------------------------------------------------------------------------
 
 def test_certify_uniform_equaliser_as_morphism():
     m2 = multiset_pcs(GROUND, 2)
-    t2 = tensor_pcs(GROUND, GROUND)
+    t2 = GROUND_SQUARE
     uniform = PcsMatrix(m2.web, t2.web, eq_kernel(BOOL, 2).rows)
     # a morphism maps every generator of the source into the target clique
     assert all(t2.contains(uniform.push(g)).inside for g in m2.generators)

@@ -1,0 +1,93 @@
+"""Every public function and class of the package has a caller in the program.
+
+A public top-level function or class of `src/urnchains` must be referred to,
+as an `ast` Name or Attribute, by some package module or some `perfbench/`
+file; a mention in a docstring or comment does not count.  A name that only
+the tests use is allowed only when a test checks a law of the paper through
+it, and `TEST_ONLY` names that law.
+"""
+
+import ast
+import os
+
+from urnchains import _linalg
+
+PACKAGE = os.path.dirname(os.path.abspath(_linalg.__file__))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(REPO, "perfbench")
+
+# kept name -> the paper law a test checks through it, and that test
+TEST_ONLY = {
+    "pcoh.promotion":
+        "promotion is multiplicative (test_pcoh::test_promotion_multiplicative)",
+    "chains.bang_cone":
+        "the depth-N tables are exactly the coherent families on the free-copointed"
+        " chain (test_chains::test_every_depth_table_is_a_coherent_family)",
+    "chains.bang_from_cone":
+        "the same law, read back from the family"
+        " (test_chains::test_every_depth_table_is_a_coherent_family)",
+    "moments.cone_from_total_element":
+        "a total element is a cone over the De Finetti chain"
+        " (test_moments::test_cone_legs_of_a_dirac_are_products)",
+    "stoch.symmetry_kernel":
+        "the n! coordinate symmetries, the oracle of verify_equalises"
+        " (test_stoch::test_verify_equalises_agrees_with_every_symmetry)",
+}
+
+
+def _sources(directory):
+    return sorted(
+        os.path.join(directory, name) for name in os.listdir(directory) if name.endswith(".py")
+    )
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _public_definitions(module, tree):
+    return {
+        f"{module}.{node.name}": node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def _references(tree):
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def _uncalled(package_trees, other_trees):
+    defined = {}
+    refs = set()
+    for module, tree in package_trees.items():
+        defined.update(_public_definitions(module, tree))
+    for tree in [*package_trees.values(), *other_trees]:
+        refs |= _references(tree)
+    return sorted(qualified for qualified, name in defined.items() if name not in refs)
+
+
+def test_every_public_name_has_a_caller_in_the_program():
+    package = {os.path.basename(p)[:-3]: _parse(p) for p in _sources(PACKAGE)}
+    perfbench = [_parse(p) for p in _sources(PERFBENCH)]
+    assert _uncalled(package, perfbench) == sorted(TEST_ONLY)
+
+
+def test_the_guard_sees_what_it_forbids():
+    mod = ast.parse(
+        "def used(): pass\n"
+        "def unused():\n"
+        '    """Mentions used() and unused() in prose."""\n'
+        "class Kept: pass\n"
+        "def _private(): pass\n"
+    )
+    caller = ast.parse("from m import used\nused()\nm.Kept\n")
+    assert _uncalled({"m": mod}, [caller]) == ["m.unused"]
+    assert os.path.isfile(os.path.join(PERFBENCH, "run.py"))

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import mm
-from urnchains._linalg import compose
+from urnchains._linalg import compose, identity, kron, matmul
+from urnchains.chains import Backend
 from urnchains.multiset import BOOL, Alphabet
 from urnchains.spaces import symbol_space, tuple_space, unit_space
 from urnchains import stoch
@@ -19,17 +20,13 @@ from urnchains.stoch import (
     adjacent_transpositions,
     all_perms,
     coeq_kernel,
-    dd_kernel,
     discard_kernel,
     empirical_law,
     eq_kernel,
-    identity_kernel,
     multinomial_law,
     permute_tuple_columns,
-    simulate_exchangeable,
     symmetrization_average,
     symmetry_kernel,
-    tensor,
     verify_equalises,
 )
 from urnchains.stoch import _STATE_CHUNK, _trial_states
@@ -47,19 +44,28 @@ def _random_stochastic(rng, space):
     return FinKernel(space, space, tuple(rows))
 
 
+def _identity_kernel(space):
+    return FinKernel(space, space, identity(len(space)))
+
+
+def _dd(alphabet, n):
+    # the uniform draw-and-delete step of the kernel-side chain
+    return Backend.stoch(alphabet).dd_closed_form(discard_kernel(symbol_space(alphabet)), n)
+
+
 # -- composition and tensor ----------------------------------------------------
 
 def test_compose_identity_and_substochastic_row():
     x = symbol_space(BOOL)
     f = FinKernel(unit_space(), x, ((F(1, 2), F(3, 10)),))
-    assert compose(f, identity_kernel(x)).rows == f.rows
-    assert f.kind == "substochastic"
+    assert compose(f, _identity_kernel(x)).rows == f.rows
+    assert sum(f.rows[0]) < 1
 
 
 def test_compose_requires_matching_spaces():
     x = symbol_space(BOOL)
-    f = identity_kernel(x)
-    g = identity_kernel(symbol_space(ABC))
+    f = _identity_kernel(x)
+    g = _identity_kernel(symbol_space(ABC))
     with pytest.raises(ValueError):
         compose(f, g)
 
@@ -69,34 +75,29 @@ def test_compose_associative_on_random_kernels():
     x = symbol_space(BOOL)
     f, g, h = (_random_stochastic(rng, x) for _ in range(3))
     assert compose(compose(f, g), h).rows == compose(f, compose(g, h)).rows
-    assert compose(f, g).kind == "stochastic"
+    assert all(sum(row) == 1 for row in compose(f, g).rows)
 
 
 def test_tensor_identity_and_product_row():
-    x = symbol_space(BOOL)
-    assert tensor(identity_kernel(x), identity_kernel(x)).rows == identity_kernel(
-        tensor(identity_kernel(x), identity_kernel(x)).source
-    ).rows
-    f = FinKernel(unit_space(), x, ((F(1), F(0)),))
-    g = FinKernel(unit_space(), x, ((F(1, 2), F(1, 2)),))
-    assert tensor(f, g).rows == ((F(1, 2), F(1, 2), F(0), F(0)),)
+    # the tensor of kernels is the Kronecker product of their rows (DDChain.tensored)
+    assert kron(identity(2), identity(2)) == identity(4)
+    assert kron(((F(1), F(0)),), ((F(1, 2), F(1, 2)),)) == ((F(1, 2), F(1, 2), F(0), F(0)),)
 
 
 def test_tensor_bifunctorial():
     rng = random.Random(5)
     x = symbol_space(BOOL)
-    f1, f2, g1, g2 = (_random_stochastic(rng, x) for _ in range(4))
-    lhs = tensor(compose(f1, f2), compose(g1, g2))
-    rhs = compose(tensor(f1, g1), tensor(f2, g2))
-    assert lhs.rows == rhs.rows
+    f1, f2, g1, g2 = (_random_stochastic(rng, x).rows for _ in range(4))
+    # interchange law: (f1 then f2) (x) (g1 then g2) = (f1 (x) g1) then (f2 (x) g2)
+    lhs = kron(matmul(f1, f2), matmul(g1, g2))
+    rhs = matmul(kron(f1, g1), kron(f2, g2))
+    assert lhs == rhs
 
 
 # -- symmetries -------------------------------------------------------------------
 
 def test_symmetry_identity_and_swap():
-    assert symmetry_kernel(BOOL, 2, (0, 1)).rows == identity_kernel(
-        tuple_space(BOOL, 2)
-    ).rows
+    assert symmetry_kernel(BOOL, 2, (0, 1)).rows == identity(4)
     swap = symmetry_kernel(BOOL, 2, (1, 0))
     assert swap.entry((0, 1), (1, 0)) == 1
     assert swap.entry((0, 1), (0, 1)) == 0
@@ -116,8 +117,8 @@ def test_symmetry_group_law():
 # -- equaliser laws -----------------------------------------------------------------
 
 def test_eq_coeq_n1_is_identity():
-    assert eq_kernel(BOOL, 1).rows == identity_kernel(symbol_space(BOOL)).rows
-    assert coeq_kernel(BOOL, 1).rows == identity_kernel(symbol_space(BOOL)).rows
+    assert eq_kernel(BOOL, 1).rows == identity(2)
+    assert coeq_kernel(BOOL, 1).rows == identity(2)
 
 
 def test_eq_spreads_uniformly():
@@ -129,7 +130,7 @@ def test_eq_spreads_uniformly():
 
 def test_eq_coeq_laws_by_hand_n2():
     eq, coeq = eq_kernel(BOOL, 2), coeq_kernel(BOOL, 2)
-    assert compose(eq, coeq).rows == identity_kernel(eq.source).rows
+    assert compose(eq, coeq).rows == identity(len(eq.source))
     # hand oracle: average of the two symmetries on Bool^2
     half = F(1, 2)
     expected = (
@@ -151,10 +152,10 @@ def test_symmetrization_average_matches_composition(alphabet, n):
     )
 
 
-# -- the draw-and-delete kernel -------------------------------------------------------
+# -- the draw-and-delete step -------------------------------------------------------
 
 def test_dd_two_a_one_b_urn():
-    dd = dd_kernel(ABC, 2)
+    dd = _dd(ABC, 2)
     aab = (2, 1, 0)
     assert dd.entry(aab, (1, 1, 0)) == F(2, 3)  # remove an a
     assert dd.entry(aab, (2, 0, 0)) == F(1, 3)  # remove the b
@@ -162,7 +163,7 @@ def test_dd_two_a_one_b_urn():
 
 
 def test_dd_size_zero():
-    dd = dd_kernel(ABC, 0)
+    dd = _dd(ABC, 0)
     for counts in dd.source.labels:
         assert dd.entry(counts, (0, 0, 0)) == 1
 
@@ -186,13 +187,13 @@ def test_dd_matches_composition_oracle(alphabet, n):
         mm(eq_kernel(alphabet, n + 1).rows, _discard_last(alphabet, n).rows),
         coeq_kernel(alphabet, n).rows,
     )
-    assert dd_kernel(alphabet, n).rows == oracle
+    assert _dd(alphabet, n).rows == oracle
 
 
 @pytest.mark.parametrize("alphabet", [BOOL, ABC])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_dd_defining_square_exact(alphabet, n):
-    lhs = mm(dd_kernel(alphabet, n).rows, eq_kernel(alphabet, n).rows)
+    lhs = mm(_dd(alphabet, n).rows, eq_kernel(alphabet, n).rows)
     rhs = mm(eq_kernel(alphabet, n + 1).rows, _discard_last(alphabet, n).rows)
     assert lhs == rhs
 
@@ -212,7 +213,7 @@ def test_multinomial_law_binomial_expansion():
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_multinomial_cone_law(n):
     r = ProbVector.of(BOOL, F(1, 3), F(2, 3))
-    lhs = mm(multinomial_law(r, n + 1).rows, dd_kernel(BOOL, n).rows)
+    lhs = mm(multinomial_law(r, n + 1).rows, _dd(BOOL, n).rows)
     assert lhs == multinomial_law(r, n).rows
 
 
@@ -223,7 +224,7 @@ def test_multinomial_cone_law_random_rational_points(a, b, c, n):
     if total == 0:
         a, total = 1, 1
     r = ProbVector.of(ABC, F(a, total), F(b, total), F(c, total))
-    lhs = mm(multinomial_law(r, n + 1).rows, dd_kernel(ABC, n).rows)
+    lhs = mm(multinomial_law(r, n + 1).rows, _dd(ABC, n).rows)
     assert lhs == multinomial_law(r, n).rows
 
 
@@ -321,29 +322,13 @@ def _two_atom_mixing():
 
 def test_simulate_dirac_is_constant():
     mixing = AtomicMeasure.dirac(ProbVector.of(BOOL, 1, 0))
-    assert simulate_exchangeable(mixing, 50, seed=1) == ["t"] * 50
-
-
-def test_simulate_deterministic_given_seed():
-    mixing = _two_atom_mixing()
-    assert simulate_exchangeable(mixing, 200, seed=42) == simulate_exchangeable(
-        mixing, 200, seed=42
-    )
-
-
-def test_simulate_frequency_concentrates_on_an_atom():
-    mixing = _two_atom_mixing()
-    for seed in range(5):
-        seq = simulate_exchangeable(mixing, 10_000, seed=seed)
-        freq = seq.count("t") / 10_000
-        # 3-sigma binomial bound is ~0.012 < 0.02 at either atom
-        assert min(abs(freq - 0.2), abs(freq - 0.9)) < 0.02
+    assert empirical_law(mixing, 50, trials=3, seed=1).histogram == {(50, 0): 3}
 
 
 def test_simulate_rejects_subprobability():
     mixing = AtomicMeasure.of((ProbVector.of(BOOL, 1, 0), F(1, 2)))
-    with pytest.raises(ValueError):
-        simulate_exchangeable(mixing, 10, seed=0)
+    with pytest.raises(ValueError, match="probability mixing"):
+        empirical_law(mixing, 10, trials=1, seed=0)
 
 
 def test_empirical_law_mean_and_variance():
@@ -431,15 +416,6 @@ def test_empirical_law_matches_per_trial_generators():
             atom = mixing.atoms[rng.choice(len(mixing.atoms), p=weights / weights.sum())][0]
             expected[tuple(int(c) for c in rng.multinomial(n, atom.as_floats()))] += 1
         assert empirical_law(mixing, n, _STATE_CHUNK + 7, seed).histogram == expected
-
-
-def test_simulate_exchangeable_draws_the_atom_like_choice():
-    mixing = _two_atom_mixing()
-    for seed in range(10):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-        atom = mixing.atoms[rng.choice(2, p=np.array([0.5, 0.5]))][0]
-        draws = rng.choice(2, size=30, p=atom.as_floats())
-        assert simulate_exchangeable(mixing, 30, seed) == ["tf"[i] for i in draws]
 
 
 def test_discard_kernel_is_all_ones_column():

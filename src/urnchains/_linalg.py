@@ -1,18 +1,20 @@
 """Exact rational matrices: the shared matrix base, products, linear solves.
 
-`Matrix(source, target, rows)` is the one presentation of the maps on both
-sides of the package: a nonnegative exact matrix indexed (source label,
-target label), with `rows` a tuple of dense row tuples of Fractions.
-`FinKernel` and `PcsMatrix` subclass it and keep only what is their own:
-validation, `FinKernel`'s label-based equality, `PcsMatrix.push`.
-`Matrix.build` is the one place that fills dense rows: each row is given
-as a {target label: value} dict and every other entry is ZERO, so a sparse
-row format would be a change to this module alone.  `compose(f, g)`, "f
-then g", is the plain product of the rows.
+`Matrix(source, target, entries)` is the one presentation of the maps on
+both sides of the package: a nonnegative exact matrix indexed (source label,
+target label).  It stores one sparse row per source label, a {column: value}
+dict of the row's nonzero entries in ascending column order; `rows` is the
+dense view, built on request, with ZERO in every empty cell.  `FinKernel`
+and `PcsMatrix` subclass it and keep only what is their own: `FinKernel`'s
+row sums and label-based equality, `PcsMatrix.push`.  `Matrix.build` fills
+the rows from {target label: value} dicts.  `compose(f, g)`, "f then g", is
+the product of the rows.
 
-The helpers below act on bare row tuples.  Products skip zero entries,
-which matters because equaliser and permutation matrices here are very
-sparse.
+The helpers below act on bare row sequences in the same sparse form, and
+their results are in it too, so zeros cost nothing in products, comparisons
+and solves; the equaliser and permutation matrices here are very sparse.
+Where they read a row that is not a dict, they read it as a dense sequence
+(`sparse_rows`), which is also how a matrix is built from dense rows.
 
 This module also holds the package's one exact-versus-float policy: values
 that are all ints or Fractions (`is_exact`) are compared at tolerance zero,
@@ -25,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .spaces import IndexSet
 
@@ -46,9 +49,7 @@ def frac(x) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(str(x))
@@ -64,9 +65,7 @@ def is_exact(values) -> bool:
 def arithmetic(exact: bool):
     """(conversion, zero, tolerance) of exact arithmetic (frac, 0, 0) or of
     float arithmetic (float, 0.0, FLOAT_TOL)."""
-    if exact:
-        return frac, ZERO, ZERO
-    return float, 0.0, FLOAT_TOL
+    return (frac, ZERO, ZERO) if exact else (float, 0.0, FLOAT_TOL)
 
 
 def _monomial(point, counts, start=ONE):
@@ -80,33 +79,57 @@ def _monomial(point, counts, start=ONE):
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matrix:
-    """Exact matrix indexed (source label, target label)."""
+    """Exact matrix indexed (source label, target label), stored as sparse rows."""
 
     source: IndexSet
     target: IndexSet
-    rows: tuple
+    entries: tuple
+
+    def __post_init__(self):
+        if len(self.entries) != len(self.source):
+            raise ValueError("row count must match source size")
+        width = len(self.target)
+        for row in self.entries:
+            fits = next(reversed(row), -1) < width if type(row) is dict else len(row) == width
+            if not fits:
+                raise ValueError("row width must match target size")
+        object.__setattr__(self, "entries", sparse_rows(self.entries))
+        for row in self.entries:
+            least = min(row.values(), default=ZERO)
+            if least < 0:
+                raise ValueError(f"matrix entries must be nonnegative, not {least}")
 
     @classmethod
     def build(cls, source: IndexSet, target: IndexSet, row: Callable[[object], dict]):
         """The matrix whose row at each source label is row(label), a
-        {target label: value} dict; every other entry is ZERO."""
-        rows = []
-        for label in source.labels:
-            dense = [ZERO] * len(target)
-            for tgt_label, value in row(label).items():
-                dense[target.index(tgt_label)] = value
-            rows.append(tuple(dense))
-        return cls(source, target, tuple(rows))
+        {target label: value} dict; zero values are not stored."""
+        index = target.index
+        rows = (sorted((index(lab), v) for lab, v in row(label).items() if v) for label in source.labels)
+        return cls(source, target, tuple(map(dict, rows)))
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The dense view: one tuple per source label, ZERO in every empty cell."""
+        width = range(len(self.target))
+        return tuple(tuple(row.get(j, ZERO) for j in width) for row in self.entries)
 
     def entry(self, src_label, tgt_label) -> Fraction:
-        return self.rows[self.source.index(src_label)][self.target.index(tgt_label)]
+        return self.entries[self.source.index(src_label)].get(self.target.index(tgt_label), ZERO)
 
     def deviation(self, other: "Matrix") -> Fraction:
         if self.source.labels != other.source.labels or self.target.labels != other.target.labels:
             raise ValueError("matrices must share source and target index sets")
-        return max_abs_diff(self.rows, other.rows)
+        return max_abs_diff(self.entries, other.entries)
+
+
+def sparse_rows(rows) -> tuple:
+    """rows as {column: value} dicts: a dict row as it is, any other row as
+    the dense sequence of its entries, of which the nonzero ones are kept."""
+    return tuple(
+        row if type(row) is dict else {j: v for j, v in enumerate(row) if v} for row in rows
+    )
 
 
 def compose(f: Matrix, g: Matrix) -> Matrix:
@@ -115,100 +138,88 @@ def compose(f: Matrix, g: Matrix) -> Matrix:
         raise ValueError(
             f"cannot compose: target {f.target.name} != source {g.source.name}"
         )
-    return type(f)(f.source, g.target, matmul(f.rows, g.rows))
+    return type(f)(f.source, g.target, matmul(f.entries, g.entries))
 
 
 def identity(n: int) -> tuple:
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-    )
+    return tuple({i: ONE} for i in range(n))
 
 
-def matmul(a: tuple, b: tuple) -> tuple:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} @ {len(b)}x{len(b[0])}")
-    ncols = len(b[0]) if b else 0
+def matmul(a, b) -> tuple:
+    """The product of two row sequences: row i is sum_t a[i][t] * b[t]."""
+    b = sparse_rows(b)
     out = []
-    for arow in a:
-        acc = [ZERO] * ncols
-        for t, v in enumerate(arow):
-            if v:
-                brow = b[t]
-                for u, w in enumerate(brow):
-                    if w:
-                        acc[u] += v * w
-        out.append(tuple(acc))
+    try:
+        for arow in sparse_rows(a):
+            acc = {}
+            for t, v in arow.items():
+                for u, w in b[t].items():
+                    # most structural maps hold the shared ONE, a product by which is free
+                    p = v if w is ONE else w if v is ONE else v * w
+                    acc[u] = acc[u] + p if u in acc else p
+            out.append({u: acc[u] for u in sorted(acc) if acc[u]})
+    except IndexError:
+        raise ValueError(f"shape mismatch: a column of the left factor past its {len(b)} rows") from None
     return tuple(out)
 
 
-def kron(a: tuple, b: tuple) -> tuple:
-    """Kronecker product, matching row-major product index order."""
-    rows = []
-    for arow in a:
-        for brow in b:
-            rows.append(
-                tuple(av * bv if av and bv else ZERO for av in arow for bv in brow)
-            )
-    return tuple(rows)
+def kron(a, b, width: int) -> tuple:
+    """Kronecker product, b having `width` columns, in row-major product order."""
+    b = sparse_rows(b)
+    return tuple(
+        {i * width + j: x * y for i, x in arow.items() for j, y in brow.items()}
+        for arow in sparse_rows(a)
+        for brow in b
+    )
 
 
-def max_abs_diff(a: tuple, b: tuple) -> Fraction:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
+def max_abs_diff(a, b) -> Fraction:
+    if len(a) != len(b):
         raise ValueError("shape mismatch in max_abs_diff")
     dev = ZERO
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if x == y:
-                continue
-            d = abs(x - y)
-            if d > dev:
-                dev = d
+    for ra, rb in zip(sparse_rows(a), sparse_rows(b)):
+        if ra != rb:
+            dev = max(dev, *(abs(ra.get(j, ZERO) - rb.get(j, ZERO)) for j in ra.keys() | rb.keys()))
     return dev
 
 
-def solve_right(e: tuple, b: tuple) -> tuple:
+def solve_right(e, b) -> tuple:
     """Solve m @ e = b for m, requiring the solution to be unique.
 
     e must have full row rank (it is a split mono in every use here); raises
     LinearSolveError when the system is inconsistent or underdetermined.
-    Gaussian elimination over exact rationals on the transposed system.
+    Gauss-Jordan elimination over exact rationals on the transposed system
+    e^T m^T = b^T: one sparse equation per column of e and b, whose unknowns
+    are 0..len(e)-1 and whose right-hand sides follow them.
     """
-    nrows_e = len(e)
-    ncols_e = len(e[0]) if e else 0
-    if b and len(b[0]) != ncols_e:
-        raise ValueError("right-hand side width must match e")
-    q = len(b)
-    # augmented system: e^T x = b^T, solved for all q right-hand sides at once
-    aug = [
-        [e[j][i] for j in range(nrows_e)] + [b[r][i] for r in range(q)]
-        for i in range(ncols_e)
-    ]
-    pivot_rows: list[int] = []
-    row = 0
-    for col in range(nrows_e):
-        piv = None
-        for r in range(row, len(aug)):
-            if aug[r][col]:
-                piv = r
-                break
+    e, b = sparse_rows(e), sparse_rows(b)
+    unknowns = len(e)
+    equations = {}
+    for j, row in enumerate(e + b):
+        for i, v in row.items():
+            equations.setdefault(i, {})[j] = v
+    pending = list(equations.values())
+    pivots = []
+    for col in range(unknowns):
+        piv = next((r for r, row in enumerate(pending) if col in row), None)
         if piv is None:
             raise LinearSolveError(
-                f"underdetermined system: matrix has row rank < {nrows_e}"
+                f"underdetermined system: matrix has row rank < {unknowns}"
             )
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        if pv != 1:
-            aug[row] = [v / pv for v in aug[row]]
-        prow = aug[row]
-        for r in range(len(aug)):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], prow)]
-        pivot_rows.append(row)
-        row += 1
-    # consistency: rows below the pivots must be entirely zero
-    for r in range(row, len(aug)):
-        if any(aug[r]):
-            raise LinearSolveError("inconsistent system: no exact factorisation exists")
-    sol_t = [aug[r][nrows_e:] for r in range(nrows_e)]
-    return tuple(tuple(sol_t[j][r] for j in range(nrows_e)) for r in range(q))
+        prow = pending.pop(piv)
+        prow = {k: v / prow[col] for k, v in prow.items()}
+        for rows in (pending, pivots):
+            for r, row in enumerate(rows):
+                if col in row:
+                    f = row[col]
+                    # row - f * prow, without its zeros
+                    rows[r] = {
+                        k: v for k in row.keys() | prow.keys() if (v := row.get(k, ZERO) - f * prow.get(k, ZERO))
+                    }
+        pivots.append(prow)
+    # consistency: the equations left without a pivot must have vanished
+    if any(pending):
+        raise LinearSolveError("inconsistent system: no exact factorisation exists")
+    # each pivot equation now reads: unknown j = its right-hand sides
+    rhs = range(unknowns, unknowns + len(b))
+    return tuple({j: prow[k] for j, prow in enumerate(pivots) if k in prow} for k in rhs)

@@ -97,12 +97,9 @@ class Backend:
     def power(self, n: int) -> IndexSet:
         return tuple_space(self.alphabet, n)
 
-    def make(self, source, target, rows):
-        return self.matrix(source, target, tuple(tuple(row) for row in rows))
-
     def delete_map(self, weaken, n: int):
         """id^n (x) weaken on flat tuple spaces."""
-        wcol = [row[0] for row in weaken.rows]
+        wcol = [row.get(0, ZERO) for row in weaken.entries]
         return self.matrix.build(
             self.power(n + 1),
             self.power(n),
@@ -112,7 +109,7 @@ class Backend:
     def dd_closed_form(self, weaken, n: int):
         """Weighted remove-one step: entry(mu, mu - [b]) = w_b, times
         mu(b)/(n+1) in uniform coordinates."""
-        wcol = [row[0] for row in weaken.rows]
+        wcol = [row.get(0, ZERO) for row in weaken.entries]
 
         def row(mu):
             return {
@@ -209,22 +206,22 @@ class DDChain:
         """Exact defining-square deviations at every level."""
         checks = []
         for n in range(self.depth):
-            lhs = matmul(self.dds[n].rows, self.eqs[n].rows)
-            rhs = matmul(self.eqs[n + 1].rows, self.deletes[n].rows)
+            lhs = matmul(self.dds[n].entries, self.eqs[n].entries)
+            rhs = matmul(self.eqs[n + 1].entries, self.deletes[n].entries)
             checks.append(
                 SquareCheck(n, "DD_n . eq_n = eq_{n+1} . (id^n (x) w)", max_abs_diff(lhs, rhs))
             )
         return checks
 
     def tensored(self, y: IndexSet | None = None) -> tuple:
-        """Rows of eq_n, section_n and DD_n at every level, each (x) id_Y when
-        Y is given; the tensored rows are built once per Y and kept."""
+        """Sparse rows of eq_n, section_n and DD_n at every level, each (x) id_Y
+        when Y is given; the tensored rows are built once per Y and kept."""
         maps = (self.eqs, self.sections, self.dds)
         if y is None:
-            return tuple([m.rows for m in level_maps] for level_maps in maps)
+            return tuple([m.entries for m in level_maps] for level_maps in maps)
         if len(y) not in self._by_y:
             ident = identity(len(y))
-            self._by_y[len(y)] = tuple([kron(m.rows, ident) for m in level_maps] for level_maps in maps)
+            self._by_y[len(y)] = tuple([kron(m.entries, ident, len(y)) for m in level_maps] for level_maps in maps)
         return self._by_y[len(y)]
 
     def factor(self, rows, n: int, y: IndexSet | None = None):
@@ -246,7 +243,7 @@ class DDChain:
 def split_deviation(eq, section) -> Fraction:
     """How far section_n . eq_n is from the identity on level n (composition
     source-to-target); zero iff the section splits the equaliser."""
-    return max_abs_diff(matmul(eq.rows, section.rows), identity(len(eq.source)))
+    return max_abs_diff(matmul(eq.entries, section.entries), identity(len(eq.source)))
 
 
 def build_dd_chain(copointed: CopointedObject, depth: int) -> DDChain:
@@ -271,10 +268,10 @@ def build_dd_chain(copointed: CopointedObject, depth: int) -> DDChain:
             raise ChainError(f"the section does not split the equaliser at level {n}")
     for n in range(depth):
         try:
-            solved = solve_right(eqs[n].rows, matmul(eqs[n + 1].rows, deletes[n].rows))
+            solved = solve_right(eqs[n].entries, matmul(eqs[n + 1].entries, deletes[n].entries))
         except LinearSolveError as exc:
             raise ChainError(f"defining square unsolvable at level {n}: {exc}") from exc
-        if max_abs_diff(solved, dds[n].rows) != 0:
+        if max_abs_diff(solved, dds[n].entries) != 0:
             raise ChainError(
                 f"defining square fails at level {n}: the closed form differs from its unique solution"
             )
@@ -292,8 +289,8 @@ class ChainMorphism:
     def validate(self) -> list[SquareCheck]:
         checks = []
         for n in range(min(self.source.depth, self.target.depth)):
-            lhs = matmul(self.components[n + 1].rows, self.target.dds[n].rows)
-            rhs = matmul(self.source.dds[n].rows, self.components[n].rows)
+            lhs = matmul(self.components[n + 1].entries, self.target.dds[n].entries)
+            rhs = matmul(self.source.dds[n].entries, self.components[n].entries)
             checks.append(
                 SquareCheck(
                     n,
@@ -312,8 +309,9 @@ def lift_copointed_morphism(alpha, chain1: DDChain, chain2: DDChain) -> ChainMor
     first carrier label where the two weakening columns differ.
     """
     b1, b2 = chain1.backend, chain2.backend
-    w2_of_alpha = matmul(alpha.rows, chain2.copointed.weaken.rows)
-    for i, ((x,), (y,)) in enumerate(zip(w2_of_alpha, chain1.copointed.weaken.rows)):
+    w2_of_alpha = matmul(alpha.entries, chain2.copointed.weaken.entries)
+    for i, (wx, wy) in enumerate(zip(w2_of_alpha, chain1.copointed.weaken.entries)):
+        x, y = wx.get(0, ZERO), wy.get(0, ZERO)
         if x != y:
             label = b1.carrier.labels[i]
             raise ChainError(
@@ -323,8 +321,9 @@ def lift_copointed_morphism(alpha, chain1: DDChain, chain2: DDChain) -> ChainMor
     depth = min(chain1.depth, chain2.depth)
     components = []
     for n in range(depth + 1):
-        target_rows = matmul(chain1.eqs[n].rows, reduce(kron, [alpha.rows] * n, identity(1)))
-        components.append(b2.make(b1.level(n), b2.level(n), chain2.factor(target_rows, n)))
+        power = reduce(lambda rows, _: kron(rows, alpha.entries, len(alpha.target)), range(n), identity(1))
+        target_rows = matmul(chain1.eqs[n].entries, power)
+        components.append(b2.matrix(b1.level(n), b2.level(n), chain2.factor(target_rows, n)))
     morphism = ChainMorphism(chain1, chain2, components)
     for check in morphism.validate():
         if not check.holds:
@@ -365,7 +364,7 @@ class Cone:
             else "(id^n (x) w) . leg_{n+1} = leg_n"
         )
         return [
-            SquareCheck(n, law, max_abs_diff(matmul(self.legs[n + 1].rows, steps[n].rows), self.legs[n].rows))
+            SquareCheck(n, law, max_abs_diff(matmul(self.legs[n + 1].entries, steps[n].entries), self.legs[n].entries))
             for n in range(len(self.legs) - 1)
         ]
 
@@ -385,8 +384,8 @@ def cone_from_top(chain: DDChain, top, kind: str) -> Cone:
     """The cone of the given kind generated by an arbitrary top leg, closing
     downwards: onto the multiset levels for "dd", the tuple powers for "delete"."""
     space = chain.backend.level if kind == "dd" else chain.backend.power
-    rows = _close_down(top.rows, [step.rows for step in chain.steps(kind)])
-    legs = [chain.backend.make(top.source, space(n), r) for n, r in enumerate(rows[:-1])]
+    rows = _close_down(top.entries, [step.entries for step in chain.steps(kind)])
+    legs = [chain.backend.matrix(top.source, space(n), r) for n, r in enumerate(rows[:-1])]
     return Cone(chain, top.source, legs + [top], kind)
 
 
@@ -410,7 +409,7 @@ def factor_delete_cone(cone: Cone) -> Cone:
                 f"leg at level {n} does not equalise the symmetry {report.witness_perm}"
             )
     legs = [
-        chain.backend.make(cone.apex, chain.backend.level(n), chain.factor(leg.rows, n))
+        chain.backend.matrix(cone.apex, chain.backend.level(n), chain.factor(leg.entries, n))
         for n, leg in enumerate(cone.legs)
     ]
     out = Cone(chain, cone.apex, legs, "dd")
@@ -426,8 +425,8 @@ def expand_dd_cone(cone: Cone) -> Cone:
         raise ChainError("expected a DD-cone")
     chain = cone.chain
     legs = [
-        chain.backend.make(
-            cone.apex, chain.backend.power(n), matmul(leg.rows, chain.eqs[n].rows)
+        chain.backend.matrix(
+            cone.apex, chain.backend.power(n), matmul(leg.entries, chain.eqs[n].entries)
         )
         for n, leg in enumerate(cone.legs)
     ]
@@ -475,7 +474,7 @@ def _random_stochastic_rows(rng: random.Random, nrows: int, ncols: int):
         if total == 0:
             raw[rng.randrange(ncols)] = Fraction(1)
             total = Fraction(1)
-        rows.append(tuple(v / total for v in raw))
+        rows.append({j: v / total for j, v in enumerate(raw) if v})
     return tuple(rows)
 
 
@@ -519,8 +518,8 @@ def bang_from_cone(cone: Cone):
     alphabet = Alphabet(padded.symbols[:-1])
     depth = chain.depth
     bounded, full, mapping = pad_index_bijection(alphabet, depth)
-    top = cone.legs[depth].rows[0]
-    table = {counts: top[mapping[i]] for i, counts in enumerate(bounded.labels)}
+    top = cone.legs[depth].entries[0]
+    table = {counts: top.get(mapping[i], ZERO) for i, counts in enumerate(bounded.labels)}
     return _pcoh.BangElement.from_table(alphabet, depth, table)
 
 

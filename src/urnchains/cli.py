@@ -27,12 +27,17 @@ from .moments import (
     check_totality,
     embed_mixing_measure,
     recover_measure,
-    recovery_lp_shape,
+    refuse_oversized_recovery,
 )
-from .multiset import Alphabet
-from .optim import MAX_CONSTRAINTS, MAX_VARIABLES, LpError
+from .multiset import Alphabet, multiset_count
+from .optim import LpError
 from .stoch import empirical_law, mixing_moment
 from .verify import Config, run_all_checks
+
+# the most multisets of size <= --depth a bang iota table may hold: 4 symbols
+# at depth 65, the deepest run measured within 60 s and a 2.5 GB address space
+# (24.8 s for 3 atoms on a 2-vCPU VM; depth 70 ran out of that space)
+MAX_BANG_MULTISETS = 864_501
 
 
 def _load_alphabet(path: str | None) -> Alphabet:
@@ -106,18 +111,7 @@ def _derive(path: str, suffix: str) -> str:
 
 def cmd_recover(args) -> int:
     b = jsonio.bang_from_json(jsonio.load_json(args.bang))
-    variables, constraints = recovery_lp_shape(b, args.grid)
-    if variables > MAX_VARIABLES:
-        raise FormatError(
-            f"--grid {args.grid} on {len(b.alphabet)} symbols gives a recovery LP with"
-            f" {variables} variables, over the cap of {MAX_VARIABLES}; lower --grid"
-        )
-    if constraints > MAX_CONSTRAINTS:
-        raise FormatError(
-            f"the bang element, built at depth {b.depth}, gives a recovery LP with"
-            f" {constraints} constraints at any --grid, over the cap of {MAX_CONSTRAINTS};"
-            " rebuild it with a lower bang iota --depth"
-        )
+    refuse_oversized_recovery(len(b.alphabet), b.depth, args.grid, "rebuild the element with a lower bang iota --depth")
     try:
         recovery = recover_measure(b, args.grid, tol=args.tol, mode=args.mode, totality_tol=args.totality_tol)
     except (MomentProblemError, LpError) as exc:
@@ -146,6 +140,13 @@ def cmd_recover(args) -> int:
 
 def cmd_iota(args) -> int:
     mixing = jsonio.measure_from_json(jsonio.load_json(args.mixing))
+    k = len(mixing.alphabet)
+    web = multiset_count(k + 1, args.depth)
+    if web > MAX_BANG_MULTISETS:
+        raise FormatError(
+            f"--depth {args.depth} on {k} symbols gives a table of {web} multisets,"
+            f" over the cap of {MAX_BANG_MULTISETS}; lower --depth"
+        )
     b = embed_mixing_measure(mixing, args.depth)
     payload = jsonio.bang_to_json(b, mode=args.mode)
     jsonio.dump_json(payload, args.out)

@@ -34,10 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from ._linalg import ZERO, _monomial, arithmetic, frac, is_exact, matmul
+from ._linalg import ZERO, _monomial, arithmetic, frac, is_exact, matmul, max_abs_diff
 from .chains import Cone, DDChain, SquareCheck, build_dd_chain, pcoh_ground_copointed
 from .multiset import Alphabet, enumerate_multisets, multiset_count
-from .optim import feasibility_minmax
+from .optim import MAX_CONSTRAINTS, MAX_VARIABLES, feasibility_minmax
 from .pcoh import BangElement, multinomial_embedding, restrict_to_depth
 from .spaces import bounded_multiset_space, multiset_space, unit_space
 from .stoch import AtomicMeasure, ProbVector
@@ -67,12 +67,12 @@ def embed_mixing_measure(
     atoms = [(point.weights, w) for point, w in mixing.atoms]
     if is_exact(v for point, w in atoms for v in (w, *point)):
         return BangElement.on_web(web, alphabet, depth, _exact_mixture(web, atoms))
-    coeffs = [ZERO] * len(web)
-    for point, w in atoms:
-        start = frac(w) if is_exact((w,)) else w
-        for i, counts in enumerate(web.labels):
-            coeffs[i] += _monomial(point, counts, start)
-    return BangElement.on_web(web, alphabet, depth, tuple(coeffs))
+    starts = [(point, frac(w) if is_exact((w,)) else w) for point, w in atoms]
+    coeffs = tuple(
+        sum((_monomial(point, counts, start) for point, start in starts), ZERO)
+        for counts in web.labels
+    )
+    return BangElement.on_web(web, alphabet, depth, coeffs)
 
 
 def _exact_mixture(web, atoms) -> tuple:
@@ -210,8 +210,8 @@ def cone_from_total_element(b: BangElement, chain: DDChain | None = None) -> Con
     legs = []
     for n in range(chain.depth + 1):
         space = multiset_space(b.alphabet, n)
-        row = tuple(b.at(counts) for counts in space.labels)
-        legs.append(chain.backend.make(unit_space(), space, (row,)))
+        row = {counts: b.at(counts) for counts in space.labels}
+        legs.append(chain.backend.matrix.build(unit_space(), space, lambda _: row))
     return Cone(chain, unit_space(), legs, "dd")
 
 
@@ -289,14 +289,23 @@ def simplex_grid(alphabet: Alphabet, resolution: int) -> list[tuple]:
     ]
 
 
-def recovery_lp_shape(b: BangElement, grid_resolution: int) -> tuple[int, int]:
-    """(variables, constraints) of the LP recover_measure would solve.
-
-    One weight per grid point plus the epigraph variable, two rows per web
-    point plus the row fixing the total weight (feasibility_minmax); computed
-    without building the grid, so oversized problems can be refused first.
-    """
-    return multiset_count(len(b.alphabet), grid_resolution) + 1, 2 * len(b.coeffs) + 1
+def refuse_oversized_recovery(symbols: int, depth: int, grid_resolution: int, lower: str) -> None:
+    """Refuse, before any work, the recovery LP of a depth-`depth` element
+    over `symbols` symbols past the caps of `optim`: one weight per grid point
+    plus the epigraph variable, two rows per multiset of size <= depth plus
+    the one fixing the total weight (feasibility_minmax)."""
+    variables = multiset_count(symbols, grid_resolution) + 1
+    constraints = 2 * multiset_count(symbols + 1, depth) + 1
+    if variables > MAX_VARIABLES:
+        raise ValueError(
+            f"--grid {grid_resolution} on {symbols} symbols gives a recovery LP with"
+            f" {variables} variables, over the cap of {MAX_VARIABLES}; lower --grid"
+        )
+    if constraints > MAX_CONSTRAINTS:
+        raise ValueError(
+            f"depth {depth} gives a recovery LP with {constraints} constraints at any"
+            f" --grid, over the cap of {MAX_CONSTRAINTS}; {lower}"
+        )
 
 
 def recover_measure(
@@ -365,11 +374,7 @@ def verify_embedding_squares(mixing: AtomicMeasure, depth: int) -> list[SquareCh
             sum((_monomial(point, counts, w) for point, w in atoms), start=ZERO)
             for counts in multiset_space(alphabet, n).labels
         ]
-        rhs = matmul((tuple(leg),), multinomial_embedding(alphabet, n).rows)[0]
-        dev = max(
-            (abs(x - y) for x, y in zip(lhs, rhs)),
-            default=ZERO,
-        )
+        dev = max_abs_diff((lhs,), matmul((leg,), multinomial_embedding(alphabet, n).entries))
         checks.append(
             SquareCheck(n, "restrict(embed(mixing), n) = level law . multinomial embedding", dev)
         )

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from ._linalg import ONE, ZERO, Matrix, _monomial, arithmetic, frac, is_exact
+from ._linalg import ONE, ZERO, Matrix, _monomial, arithmetic, frac, is_exact, matmul
 from .multiset import (
     Alphabet,
     Multiset,
@@ -72,27 +72,12 @@ class PcsVector:
 class PcsMatrix(Matrix):
     """Nonnegative matrix indexed (source web, target web)."""
 
-    def __post_init__(self):
-        if len(self.rows) != len(self.source):
-            raise ValueError("entry row count must match source web")
-        for row in self.rows:
-            if len(row) != len(self.target):
-                raise ValueError("entry row width must match target web")
-            if any(v < 0 for v in row):
-                raise ValueError("matrix entries must be nonnegative")
-
     def push(self, x: PcsVector) -> PcsVector:
         """Apply to a vector over the source web: (f.x)_b = sum_a f[a][b] x_a."""
         if x.web.labels != self.source.labels:
             raise ValueError("vector web does not match matrix source")
-        out = [ZERO] * len(self.target)
-        for a, xa in enumerate(x.coeffs):
-            if xa:
-                row = self.rows[a]
-                for b, v in enumerate(row):
-                    if v:
-                        out[b] += xa * v
-        return PcsVector(self.target, tuple(out))
+        (image,) = matmul((x.coeffs,), self.entries)
+        return PcsVector(self.target, tuple(image.get(b, ZERO) for b in range(len(self.target))))
 
 
 # -- biorthogonality ---------------------------------------------------------
@@ -171,12 +156,9 @@ class Pcs:
 def ground_pcs(alphabet: Alphabet) -> Pcs:
     """Subdistributions over the alphabet: unit-vector generators."""
     web = symbol_space(alphabet)
-    gens = []
-    for i in range(len(alphabet)):
-        coeffs = [ZERO] * len(alphabet)
-        coeffs[i] = ONE
-        gens.append(PcsVector(web, tuple(coeffs)))
-    return Pcs(web, tuple(gens), "ground")
+    k = len(alphabet)
+    gens = tuple(PcsVector(web, tuple(ONE if j == i else ZERO for j in range(k))) for i in range(k))
+    return Pcs(web, gens, "ground")
 
 
 def bool_pcs() -> Pcs:

@@ -39,16 +39,9 @@ class FinKernel(Matrix):
     """Substochastic kernel between finite index sets (exact rational entries)."""
 
     def __post_init__(self):
-        if len(self.rows) != len(self.source):
-            raise ValueError("row count must match source size")
-        for row in self.rows:
-            if len(row) != len(self.target):
-                raise ValueError("row width must match target size")
-            total = ZERO
-            for v in row:
-                if v < 0:
-                    raise ValueError(f"negative kernel entry {v}")
-                total += v
+        super().__post_init__()
+        for row in self.entries:
+            total = sum(row.values(), ZERO)
             if total > 1:
                 raise ValueError(f"row sum {total} exceeds 1")
 
@@ -57,11 +50,12 @@ class FinKernel(Matrix):
             isinstance(other, FinKernel)
             and self.source.labels == other.source.labels
             and self.target.labels == other.target.labels
-            and self.rows == other.rows
+            and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash((self.source.labels, self.target.labels, self.rows))
+        entries = tuple(tuple(row.items()) for row in self.entries)
+        return hash((self.source.labels, self.target.labels, entries))
 
 
 def discard_kernel(space: IndexSet) -> FinKernel:
@@ -88,20 +82,10 @@ def symmetry_kernel(alphabet: Alphabet, n: int, perm: tuple[int, ...]) -> FinKer
 
 
 def permute_tuple_columns(rows: tuple, space: IndexSet, perm: tuple[int, ...]) -> tuple:
-    """Rows of (f then symmetry(perm)) without materialising the permutation matrix."""
+    """Sparse rows of (f then symmetry(perm)), for the sparse rows of f,
+    without materialising the permutation matrix."""
     col_map = [space.index(apply_perm(perm, t)) for t in space.labels]
-    out = []
-    for row in rows:
-        new = [ZERO] * len(row)
-        for j, v in enumerate(row):
-            if v:
-                new[col_map[j]] = v
-        out.append(tuple(new))
-    return tuple(out)
-
-
-def all_perms(n: int):
-    return itertools.permutations(range(n))
+    return tuple(dict(sorted((col_map[j], v) for j, v in row.items())) for row in rows)
 
 
 def adjacent_transpositions(n: int):
@@ -138,19 +122,23 @@ def coeq_kernel(alphabet: Alphabet, n: int) -> FinKernel:
 
 
 def symmetrization_average(alphabet: Alphabet, n: int) -> FinKernel:
-    """The kernel (1/n!) * sum over all n! coordinate symmetries.
-
-    Computed by counting permutation images directly rather than summing n!
-    permutation matrices.
-    """
+    """The kernel A_n = (1/n!) * sum over all n! coordinate symmetries, by the
+    coset recursion A_m = (A_{m-1} (x) id) . (1/m)(id + sum_{i<m-1} (i m-1)),
+    composition source-to-target: the identity and the transpositions of the
+    last position are one representative per coset of S_{m-1} in S_m, so
+    level m costs m terms per entry instead of m! in all."""
+    rows = {(): {(): ONE}}  # A_0 on the one empty tuple
+    for m in range(1, n + 1):
+        prev, rows = rows, {}
+        for t in tuple_space(alphabet, m).labels:
+            acc = rows[t] = Counter()
+            for u, v in prev[t[:-1]].items():
+                w, x = v / m, t[-1]
+                acc[u + (x,)] += w
+                for i in range(m - 1):
+                    acc[u[:i] + (x,) + u[i + 1 :] + (u[i],)] += w
     tsp = tuple_space(alphabet, n)
-    perms = list(all_perms(n))
-
-    def row(t):
-        images = Counter(apply_perm(perm, t) for perm in perms)
-        return {u: Fraction(c, len(perms)) for u, c in images.items()}
-
-    return FinKernel.build(tsp, tsp, row)
+    return FinKernel.build(tsp, tsp, rows.__getitem__)
 
 
 # -- urn laws --------------------------------------------------------------
@@ -203,11 +191,11 @@ def multinomial_law(r: ProbVector, n: int) -> FinKernel:
     if not is_exact(r.weights):
         raise ValueError("multinomial_law needs exact rational weights")
     msp = multiset_space(r.alphabet, n)
-    row = tuple(
-        _monomial(r.weights, counts, Fraction(multinomial(Multiset(r.alphabet, counts))))
+    row = {
+        counts: _monomial(r.weights, counts, Fraction(multinomial(Multiset(r.alphabet, counts))))
         for counts in msp.labels
-    )
-    return FinKernel(unit_space(), msp, (row,))
+    }
+    return FinKernel.build(unit_space(), msp, lambda _: row)
 
 
 # -- verification ----------------------------------------------------------
@@ -225,7 +213,7 @@ class EqualiseReport:
 def verify_equalises(f, n: int) -> EqualiseReport:
     """Check sigma . f = f for every coordinate symmetry on the target.
 
-    f is a FinKernel or a PcsMatrix: only its rows and target are read.
+    f is a FinKernel or a PcsMatrix: only its entries and target are read.
 
     Only the n-1 adjacent transpositions are compared, since they generate
     S_n: the deviation is zero over them iff it is zero over all n!
@@ -236,8 +224,8 @@ def verify_equalises(f, n: int) -> EqualiseReport:
     worst = ZERO
     witness = None
     for perm in adjacent_transpositions(n):
-        permuted = permute_tuple_columns(f.rows, f.target, perm)
-        dev = max_abs_diff(permuted, f.rows)
+        permuted = permute_tuple_columns(f.entries, f.target, perm)
+        dev = max_abs_diff(permuted, f.entries)
         if dev > worst:
             worst = dev
             witness = perm

@@ -33,6 +33,7 @@ from .chains import (
 from .moments import (
     RECOVERY_TOL,
     MomentProblemError,
+    refuse_oversized_recovery,
     bang_from_moments,
     check_totality,
     damp,
@@ -59,6 +60,12 @@ from .stoch import (
     symmetrization_average,
     verify_equalises,
 )
+
+
+# cap on (k+1)^n, the level-n tuple space over k symbols and the pad, for
+# --depth and --eq-depth: on t,f both finish within 60 s up to n = 11 (49.8 s
+# and 30.9 s on a 2-vCPU VM) and run past it at n = 12
+MAX_TUPLES = 3**11
 
 
 @dataclass
@@ -88,6 +95,15 @@ class Config:
         for flag, bound, value in least:
             if value < bound:
                 raise ValueError(f"verify-all needs {flag} at least {bound}, not {value}")
+        k = len(self.alphabet)
+        for flag, n in (("--depth", self.depth), ("--eq-depth", self.eq_depth)):
+            # past n = 64, (k+1)^n passes the cap, and a huge n must not build a huge int
+            if (k + 1) ** min(n, 64) > MAX_TUPLES:
+                raise ValueError(
+                    f"verify-all {flag} {n} on {k} symbols reaches more than the {MAX_TUPLES}"
+                    f" tuples of its cap; lower {flag}"
+                )
+        refuse_oversized_recovery(k, self.depth, self.grid, "lower --depth")
         if not 0 < self.recovery_tol < math.inf:
             raise ValueError(
                 f"verify-all needs --tol to be a finite positive number, not {self.recovery_tol}"
@@ -243,10 +259,11 @@ def _tamper(chain) -> None:
     # exactly one square breaks; halve it where reversing leaves it unchanged
     level = min(1, chain.depth - 1)
     dd = chain.dds[level]
-    first = dd.rows[0][::-1]
-    if first == dd.rows[0]:
-        first = tuple(v / 2 for v in first)
-    chain.dds[level] = FinKernel(dd.source, dd.target, (first,) + dd.rows[1:])
+    last = len(dd.target) - 1
+    first = {last - j: v for j, v in reversed(dd.entries[0].items())}
+    if first == dd.entries[0]:
+        first = {j: v / 2 for j, v in first.items()}
+    chain.dds[level] = FinKernel(dd.source, dd.target, (first,) + dd.entries[1:])
 
 
 def chain_checks(config: Config):
@@ -309,13 +326,13 @@ def morphism_checks(config: Config, chains) -> list[CheckResult]:
         for n in range(config.depth + 1):
             emb = multinomial_embedding(alphabet, n)
             _, _, mapping = pad_index_bijection(alphabet, n)
-            comp = tuple(tuple(row[j] for j in mapping) for row in lift.components[n].rows)
+            comp = tuple({i: row[j] for i, j in enumerate(mapping) if j in row} for row in lift.components[n].entries)
             out.append(
                 _exact_check(
                     "multinomial-embedding",
                     "lifted component equals multinomial(mu - nu) on included nu",
                     {"n": n},
-                    max_abs_diff(emb.rows, comp),
+                    max_abs_diff(emb.entries, comp),
                 )
             )
     if "stoch" in chains and not config.inject_fault:
@@ -323,17 +340,14 @@ def morphism_checks(config: Config, chains) -> list[CheckResult]:
         for n in range(config.depth):
             diag_n = multinomial_diagonal(alphabet, n)
             diag_n1 = multinomial_diagonal(alphabet, n + 1)
-            inv = tuple(
-                tuple(Fraction(1, v) if v else ZERO for v in row)
-                for row in diag_n1.rows
-            )
-            conj = matmul(matmul(inv, chg.dds[n].rows), diag_n.rows)
+            inv = tuple({j: 1 / v for j, v in row.items()} for row in diag_n1.entries)
+            conj = matmul(matmul(inv, chg.dds[n].entries), diag_n.entries)
             out.append(
                 _exact_check(
                     "coordinate-conjugation",
                     "DD_stoch = diag(1/multinomial) . DD_delta . diag(multinomial)",
                     {"n": n},
-                    max_abs_diff(conj, chs.dds[n].rows),
+                    max_abs_diff(conj, chs.dds[n].entries),
                 )
             )
     return out
@@ -397,16 +411,16 @@ def _round_trip_deviation(rng, chain, config):
         dev = max(a.deviation(b) for a, b in zip(back.legs, dd_cone.legs))
         worst = max(worst, dev)
         # opposite direction: random symmetric delete-cone
-        sym_top = chain.backend.make(
+        sym_top = chain.backend.matrix(
             top.source,
             chain.backend.power(chain.depth),
-            matmul(top.rows, chain.eqs[chain.depth].rows),
+            matmul(top.entries, chain.eqs[chain.depth].entries),
         )
         del_cone = cone_from_top(chain, sym_top, "delete")
         dd2 = factor_delete_cone(del_cone)
         expanded2 = expand_dd_cone(dd2)
         dev2 = max(
-            max_abs_diff(a.rows, b.rows)
+            max_abs_diff(a.entries, b.entries)
             for a, b in zip(expanded2.legs, del_cone.legs)
         )
         worst = max(worst, dev2)
@@ -417,8 +431,8 @@ def _random_leg(rng, chain):
     level = chain.backend.level(chain.depth)
     raw = [Fraction(rng.randint(0, 9)) for _ in range(len(level))]
     total = sum(raw) or Fraction(1)
-    row = tuple(v / total for v in raw)
-    return chain.backend.make(unit_space(), level, (row,))
+    row = {j: v / total for j, v in enumerate(raw) if v}
+    return chain.backend.matrix(unit_space(), level, (row,))
 
 
 # -- moments ------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared test oracles, kept independent of the library's own code paths."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 
 def mm(a, b):
@@ -15,6 +15,95 @@ def mm(a, b):
                     acc[u] += v * w
         out.append(tuple(acc))
     return tuple(out)
+
+
+def dense(rows, width):
+    """Dense tuples of sparse {column: value} rows, Fraction(0) in the empty cells."""
+    return tuple(tuple(row.get(j, Fraction(0)) for j in range(width)) for row in rows)
+
+
+def sparse(rows):
+    """The {column: value} dicts of the nonzero entries of dense rows."""
+    return tuple({j: v for j, v in enumerate(row) if v} for row in rows)
+
+
+def dense_kron(a, b):
+    """Kronecker product of dense rows, in row-major product order."""
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def dense_max_abs_diff(a, b):
+    return max((abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)), default=Fraction(0))
+
+
+def dense_permute_columns(rows, labels, perm):
+    """Dense rows of f then the symmetry moving entry i of a tuple to position perm[i]."""
+    position = {t: j for j, t in enumerate(labels)}
+    out = []
+    for row in rows:
+        new = [Fraction(0)] * len(row)
+        for t, v in zip(labels, row):
+            moved = [None] * len(t)
+            for i, x in enumerate(t):
+                moved[perm[i]] = x
+            new[position[tuple(moved)]] = v
+        out.append(tuple(new))
+    return tuple(out)
+
+
+def dense_solve_right(e, b):
+    """The unique m with m . e = b for dense e and b, or "underdetermined"
+    when e has dependent rows, or "inconsistent" when no m exists; by
+    elimination on the transposed system, one right-hand side at a time."""
+    r = len(e)
+    cols = len(e[0]) if e else 0
+    # rank of e by plain elimination on a copy of its rows
+    rows = [list(row) for row in e]
+    rank = 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, r) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(r):
+            if i != rank and rows[i][c] != 0:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    if rank < r:
+        return "underdetermined"
+    out = []
+    for brow in b:
+        # m_row . e = brow: cols equations in r unknowns, of full column rank
+        system = [[e[i][c] for i in range(r)] + [brow[c]] for c in range(cols)]
+        for k in range(r):
+            piv = next(i for i in range(k, cols) if system[i][k] != 0)
+            system[k], system[piv] = system[piv], system[k]
+            system[k] = [x / system[k][k] for x in system[k]]
+            for i in range(cols):
+                if i != k and system[i][k] != 0:
+                    f = system[i][k]
+                    system[i] = [x - f * y for x, y in zip(system[i], system[k])]
+        if any(row[r] != 0 for row in system[r:]):
+            return "inconsistent"
+        out.append(tuple(system[k][r] for k in range(r)))
+    return tuple(out)
+
+
+def symmetrization_oracle(k, n):
+    """{t: {u: mass}} of (1/n!) times the sum of all n! coordinate
+    permutations of the length-n tuples over k symbols, term by term."""
+    perms = list(permutations(range(n)))
+    table = {}
+    for t in product(range(k), repeat=n):
+        row = {}
+        for perm in perms:
+            u = [None] * n
+            for i, x in enumerate(t):
+                u[perm[i]] = x
+            row[tuple(u)] = row.get(tuple(u), Fraction(0)) + Fraction(1, len(perms))
+        table[t] = row
+    return table
 
 
 def gauss_solve(a_rows, b_vec):

@@ -154,7 +154,7 @@ def test_criterion_04_two_formulation_equivalence():
                 size = len(chain.backend.level(depth))
                 vals = [F(rng.randint(0, 9)) for _ in range(size)]
                 total = sum(vals) or F(1)
-                top = chain.backend.make(
+                top = chain.backend.matrix(
                     unit_space(),
                     chain.backend.level(depth),
                     (tuple(v / total for v in vals),),
@@ -168,7 +168,7 @@ def test_criterion_04_two_formulation_equivalence():
                         for a, b in zip(back.legs, dd_cone.legs)
                     ),
                 )
-                sym_top = chain.backend.make(
+                sym_top = chain.backend.matrix(
                     unit_space(),
                     chain.backend.power(depth),
                     mm(top.rows, chain.eqs[depth].rows),

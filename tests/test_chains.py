@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import mm
+from helpers import dense, mm
 from urnchains._linalg import max_abs_diff
 from urnchains.chains import (
     Backend,
@@ -275,7 +275,7 @@ def test_randomized_round_trips_both_directions(backend):
         top_len = len(chain.backend.level(4))
         vals = [F(rng.randint(0, 9)) for _ in range(top_len)]
         total = sum(vals) or F(1)
-        top = chain.backend.make(
+        top = chain.backend.matrix(
             unit_space(), chain.backend.level(4), (tuple(v / total for v in vals),)
         )
         cone = cone_from_top(chain, top, "dd")
@@ -284,7 +284,7 @@ def test_randomized_round_trips_both_directions(backend):
         assert all(
             max_abs_diff(a.rows, b.rows) == 0 for a, b in zip(back.legs, cone.legs)
         )
-        sym_top = chain.backend.make(
+        sym_top = chain.backend.matrix(
             unit_space(),
             chain.backend.power(4),
             mm(top.rows, chain.eqs[4].rows),
@@ -320,8 +320,8 @@ def test_tensor_parametrized_broken_map_reports_deviation():
     h = ((F(1, level_y),) * level_y,)
     from urnchains._linalg import kron, identity, matmul
 
-    f_rows = matmul(h, kron(chain.eqs[n].rows, identity(len(y))))
-    broken = [list(r) for r in f_rows]
+    f_rows = matmul(h, kron(chain.eqs[n].entries, identity(len(y)), len(y)))
+    broken = [list(r) for r in dense(f_rows, len(chain.backend.power(n)) * len(y))]
     # bump the ((t,f), t) column; its swap image ((f,t), t) stays put
     broken[0][2] += F(1, 7)
     with pytest.raises(ChainError, match=r"fails at level 2 \(x\) X\(t,f\)"):

@@ -306,7 +306,7 @@ def test_missing_file_is_input_error(capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_bad_flag_values_are_input_errors(dirac_mixing, capsys):
+def test_bad_flag_values_are_input_errors(dirac_mixing, capsys, tmp_path):
     assert main(["definetti", "recover", "--bang", dirac_mixing, "--grid", "1"]) == 2
     for length in ("0", "-1"):
         argv = ["definetti", "simulate", "--mixing", dirac_mixing, "--prefix-len", length]
@@ -321,6 +321,13 @@ def test_bad_flag_values_are_input_errors(dirac_mixing, capsys):
     assert "--seed must be nonnegative" in capsys.readouterr().err
     # verify-all keeps accepting negative seeds
     _validate(_build_parser().parse_args(["verify-all", "--seed", "-1"]))
+    # sizes past a cap are refused before any work, naming the flag to lower
+    for flag, value in (("--depth", "12"), ("--depth", "40"), ("--eq-depth", "30"), ("--grid", "100000")):
+        assert main(["verify-all", flag, value]) == 2
+        assert f"lower {flag}" in capsys.readouterr().err
+    mixing = _write_mixing(tmp_path / "mixing4.json", ["a", "b", "c", "d"], [(["1/4"] * 4, 1)])
+    assert main(["bang", "iota", "--mixing", mixing, "--depth", "300"]) == 2
+    assert "lower --depth" in capsys.readouterr().err
 
 
 def _write_mixing(path, symbols, atoms):

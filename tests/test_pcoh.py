@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mm, vertex_oracle_inside
+from helpers import dense, mm, vertex_oracle_inside
 from urnchains._linalg import compose, solve_right
 from urnchains.chains import Backend, pcoh_ground_copointed
 from urnchains.multiset import BOOL, Alphabet, Multiset, multinomial
@@ -26,7 +27,7 @@ from urnchains.pcoh import (
     with_unit_pcs,
 )
 from urnchains.spaces import bounded_multiset_space, symbol_space, tuple_space
-from urnchains.stoch import all_perms, discard_kernel, eq_kernel, permute_tuple_columns
+from urnchains.stoch import discard_kernel, eq_kernel, permute_tuple_columns
 
 F = Fraction
 GROUND = bool_pcs()
@@ -96,8 +97,8 @@ def test_eq_delta_n1_identity_and_swap_invariance():
     eq1 = eq_delta(BOOL, 1)
     assert eq1.rows == ((F(1), F(0)), (F(0), F(1)))
     eq2 = eq_delta(BOOL, 2)
-    for perm in all_perms(2):
-        assert permute_tuple_columns(eq2.rows, eq2.target, perm) == eq2.rows
+    for perm in itertools.permutations(range(2)):
+        assert permute_tuple_columns(eq2.entries, eq2.target, perm) == eq2.entries
 
 
 def test_canonical_section_splits_eq_delta():
@@ -146,7 +147,7 @@ def _ones_delete(alphabet, n):
 def test_dd_inclusion_solves_defining_square_uniquely(alphabet, n):
     rhs = mm(eq_delta(alphabet, n + 1).rows, _ones_delete(alphabet, n))
     solved = solve_right(eq_delta(alphabet, n).rows, rhs)
-    assert solved == _dd_inclusion(alphabet, n).rows
+    assert solved == _dd_inclusion(alphabet, n).entries
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -276,12 +277,12 @@ def test_multinomial_embedding_is_the_unique_square_solution(alphabet, n):
                 new.append(tuple(x * y for x in row for y in arow))
         pow_rows = tuple(new)
     rhs = mm(eq_delta(alphabet, n).rows, pow_rows)
-    solved = solve_right(eq_delta(padded, n).rows, rhs)
-    emb = multinomial_embedding(alphabet, n)
-    bounded = bounded_multiset_space(alphabet, n)
     from urnchains.spaces import multiset_space
 
     full = multiset_space(padded, n)
+    solved = dense(solve_right(eq_delta(padded, n).rows, rhs), len(full))
+    emb = multinomial_embedding(alphabet, n)
+    bounded = bounded_multiset_space(alphabet, n)
     for i in range(len(emb.source)):
         for j, counts in enumerate(bounded.labels):
             padded_counts = counts + (n - sum(counts),)

@@ -3,18 +3,15 @@
 `Matrix(source, target, entries)` is the one presentation of the maps on
 both sides of the package: a nonnegative exact matrix indexed (source label,
 target label).  It stores one sparse row per source label, a {column: value}
-dict of the row's nonzero entries in ascending column order; `rows` is the
-dense view, built on request, with ZERO in every empty cell.  `FinKernel`
-and `PcsMatrix` subclass it and keep only what is their own: `FinKernel`'s
-row sums and label-based equality, `PcsMatrix.push`.  `Matrix.build` fills
-the rows from {target label: value} dicts.  `compose(f, g)`, "f then g", is
-the product of the rows.
+dict of the row's nonzero entries in ascending column order, and refuses a
+row in any other form.  `FinKernel` and `PcsMatrix` subclass it and keep
+only what is their own: `FinKernel`'s row sums, `PcsMatrix.push`.
+`Matrix.build` fills the rows from {target label: value} dicts.
+`compose(f, g)`, "f then g", is the product of the rows.
 
-The helpers below act on bare row sequences in the same sparse form, and
+The helpers below act on bare tuples of rows in the same sparse form, and
 their results are in it too, so zeros cost nothing in products, comparisons
 and solves; the equaliser and permutation matrices here are very sparse.
-Where they read a row that is not a dict, they read it as a dense sequence
-(`sparse_rows`), which is also how a matrix is built from dense rows.
 
 This module also holds the package's one exact-versus-float policy: values
 that are all ints or Fractions (`is_exact`) are compared at tolerance zero,
@@ -27,7 +24,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .spaces import IndexSet
 
@@ -92,11 +88,10 @@ class Matrix:
             raise ValueError("row count must match source size")
         width = len(self.target)
         for row in self.entries:
-            fits = next(reversed(row), -1) < width if type(row) is dict else len(row) == width
-            if not fits:
+            if type(row) is not dict:
+                raise ValueError(f"a row must be a {{column: value}} dict, not a {type(row).__name__}")
+            if next(reversed(row), -1) >= width:
                 raise ValueError("row width must match target size")
-        object.__setattr__(self, "entries", sparse_rows(self.entries))
-        for row in self.entries:
             least = min(row.values(), default=ZERO)
             if least < 0:
                 raise ValueError(f"matrix entries must be nonnegative, not {least}")
@@ -109,27 +104,10 @@ class Matrix:
         rows = (sorted((index(lab), v) for lab, v in row(label).items() if v) for label in source.labels)
         return cls(source, target, tuple(map(dict, rows)))
 
-    @cached_property
-    def rows(self) -> tuple:
-        """The dense view: one tuple per source label, ZERO in every empty cell."""
-        width = range(len(self.target))
-        return tuple(tuple(row.get(j, ZERO) for j in width) for row in self.entries)
-
-    def entry(self, src_label, tgt_label) -> Fraction:
-        return self.entries[self.source.index(src_label)].get(self.target.index(tgt_label), ZERO)
-
     def deviation(self, other: "Matrix") -> Fraction:
         if self.source.labels != other.source.labels or self.target.labels != other.target.labels:
             raise ValueError("matrices must share source and target index sets")
         return max_abs_diff(self.entries, other.entries)
-
-
-def sparse_rows(rows) -> tuple:
-    """rows as {column: value} dicts: a dict row as it is, any other row as
-    the dense sequence of its entries, of which the nonzero ones are kept."""
-    return tuple(
-        row if type(row) is dict else {j: v for j, v in enumerate(row) if v} for row in rows
-    )
 
 
 def compose(f: Matrix, g: Matrix) -> Matrix:
@@ -146,11 +124,10 @@ def identity(n: int) -> tuple:
 
 
 def matmul(a, b) -> tuple:
-    """The product of two row sequences: row i is sum_t a[i][t] * b[t]."""
-    b = sparse_rows(b)
+    """The product of two tuples of rows: row i is sum_t a[i][t] * b[t]."""
     out = []
     try:
-        for arow in sparse_rows(a):
+        for arow in a:
             acc = {}
             for t, v in arow.items():
                 for u, w in b[t].items():
@@ -165,10 +142,9 @@ def matmul(a, b) -> tuple:
 
 def kron(a, b, width: int) -> tuple:
     """Kronecker product, b having `width` columns, in row-major product order."""
-    b = sparse_rows(b)
     return tuple(
         {i * width + j: x * y for i, x in arow.items() for j, y in brow.items()}
-        for arow in sparse_rows(a)
+        for arow in a
         for brow in b
     )
 
@@ -177,7 +153,7 @@ def max_abs_diff(a, b) -> Fraction:
     if len(a) != len(b):
         raise ValueError("shape mismatch in max_abs_diff")
     dev = ZERO
-    for ra, rb in zip(sparse_rows(a), sparse_rows(b)):
+    for ra, rb in zip(a, b):
         if ra != rb:
             dev = max(dev, *(abs(ra.get(j, ZERO) - rb.get(j, ZERO)) for j in ra.keys() | rb.keys()))
     return dev
@@ -192,7 +168,6 @@ def solve_right(e, b) -> tuple:
     e^T m^T = b^T: one sparse equation per column of e and b, whose unknowns
     are 0..len(e)-1 and whose right-hand sides follow them.
     """
-    e, b = sparse_rows(e), sparse_rows(b)
     unknowns = len(e)
     equations = {}
     for j, row in enumerate(e + b):

@@ -174,10 +174,6 @@ class SquareCheck:
     law: str
     deviation: Fraction
 
-    @property
-    def holds(self) -> bool:
-        return self.deviation == 0
-
 
 @dataclass
 class DDChain:
@@ -306,7 +302,8 @@ def lift_copointed_morphism(alpha, chain1: DDChain, chain2: DDChain) -> ChainMor
     eq_n^target . M_n = alpha^n . eq_n^source at every level.
 
     Rejects alpha unless weaken_target . alpha = weaken_source, naming the
-    first carrier label where the two weakening columns differ.
+    first carrier label where the two weakening columns differ.  The chain
+    squares of the lift are left to `ChainMorphism.validate`.
     """
     b1, b2 = chain1.backend, chain2.backend
     w2_of_alpha = matmul(alpha.entries, chain2.copointed.weaken.entries)
@@ -324,11 +321,7 @@ def lift_copointed_morphism(alpha, chain1: DDChain, chain2: DDChain) -> ChainMor
         power = reduce(lambda rows, _: kron(rows, alpha.entries, len(alpha.target)), range(n), identity(1))
         target_rows = matmul(chain1.eqs[n].entries, power)
         components.append(b2.matrix(b1.level(n), b2.level(n), chain2.factor(target_rows, n)))
-    morphism = ChainMorphism(chain1, chain2, components)
-    for check in morphism.validate():
-        if not check.holds:
-            raise ChainError(f"chain square fails at level {check.level}")
-    return morphism
+    return ChainMorphism(chain1, chain2, components)
 
 
 def multinomial_diagonal(alphabet: Alphabet, n: int) -> PcsMatrix:
@@ -524,9 +517,7 @@ def bang_from_cone(cone: Cone):
 
 
 def multinomial_cone(r, chain: DDChain) -> Cone:
-    """The exchangeable urn-law family of an i.i.d. source, as a DD-cone."""
+    """The exchangeable urn-law family of an i.i.d. source, as a DD-cone;
+    how far it is from commuting with the steps is its `Cone.deviation`."""
     legs = [_stoch.multinomial_law(r, n) for n in range(chain.depth + 1)]
-    cone = Cone(chain, unit_space(), legs, "dd")
-    if cone.deviation() != 0:
-        raise ChainError("urn laws fail chain compatibility")
-    return cone
+    return Cone(chain, unit_space(), legs, "dd")

@@ -42,7 +42,7 @@ MAX_BANG_MULTISETS = 864_501
 
 def _load_alphabet(path: str | None) -> Alphabet:
     if path is None:
-        return Alphabet.of("t", "f")
+        return Config.alphabet
     return jsonio.alphabet_from_json(jsonio.load_json(path))
 
 
@@ -180,13 +180,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     va = sub.add_parser("verify-all", help="run the full property suite")
     va.add_argument("--alphabet", help="alphabet JSON file (default: t,f)")
-    va.add_argument("--depth", type=int, default=4)
-    va.add_argument("--eq-depth", type=int, default=5, dest="eq_depth")
-    va.add_argument("--cone-samples", type=int, default=20, dest="cone_samples")
-    va.add_argument("--tensor-samples", type=int, default=6, dest="tensor_samples")
-    va.add_argument("--grid", type=int, default=16)
-    va.add_argument("--tol", type=float, default=RECOVERY_TOL)
-    va.add_argument("--seed", type=int, default=0)
+    va.add_argument("--depth", type=int, default=Config.depth)
+    va.add_argument("--eq-depth", type=int, default=Config.eq_depth, dest="eq_depth")
+    va.add_argument("--cone-samples", type=int, default=Config.cone_samples, dest="cone_samples")
+    va.add_argument("--tensor-samples", type=int, default=Config.tensor_samples, dest="tensor_samples")
+    va.add_argument("--grid", type=int, default=Config.grid)
+    va.add_argument("--tol", type=float, default=Config.recovery_tol)
+    va.add_argument("--seed", type=int, default=Config.seed)
     va.add_argument("--out", help="report JSON path (default: stdout)")
     va.add_argument(
         "--inject-fault",

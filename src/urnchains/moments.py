@@ -34,11 +34,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from ._linalg import ZERO, _monomial, arithmetic, frac, is_exact, matmul, max_abs_diff
+from ._linalg import ZERO, _monomial, arithmetic, frac, is_exact
 from .chains import Cone, DDChain, SquareCheck, build_dd_chain, pcoh_ground_copointed
 from .multiset import Alphabet, enumerate_multisets, multiset_count
 from .optim import MAX_CONSTRAINTS, MAX_VARIABLES, feasibility_minmax
-from .pcoh import BangElement, multinomial_embedding, restrict_to_depth
+from .pcoh import BangElement, PcsVector, multinomial_embedding, restrict_to_depth
 from .spaces import bounded_multiset_space, multiset_space, unit_space
 from .stoch import AtomicMeasure, ProbVector
 
@@ -370,11 +370,13 @@ def verify_embedding_squares(mixing: AtomicMeasure, depth: int) -> list[SquareCh
     checks = []
     for n in range(depth + 1):
         lhs = restrict_to_depth(image, n).coeffs
-        leg = [
+        level = multiset_space(alphabet, n)
+        leg = tuple(
             sum((_monomial(point, counts, w) for point, w in atoms), start=ZERO)
-            for counts in multiset_space(alphabet, n).labels
-        ]
-        dev = max_abs_diff((lhs,), matmul((leg,), multinomial_embedding(alphabet, n).entries))
+            for counts in level.labels
+        )
+        rhs = multinomial_embedding(alphabet, n).push(PcsVector(level, leg)).coeffs
+        dev = max(abs(x - y) for x, y in zip(lhs, rhs))
         checks.append(
             SquareCheck(n, "restrict(embed(mixing), n) = level law . multinomial embedding", dev)
         )

@@ -64,13 +64,6 @@ class Multiset:
             if not isinstance(c, int) or c < 0:
                 raise ValueError(f"counts must be nonnegative integers: {self.counts}")
 
-    @classmethod
-    def from_symbols(cls, alphabet: Alphabet, symbols) -> "Multiset":
-        counts = [0] * len(alphabet)
-        for s in symbols:
-            counts[alphabet.index(s)] += 1
-        return cls(alphabet, tuple(counts))
-
     @property
     def size(self) -> int:
         return sum(self.counts)
@@ -138,7 +131,7 @@ def multinomial(mu: Multiset) -> int:
     Exact integer arithmetic; Python integers are unbounded so the value can
     never overflow or silently degrade.
 
-    >>> multinomial(Multiset.from_symbols(BOOL, "tf"))
+    >>> multinomial(Multiset(BOOL, (1, 1)))
     2
     """
     num = factorial(mu.size)
@@ -172,7 +165,7 @@ def enumerations(mu: Multiset) -> list[tuple[int, ...]]:
     (Knuth, TAOCP 7.2.1.2, Algorithm L), so the cost follows the output, not
     the |mu|! orderings of the positions.
 
-    >>> enumerations(Multiset.from_symbols(BOOL, "ttf"))
+    >>> enumerations(Multiset(BOOL, (2, 1)))
     [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     """
     a = list(canonical_enumeration(mu))

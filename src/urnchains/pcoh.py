@@ -68,7 +68,7 @@ class PcsVector:
         return cls(web, tuple(frac(v) for v in coeffs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcsMatrix(Matrix):
     """Nonnegative matrix indexed (source web, target web)."""
 
@@ -76,7 +76,7 @@ class PcsMatrix(Matrix):
         """Apply to a vector over the source web: (f.x)_b = sum_a f[a][b] x_a."""
         if x.web.labels != self.source.labels:
             raise ValueError("vector web does not match matrix source")
-        (image,) = matmul((x.coeffs,), self.entries)
+        (image,) = matmul(({a: v for a, v in enumerate(x.coeffs) if v},), self.entries)
         return PcsVector(self.target, tuple(image.get(b, ZERO) for b in range(len(self.target))))
 
 

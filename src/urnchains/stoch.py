@@ -45,18 +45,6 @@ class FinKernel(Matrix):
             if total > 1:
                 raise ValueError(f"row sum {total} exceeds 1")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FinKernel)
-            and self.source.labels == other.source.labels
-            and self.target.labels == other.target.labels
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        entries = tuple(tuple(row.items()) for row in self.entries)
-        return hash((self.source.labels, self.target.labels, entries))
-
 
 def discard_kernel(space: IndexSet) -> FinKernel:
     """The unique kernel into the terminal one-point space (all-ones column)."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._linalg import ONE, ZERO, compose, matmul, max_abs_diff
@@ -42,7 +42,7 @@ from .moments import (
     recover_measure,
     verify_embedding_squares,
 )
-from .multiset import Alphabet, enumerate_multisets, multinomial
+from .multiset import BOOL, Alphabet, enumerate_multisets, multinomial
 from .optim import LinearProgram, LpError, solve
 from .pcoh import (
     PcsMatrix,
@@ -70,7 +70,7 @@ MAX_TUPLES = 3**11
 
 @dataclass
 class Config:
-    alphabet: Alphabet = field(default_factory=lambda: Alphabet.of("t", "f"))
+    alphabet: Alphabet = BOOL
     depth: int = 4
     eq_depth: int = 5
     cone_samples: int = 20
@@ -499,7 +499,7 @@ def moment_checks(config: Config) -> list[CheckResult]:
                 "moment-round-trip",
                 "rebuilding the table from pure moments is the identity on total elements",
                 {"depth": config.depth},
-                max_abs_diff((rt.coeffs,), (b.coeffs,)),
+                max(abs(x - y) for x, y in zip(rt.coeffs, b.coeffs)),
             )
         )
     vertex_mixing = AtomicMeasure.of(

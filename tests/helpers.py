@@ -27,6 +27,16 @@ def sparse(rows):
     return tuple({j: v for j, v in enumerate(row) if v} for row in rows)
 
 
+def dense_rows(m):
+    """The dense rows of a matrix: its stored values, Fraction(0) in the empty cells."""
+    return dense(m.entries, len(m.target))
+
+
+def entry(m, src_label, tgt_label):
+    """The entry of a matrix at (source label, target label)."""
+    return m.entries[m.source.index(src_label)].get(m.target.index(tgt_label), Fraction(0))
+
+
 def dense_kron(a, b):
     """Kronecker product of dense rows, in row-major product order."""
     return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)

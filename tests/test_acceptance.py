@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import mm, vertex_oracle_inside
+from helpers import dense_rows, mm, sparse, vertex_oracle_inside
 from urnchains._linalg import compose, identity, max_abs_diff
 from urnchains.chains import (
     build_dd_chain,
@@ -101,15 +101,15 @@ def test_criterion_02_multinomial_chain_morphism():
             row[i] = F(1)
             row[k] = F(1)
             rows.append(tuple(row))
-        alpha = PcsMatrix(chg.backend.carrier, chb.backend.carrier, tuple(rows))
+        alpha = PcsMatrix(chg.backend.carrier, chb.backend.carrier, sparse(rows))
         lift = lift_copointed_morphism(alpha, chg, chb)
         for n in range(5):
-            emb = multinomial_embedding(alphabet, n)
+            emb = dense_rows(multinomial_embedding(alphabet, n))
             bounded, full, mapping = pad_index_bijection(alphabet, n)
-            comp = lift.components[n]
-            for i in range(len(emb.source)):
+            comp = dense_rows(lift.components[n])
+            for i in range(len(emb)):
                 for j in range(len(bounded)):
-                    d = abs(emb.rows[i][j] - comp.rows[i][mapping[j]])
+                    d = abs(emb[i][j] - comp[i][mapping[j]])
                     worst = max(worst, d)
     _report(
         2,
@@ -127,7 +127,7 @@ def test_criterion_03_equaliser_laws():
             eq = eq_kernel(alphabet, n)
             coeq = coeq_kernel(alphabet, n)
             worst = max(worst, verify_equalises(eq, n).max_deviation)
-            worst = max(worst, max_abs_diff(compose(eq, coeq).rows, identity(len(eq.source))))
+            worst = max(worst, max_abs_diff(compose(eq, coeq).entries, identity(len(eq.source))))
             worst = max(
                 worst,
                 compose(coeq, eq).deviation(symmetrization_average(alphabet, n)),
@@ -157,28 +157,28 @@ def test_criterion_04_two_formulation_equivalence():
                 top = chain.backend.matrix(
                     unit_space(),
                     chain.backend.level(depth),
-                    (tuple(v / total for v in vals),),
+                    sparse((tuple(v / total for v in vals),)),
                 )
                 dd_cone = cone_from_top(chain, top, "dd")
                 back = factor_delete_cone(expand_dd_cone(dd_cone))
                 worst = max(
                     worst,
                     max(
-                        max_abs_diff(a.rows, b.rows)
+                        max_abs_diff(a.entries, b.entries)
                         for a, b in zip(back.legs, dd_cone.legs)
                     ),
                 )
                 sym_top = chain.backend.matrix(
                     unit_space(),
                     chain.backend.power(depth),
-                    mm(top.rows, chain.eqs[depth].rows),
+                    sparse(mm(dense_rows(top), dense_rows(chain.eqs[depth]))),
                 )
                 del_cone = cone_from_top(chain, sym_top, "delete")
                 expanded = expand_dd_cone(factor_delete_cone(del_cone))
                 worst = max(
                     worst,
                     max(
-                        max_abs_diff(a.rows, b.rows)
+                        max_abs_diff(a.entries, b.entries)
                         for a, b in zip(expanded.legs, del_cone.legs)
                     ),
                 )
@@ -207,8 +207,8 @@ def test_criterion_05_iid_limit_cone():
         cop = stoch_copointed(alphabet)
         for n in range(6):
             dd = cop.backend.dd_closed_form(cop.weaken, n)
-            lhs = mm(multinomial_law(r, n + 1).rows, dd.rows)
-            worst = max(worst, max_abs_diff(lhs, multinomial_law(r, n).rows))
+            lhs = mm(dense_rows(multinomial_law(r, n + 1)), dense_rows(dd))
+            worst = max(worst, max_abs_diff(sparse(lhs), multinomial_law(r, n).entries))
     _report(
         5,
         "iid urn laws form an exact cone on the draw-and-delete chain, n <= 5",

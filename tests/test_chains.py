@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import dense, mm
+from helpers import dense, dense_rows, entry, mm, sparse
 from urnchains._linalg import max_abs_diff
 from urnchains.chains import (
     Backend,
@@ -43,12 +43,13 @@ def test_stoch_chain_steps_equal_uniform_kernel(alphabet):
     for n in range(3):
         # remove one element uniformly: entry (mu, mu - [b]) is mu(b)/(n+1)
         dd = chain.dds[n]
+        rows = dense_rows(dd)
         for i, mu in enumerate(dd.source.labels):
             for j, nu in enumerate(dd.target.labels):
                 diff = [x - y for x, y in zip(mu, nu)]
                 removed_one = sorted(diff) == [0] * (len(diff) - 1) + [1]
                 expected = F(mu[diff.index(1)], n + 1) if removed_one else 0
-                assert dd.rows[i][j] == expected
+                assert rows[i][j] == expected
     assert all(c.deviation == 0 for c in chain.validate())
 
 
@@ -58,10 +59,10 @@ def test_bang_chain_steps_equal_restrictions():
         # in bounded coordinates the step keeps each multiset of size <= n
         b_src, full_src, map_src = pad_index_bijection(BOOL, n + 1)
         b_tgt, full_tgt, map_tgt = pad_index_bijection(BOOL, n)
-        dd = chain.dds[n]
+        rows = dense_rows(chain.dds[n])
         for i, mu in enumerate(b_src.labels):
             for j, nu in enumerate(b_tgt.labels):
-                assert dd.rows[map_src[i]][map_tgt[j]] == (1 if mu == nu else 0)
+                assert rows[map_src[i]][map_tgt[j]] == (1 if mu == nu else 0)
 
 
 def test_depth_zero_chain():
@@ -72,14 +73,14 @@ def test_depth_zero_chain():
 
 def test_substochastic_weakening_chain():
     backend = Backend.stoch(BOOL)
-    weaken = FinKernel(backend.carrier, unit_space(), ((F(1, 2),), (F(1, 3),)))
+    weaken = FinKernel(backend.carrier, unit_space(), ({0: F(1, 2)}, {0: F(1, 3)}))
     cop = CopointedObject(backend, weaken)
     chain = build_dd_chain(cop, 3)
     assert all(c.deviation == 0 for c in chain.validate())
     # step mass reflects the weakening: remove-one weighted by w
     dd0 = chain.dds[0]
-    assert dd0.entry((1, 0), (0, 0)) == F(1, 2)
-    assert dd0.entry((0, 1), (0, 0)) == F(1, 3)
+    assert entry(dd0, (1, 0), (0, 0)) == F(1, 2)
+    assert entry(dd0, (0, 1), (0, 0)) == F(1, 3)
 
 
 def test_square_unsatisfiable_signals_backend_bug(monkeypatch):
@@ -87,9 +88,9 @@ def test_square_unsatisfiable_signals_backend_bug(monkeypatch):
 
     def broken(weaken, n):
         good = cop.backend.__class__.dd_closed_form(cop.backend, weaken, n)
-        rows = [list(r) for r in good.rows]
+        rows = [list(r) for r in dense_rows(good)]
         rows[0] = list(reversed(rows[0]))
-        return FinKernel(good.source, good.target, tuple(map(tuple, rows)))
+        return FinKernel(good.source, good.target, sparse(rows))
 
     monkeypatch.setattr(cop.backend, "dd_closed_form", broken)
     with pytest.raises(ChainError):
@@ -105,8 +106,8 @@ def test_closed_form_breaking_one_square_is_refused_naming_its_level(monkeypatch
         step = closed_form(cop.backend, weaken, n)
         if n != level:
             return step
-        first = tuple(v / 2 for v in step.rows[0])
-        return FinKernel(step.source, step.target, (first,) + step.rows[1:])
+        first = {j: v / 2 for j, v in step.entries[0].items()}
+        return FinKernel(step.source, step.target, (first,) + step.entries[1:])
 
     monkeypatch.setattr(cop.backend, "dd_closed_form", halved_at_level)
     with pytest.raises(ChainError, match=f"square fails at level {level}:"):
@@ -122,7 +123,7 @@ def test_section_that_does_not_split_is_refused_naming_its_level(monkeypatch):
         section = coeq_kernel(alphabet, n)
         if n < 2:
             return section
-        rows = (section.rows[1], section.rows[0]) + section.rows[2:]
+        rows = (section.entries[1], section.entries[0]) + section.entries[2:]
         return FinKernel(section.source, section.target, rows)
 
     monkeypatch.setattr(chains, "coeq_kernel", swapped_from_level_2)
@@ -134,15 +135,11 @@ def test_section_that_does_not_split_is_refused_naming_its_level(monkeypatch):
 
 def test_lift_identity_gives_identity_components():
     chain = build_dd_chain(pcoh_ground_copointed(BOOL), 3)
-    ident = PcsMatrix(
-        chain.backend.carrier,
-        chain.backend.carrier,
-        ((F(1), F(0)), (F(0), F(1))),
-    )
+    ident = PcsMatrix(chain.backend.carrier, chain.backend.carrier, ({0: F(1)}, {1: F(1)}))
     lift = lift_copointed_morphism(ident, chain, chain)
     for n, comp in enumerate(lift.components):
         size = len(multiset_space(BOOL, n))
-        assert comp.rows == tuple(
+        assert dense_rows(comp) == tuple(
             tuple(F(1) if i == j else F(0) for j in range(size)) for i in range(size)
         )
 
@@ -151,11 +148,7 @@ def test_lift_rejects_non_copointed_morphism():
     chg = build_dd_chain(pcoh_ground_copointed(BOOL), 2)
     chb = build_dd_chain(pcoh_free_copointed(bool_pcs()), 2)
     # alpha with a zero weakening column: weakenings disagree at 't'
-    bad = PcsMatrix(
-        chg.backend.carrier,
-        chb.backend.carrier,
-        ((F(1), F(0), F(0)), (F(0), F(1), F(0))),
-    )
+    bad = PcsMatrix(chg.backend.carrier, chb.backend.carrier, ({0: F(1)}, {1: F(1)}))
     with pytest.raises(ChainError, match="'t'"):
         lift_copointed_morphism(bad, chg, chb)
 
@@ -163,9 +156,9 @@ def test_lift_rejects_non_copointed_morphism():
 # -- coordinate change -----------------------------------------------------------------
 
 def test_multinomial_diagonal_values():
-    assert multinomial_diagonal(BOOL, 1).rows == ((F(1), F(0)), (F(0), F(1)))
-    d2 = multinomial_diagonal(BOOL, 2)
-    assert [d2.rows[i][i] for i in range(3)] == [F(1), F(2), F(1)]
+    assert dense_rows(multinomial_diagonal(BOOL, 1)) == ((F(1), F(0)), (F(0), F(1)))
+    d2 = dense_rows(multinomial_diagonal(BOOL, 2))
+    assert [d2[i][i] for i in range(3)] == [F(1), F(2), F(1)]
 
 
 @pytest.mark.parametrize("alphabet", [BOOL, ABC])
@@ -173,13 +166,13 @@ def test_conjugation_intertwines_the_two_chains(alphabet):
     stoch_chain = build_dd_chain(stoch_copointed(alphabet), 4)
     delta_chain = build_dd_chain(pcoh_ground_copointed(alphabet), 4)
     for n in range(4):
-        d_n = multinomial_diagonal(alphabet, n).rows
-        d_n1 = multinomial_diagonal(alphabet, n + 1).rows
+        d_n = dense_rows(multinomial_diagonal(alphabet, n))
+        d_n1 = dense_rows(multinomial_diagonal(alphabet, n + 1))
         inv = tuple(
             tuple(F(1, v) if v else F(0) for v in row) for row in d_n1
         )
-        conj = mm(mm(inv, delta_chain.dds[n].rows), d_n)
-        assert conj == stoch_chain.dds[n].rows
+        conj = mm(mm(inv, dense_rows(delta_chain.dds[n])), d_n)
+        assert conj == dense_rows(stoch_chain.dds[n])
 
 
 # -- cones ---------------------------------------------------------------------------------
@@ -193,7 +186,7 @@ def test_multinomial_cone_and_round_trip():
     assert expanded.deviation() == 0
     back = factor_delete_cone(expanded)
     for a, b in zip(back.legs, cone.legs):
-        assert a.rows == b.rows
+        assert dense_rows(a) == dense_rows(b)
 
 
 def test_factor_returns_original_when_legs_factor_through_eq():
@@ -205,7 +198,7 @@ def test_factor_returns_original_when_legs_factor_through_eq():
         FinKernel(
             unit_space(),
             chain.backend.power(n),
-            mm(multinomial_law(r, n).rows, chain.eqs[n].rows),
+            sparse(mm(dense_rows(multinomial_law(r, n)), dense_rows(chain.eqs[n]))),
         )
         for n in range(4)
     ]
@@ -213,16 +206,16 @@ def test_factor_returns_original_when_legs_factor_through_eq():
     assert delete_cone.deviation() == 0
     dagger = factor_delete_cone(delete_cone)
     for a, b in zip(dagger.legs, cone.legs):
-        assert a.rows == b.rows
+        assert dense_rows(a) == dense_rows(b)
 
 
 def test_factor_rejects_asymmetric_leg_naming_the_swap():
     chain = build_dd_chain(stoch_copointed(BOOL), 2)
     tsp = chain.backend.power(2)
-    point = FinKernel(unit_space(), tsp, ((F(0), F(1), F(0), F(0)),))
+    point = FinKernel(unit_space(), tsp, ({1: F(1)},))
     legs = [
-        FinKernel(unit_space(), chain.backend.power(0), ((F(1),),)),
-        FinKernel(unit_space(), chain.backend.power(1), ((F(1), F(0)),)),
+        FinKernel(unit_space(), chain.backend.power(0), ({0: F(1)},)),
+        FinKernel(unit_space(), chain.backend.power(1), ({0: F(1)},)),
         point,
     ]
     cone = Cone(chain, unit_space(), legs, "delete")
@@ -237,11 +230,11 @@ def test_factor_rejects_leg_moved_by_one_transposition_only(n, i):
     legs = []
     for m in range(n):
         space = chain.backend.power(m)
-        legs.append(FinKernel(unit_space(), space, ((F(1, len(space)),) * len(space),)))
+        legs.append(FinKernel(unit_space(), space, sparse(((F(1, len(space)),) * len(space),))))
     top = chain.backend.power(n)
     row = [F(0)] * len(top)
     row[top.index((1,) * (i + 1) + (0,) * (n - i - 1))] = F(1)
-    legs.append(FinKernel(unit_space(), top, (tuple(row),)))
+    legs.append(FinKernel(unit_space(), top, sparse((row,))))
     swap = list(range(n))
     swap[i], swap[i + 1] = i + 1, i
     with pytest.raises(ChainError, match=rf"level {n} .*{re.escape(str(tuple(swap)))}"):
@@ -256,12 +249,12 @@ def test_trivial_unit_cone_is_fixed_by_both_maps():
         space = chain.backend.level(n)
         row = [F(0)] * len(space)
         row[space.index((n, 0))] = F(1)
-        legs.append(FinKernel(unit_space(), space, (tuple(row),)))
+        legs.append(FinKernel(unit_space(), space, sparse((row,))))
     cone = Cone(chain, unit_space(), legs, "dd")
     assert cone.deviation() == 0
     back = factor_delete_cone(expand_dd_cone(cone))
     for a, b in zip(back.legs, cone.legs):
-        assert a.rows == b.rows
+        assert dense_rows(a) == dense_rows(b)
 
 
 @pytest.mark.parametrize("backend", ["stoch", "pcoh"])
@@ -276,23 +269,23 @@ def test_randomized_round_trips_both_directions(backend):
         vals = [F(rng.randint(0, 9)) for _ in range(top_len)]
         total = sum(vals) or F(1)
         top = chain.backend.matrix(
-            unit_space(), chain.backend.level(4), (tuple(v / total for v in vals),)
+            unit_space(), chain.backend.level(4), sparse((tuple(v / total for v in vals),))
         )
         cone = cone_from_top(chain, top, "dd")
         assert cone.deviation() == 0
         back = factor_delete_cone(expand_dd_cone(cone))
         assert all(
-            max_abs_diff(a.rows, b.rows) == 0 for a, b in zip(back.legs, cone.legs)
+            max_abs_diff(a.entries, b.entries) == 0 for a, b in zip(back.legs, cone.legs)
         )
         sym_top = chain.backend.matrix(
             unit_space(),
             chain.backend.power(4),
-            mm(top.rows, chain.eqs[4].rows),
+            sparse(mm(dense_rows(top), dense_rows(chain.eqs[4]))),
         )
         delete_cone = cone_from_top(chain, sym_top, "delete")
         expanded = expand_dd_cone(factor_delete_cone(delete_cone))
         assert all(
-            max_abs_diff(a.rows, b.rows) == 0
+            max_abs_diff(a.entries, b.entries) == 0
             for a, b in zip(expanded.legs, delete_cone.legs)
         )
 
@@ -317,7 +310,7 @@ def test_tensor_parametrized_broken_map_reports_deviation():
     n = 2
     level_y = len(chain.backend.level(n)) * len(y)
     # symmetric map, then a deliberate asymmetry
-    h = ((F(1, level_y),) * level_y,)
+    h = sparse(((F(1, level_y),) * level_y,))
     from urnchains._linalg import kron, identity, matmul
 
     f_rows = matmul(h, kron(chain.eqs[n].entries, identity(len(y)), len(y)))
@@ -325,7 +318,7 @@ def test_tensor_parametrized_broken_map_reports_deviation():
     # bump the ((t,f), t) column; its swap image ((f,t), t) stays put
     broken[0][2] += F(1, 7)
     with pytest.raises(ChainError, match=r"fails at level 2 \(x\) X\(t,f\)"):
-        chain.factor(tuple(map(tuple, broken)), n, y)
+        chain.factor(sparse(broken), n, y)
 
 
 # -- reified truncation limits ----------------------------------------------------------------------

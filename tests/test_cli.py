@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from helpers import dense_rows, sparse
 from urnchains import spaces
 from urnchains.cli import _build_parser, _validate, main
 
@@ -184,7 +185,8 @@ def test_pcoh_chain_that_fails_to_build_is_a_check_failure(tmp_path, capsys, mon
         step = closed_form(self, weaken, n)
         if self.uniform:
             return step
-        return type(step)(step.source, step.target, (step.rows[0][::-1],) + step.rows[1:])
+        first = dense_rows(step)[0][::-1]
+        return type(step)(step.source, step.target, sparse((first,)) + step.entries[1:])
 
     monkeypatch.setattr(Backend, "dd_closed_form", reversed_first_row)
     out = str(tmp_path / "report.json")
@@ -206,7 +208,7 @@ def test_tensor_map_that_does_not_factor_is_a_check_failure(tmp_path, capsys, mo
         eqs, sections, dds = tensored(self, y)
         if y is None:
             return eqs, sections, dds
-        return eqs, [tuple(tuple(v / 2 for v in row) for row in s) for s in sections], dds
+        return eqs, [tuple({j: v / 2 for j, v in row.items()} for row in s) for s in sections], dds
 
     monkeypatch.setattr(DDChain, "tensored", halved_sections)
     out = str(tmp_path / "report.json")
@@ -230,7 +232,7 @@ def test_section_that_does_not_split_is_a_check_failure(tmp_path, capsys, monkey
         section = coeq_kernel(alphabet, n)
         if n < 2:
             return section
-        rows = (section.rows[1], section.rows[0]) + section.rows[2:]
+        rows = (section.entries[1], section.entries[0]) + section.entries[2:]
         return FinKernel(section.source, section.target, rows)
 
     monkeypatch.setattr(chains, "coeq_kernel", swapped_from_level_2)
@@ -284,8 +286,14 @@ def test_refusal_inside_a_check_is_a_check_failure(tmp_path, capsys, monkeypatch
         (None, ["--inject-fault"], 1,
          "9ea69385f42ee42350696fdc32288859ff77a18133a53efec338d1b8a54c50d7",
          "a9f4c01154037fd26675bf1bb8d555519b3b6afda060623261e3184c0ba4a914"),
+        (None, ["--depth", "5", "--eq-depth", "6", "--seed", "1"], 0,
+         "e60bf805d3809e8bd239c9794447c1c54fd64018d058ad7145cd593a1b40456a",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (["a", "b", "c"], ["--depth", "3", "--eq-depth", "4", "--grid", "8"], 0,
+         "ba0e64044e7f47e463fa6d76168cc7b389e42fe1345b4d32ab741ba125f1e65a",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ],
-    ids=["defaults", "three-symbols", "inject-fault"],
+    ids=["defaults", "three-symbols", "inject-fault", "two-symbols-deep", "three-symbols-small"],
 )
 def test_verify_all_report_digests(tmp_path, capsys, symbols, extra, code, report_digest, stderr_digest):
     out = str(tmp_path / "report.json")

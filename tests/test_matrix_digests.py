@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 
+from helpers import dense_rows
 from urnchains import chains, pcoh, stoch, verify
 from urnchains.multiset import Alphabet
 from urnchains.pcoh import PcsVector, ground_pcs, promotion
@@ -88,7 +89,7 @@ def _digests(alphabet):
     for name, matrices in _constructors(alphabet).items():
         h = hashlib.sha256()
         for m in matrices:
-            h.update(repr((type(m).__name__, m.source, m.target, m.rows)).encode())
+            h.update(repr((type(m).__name__, m.source, m.target, dense_rows(m))).encode())
         out[name] = h.hexdigest()
     return out
 

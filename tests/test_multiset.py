@@ -55,9 +55,9 @@ def test_enumerate_three_symbols_matches_brute_force():
 
 def test_multinomial_values():
     assert multinomial(Multiset(ABC, (0, 0, 0))) == 1
-    assert multinomial(Multiset.from_symbols(ABC, "aab")) == 3
+    assert multinomial(Multiset(ABC, (2, 1, 0))) == 3
     # cross-check by enumerating the two orderings of [t,f]
-    tf = Multiset.from_symbols(BOOL, "tf")
+    tf = Multiset(BOOL, (1, 1))
     assert multinomial(tf) == len(enumerations(tf)) == 2
     assert set(enumerations(tf)) == {(0, 1), (1, 0)}
 
@@ -72,10 +72,10 @@ def test_multiset_of_examples():
 
 
 def test_difference_examples():
-    ttf = Multiset.from_symbols(BOOL, "ttf")
-    t = Multiset.from_symbols(BOOL, "t")
+    ttf = Multiset(BOOL, (2, 1))
+    t = Multiset(BOOL, (1, 0))
     assert difference(ttf, t).counts == (1, 1)
-    f = Multiset.from_symbols(BOOL, "f")
+    f = Multiset(BOOL, (0, 1))
     assert difference(t, f) is None
     assert difference(ttf, ttf).counts == (0, 0)
 
@@ -122,7 +122,7 @@ def test_tally_fibers_have_multinomial_size(k, n):
 
 
 def test_enumerations_and_canonical():
-    m = Multiset.from_symbols(ABC, "abb")
+    m = Multiset(ABC, (1, 2, 0))
     assert canonical_enumeration(m) == (0, 1, 1)
     assert canonical_enumeration(m) in enumerations(m)
     assert len(enumerations(m)) == multinomial(m) == 3
@@ -141,9 +141,9 @@ def test_bounded_enumeration_sizes():
 
 
 def test_add_and_contains():
-    m = Multiset.from_symbols(BOOL, "t")
-    assert Multiset.from_symbols(BOOL, "ttf").contains(m)
-    assert not m.contains(Multiset.from_symbols(BOOL, "f"))
+    m = Multiset(BOOL, (1, 0))
+    assert Multiset(BOOL, (2, 1)).contains(m)
+    assert not m.contains(Multiset(BOOL, (0, 1)))
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense, mm, vertex_oracle_inside
+from helpers import dense, dense_rows, entry, mm, sparse, vertex_oracle_inside
 from urnchains._linalg import compose, solve_right
 from urnchains.chains import Backend, pcoh_ground_copointed
 from urnchains.multiset import BOOL, Alphabet, Multiset, multinomial
@@ -88,14 +88,14 @@ def test_with_unit_adds_independent_unit_coordinate():
 
 def test_eq_delta_places_coefficient_at_every_enumeration():
     eq = eq_delta(BOOL, 2)
-    assert eq.entry((1, 1), (0, 1)) == 1
-    assert eq.entry((1, 1), (1, 0)) == 1
-    assert eq.entry((2, 0), (1, 1)) == 0
+    assert entry(eq, (1, 1), (0, 1)) == 1
+    assert entry(eq, (1, 1), (1, 0)) == 1
+    assert entry(eq, (2, 0), (1, 1)) == 0
 
 
 def test_eq_delta_n1_identity_and_swap_invariance():
     eq1 = eq_delta(BOOL, 1)
-    assert eq1.rows == ((F(1), F(0)), (F(0), F(1)))
+    assert dense_rows(eq1) == ((F(1), F(0)), (F(0), F(1)))
     eq2 = eq_delta(BOOL, 2)
     for perm in itertools.permutations(range(2)):
         assert permute_tuple_columns(eq2.entries, eq2.target, perm) == eq2.entries
@@ -105,7 +105,7 @@ def test_canonical_section_splits_eq_delta():
     for n in range(4):
         eq = eq_delta(BOOL, n)
         sec = canonical_section(BOOL, n)
-        prod = mm(eq.rows, sec.rows)
+        prod = mm(dense_rows(eq), dense_rows(sec))
         assert all(
             prod[i][j] == (1 if i == j else 0)
             for i in range(len(prod))
@@ -125,10 +125,10 @@ def test_bang_element_refuses_a_negative_coefficient(negative):
 
 def test_dd_inclusion_rows():
     dd = _dd_inclusion(BOOL, 1)
-    assert dd.entry((1, 1), (1, 0)) == 1
-    assert dd.entry((1, 1), (0, 1)) == 1
-    assert dd.entry((2, 0), (1, 0)) == 1
-    assert dd.entry((2, 0), (0, 1)) == 0
+    assert entry(dd, (1, 1), (1, 0)) == 1
+    assert entry(dd, (1, 1), (0, 1)) == 1
+    assert entry(dd, (2, 0), (1, 0)) == 1
+    assert entry(dd, (2, 0), (0, 1)) == 0
 
 
 def _ones_delete(alphabet, n):
@@ -145,8 +145,8 @@ def _ones_delete(alphabet, n):
 @pytest.mark.parametrize("alphabet", [BOOL, Alphabet.of("a", "b", "c")])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_dd_inclusion_solves_defining_square_uniquely(alphabet, n):
-    rhs = mm(eq_delta(alphabet, n + 1).rows, _ones_delete(alphabet, n))
-    solved = solve_right(eq_delta(alphabet, n).rows, rhs)
+    rhs = mm(dense_rows(eq_delta(alphabet, n + 1)), _ones_delete(alphabet, n))
+    solved = solve_right(eq_delta(alphabet, n).entries, sparse(rhs))
     assert solved == _dd_inclusion(alphabet, n).entries
 
 
@@ -160,12 +160,13 @@ def test_dd_inclusion_conjugate_to_uniform_kernel(n):
     ]
     src_mult = [multinomial(Multiset(abc, c)) for c in incl.source.labels]
     tgt_mult = [multinomial(Multiset(abc, c)) for c in incl.target.labels]
+    rows = dense_rows(incl)
     conj = tuple(
-        tuple(incl.rows[i][j] * tgt_mult[j] / src_mult[i] for j in range(len(tgt_mult)))
+        tuple(rows[i][j] * tgt_mult[j] / src_mult[i] for j in range(len(tgt_mult)))
         for i in range(len(src_mult))
     )
     uniform = Backend.stoch(abc).dd_closed_form(discard_kernel(symbol_space(abc)), n)
-    assert conj == uniform.rows
+    assert conj == dense_rows(uniform)
 
 
 # -- symmetric powers -----------------------------------------------------------------------
@@ -184,7 +185,7 @@ def test_multiset_pcs_binomial_point_inside():
     assert m2.contains(binom).inside
     # oracle: push through the uniform-enumeration equaliser and test on the
     # tensor square
-    pushed = mm((binom.coeffs,), eq_kernel(BOOL, 2).rows)[0]
+    pushed = mm((binom.coeffs,), dense_rows(eq_kernel(BOOL, 2)))[0]
     t2 = GROUND_SQUARE
     assert pushed == (F(1, 4),) * 4
     assert t2.contains(PcsVector(t2.web, tuple(pushed))).inside
@@ -242,11 +243,11 @@ def test_restrict_to_depth_examples():
 
 def test_multinomial_embedding_small_entries():
     e1 = multinomial_embedding(BOOL, 1)
-    assert e1.entry((1, 0), (1, 0)) == 1
-    assert e1.entry((1, 0), (0, 0)) == 1
-    assert e1.entry((1, 0), (0, 1)) == 0
+    assert entry(e1, (1, 0), (1, 0)) == 1
+    assert entry(e1, (1, 0), (0, 0)) == 1
+    assert entry(e1, (1, 0), (0, 1)) == 0
     e2 = multinomial_embedding(BOOL, 2)
-    assert e2.entry((1, 1), (0, 0)) == 2
+    assert entry(e2, (1, 1), (0, 0)) == 2
 
 
 def _pad_alpha_matrix(alphabet):
@@ -276,17 +277,17 @@ def test_multinomial_embedding_is_the_unique_square_solution(alphabet, n):
             for arow in alpha:
                 new.append(tuple(x * y for x in row for y in arow))
         pow_rows = tuple(new)
-    rhs = mm(eq_delta(alphabet, n).rows, pow_rows)
+    rhs = mm(dense_rows(eq_delta(alphabet, n)), pow_rows)
     from urnchains.spaces import multiset_space
 
     full = multiset_space(padded, n)
-    solved = dense(solve_right(eq_delta(padded, n).rows, rhs), len(full))
-    emb = multinomial_embedding(alphabet, n)
+    solved = dense(solve_right(eq_delta(padded, n).entries, sparse(rhs)), len(full))
+    emb = dense_rows(multinomial_embedding(alphabet, n))
     bounded = bounded_multiset_space(alphabet, n)
-    for i in range(len(emb.source)):
+    for i in range(len(emb)):
         for j, counts in enumerate(bounded.labels):
             padded_counts = counts + (n - sum(counts),)
-            assert emb.rows[i][j] == solved[i][full.index(padded_counts)]
+            assert emb[i][j] == solved[i][full.index(padded_counts)]
         # columns not hit by the padding map must vanish
         hit = {counts + (n - sum(counts),) for counts in bounded.labels}
         for j, lab in enumerate(full.labels):
@@ -319,11 +320,11 @@ def test_membership_agrees_with_vertex_enumeration(space, denominator):
 def test_certify_uniform_equaliser_as_morphism():
     m2 = multiset_pcs(GROUND, 2)
     t2 = GROUND_SQUARE
-    uniform = PcsMatrix(m2.web, t2.web, eq_kernel(BOOL, 2).rows)
+    uniform = PcsMatrix(m2.web, t2.web, eq_kernel(BOOL, 2).entries)
     # a morphism maps every generator of the source into the target clique
     assert all(t2.contains(uniform.push(g)).inside for g in m2.generators)
     doubled = PcsMatrix(
-        m2.web, t2.web, tuple(tuple(2 * v for v in row) for row in uniform.rows)
+        m2.web, t2.web, tuple({j: 2 * v for j, v in row.items()} for row in uniform.entries)
     )
     assert not all(t2.contains(doubled.push(g)).inside for g in m2.generators)
 
@@ -331,4 +332,4 @@ def test_certify_uniform_equaliser_as_morphism():
 def test_compose_matches_plain_product():
     a = eq_delta(BOOL, 2)
     b = canonical_section(BOOL, 2)
-    assert compose(a, b).rows == mm(a.rows, b.rows)
+    assert dense_rows(compose(a, b)) == mm(dense_rows(a), dense_rows(b))

@@ -1,10 +1,11 @@
-"""Every public function and class of the package has a caller in the program.
+"""Every public function, class and method of the package has a caller in the program.
 
 A public top-level function or class of `src/urnchains` must be referred to,
 as an `ast` Name or Attribute, by some package module or some `perfbench/`
-file; a mention in a docstring or comment does not count.  A name that only
-the tests use is allowed only when a test checks a law of the paper through
-it, and `TEST_ONLY` names that law.
+file; a public method or property of a package class must be read as an
+attribute `.name` there.  A mention in a docstring or comment does not
+count.  A name that only the tests use is allowed only when a test checks a
+law of the paper through it, and `TEST_ONLY` names that law.
 """
 
 import ast
@@ -47,31 +48,44 @@ def _parse(path):
 
 
 def _public_definitions(module, tree):
-    return {
-        f"{module}.{node.name}": node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+    """({qualified name: name} of the public top-level functions and classes,
+    the same of the public methods and properties of every class)."""
+    definitions, methods = {}, {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            definitions[f"{module}.{node.name}"] = node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    methods[f"{module}.{node.name}.{item.name}"] = item.name
+    return definitions, methods
 
 
 def _references(tree):
-    refs = set()
+    """(the names read, the attributes read) in the tree."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-    return refs
+            attributes.add(node.attr)
+    return names, attributes
 
 
 def _uncalled(package_trees, other_trees):
-    defined = {}
-    refs = set()
+    definitions, methods = {}, {}
+    names, attributes = set(), set()
     for module, tree in package_trees.items():
-        defined.update(_public_definitions(module, tree))
+        defined, defined_methods = _public_definitions(module, tree)
+        definitions.update(defined)
+        methods.update(defined_methods)
     for tree in [*package_trees.values(), *other_trees]:
-        refs |= _references(tree)
-    return sorted(qualified for qualified, name in defined.items() if name not in refs)
+        read, read_attributes = _references(tree)
+        names |= read
+        attributes |= read_attributes
+    uncalled = [q for q, name in definitions.items() if name not in names | attributes]
+    uncalled += [q for q, name in methods.items() if name not in attributes]
+    return sorted(uncalled)
 
 
 def test_every_public_name_has_a_caller_in_the_program():
@@ -85,9 +99,13 @@ def test_the_guard_sees_what_it_forbids():
         "def used(): pass\n"
         "def unused():\n"
         '    """Mentions used() and unused() in prose."""\n'
-        "class Kept: pass\n"
+        "class Kept:\n"
+        "    def read(self): pass\n"
+        "    def unread(self): pass\n"
+        "    def _private(self): pass\n"
         "def _private(): pass\n"
     )
-    caller = ast.parse("from m import used\nused()\nm.Kept\n")
-    assert _uncalled({"m": mod}, [caller]) == ["m.unused"]
+    # a method counts as called only when read as an attribute, not as a name
+    caller = ast.parse("from m import used\nused()\nm.Kept().read()\nunread = 1\n")
+    assert _uncalled({"m": mod}, [caller]) == ["m.Kept.unread", "m.unused"]
     assert os.path.isfile(os.path.join(PERFBENCH, "run.py"))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import mm
+from helpers import dense_rows, entry, mm, sparse
 from urnchains._linalg import compose, identity, kron, matmul
 from urnchains.chains import Backend
 from urnchains.multiset import BOOL, Alphabet
@@ -41,7 +41,7 @@ def _random_stochastic(rng, space):
         raw = [F(rng.randint(1, 6)) for _ in space.labels]
         s = sum(raw)
         rows.append(tuple(v / s for v in raw))
-    return FinKernel(space, space, tuple(rows))
+    return FinKernel(space, space, sparse(rows))
 
 
 def _identity_kernel(space):
@@ -57,9 +57,9 @@ def _dd(alphabet, n):
 
 def test_compose_identity_and_substochastic_row():
     x = symbol_space(BOOL)
-    f = FinKernel(unit_space(), x, ((F(1, 2), F(3, 10)),))
-    assert compose(f, _identity_kernel(x)).rows == f.rows
-    assert sum(f.rows[0]) < 1
+    f = FinKernel(unit_space(), x, ({0: F(1, 2), 1: F(3, 10)},))
+    assert dense_rows(compose(f, _identity_kernel(x))) == dense_rows(f)
+    assert sum(dense_rows(f)[0]) < 1
 
 
 def test_compose_requires_matching_spaces():
@@ -74,8 +74,8 @@ def test_compose_associative_on_random_kernels():
     rng = random.Random(3)
     x = symbol_space(BOOL)
     f, g, h = (_random_stochastic(rng, x) for _ in range(3))
-    assert compose(compose(f, g), h).rows == compose(f, compose(g, h)).rows
-    assert all(sum(row) == 1 for row in compose(f, g).rows)
+    assert dense_rows(compose(compose(f, g), h)) == dense_rows(compose(f, compose(g, h)))
+    assert all(sum(row) == 1 for row in dense_rows(compose(f, g)))
 
 
 def test_tensor_identity_and_product_row():
@@ -99,8 +99,8 @@ def test_tensor_bifunctorial():
 def test_symmetry_identity_and_swap():
     assert symmetry_kernel(BOOL, 2, (0, 1)).entries == identity(4)
     swap = symmetry_kernel(BOOL, 2, (1, 0))
-    assert swap.entry((0, 1), (1, 0)) == 1
-    assert swap.entry((0, 1), (0, 1)) == 0
+    assert entry(swap, (0, 1), (1, 0)) == 1
+    assert entry(swap, (0, 1), (0, 1)) == 0
 
 
 def test_symmetry_group_law():
@@ -111,7 +111,7 @@ def test_symmetry_group_law():
         sigma = rng.choice(perms)
         composed = tuple(sigma[tau[i]] for i in range(3))
         lhs = compose(symmetry_kernel(BOOL, 3, tau), symmetry_kernel(BOOL, 3, sigma))
-        assert lhs.rows == symmetry_kernel(BOOL, 3, composed).rows
+        assert dense_rows(lhs) == dense_rows(symmetry_kernel(BOOL, 3, composed))
 
 
 # -- equaliser laws -----------------------------------------------------------------
@@ -123,9 +123,9 @@ def test_eq_coeq_n1_is_identity():
 
 def test_eq_spreads_uniformly():
     eq = eq_kernel(BOOL, 2)
-    assert eq.entry((1, 1), (0, 1)) == F(1, 2)
-    assert eq.entry((1, 1), (1, 0)) == F(1, 2)
-    assert eq.entry((2, 0), (0, 0)) == 1
+    assert entry(eq, (1, 1), (0, 1)) == F(1, 2)
+    assert entry(eq, (1, 1), (1, 0)) == F(1, 2)
+    assert entry(eq, (2, 0), (0, 0)) == 1
 
 
 def test_eq_coeq_laws_by_hand_n2():
@@ -139,8 +139,8 @@ def test_eq_coeq_laws_by_hand_n2():
         (F(0), half, half, F(0)),
         (F(0), F(0), F(0), F(1)),
     )
-    assert compose(coeq, eq).rows == expected
-    assert symmetrization_average(BOOL, 2).rows == expected
+    assert dense_rows(compose(coeq, eq)) == expected
+    assert dense_rows(symmetrization_average(BOOL, 2)) == expected
 
 
 @pytest.mark.parametrize("alphabet,n", [(BOOL, 3), (BOOL, 4), (ABC, 3)])
@@ -157,15 +157,15 @@ def test_symmetrization_average_matches_composition(alphabet, n):
 def test_dd_two_a_one_b_urn():
     dd = _dd(ABC, 2)
     aab = (2, 1, 0)
-    assert dd.entry(aab, (1, 1, 0)) == F(2, 3)  # remove an a
-    assert dd.entry(aab, (2, 0, 0)) == F(1, 3)  # remove the b
-    assert dd.entry(aab, (0, 2, 0)) == 0
+    assert entry(dd, aab, (1, 1, 0)) == F(2, 3)  # remove an a
+    assert entry(dd, aab, (2, 0, 0)) == F(1, 3)  # remove the b
+    assert entry(dd, aab, (0, 2, 0)) == 0
 
 
 def test_dd_size_zero():
     dd = _dd(ABC, 0)
     for counts in dd.source.labels:
-        assert dd.entry(counts, (0, 0, 0)) == 1
+        assert entry(dd, counts, (0, 0, 0)) == 1
 
 
 def _discard_last(alphabet, n):
@@ -176,7 +176,7 @@ def _discard_last(alphabet, n):
         row = [F(0)] * len(tgt)
         row[tgt.index(t[:n])] = F(1)
         rows.append(tuple(row))
-    return FinKernel(src, tgt, tuple(rows))
+    return FinKernel(src, tgt, sparse(rows))
 
 
 @pytest.mark.parametrize("alphabet", [BOOL, ABC])
@@ -184,17 +184,17 @@ def _discard_last(alphabet, n):
 def test_dd_matches_composition_oracle(alphabet, n):
     # oracle: tally after discarding one coordinate of a uniform enumeration
     oracle = mm(
-        mm(eq_kernel(alphabet, n + 1).rows, _discard_last(alphabet, n).rows),
-        coeq_kernel(alphabet, n).rows,
+        mm(dense_rows(eq_kernel(alphabet, n + 1)), dense_rows(_discard_last(alphabet, n))),
+        dense_rows(coeq_kernel(alphabet, n)),
     )
-    assert _dd(alphabet, n).rows == oracle
+    assert dense_rows(_dd(alphabet, n)) == oracle
 
 
 @pytest.mark.parametrize("alphabet", [BOOL, ABC])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_dd_defining_square_exact(alphabet, n):
-    lhs = mm(_dd(alphabet, n).rows, eq_kernel(alphabet, n).rows)
-    rhs = mm(eq_kernel(alphabet, n + 1).rows, _discard_last(alphabet, n).rows)
+    lhs = mm(dense_rows(_dd(alphabet, n)), dense_rows(eq_kernel(alphabet, n)))
+    rhs = mm(dense_rows(eq_kernel(alphabet, n + 1)), dense_rows(_discard_last(alphabet, n)))
     assert lhs == rhs
 
 
@@ -202,19 +202,19 @@ def test_dd_defining_square_exact(alphabet, n):
 
 def test_multinomial_law_dirac():
     law = multinomial_law(ProbVector.of(BOOL, 1, 0), 3)
-    assert law.rows[0] == (F(1), F(0), F(0), F(0))
+    assert dense_rows(law)[0] == (F(1), F(0), F(0), F(0))
 
 
 def test_multinomial_law_binomial_expansion():
     law = multinomial_law(ProbVector.of(BOOL, F(1, 2), F(1, 2)), 2)
-    assert law.rows[0] == (F(1, 4), F(1, 2), F(1, 4))
+    assert dense_rows(law)[0] == (F(1, 4), F(1, 2), F(1, 4))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_multinomial_cone_law(n):
     r = ProbVector.of(BOOL, F(1, 3), F(2, 3))
-    lhs = mm(multinomial_law(r, n + 1).rows, _dd(BOOL, n).rows)
-    assert lhs == multinomial_law(r, n).rows
+    lhs = mm(dense_rows(multinomial_law(r, n + 1)), dense_rows(_dd(BOOL, n)))
+    assert lhs == dense_rows(multinomial_law(r, n))
 
 
 @settings(max_examples=30, deadline=None)
@@ -224,8 +224,8 @@ def test_multinomial_cone_law_random_rational_points(a, b, c, n):
     if total == 0:
         a, total = 1, 1
     r = ProbVector.of(ABC, F(a, total), F(b, total), F(c, total))
-    lhs = mm(multinomial_law(r, n + 1).rows, _dd(ABC, n).rows)
-    assert lhs == multinomial_law(r, n).rows
+    lhs = mm(dense_rows(multinomial_law(r, n + 1)), dense_rows(_dd(ABC, n)))
+    assert lhs == dense_rows(multinomial_law(r, n))
 
 
 def test_multinomial_law_rejects_improper():
@@ -238,15 +238,13 @@ def test_multinomial_law_rejects_improper():
 def test_verify_equalises_eq_and_uniform():
     assert verify_equalises(eq_kernel(BOOL, 3), 3).max_deviation == 0
     tsp = tuple_space(BOOL, 2)
-    uniform = FinKernel(unit_space(), tsp, ((F(1, 4),) * 4,))
+    uniform = FinKernel(unit_space(), tsp, sparse(((F(1, 4),) * 4,)))
     assert verify_equalises(uniform, 2).max_deviation == 0
 
 
 def test_verify_equalises_point_mass_fails_with_swap_witness():
     tsp = tuple_space(BOOL, 2)
-    point = FinKernel(
-        unit_space(), tsp, ((F(0), F(1), F(0), F(0)),)
-    )  # mass on (t,f)
+    point = FinKernel(unit_space(), tsp, ({1: F(1)},))  # mass on (t,f)
     report = verify_equalises(point, 2)
     assert report.max_deviation == 1
     assert report.witness_perm == (1, 0)
@@ -268,17 +266,17 @@ def _tuple_kernels(draw):
         raw = [draw(st.integers(0, 3)) for _ in tsp.labels]
         raw[draw(st.integers(0, len(tsp) - 1))] += 1
         rows.append(tuple(F(v, sum(raw)) for v in raw))
-    f = FinKernel(symbol_space(BOOL), tsp, tuple(rows))
+    f = FinKernel(symbol_space(BOOL), tsp, sparse(rows))
     f = compose(f, symmetrization_average(alphabet, n))
     if draw(st.booleans()):
         # move a little mass of one row between two tuples
-        row = list(f.rows[0])
+        row = list(dense_rows(f)[0])
         i = draw(st.sampled_from([k for k, v in enumerate(row) if v]))
         j = draw(st.integers(0, len(tsp) - 1))
         eps = row[i] * F(draw(st.integers(1, 3)), 4)
         row[i] -= eps
         row[j] += eps
-        f = FinKernel(f.source, tsp, (tuple(row), f.rows[1]))
+        f = FinKernel(f.source, tsp, sparse((row,)) + f.entries[1:])
     return alphabet, n, f
 
 
@@ -287,14 +285,15 @@ def _tuple_kernels(draw):
 def test_verify_equalises_agrees_with_every_symmetry(case):
     alphabet, n, f = case
     brute = all(
-        compose(f, symmetry_kernel(alphabet, n, perm)) == f for perm in itertools.permutations(range(n))
+        compose(f, symmetry_kernel(alphabet, n, perm)).entries == f.entries
+        for perm in itertools.permutations(range(n))
     )
     report = verify_equalises(f, n)
     assert report.equalises == brute
     if not brute:
         assert report.witness_perm in set(adjacent_transpositions(n))
         moved = compose(f, symmetry_kernel(alphabet, n, report.witness_perm))
-        assert moved != f and moved.deviation(f) == report.max_deviation
+        assert moved.entries != f.entries and moved.deviation(f) == report.max_deviation
 
 
 def test_verify_equalises_compares_only_the_generators(monkeypatch):
@@ -420,14 +419,14 @@ def test_empirical_law_matches_per_trial_generators():
 
 def test_discard_kernel_is_all_ones_column():
     d = discard_kernel(symbol_space(ABC))
-    assert d.rows == ((F(1),), (F(1),), (F(1),))
+    assert dense_rows(d) == ((F(1),), (F(1),), (F(1),))
 
 
 def test_kernel_validation_rejects_bad_rows():
     x = symbol_space(BOOL)
-    with pytest.raises(ValueError):
-        FinKernel(x, x, ((F(1), F(1, 2)), (F(0), F(1))))  # row sum > 1
-    with pytest.raises(ValueError):
-        FinKernel(x, x, ((F(-1, 2), F(1)), (F(0), F(1))))  # negative entry
-    with pytest.raises(ValueError):
-        FinKernel(x, x, ((F(1), F(0)),))  # wrong row count
+    with pytest.raises(ValueError, match="row sum"):
+        FinKernel(x, x, ({0: F(1), 1: F(1, 2)}, {1: F(1)}))
+    with pytest.raises(ValueError, match="nonnegative"):
+        FinKernel(x, x, ({0: F(-1, 2), 1: F(1)}, {1: F(1)}))
+    with pytest.raises(ValueError, match="row count"):
+        FinKernel(x, x, ({0: F(1)},))

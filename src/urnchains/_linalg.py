@@ -4,8 +4,9 @@
 both sides of the package: a nonnegative exact matrix indexed (source label,
 target label).  It stores one sparse row per source label, a {column: value}
 dict of the row's nonzero entries in ascending column order, and refuses a
-row in any other form.  `FinKernel` and `PcsMatrix` subclass it and keep
-only what is their own: `FinKernel`'s row sums, `PcsMatrix.push`.
+row in any other form: a dense row, a column out of range or out of order, a
+stored zero or a negative entry.  `FinKernel` and `PcsMatrix` subclass it
+and keep only what is their own: `FinKernel`'s row sums, `PcsMatrix.push`.
 `Matrix.build` fills the rows from {target label: value} dicts.
 `compose(f, g)`, "f then g", is the product of the rows.
 
@@ -90,11 +91,16 @@ class Matrix:
         for row in self.entries:
             if type(row) is not dict:
                 raise ValueError(f"a row must be a {{column: value}} dict, not a {type(row).__name__}")
-            if next(reversed(row), -1) >= width:
-                raise ValueError("row width must match target size")
-            least = min(row.values(), default=ZERO)
+            columns = list(row)
+            if columns != sorted(columns):
+                raise ValueError(f"a row's columns must ascend, not {columns}")
+            if columns and (columns[0] < 0 or columns[-1] >= width):
+                raise ValueError(f"a row's columns must lie in 0..{width - 1} (the target size), not {columns}")
+            least = min(row.values(), default=ONE)
             if least < 0:
                 raise ValueError(f"matrix entries must be nonnegative, not {least}")
+            if least == 0:
+                raise ValueError(f"a row stores only nonzero entries, not {row}")
 
     @classmethod
     def build(cls, source: IndexSet, target: IndexSet, row: Callable[[object], dict]):

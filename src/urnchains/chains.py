@@ -42,7 +42,7 @@ from functools import reduce
 from . import pcoh as _pcoh
 from . import stoch as _stoch
 from ._linalg import ONE, ZERO, LinearSolveError, identity, kron, matmul, max_abs_diff, solve_right
-from .multiset import Alphabet, Multiset, multinomial
+from .multiset import Alphabet, multinomial
 from .pcoh import Pcs, PcsMatrix, canonical_section, eq_delta, ground_pcs, with_unit_pcs
 from .spaces import IndexSet, multiset_space, symbol_space, tuple_space, unit_space
 from .stoch import FinKernel, coeq_kernel, eq_kernel, verify_equalises
@@ -329,9 +329,7 @@ def multinomial_diagonal(alphabet: Alphabet, n: int) -> PcsMatrix:
     diag(multinomial(mu)) over size-n multisets.  Conjugating the uniform
     kernel chain by these diagonals gives the delta-coordinate chain."""
     space = multiset_space(alphabet, n)
-    return PcsMatrix.build(
-        space, space, lambda counts: {counts: Fraction(multinomial(Multiset(alphabet, counts)))}
-    )
+    return PcsMatrix.build(space, space, lambda counts: {counts: Fraction(multinomial(counts))})
 
 
 # -- cones and the two De Finetti formulations at finite truncation ------------

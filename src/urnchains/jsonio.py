@@ -1,9 +1,10 @@
 """JSON and CSV formats for alphabets, measures and bang elements.
 
-Rational values travel as "p/q" strings (or plain integers); floats are
-accepted on input and parsed through their decimal representation, so a file
-containing 0.1 means exactly 1/10.  JSON booleans are refused as values, and
-multiset counts must be JSON integers.
+Rational values travel as "p/q" strings (or plain integers).  Floats in
+measures are parsed through their decimal representation, so a file
+containing 0.1 means exactly 1/10; a bang element's float coefficients stay
+floats, so that its table is judged at the float tolerance.  JSON booleans
+are refused as values, and multiset counts must be JSON integers.
 
 Every JSON file and stdout payload is 2-space indented, key-sorted JSON and a
 newline, byte-identical to `json.dump(data, fh, indent=2, sort_keys=True)`
@@ -13,6 +14,7 @@ followed by "\n"; `dump_json` renders the whole text first and writes it once.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -92,6 +94,8 @@ def measure_from_json(data) -> AtomicMeasure:
         alphabet = alphabet_from_json(data["alphabet"])
         atoms = []
         for atom in data["atoms"]:
+            if not isinstance(atom["point"], list):
+                raise FormatError(f"bad measure: point must be a JSON list, not {atom['point']!r}")
             point = ProbVector(alphabet, tuple(_value_in(v) for v in atom["point"]))
             atoms.append((point, _value_in(atom["weight"])))
     except (KeyError, TypeError, ValueError) as exc:
@@ -128,7 +132,9 @@ def bang_from_json(data) -> BangElement:
                     raise FormatError(f"multiset {list(counts)} has a count {c!r} that is not an integer")
             if counts in table:
                 raise FormatError(f"multiset {list(counts)} is listed twice")
-            table[counts] = _value_in(entry["value"])
+            value = entry["value"]
+            # a finite float stays a float; NaN and infinities are refused below
+            table[counts] = value if type(value) is float and math.isfinite(value) else _value_in(value)
         web = bounded_multiset_space(alphabet, depth)
         coeffs = tuple(table.pop(counts, ZERO) for counts in web.labels)
     except (KeyError, TypeError, ValueError) as exc:

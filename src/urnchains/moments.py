@@ -284,8 +284,8 @@ class Recovery:
 def simplex_grid(alphabet: Alphabet, resolution: int) -> list[tuple]:
     """All proper distributions with denominator `resolution`."""
     return [
-        tuple(Fraction(c, resolution) for c in m.counts)
-        for m in enumerate_multisets(alphabet, resolution)
+        tuple(Fraction(c, resolution) for c in counts)
+        for counts in enumerate_multisets(alphabet, resolution)
     ]
 
 

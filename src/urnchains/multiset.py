@@ -1,9 +1,11 @@
 """Exact multiset combinatorics over finite ordered alphabets.
 
-Multisets are stored as count vectors aligned with a fixed symbol order, so
-they double as canonical matrix indices everywhere else in the package.  All
-counts and multinomial coefficients are arbitrary-precision integers; the
-chain and square checks built on top require exact arithmetic.
+A multiset is a count vector, a tuple of ints aligned with a fixed symbol
+order, so it doubles as a canonical matrix index everywhere else in the
+package: the functions here take and return count tuples, and the labels of
+every multiset index set are those tuples.  All counts and multinomial
+coefficients are arbitrary-precision integers; the chain and square checks
+built on top require exact arithmetic.
 """
 
 from __future__ import annotations
@@ -52,7 +54,10 @@ BOOL = Alphabet.of("t", "f")
 
 @dataclass(frozen=True)
 class Multiset:
-    """A multiset over an alphabet, as a count vector in alphabet order."""
+    """A validated count vector over an alphabet: the argument of
+    `enumerations` only.  Every other function here takes and returns bare
+    count tuples; this wrapper stays because the benchmark tracer in
+    perfbench/spans.py reads `.counts` off the argument of `enumerations`."""
 
     alphabet: Alphabet
     counts: tuple[int, ...]
@@ -64,31 +69,23 @@ class Multiset:
             if not isinstance(c, int) or c < 0:
                 raise ValueError(f"counts must be nonnegative integers: {self.counts}")
 
-    @property
-    def size(self) -> int:
-        return sum(self.counts)
 
-    def contains(self, other: "Multiset") -> bool:
-        """Componentwise inclusion other <= self."""
-        return all(a <= b for a, b in zip(other.counts, self.counts))
+def enumerate_multisets(alphabet: Alphabet, n: int) -> list[tuple[int, ...]]:
+    """The count vectors of all multisets of size exactly n, in descending
+    lexicographic order.
 
-    def __str__(self) -> str:
-        inner = ",".join(
-            itertools.chain.from_iterable(
-                [s] * c for s, c in zip(self.alphabet.symbols, self.counts)
-            )
-        )
-        return f"[{inner}]"
+    The list has length C(n+k-1, k-1); its order is the canonical matrix
+    index order used by every kernel and web in the package.  Stars and bars:
+    k-1 bars among n+k-1 slots cut the other n slots into k runs.  The bar
+    positions come from itertools.combinations in lexicographic order, which
+    is the ascending order of their count vectors, so the list is reversed.
 
-
-def _compositions_desc(n: int, k: int) -> list[tuple[int, ...]]:
-    """All k-part compositions of n, in descending lexicographic order.
-
-    Stars and bars: k-1 bars among n+k-1 slots cut the other n slots into k
-    runs.  The bar positions come from itertools.combinations in
-    lexicographic order, which is the ascending order of their compositions,
-    so the list is reversed.
+    >>> enumerate_multisets(BOOL, 2)  # [t,t], [t,f], [f,f]
+    [(2, 0), (1, 1), (0, 2)]
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    k = len(alphabet)
     slots = n + k - 1
     out = []
     for bars in itertools.combinations(range(slots), k - 1):
@@ -103,72 +100,49 @@ def _compositions_desc(n: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_multisets(alphabet: Alphabet, n: int) -> list[Multiset]:
-    """All multisets of size exactly n, in descending lexicographic count order.
-
-    The list has length C(n+k-1, k-1); its order is the canonical matrix
-    index order used by every kernel and web in the package.
-
-    >>> [str(m) for m in enumerate_multisets(BOOL, 2)]
-    ['[t,t]', '[t,f]', '[f,f]']
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return [Multiset(alphabet, c) for c in _compositions_desc(n, len(alphabet))]
-
-
-def enumerate_bounded_multisets(alphabet: Alphabet, n: int) -> list[Multiset]:
-    """All multisets of size <= n: sizes 0..n concatenated, canonical order within each size."""
-    out: list[Multiset] = []
-    for m in range(n + 1):
-        out.extend(enumerate_multisets(alphabet, m))
-    return out
-
-
-def multinomial(mu: Multiset) -> int:
-    """Number of distinct tuples enumerating mu: size! / prod(counts!).
+def multinomial(counts: tuple[int, ...]) -> int:
+    """Number of distinct tuples enumerating a multiset: size! / prod(counts!).
 
     Exact integer arithmetic; Python integers are unbounded so the value can
     never overflow or silently degrade.
 
-    >>> multinomial(Multiset(BOOL, (1, 1)))
+    >>> multinomial((1, 1))
     2
     """
-    num = factorial(mu.size)
-    for c in mu.counts:
+    num = factorial(sum(counts))
+    for c in counts:
         num //= factorial(c)
     return num
 
 
-def multiset_of(alphabet: Alphabet, entries: tuple[int, ...]) -> Multiset:
-    """Tally a tuple of alphabet positions into a multiset."""
+def multiset_of(alphabet: Alphabet, entries: tuple[int, ...]) -> tuple[int, ...]:
+    """Tally a tuple of alphabet positions into a count vector."""
     counts = [0] * len(alphabet)
     for e in entries:
         if not 0 <= e < len(alphabet):
             raise IndexError(f"tuple entry {e} out of range for alphabet of size {len(alphabet)}")
         counts[e] += 1
-    return Multiset(alphabet, tuple(counts))
+    return tuple(counts)
 
 
-def difference(mu: Multiset, nu: Multiset) -> Multiset | None:
+def difference(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...] | None:
     """Componentwise mu - nu when nu is included in mu, else None."""
-    if not mu.contains(nu):
-        return None
-    return Multiset(mu.alphabet, tuple(a - b for a, b in zip(mu.counts, nu.counts)))
+    diff = tuple(a - b for a, b in zip(mu, nu))
+    return None if min(diff, default=0) < 0 else diff
 
 
 def enumerations(mu: Multiset) -> list[tuple[int, ...]]:
     """All distinct position tuples whose tally is mu, in increasing order.
 
-    There are exactly multinomial(mu) of them.  They are generated by stepping
-    to the next lexicographic permutation from the nondecreasing enumeration
-    (Knuth, TAOCP 7.2.1.2, Algorithm L), so the cost follows the output, not
-    the |mu|! orderings of the positions.
+    There are exactly multinomial(mu.counts) of them.  They are generated by
+    stepping to the next lexicographic permutation from the nondecreasing
+    enumeration (Knuth, TAOCP 7.2.1.2, Algorithm L), so the cost follows the
+    output, not the |mu|! orderings of the positions.
 
     >>> enumerations(Multiset(BOOL, (2, 1)))
     [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     """
-    a = list(canonical_enumeration(mu))
+    a = list(canonical_enumeration(mu.counts))
     out = [tuple(a)]
     while True:
         j = len(a) - 2
@@ -184,10 +158,10 @@ def enumerations(mu: Multiset) -> list[tuple[int, ...]]:
         out.append(tuple(a))
 
 
-def canonical_enumeration(mu: Multiset) -> tuple[int, ...]:
-    """The nondecreasing enumeration of mu (the fixed section of the tally map)."""
+def canonical_enumeration(counts: tuple[int, ...]) -> tuple[int, ...]:
+    """The nondecreasing enumeration of a multiset (the fixed section of the tally map)."""
     return tuple(
-        itertools.chain.from_iterable([i] * c for i, c in enumerate(mu.counts))
+        itertools.chain.from_iterable([i] * c for i, c in enumerate(counts))
     )
 
 

@@ -226,7 +226,7 @@ def eq_delta(alphabet: Alphabet, n: int) -> PcsMatrix:
 def canonical_section(alphabet: Alphabet, n: int) -> PcsMatrix:
     """Right inverse of eq_delta: reads one fixed enumeration per multiset."""
     tgt = multiset_space(alphabet, n)
-    canon = {canonical_enumeration(Multiset(alphabet, counts)): counts for counts in tgt.labels}
+    canon = {canonical_enumeration(counts): counts for counts in tgt.labels}
     return PcsMatrix.build(
         tuple_space(alphabet, n), tgt, lambda t: {canon[t]: ONE} if t in canon else {}
     )
@@ -237,10 +237,9 @@ def multinomial_embedding(alphabet: Alphabet, n: int) -> PcsMatrix:
     entry(mu, nu) = multinomial(mu - nu) when nu is included in mu, else 0."""
     tgt = bounded_multiset_space(alphabet, n)
 
-    def row(mc):
-        mu = Multiset(alphabet, mc)
-        diffs = {nc: difference(mu, Multiset(alphabet, nc)) for nc in tgt.labels}
-        return {nc: Fraction(multinomial(d)) for nc, d in diffs.items() if d is not None}
+    def row(mu):
+        diffs = {nu: difference(mu, nu) for nu in tgt.labels}
+        return {nu: Fraction(multinomial(d)) for nu, d in diffs.items() if d is not None}
 
     return PcsMatrix.build(multiset_space(alphabet, n), tgt, row)
 

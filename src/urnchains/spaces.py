@@ -1,9 +1,11 @@
 """Finite index sets shared by kernels, webs and chains.
 
 An IndexSet is an ordered list of hashable labels with a name; matrices in
-`stoch` and `pcoh` are indexed (source label, target label).  Constructors
-here are deterministic, so two calls with the same arguments produce equal
-index sets and matrices built against them compose without surprises.
+`stoch` and `pcoh` are indexed (source label, target label).  Tuple labels
+are tuples of alphabet positions; multiset labels are the count tuples of
+`multiset.enumerate_multisets`, used as they are.  Constructors here are
+deterministic, so two calls with the same arguments produce equal index sets
+and matrices built against them compose without surprises.
 """
 
 from __future__ import annotations
@@ -12,11 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .multiset import (
-    Alphabet,
-    enumerate_bounded_multisets,
-    enumerate_multisets,
-)
+from .multiset import Alphabet, enumerate_multisets
 
 
 @dataclass(frozen=True)
@@ -58,11 +56,11 @@ def tuple_space(alphabet: Alphabet, n: int) -> IndexSet:
 
 def multiset_space(alphabet: Alphabet, n: int) -> IndexSet:
     """Size-n multisets (count-vector labels) in canonical descending order."""
-    labels = tuple(m.counts for m in enumerate_multisets(alphabet, n))
+    labels = tuple(enumerate_multisets(alphabet, n))
     return IndexSet(f"M{n}({','.join(alphabet.symbols)})", labels)
 
 
 def bounded_multiset_space(alphabet: Alphabet, n: int) -> IndexSet:
-    """Multisets of size <= n; sizes 0..n concatenated."""
-    labels = tuple(m.counts for m in enumerate_bounded_multisets(alphabet, n))
+    """Multisets of size <= n; sizes 0..n concatenated, each in canonical order."""
+    labels = tuple(counts for m in range(n + 1) for counts in enumerate_multisets(alphabet, m))
     return IndexSet(f"M<={n}({','.join(alphabet.symbols)})", labels)

@@ -94,8 +94,7 @@ def eq_kernel(alphabet: Alphabet, n: int) -> FinKernel:
     """Equaliser leg: multiset -> uniform distribution over its enumerations."""
 
     def row(counts):
-        mu = Multiset(alphabet, counts)
-        return dict.fromkeys(enumerations(mu), Fraction(1, multinomial(mu)))
+        return dict.fromkeys(enumerations(Multiset(alphabet, counts)), Fraction(1, multinomial(counts)))
 
     return FinKernel.build(multiset_space(alphabet, n), tuple_space(alphabet, n), row)
 
@@ -105,7 +104,7 @@ def coeq_kernel(alphabet: Alphabet, n: int) -> FinKernel:
     return FinKernel.build(
         tuple_space(alphabet, n),
         multiset_space(alphabet, n),
-        lambda t: {multiset_of(alphabet, t).counts: ONE},
+        lambda t: {multiset_of(alphabet, t): ONE},
     )
 
 
@@ -180,7 +179,7 @@ def multinomial_law(r: ProbVector, n: int) -> FinKernel:
         raise ValueError("multinomial_law needs exact rational weights")
     msp = multiset_space(r.alphabet, n)
     row = {
-        counts: _monomial(r.weights, counts, Fraction(multinomial(Multiset(r.alphabet, counts))))
+        counts: _monomial(r.weights, counts, Fraction(multinomial(counts)))
         for counts in msp.labels
     }
     return FinKernel.build(unit_space(), msp, lambda _: row)

@@ -185,9 +185,7 @@ def multiset_checks(config: Config) -> list[CheckResult]:
                 abs(total - k**n),
             )
         )
-        sorted_ok = all(
-            msets[i].counts > msets[i + 1].counts for i in range(len(msets) - 1)
-        )
+        sorted_ok = all(msets[i] > msets[i + 1] for i in range(len(msets) - 1))
         out.append(
             _exact_check(
                 "multiset-order",

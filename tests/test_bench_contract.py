@@ -5,7 +5,9 @@ wraps the methods in `METHODS` (perfbench/spans.py); a traced run whose
 expected span never fires, or whose method is gone, reports `correct: false`.
 Both tables are read from the source text, without importing or editing the
 harness, so deleting a name it reads, or a change that stops a workload from
-calling it, fails here first.
+calling it, fails here first.  The last test runs each workload's commands
+under the harness's own tracer, executed from the text of perfbench/spans.py,
+so a change in the shape of an argument one of its hooks reads fails here too.
 """
 
 import ast
@@ -13,9 +15,11 @@ import cProfile
 import importlib
 import json
 import os
+import types
 
 import pytest
 
+from urnchains import cli
 from urnchains.cli import main
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -117,3 +121,27 @@ def test_every_expected_span_fires_in_its_workload(tmp_path, workload):
     called = {entry.code for entry in profile.getstats()}
     spans = _literal("run.py", "EXPECTED_SPANS")[workload]
     assert sorted(s for s in spans if getattr(_resolve(s), "__code__", None) not in called) == []
+
+
+def _bench_spans():
+    """perfbench/spans.py as a fresh module, run from its text so that no
+    bytecode is written beside it."""
+    path = os.path.join(PERFBENCH, "spans.py")
+    module = types.ModuleType("bench_spans")
+    with open(path, encoding="utf-8") as fh:
+        exec(compile(fh.read(), path, "exec"), vars(module))
+    return module
+
+
+@pytest.mark.parametrize("workload", sorted(_literal("run.py", "EXPECTED_SPANS")))
+def test_every_workload_runs_under_the_bench_tracer(tmp_path, workload):
+    spans = _bench_spans()
+    installation = spans.install(spans.Tracer())
+    try:
+        for argv, code in _commands(workload, tmp_path):
+            # through the module attribute, which install has wrapped
+            assert cli.main(argv) == code
+        assert installation.missing == []
+        assert spans.missing_bindings() == []
+    finally:
+        installation.uninstall()

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from helpers import dense_rows, sparse
-from urnchains import spaces
+from urnchains import multiset, spaces
 from urnchains.cli import _build_parser, _validate, main
 
 
@@ -731,6 +731,38 @@ def test_totality_judges_an_exact_table_at_tolerance_zero(tmp_path, capsys):
     assert "(defect 1/10000000000)" in capsys.readouterr().out
     assert main(totality + ["--tol", "1e-9"]) == 0
     assert capsys.readouterr().out == "total (worst defect 1/10000000000)\n"
+
+
+def test_float_mode_table_passes_totality_at_the_float_tolerance(tmp_path, capsys):
+    # its float coefficients used to be read as exact decimals, so the table
+    # was judged at tolerance zero and failed with a defect of 1/10^16
+    mixing = _write_mixing(tmp_path / "mixing.json", ["a", "b"], [(["1/3", "2/3"], "1/2"), ([1, 0], "1/2")])
+    bang = str(tmp_path / "bang.json")
+    assert main(["bang", "iota", "--mixing", mixing, "--depth", "7", "--mode", "float", "--out", bang]) == 0
+    capsys.readouterr()
+    assert main(["bang", "totality", "--bang", bang]) == 0
+    assert capsys.readouterr().out.startswith("total (worst defect ")
+
+
+@pytest.mark.parametrize("point", ["10", {"1": "1/2", "0": "1/2"}], ids=["string", "object"])
+def test_a_point_that_is_not_a_list_is_an_input_error(tmp_path, capsys, point):
+    # a string or object is not read as the list of its characters or keys
+    mixing = _write_mixing(tmp_path / "mixing.json", ["a", "b"], [(point, 1)])
+    assert main(["bang", "iota", "--mixing", mixing, "--depth", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "point must be a JSON list" in err
+
+
+def test_bang_iota_and_totality_build_no_multiset(tmp_path, monkeypatch):
+    # multisets travel as count tuples; the Multiset wrapper is only the
+    # argument of multiset.enumerations, which neither command calls
+    built = []
+    monkeypatch.setattr(multiset.Multiset, "__post_init__", lambda self: built.append(self.counts))
+    mixing = _write_mixing(tmp_path / "mixing.json", ["a", "b", "c"], [(["1/3", "1/6", "1/2"], 1)])
+    bang = str(tmp_path / "bang.json")
+    assert main(["bang", "iota", "--mixing", mixing, "--depth", "4", "--out", bang]) == 0
+    assert main(["bang", "totality", "--bang", bang]) == 0
+    assert built == []
 
 
 @pytest.mark.parametrize("command", ["iota", "totality"])

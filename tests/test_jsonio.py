@@ -61,6 +61,23 @@ def test_bang_float_mode_values():
     assert values == {(0, 0): 1.0, (1, 0): 0.5}
 
 
+def test_bang_float_values_stay_floats():
+    # a float table read back is a float table, judged at the float tolerance
+    b = BangElement.from_table(BOOL, 1, {(0, 0): 1, (1, 0): F(1, 3), (0, 1): F(2, 3)})
+    back = jsonio.bang_from_json(jsonio.bang_to_json(b, mode="float"))
+    assert back.coeffs == (1.0, 1 / 3, 2 / 3)
+    assert all(type(v) is float for v in back.coeffs)
+    exact = jsonio.bang_from_json(jsonio.bang_to_json(b))
+    assert exact.coeffs == b.coeffs
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_bang_non_finite_floats_are_refused(value):
+    data = {"alphabet": {"symbols": ["t", "f"]}, "depth": 0, "coeffs": [{"multiset": [0, 0], "value": value}]}
+    with pytest.raises(FormatError):
+        jsonio.bang_from_json(data)
+
+
 def test_malformed_inputs_raise_format_errors():
     with pytest.raises(FormatError):
         jsonio.measure_from_json({"atoms": []})

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import dense, dense_rows, entry, mm, sparse, vertex_oracle_inside
 from urnchains._linalg import compose, solve_right
 from urnchains.chains import Backend, pcoh_ground_copointed
-from urnchains.multiset import BOOL, Alphabet, Multiset, multinomial
+from urnchains.multiset import BOOL, Alphabet, multinomial
 from urnchains.pcoh import (
     BangElement,
     PcsMatrix,
@@ -154,12 +154,8 @@ def test_dd_inclusion_solves_defining_square_uniquely(alphabet, n):
 def test_dd_inclusion_conjugate_to_uniform_kernel(n):
     abc = Alphabet.of("a", "b", "c")
     incl = _dd_inclusion(abc, n)
-    diag = lambda m: [
-        multinomial(Multiset(abc, c))
-        for c in incl.source.labels if sum(c) == m
-    ]
-    src_mult = [multinomial(Multiset(abc, c)) for c in incl.source.labels]
-    tgt_mult = [multinomial(Multiset(abc, c)) for c in incl.target.labels]
+    src_mult = [multinomial(c) for c in incl.source.labels]
+    tgt_mult = [multinomial(c) for c in incl.target.labels]
     rows = dense_rows(incl)
     conj = tuple(
         tuple(rows[i][j] * tgt_mult[j] / src_mult[i] for j in range(len(tgt_mult)))

@@ -147,6 +147,25 @@ def test_a_dense_row_is_refused():
         Matrix(space, space, ({0: F(1)}, (F(0), F(1))))
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (({0: F(1)}, {5: F(1)}), "must lie in 0..1"),
+        (({0: F(1)}, {-1: F(1)}), "must lie in 0..1"),
+        (({0: F(1)}, {1: F(1), 0: F(1)}), "must ascend"),
+        (({0: F(1)}, {0: F(1), 1: F(0)}), "only nonzero entries"),
+        (({0: F(1)}, {0: 0}), "only nonzero entries"),
+        # an out-of-range column, an unsorted row and a stored zero at once
+        (({5: 1, 0: 1}, {1: 0}), "must ascend"),
+    ],
+    ids=["past-the-width", "negative-column", "unsorted", "stored-zero", "stored-int-zero", "all-three"],
+)
+def test_a_malformed_sparse_row_is_refused(entries, message):
+    space = IndexSet("x", (0, 1))
+    with pytest.raises(ValueError, match=message):
+        Matrix(space, space, entries)
+
+
 def test_build_stores_no_zero_and_sorts_columns():
     space = IndexSet("x", ("p", "q", "r"))
     m = Matrix.build(space, space, lambda label: {"r": F(1), "p": F(0), "q": F(2)})

@@ -23,7 +23,10 @@ to it, the builder checks the split law section_n . eq_n = id at every level
 factorisation through an equaliser, with or without a parameter Y, is the
 one round trip of `DDChain.factor`.  The n-1 adjacent transpositions
 generate the symmetries, so they have the same equaliser, and invariance
-checks compare against them alone.
+checks compare against them alone.  Every validation returns bare exact
+deviations, one per level with the level as the list index (`DDChain.validate`,
+`ChainMorphism.validate`), or their maximum (`Cone.deviation`); the law
+each one checks is stated in its docstring and in the report of `verify`.
 
 Chain limits are represented at a finite truncation as coherent families of
 legs, not as new objects: for the truncated-exponential chain the coherent
@@ -168,13 +171,6 @@ def pcoh_ground_copointed(alphabet: Alphabet) -> CopointedObject:
 
 # -- chain construction -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SquareCheck:
-    level: int
-    law: str
-    deviation: Fraction
-
-
 @dataclass
 class DDChain:
     """Levels 0..depth of the chain of a copointed object, with every map it
@@ -198,16 +194,16 @@ class DDChain:
         "dd", the delete maps id^n (x) w for "delete"."""
         return self.dds if kind == "dd" else self.deletes
 
-    def validate(self) -> list[SquareCheck]:
-        """Exact defining-square deviations at every level."""
-        checks = []
-        for n in range(self.depth):
-            lhs = matmul(self.dds[n].entries, self.eqs[n].entries)
-            rhs = matmul(self.eqs[n + 1].entries, self.deletes[n].entries)
-            checks.append(
-                SquareCheck(n, "DD_n . eq_n = eq_{n+1} . (id^n (x) w)", max_abs_diff(lhs, rhs))
+    def validate(self) -> list:
+        """The exact deviation of the defining square
+        DD_n . eq_n = eq_{n+1} . (id^n (x) w) at each level n, the list index."""
+        return [
+            max_abs_diff(
+                matmul(self.dds[n].entries, self.eqs[n].entries),
+                matmul(self.eqs[n + 1].entries, self.deletes[n].entries),
             )
-        return checks
+            for n in range(self.depth)
+        ]
 
     def tensored(self, y: IndexSet | None = None) -> tuple:
         """Sparse rows of eq_n, section_n and DD_n at every level, each (x) id_Y
@@ -282,19 +278,17 @@ class ChainMorphism:
     target: DDChain
     components: list
 
-    def validate(self) -> list[SquareCheck]:
-        checks = []
-        for n in range(min(self.source.depth, self.target.depth)):
-            lhs = matmul(self.components[n + 1].entries, self.target.dds[n].entries)
-            rhs = matmul(self.source.dds[n].entries, self.components[n].entries)
-            checks.append(
-                SquareCheck(
-                    n,
-                    "DD_n^target . component_{n+1} = component_n . DD_n^source",
-                    max_abs_diff(lhs, rhs),
-                )
+    def validate(self) -> list:
+        """The exact deviation of the chain square
+        DD_n^target . component_{n+1} = component_n . DD_n^source at each
+        level n, the list index."""
+        return [
+            max_abs_diff(
+                matmul(self.components[n + 1].entries, self.target.dds[n].entries),
+                matmul(self.source.dds[n].entries, self.components[n].entries),
             )
-        return checks
+            for n in range(min(self.source.depth, self.target.depth))
+        ]
 
 
 def lift_copointed_morphism(alpha, chain1: DDChain, chain2: DDChain) -> ChainMorphism:
@@ -347,20 +341,16 @@ class Cone:
     legs: list
     kind: str
 
-    def validate(self) -> list[SquareCheck]:
-        steps = self.chain.steps(self.kind)
-        law = (
-            "DD_n . leg_{n+1} = leg_n"
-            if self.kind == "dd"
-            else "(id^n (x) w) . leg_{n+1} = leg_n"
-        )
-        return [
-            SquareCheck(n, law, max_abs_diff(matmul(self.legs[n + 1].entries, steps[n].entries), self.legs[n].entries))
-            for n in range(len(self.legs) - 1)
-        ]
-
     def deviation(self) -> Fraction:
-        return max((c.deviation for c in self.validate()), default=ZERO)
+        """The worst deviation of leg_{n+1} . step_n = leg_n over the levels:
+        DD_n . leg_{n+1} = leg_n for "dd", (id^n (x) w) . leg_{n+1} = leg_n
+        for "delete"."""
+        steps = [step.entries for step in self.chain.steps(self.kind)]
+        legs = [leg.entries for leg in self.legs]
+        return max(
+            (max_abs_diff(matmul(legs[n + 1], steps[n]), legs[n]) for n in range(len(legs) - 1)),
+            default=ZERO,
+        )
 
 
 def _close_down(top_rows, steps) -> list:
@@ -429,32 +419,29 @@ def expand_dd_cone(cone: Cone) -> Cone:
 
 # -- parametrized variants ----------------------------------------------------
 
-def verify_tensor_parametrized(chain: DDChain, y_space: IndexSet, samples: int, seed: int) -> list[SquareCheck]:
+def verify_tensor_parametrized(chain: DDChain, y_space: IndexSet, samples: int, seed: int) -> list:
     """Randomized check that equaliser factorisations and cone round trips
     commute with tensoring by Y.
 
     Each sample factors h . (eq_n (x) id_Y) for a random h into level n
-    (x) Y, then closes a random top leg into a Y-parametrized DD-cone and
-    factors each leg back from its expansion.  Both round trips run through
-    `DDChain.factor`, which raises ChainError on a map that does not factor;
-    each check records how far the factor is from the map it started from.
+    (x) Y, so that it factors back to h, then closes a random top leg into a
+    Y-parametrized DD-cone, so that leg_m . (eq_m (x) id_Y) factors back to
+    leg_m at every level m.  Both round trips run through `DDChain.factor`,
+    which raises ChainError on a map that does not factor; the result lists,
+    per round trip, how far the factor is from the map it started from.
     """
     rng = random.Random(seed)
     eqs, _, dds = chain.tensored(y_space)
-    checks = []
+    deviations = []
     for s in range(samples):
         n = 1 + (s % chain.depth) if chain.depth else 0
         apex_size = rng.choice((1, 2))
         h_rows = _random_stochastic_rows(rng, apex_size, len(eqs[n]))
-        factor = chain.factor(matmul(h_rows, eqs[n]), n, y_space)
-        checks.append(SquareCheck(n, "h . (eq_n (x) id_Y) factors back to h", max_abs_diff(factor, h_rows)))
+        deviations.append(max_abs_diff(chain.factor(matmul(h_rows, eqs[n]), n, y_space), h_rows))
         top_rows = _random_stochastic_rows(rng, apex_size, len(eqs[chain.depth]))
         for m, leg in enumerate(_close_down(top_rows, dds)):
-            back = chain.factor(matmul(leg, eqs[m]), m, y_space)
-            checks.append(
-                SquareCheck(m, "leg_m . (eq_m (x) id_Y) factors back to leg_m", max_abs_diff(back, leg))
-            )
-    return checks
+            deviations.append(max_abs_diff(chain.factor(matmul(leg, eqs[m]), m, y_space), leg))
+    return deviations
 
 
 def _random_stochastic_rows(rng: random.Random, nrows: int, ncols: int):

@@ -29,15 +29,11 @@ from .moments import (
     recover_measure,
     refuse_oversized_recovery,
 )
-from .multiset import Alphabet, multiset_count
+from .multiset import Alphabet
 from .optim import LpError
+from .pcoh import refuse_oversized_bang
 from .stoch import empirical_law, mixing_moment
 from .verify import Config, run_all_checks
-
-# the most multisets of size <= --depth a bang iota table may hold: 4 symbols
-# at depth 65, the deepest run measured within 60 s and a 2.5 GB address space
-# (24.8 s for 3 atoms on a 2-vCPU VM; depth 70 ran out of that space)
-MAX_BANG_MULTISETS = 864_501
 
 
 def _load_alphabet(path: str | None) -> Alphabet:
@@ -140,13 +136,7 @@ def cmd_recover(args) -> int:
 
 def cmd_iota(args) -> int:
     mixing = jsonio.measure_from_json(jsonio.load_json(args.mixing))
-    k = len(mixing.alphabet)
-    web = multiset_count(k + 1, args.depth)
-    if web > MAX_BANG_MULTISETS:
-        raise FormatError(
-            f"--depth {args.depth} on {k} symbols gives a table of {web} multisets,"
-            f" over the cap of {MAX_BANG_MULTISETS}; lower --depth"
-        )
+    refuse_oversized_bang(len(mixing.alphabet), args.depth, "lower --depth")
     b = embed_mixing_measure(mixing, args.depth)
     payload = jsonio.bang_to_json(b, mode=args.mode)
     jsonio.dump_json(payload, args.out)
@@ -247,8 +237,9 @@ def _validate(args) -> None:
         raise FormatError("--trials must be at least 1")
     if args.func is cmd_simulate and args.seed < 0:
         raise FormatError("--seed must be nonnegative")
-    if getattr(args, "prefix_len", 1) < 1:
-        raise FormatError("--prefix-len must be at least 1")
+    # numpy's multinomial draw takes counts up to the largest int64
+    if not 1 <= getattr(args, "prefix_len", 1) < 2**63:
+        raise FormatError(f"--prefix-len must be at least 1 and below 2**63, not {args.prefix_len}")
     if getattr(args, "grid", 2) < 2:
         raise FormatError("--grid must be at least 2")
     for name in ("tol", "totality_tol"):

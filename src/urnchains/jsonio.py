@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 
 from ._linalg import ZERO, frac
 from .multiset import Alphabet
-from .pcoh import BangElement
+from .pcoh import BangElement, refuse_oversized_bang
 from .spaces import bounded_multiset_space
 from .stoch import AtomicMeasure, EmpiricalLaw, ProbVector
 
@@ -124,6 +124,8 @@ def bang_from_json(data) -> BangElement:
         depth = data["depth"]
         if type(depth) is not int or depth < 0:
             raise FormatError(f"bad bang element: depth {depth!r} is not a nonnegative integer")
+        lower = "rebuild the element with a lower bang iota --depth"
+        refuse_oversized_bang(len(alphabet), depth, lower)
         table = {}
         for entry in data["coeffs"]:
             counts = tuple(entry["multiset"])

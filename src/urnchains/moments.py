@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from ._linalg import ZERO, _monomial, arithmetic, frac, is_exact
-from .chains import Cone, DDChain, SquareCheck, build_dd_chain, pcoh_ground_copointed
+from .chains import Cone, DDChain, build_dd_chain, pcoh_ground_copointed
 from .multiset import Alphabet, enumerate_multisets, multiset_count
 from .optim import MAX_CONSTRAINTS, MAX_VARIABLES, feasibility_minmax
 from .pcoh import BangElement, PcsVector, multinomial_embedding, restrict_to_depth
@@ -354,11 +354,11 @@ def recover_measure(
 
 # -- the embedding's chain squares ----------------------------------------------
 
-def verify_embedding_squares(mixing: AtomicMeasure, depth: int) -> list[SquareCheck]:
+def verify_embedding_squares(mixing: AtomicMeasure, depth: int) -> list:
     """Exact check that restricting the embedded measure to each depth equals
     pushing its level law through the multinomial embedding.
 
-    For every n <= depth:
+    For every n <= depth, the list's entry n is the deviation of
       restrict_to_depth(embed(mixing), n)
         = (level-n law of mixing, delta coordinates) . multinomial_embedding(n)
     """
@@ -367,7 +367,7 @@ def verify_embedding_squares(mixing: AtomicMeasure, depth: int) -> list[SquareCh
     alphabet = mixing.alphabet
     image = embed_mixing_measure(mixing, depth)
     atoms = [(tuple(map(frac, point.weights)), frac(w)) for point, w in mixing.atoms]
-    checks = []
+    deviations = []
     for n in range(depth + 1):
         lhs = restrict_to_depth(image, n).coeffs
         level = multiset_space(alphabet, n)
@@ -376,8 +376,5 @@ def verify_embedding_squares(mixing: AtomicMeasure, depth: int) -> list[SquareCh
             for counts in level.labels
         )
         rhs = multinomial_embedding(alphabet, n).push(PcsVector(level, leg)).coeffs
-        dev = max(abs(x - y) for x, y in zip(lhs, rhs))
-        checks.append(
-            SquareCheck(n, "restrict(embed(mixing), n) = level law . multinomial embedding", dev)
-        )
-    return checks
+        deviations.append(max(abs(x - y) for x, y in zip(lhs, rhs)))
+    return deviations

@@ -246,6 +246,28 @@ def multinomial_embedding(alphabet: Alphabet, n: int) -> PcsMatrix:
 
 # -- truncated exponential elements -----------------------------------------
 
+# the most multisets of size <= depth a bang element may hold: 4 symbols at
+# depth 65, the deepest bang iota run measured within 60 s and a 2.5 GB
+# address space (24.8 s for 3 atoms on a 2-vCPU VM; depth 70 ran out of it)
+MAX_BANG_MULTISETS = 864_501
+
+
+def refuse_oversized_bang(symbols: int, depth: int, lower: str) -> None:
+    """Refuse, before its web is built, a depth-`depth` element over
+    `symbols` symbols holding more than MAX_BANG_MULTISETS multisets."""
+    size = 1
+    for i in range(1, symbols + 1):
+        # C(depth + i, i) grows with i, so stop at the first one past the cap;
+        # all of C(depth + k, k) took 11 s for k = 1000 and a 4300-digit depth
+        # on a 2-vCPU VM
+        size = size * (depth + i) // i
+        if size > MAX_BANG_MULTISETS:
+            raise ValueError(
+                f"depth {depth} on {symbols} symbols gives a table over the cap of"
+                f" {MAX_BANG_MULTISETS} multisets; {lower}"
+            )
+
+
 @dataclass(frozen=True)
 class BangElement:
     """Depth-truncated element of the exponential: a full coefficient table

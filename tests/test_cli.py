@@ -246,15 +246,28 @@ def test_section_that_does_not_split_is_a_check_failure(tmp_path, capsys, monkey
     assert "dd-universal-solve" in capsys.readouterr().err
 
 
+# each refusal site, the checks it fails, and the SHA-256 of its report,
+# recorded before the report rows were built through one law table
+_REFUSAL_SITES = [
+    ("lift_copointed_morphism", ["chain-morphism-square"],
+     "ceba99763c58533a1861580ef5a204c0c8642052e721ba56a1f5cdabf81216e2"),
+    ("multinomial_cone", ["iid-urn-cone"],
+     "828053b2332daaf58e54472f91ee2a22d137f5eba05a5d92a7342d9aff10cc7d"),
+    ("factor_delete_cone", ["cone-round-trip"] * 2,
+     "4a2088a667e888f3ccd23cd6455b60e20f18afd444f028898022b1b98a914c0d"),
+    ("build_dd_chain", ["dd-universal-solve"] * 3,
+     "bc44b28702aa7358793f6b1709814127826d327eee64ef7a7a5320fdaea4cf93"),
+    ("verify_tensor_parametrized", ["tensor-parametrized"] * 2,
+     "4809637c9c40e05a7b6f698a36a9e1e4fa8b564da0bc7f9e0fa01f7376290924"),
+    ("recover_measure", ["vertex-recovery", "grid-recovery"],
+     "569524c2c9565fab14748bc3152d6ba4aea0ba88228d7216f773bc83a8a3263d"),
+]
+
+
 @pytest.mark.parametrize(
-    "site, check",
-    [
-        ("lift_copointed_morphism", "chain-morphism-square"),
-        ("multinomial_cone", "iid-urn-cone"),
-        ("factor_delete_cone", "cone-round-trip"),
-    ],
+    "site, checks, digest", _REFUSAL_SITES, ids=[f"{site}-{checks[0]}" for site, checks, _ in _REFUSAL_SITES]
 )
-def test_refusal_inside_a_check_is_a_check_failure(tmp_path, capsys, monkeypatch, site, check):
+def test_refusal_inside_a_check_is_a_check_failure(tmp_path, capsys, monkeypatch, site, checks, digest):
     # a refusal reads as a failed check with the refusal as its deviation
     # (exit 1), never as a traceback
     from urnchains import verify
@@ -267,9 +280,10 @@ def test_refusal_inside_a_check_is_a_check_failure(tmp_path, capsys, monkeypatch
     out = str(tmp_path / "report.json")
     assert main(_small_verify_args(out)) == 1
     bad = [c for c in json.loads(open(out).read())["checks"] if not c["passed"]]
-    assert bad and {c["check"] for c in bad} == {check}
+    assert [c["check"] for c in bad] == checks
     assert all(c["deviation"] == "boom" for c in bad)
-    assert check in capsys.readouterr().err
+    assert checks[0] in capsys.readouterr().err
+    assert hashlib.sha256(open(out, "rb").read()).hexdigest() == digest
 
 
 # SHA-256 of the verify-all reports and of the fault run's stderr, recorded
@@ -307,6 +321,14 @@ def test_verify_all_report_digests(tmp_path, capsys, symbols, extra, code, repor
     err = capsys.readouterr().err
     assert hashlib.sha256(open(out, "rb").read()).hexdigest() == report_digest
     assert hashlib.sha256(err.encode()).hexdigest() == stderr_digest
+
+
+def test_prefix_length_past_int64_is_an_input_error(dirac_mixing, capsys, tmp_path):
+    # numpy's multinomial draw raised OverflowError on a count of 2**63
+    argv = ["definetti", "simulate", "--mixing", dirac_mixing, "--trials", "2", "--out", str(tmp_path / "h.csv")]
+    assert main(argv + ["--prefix-len", str(2**63)]) == 2
+    assert f"--prefix-len must be at least 1 and below 2**63, not {2**63}" in capsys.readouterr().err
+    assert main(argv + ["--prefix-len", str(2**63 - 1)]) == 0
 
 
 def test_missing_file_is_input_error(capsys):
@@ -616,6 +638,35 @@ def test_bang_depth_that_is_not_a_nonnegative_integer_is_an_input_error(tmp_path
         assert main(argv + ["--bang", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error") and f"depth {depth!r}" in err
+
+
+def test_bang_file_deeper_than_the_cap_is_refused_before_its_web_is_built(tmp_path, capsys, monkeypatch):
+    # a 4-symbol file at depth 10000 made recover reach 738 MiB in 8 s before
+    # its LP-size refusal; now the reader refuses it, as bang iota --depth is
+    from urnchains import jsonio, pcoh
+
+    def no_web(alphabet, depth):
+        raise AssertionError(f"built the web of depth {depth}")
+
+    monkeypatch.setattr(jsonio, "bounded_multiset_space", no_web)
+    path = tmp_path / "bang.json"
+    data = {"alphabet": {"symbols": ["a", "b", "c", "d"]}, "depth": 10**6, "coeffs": []}
+    path.write_text(json.dumps(data))
+    for argv in (["bang", "totality"], ["definetti", "recover", "--grid", "4"]):
+        assert main(argv + ["--bang", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and f"over the cap of {pcoh.MAX_BANG_MULTISETS} multisets" in err
+
+
+def test_bang_iota_deeper_than_the_cap_is_refused(tmp_path, dirac_mixing, capsys):
+    from urnchains import pcoh
+
+    # on 2 symbols, depth 1313 holds C(1315, 2) = 863,955 multisets, under the
+    # cap, and depth 1314 holds C(1316, 2) = 865,270, over it
+    assert pcoh.refuse_oversized_bang(2, 1313, "lower --depth") is None
+    assert main(["bang", "iota", "--mixing", dirac_mixing, "--depth", "1314"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "over the cap of 864501 multisets; lower --depth" in err
 
 
 # JSON true was read as 1 and [1.0, 0] as the multiset [1, 0], so each of

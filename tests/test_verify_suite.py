@@ -1,8 +1,11 @@
+import ast
+import inspect
 from collections import Counter
 
 import pytest
 
-from urnchains import chains
+from urnchains import chains, verify
+from urnchains.multiset import Alphabet
 from urnchains.verify import Config, run_all_checks
 
 
@@ -21,6 +24,28 @@ def test_every_check_carries_a_law_string():
         assert check.law and check.name
         data = check.to_json()
         assert set(data) >= {"check", "law", "params", "deviation", "passed"}
+
+
+def test_the_law_table_has_no_dead_or_duplicate_entry():
+    # each law is written once: its name is a key of the table literal once,
+    # no two names share a law, every name is reported at two symbols or
+    # three, and every row reads its law from the table, in report order
+    module = ast.parse(inspect.getsource(verify))
+    table = next(
+        node.value
+        for node in module.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_LAWS"
+    )
+    names = [key.value for key in table.keys]
+    assert len(names) == len(set(names)) == len(set(verify._LAWS.values())) == 23
+    default = run_all_checks(Config())
+    three = run_all_checks(
+        Config(alphabet=Alphabet.of("a", "b", "c"), depth=3, eq_depth=3, cone_samples=3, tensor_samples=2, grid=9)
+    )
+    rows = default.checks + three.checks
+    assert {row.name for row in rows} == set(names)
+    assert all(row.law == verify._LAWS[row.name] for row in rows)
+    assert list(dict.fromkeys(row.name for row in default.checks)) == names
 
 
 def test_fault_injection_fails_exactly_one_square():

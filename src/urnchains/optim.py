@@ -1,8 +1,18 @@
 """Small linear-programming oracle.
 
-Two-phase primal simplex with Bland's rule (lowest-index entering and
-leaving), so termination is guaranteed even on degenerate instances.  The
-tableau is one dense numpy array: float64 in float mode, dtype=object
+Two-phase primal simplex with Dantzig pricing: the entering column is the
+one with the largest positive reduced cost, a tie going to the lowest
+index.  The leaving row has the least ratio, a tie going to the lowest basic
+column.  Dantzig's rule alone can cycle on a degenerate program (Beale's
+example does), so after `_STALL` degenerate pivots in a row (least ratio
+zero, to the pivot tolerance) the entering column becomes the lowest-index
+one, Bland's rule, until the next non-degenerate pivot.  Bland's rule cannot
+cycle (Bland, "New finite pivoting rules for the simplex method", Math.
+Oper. Res. 2, 1977), so every run of degenerate pivots ends; every other
+pivot strictly raises the objective, so no basis comes back and an exact
+solve terminates; a float solve follows the same rule.
+
+The tableau is one dense numpy array: float64 in float mode, dtype=object
 holding Fractions in exact mode; its pivot tolerance is the one of
 `_linalg.arithmetic` (zero in exact mode, `_linalg.FLOAT_TOL` in float).  A
 pivot updates only the block of rows with a nonzero in the pivot column by
@@ -40,6 +50,11 @@ MAX_CONSTRAINTS = 2000
 # certificate tolerances of a float solve (an exact one checks at zero)
 _FLOAT_FEAS_TOL = 1e-7
 _FLOAT_GAP_TOL = 1e-8
+# degenerate pivots in a row after which Bland's rule replaces Dantzig's.
+# Phase 1 drives the artificials at zero out about one degenerate pivot per
+# row (329 in a row on a 331-row recovery LP), and Bland's long runs lose
+# float accuracy there, so only a run longer than the row cap counts as a stall.
+_STALL = MAX_CONSTRAINTS
 
 
 class LpError(Exception):
@@ -94,11 +109,7 @@ class _Tableau:
     """Simplex tableau; columns = structural | slack | artificial | rhs.
 
     `t` holds the m constraint rows and, as its last row, the reduced-cost
-    row of the current phase.  Float answers are pinned bit for bit, signs
-    of zeros included (tests/test_optim_float_golden.py), so the pivot row
-    is scaled whole by 1 / pivot and the cost row is built densely: both
-    touch zero entries, whose signs can change and then show in x or the
-    duals.
+    row of the current phase.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -176,20 +187,27 @@ class _Tableau:
 
     def _iterate(self, allowed) -> str:
         t, m, tol = self.t, self.m, self.tol
+        stalled = 0  # degenerate pivots in a row
         while True:
             entering = np.flatnonzero(allowed & (t[m, : self.ncols] > tol))
             if not entering.size:
                 return "optimal"
-            enter = entering[0]
+            if stalled < _STALL:
+                # Dantzig: the largest reduced cost (argmax keeps the first of a tie)
+                enter = entering[np.argmax(t[m, entering])]
+            else:
+                enter = entering[0]  # Bland: the lowest index
             col = t[:m, enter]
             rows = np.flatnonzero(col > tol)
             if not rows.size:
                 return "unbounded"
             ratios = t[rows, self.ncols] / col[rows]
             # least ratio; among ties, the row whose basic column is lowest
-            ties = rows[ratios == ratios.min()]
+            least = ratios.min()
+            ties = rows[ratios == least]
             if not ties.size:
                 raise LpError("simplex ratio test met a non-finite entry (numerical breakdown)")
+            stalled = stalled + 1 if least <= tol else 0
             self._pivot(ties[np.argmin(self.basis[ties])], enter)
 
     def _drive_out_artificials(self, feas_tol):

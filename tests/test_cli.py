@@ -9,7 +9,7 @@ import time
 import pytest
 
 from helpers import dense_rows, sparse
-from urnchains import multiset, spaces
+from urnchains import multiset, optim, spaces
 from urnchains.cli import _build_parser, _validate, main
 
 
@@ -471,8 +471,8 @@ def test_iota_output_digests(tmp_path, mixing, depth, digest):
     assert hashlib.sha256(open(out, "rb").read()).hexdigest() == digest
 
 
-def test_recover_reports_a_failed_float_solve(tmp_path, capsys):
-    # float phase 1 loses feasibility on this mixture; exit 1, no traceback
+def _fixed_reproducer_bang(tmp_path) -> str:
+    # the mixture whose float recovery once broke down in simplex phase 1
     mixing = tmp_path / "mixing.json"
     mixing.write_text(
         json.dumps(
@@ -487,9 +487,24 @@ def test_recover_reports_a_failed_float_solve(tmp_path, capsys):
     )
     bang = str(tmp_path / "bang.json")
     assert main(["bang", "iota", "--mixing", str(mixing), "--depth", "4", "--out", bang]) == 0
+    return bang
+
+
+def test_recover_solves_the_fixed_float_reproducer(tmp_path):
+    out = str(tmp_path / "measure.json")
+    argv = ["definetti", "recover", "--bang", _fixed_reproducer_bang(tmp_path), "--grid", "16"]
+    assert main(argv + ["--mode", "float", "--tol", "1e-6", "--out", out]) == 0
+    assert json.loads(open(out).read())["residual"] <= 1e-6
+
+
+def test_recover_reports_a_failed_float_solve(tmp_path, capsys, monkeypatch):
+    # a simplex breakdown is an LpError: exit 1 with its message, no traceback
+    bang = _fixed_reproducer_bang(tmp_path)
+    monkeypatch.setattr(optim._Tableau, "_iterate", lambda self, allowed: "unbounded")
     argv = ["definetti", "recover", "--bang", bang, "--grid", "16", "--mode", "float"]
     assert main(argv) == 1
-    assert "phase 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "phase 1 ended unbounded" in err and "Traceback" not in err
 
 
 def test_iota_totality_recover_round_trip(tmp_path, dirac_mixing, capsys):

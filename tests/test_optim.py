@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from urnchains import optim
 from urnchains.optim import (
     LinearProgram,
     LpError,
@@ -26,7 +27,7 @@ def test_single_variable_box():
 def test_degenerate_face_deterministic_tie_break():
     s = solve(LinearProgram(objective=(1, 1), a_ub=((1, 1),), b_ub=(1,)))
     assert s.value == 1
-    # Bland's rule enters the lowest-index variable first
+    # a tie in the reduced costs enters the lowest-index variable
     assert s.x == (F(1), F(0))
 
 
@@ -47,6 +48,96 @@ def test_equality_duals():
     s = solve(LinearProgram(objective=(0, 1), a_eq=((1, 1),), b_eq=(1,)))
     assert s.optimal and s.value == 1
     assert s.dual_eq == (F(1),)
+
+
+def _beale(conv):
+    # Beale's example: from the slack basis, largest-coefficient pricing with
+    # a lowest-index tie-break in the ratio test cycles through six bases
+    return LinearProgram(
+        objective=tuple(map(conv, (F(3, 4), -20, F(1, 2), -6))),
+        a_ub=tuple(
+            tuple(map(conv, row))
+            for row in ((F(1, 4), -8, -1, 9), (F(1, 2), -12, F(-1, 2), 3), (0, 0, 1, 0))
+        ),
+        b_ub=tuple(map(conv, (0, 0, 1))),
+        mode="exact" if conv is F else "float",
+    )
+
+
+def _phase2_from_slack_basis(lp):
+    t = _Tableau(lp)
+    for i in range(t.m):
+        t._pivot(i, t.slack0 + i)
+    return t._phase2()
+
+
+def _bound_pivots(monkeypatch, limit):
+    # a tableau that pivots `limit` times raises instead of looping on
+    pivot = _Tableau._pivot
+
+    def bounded(self, r, c):
+        if self.pivots >= limit:
+            raise RuntimeError("cycling")
+        pivot(self, r, c)
+
+    monkeypatch.setattr(_Tableau, "_pivot", bounded)
+
+
+@pytest.mark.parametrize("conv", [F, float], ids=["exact", "float"])
+def test_beale_cycling_example_terminates_at_its_optimum(conv, monkeypatch):
+    _bound_pivots(monkeypatch, 10_000)
+    status, x, _ = _phase2_from_slack_basis(_beale(conv))
+    sol = solve(_beale(conv))
+    assert status == "optimal" and sol.optimal
+    if conv is F:
+        assert x == [1, 0, 1, 0] and sol.value == F(5, 4)
+    else:
+        assert x == pytest.approx([1, 0, 1, 0]) and sol.value == pytest.approx(1.25)
+
+
+def test_beale_example_cycles_without_the_stall_fallback(monkeypatch):
+    # the fallback to Bland's rule is what ends the cycle: 3 rows and 7
+    # columns make at most 35 bases, so 100 pivots must repeat one
+    monkeypatch.setattr(optim, "_STALL", 10**9)
+    _bound_pivots(monkeypatch, 100)
+    with pytest.raises(RuntimeError, match="cycling"):
+        _phase2_from_slack_basis(_beale(F))
+
+
+@st.composite
+def _degenerate_programs(draw):
+    """Small integer LPs with mostly zero right-hand sides and tied costs."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 6))
+    c = draw(st.lists(st.sampled_from((-1, 0, 1, 1, 2, 2)), min_size=n, max_size=n))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    a_ub = draw(st.lists(row, min_size=m, max_size=m))
+    b_ub = draw(st.lists(st.sampled_from((0, 0, 0, 1)), min_size=m, max_size=m))
+    a_eq = draw(st.lists(row, max_size=1))
+    return LinearProgram(
+        objective=tuple(c),
+        a_ub=tuple(map(tuple, a_ub)),
+        b_ub=tuple(b_ub),
+        a_eq=tuple(map(tuple, a_eq)),
+        b_eq=(0,) * len(a_eq),
+    )
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_degenerate_programs())
+@pytest.mark.parametrize("stall", [optim._STALL, 1], ids=["default-stall", "stall-1"])
+def test_degenerate_programs_terminate_with_the_cold_exact_status(monkeypatch, stall, lp):
+    # with a stall bound of 1, Bland's rule prices every degenerate run
+    monkeypatch.setattr(optim, "_STALL", stall)
+    _bound_pivots(monkeypatch, 10_000)
+    status = _Tableau(lp).solve()[0]
+    assert solve(lp).status == status
+    assert solve(_as_float(lp)).status == status
 
 
 def test_beale_cycling_instance_terminates():
@@ -237,8 +328,9 @@ def test_exact_solve_matches_the_cold_exact_solve(lp):
 
 
 def test_degenerate_program_may_end_at_another_optimal_basis():
-    # the float solve breaks a zero-ratio tie by a 1e-16 residue, so the
-    # confirmed basis differs from the cold one: same x and value, other duals
+    # the float solve may break a zero-ratio tie the other way, so the
+    # confirmed basis may not be the cold one: x and the value are unique
+    # here, and any optimal duals are feasible and close the gap exactly
     lp = LinearProgram(
         objective=(-2, F(-1, 3), 0, F(2, 3), -3),
         a_ub=((1, 0, -2, F(3, 2), 0), (0, -1, 1, 1, -3)),
@@ -247,11 +339,16 @@ def test_degenerate_program_may_end_at_another_optimal_basis():
         b_eq=(0,),
     )
     sol = solve(lp)
-    status, x, y = _Tableau(lp).solve()
-    assert sol.from_float_basis and status == "optimal"
+    status, x, _ = _Tableau(lp).solve()
+    assert sol.status == status == "optimal"
     assert sol.value == 0 and sol.x == tuple(x) == (F(0),) * 5
-    assert sol.dual_ub + sol.dual_eq == (0, F(2, 3), F(1, 9))
-    assert y == [0, F(25, 21), F(2, 7)]
+    y = sol.dual_ub + sol.dual_eq
+    assert all(v >= 0 for v in sol.dual_ub)
+    rows = lp.a_ub + lp.a_eq
+    for j, c in enumerate(lp.objective):
+        assert sum(row[j] * v for row, v in zip(rows, y)) >= c
+    assert sum(b * v for b, v in zip(lp.b_ub + lp.b_eq, y)) == sol.value
+    assert sol.duality_gap == 0
 
 
 def test_float_basis_that_is_exactly_optimal_needs_no_exact_phase_2_pivot():
@@ -262,7 +359,8 @@ def test_float_basis_that_is_exactly_optimal_needs_no_exact_phase_2_pivot():
 
 
 def test_objective_tie_below_float_resolution_is_pivoted_exactly():
-    # in floats both objective coefficients are 1.0 and Bland stops at x1;
+    # in floats both objective coefficients are 1.0, the tie enters x1 and
+    # the float solve stops there;
     # exactly, x2 is better by 1e-20, so exact phase 2 must pivot
     lp = LinearProgram(objective=(1, 1 + F(1, 10**20)), a_ub=((1, 1),), b_ub=(1,))
     sol = solve(lp)
@@ -278,15 +376,15 @@ def test_float_overflow_falls_back_to_the_cold_exact_solve():
 
 
 def test_float_breakdown_falls_back_to_the_cold_exact_solve():
-    # each entry of column 0 is below the float pivot tolerance but their
-    # sum is not, so float phase 1 ends "unbounded" and raises
+    # each entry of the only column is below the float pivot tolerance but
+    # their sum is not, so float phase 1 ends "unbounded" and raises
     tiny = F(9, 10**10)
-    lp = LinearProgram(objective=(1, 0), a_ub=((tiny, 1), (tiny, 1)), b_ub=(1, 1))
+    lp = LinearProgram(objective=(1,), a_eq=((tiny,), (tiny,)), b_eq=(1, 1))
     with pytest.raises(LpError, match="phase 1"):
         solve(_as_float(lp))
     sol = solve(lp)
     assert not sol.from_float_basis
-    assert sol.x == (1 / tiny, 0)
+    assert sol.x == (1 / tiny,) and sol.value == 1 / tiny and sol.duality_gap == 0
 
 
 def _as_float(lp):

@@ -18,6 +18,13 @@ def test_default_suite_is_green():
     assert "grid-recovery" in names
 
 
+def test_depth_8_moment_checks_pass_on_two_symbols():
+    # the float grid-recovery LP at this depth once ended on "duality gap
+    # 4.09e-08 beyond tolerance"
+    rows = verify.moment_checks(Config(depth=8))
+    assert rows and all(row.passed for row in rows), [row.deviation for row in rows]
+
+
 def test_every_check_carries_a_law_string():
     report = run_all_checks(Config(depth=3, eq_depth=3, cone_samples=3, tensor_samples=2, grid=8))
     for check in report.checks:

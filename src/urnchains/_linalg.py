@@ -168,8 +168,9 @@ def max_abs_diff(a, b) -> Fraction:
 def solve_right(e, b) -> tuple:
     """Solve m @ e = b for m, requiring the solution to be unique.
 
-    e must have full row rank (it is a split mono in every use here); raises
-    LinearSolveError when the system is inconsistent or underdetermined.
+    e must have full row rank (a split mono or an LP basis in every use
+    here); raises LinearSolveError when the system is inconsistent or
+    underdetermined.
     Gauss-Jordan elimination over exact rationals on the transposed system
     e^T m^T = b^T: one sparse equation per column of e and b, whose unknowns
     are 0..len(e)-1 and whose right-hand sides follow them.

@@ -86,6 +86,8 @@ def enumerate_multisets(alphabet: Alphabet, n: int) -> list[tuple[int, ...]]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     k = len(alphabet)
+    if k == 1:
+        return [(n,)]  # combinations would copy range(n) only to place no bar
     slots = n + k - 1
     out = []
     for bars in itertools.combinations(range(slots), k - 1):

@@ -18,17 +18,19 @@ holding Fractions in exact mode; its pivot tolerance is the one of
 pivot updates only the block of rows with a nonzero in the pivot column by
 columns where the pivot row is nonzero, so its cost follows the fill.
 
-Exact mode first solves the float copy of the program and then confirms its
-final basis in rational arithmetic, after Applegate, Cook, Dash and
-Espinoza, "Exact solutions to linear programming problems", Oper. Res. Lett.
-35 (2007): the basis columns are pivoted into the exact tableau and, when
-that basis is exactly primal feasible, exact phase 2 runs from it (with no
-pivot when it is exactly optimal).  When the float solve fails, overflows
-or ends non-optimal, or its basis is not exactly feasible, the exact
+Exact mode solves the float copy of the program and certifies its final
+basis B in rational arithmetic, after Applegate, Cook, Dash and Espinoza,
+"Exact solutions to linear programming problems", Oper. Res. Lett. 35
+(2007), and Dhiflaoui et al., "Certifying and repairing solutions to large
+LPs", SODA 2003: B x_B = b and y^T B = c_B are solved exactly on the sparse
+basis columns, and that answer stands when B is nonsingular and it passes
+the certificate at tolerance zero.  Otherwise (the float solve fails,
+overflows or ends non-optimal, or its basis does not certify) the exact
 two-phase solve runs from scratch, so every status is decided in exact
-arithmetic.  Every optimal answer carries a dual certificate and the
-weak-duality gap is asserted before returning (at tolerance zero in exact
-mode).
+arithmetic.  The certificate is the one check of every optimal answer,
+float or exact: x is primal feasible (rows and x >= 0), y is dual feasible
+(y_ub >= 0, A^T y >= c) and their values meet (within float tolerances in
+float mode).
 
 Problems are: maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 Sizes are capped (5000 variables, 2000 constraints); this is a desk-scale
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import arithmetic
+from ._linalg import LinearSolveError, arithmetic, solve_right
 
 MAX_VARIABLES = 5000
 MAX_CONSTRAINTS = 2000
@@ -94,10 +96,11 @@ class LpSolution:
     dual_ub: tuple = ()
     dual_eq: tuple = ()
     duality_gap: object = None
-    # pivots of the tableau that gave the answer: (phase 1, phase 2); when
-    # the exact answer started from the float basis, phase 1 counts the
-    # pivots that installed that basis and the float solve is not counted
+    # pivots of the tableau that gave the answer: (phase 1, phase 2); for
+    # an exact answer from the certified float basis, the float solve's
     pivots: tuple = (0, 0)
+    # whether an exact answer is the float solve's basis, certified exactly
+    # (otherwise the cold exact solve gave it)
     from_float_basis: bool = False
 
     @property
@@ -144,19 +147,15 @@ class _Tableau:
         self.basis = np.arange(self.art0, self.ncols)
         self.pivots = 0
         self.phase1_pivots = 0
-        self.from_float_basis = False
 
-    def copy(self, as_float: bool = False) -> _Tableau:
-        """An independent copy; `as_float` converts an exact one to float64
-        (raising OverflowError when an entry is beyond float range)."""
+    def copy(self) -> _Tableau:
+        """An independent float64 copy (raising OverflowError when an entry is
+        beyond float range)."""
         other = copy.copy(self)
         other.basis = self.basis.copy()
-        if as_float:
-            other.conv, other.zero, other.tol = arithmetic(False)
-            other.c = [float(v) for v in self.c]
-            other.t = self.t.astype(float)
-        else:
-            other.t = self.t.copy()
+        other.conv, other.zero, other.tol = arithmetic(False)
+        other.c = [float(v) for v in self.c]
+        other.t = self.t.astype(float)
         return other
 
     def _set_cost(self, c_full):
@@ -237,30 +236,21 @@ class _Tableau:
         self._drive_out_artificials(feas_tol)
         return self._phase2()
 
-    def solve_from(self, basis):
-        """Exact phase 2 from `basis` (the float solve's final one).
-
-        Pivots each non-artificial column of `basis` into this fresh
-        tableau; returns None, to ask for a cold solve, when those columns
-        are singular or the basis they make is not exactly primal feasible
-        with every basic artificial at zero.
-        """
-        t, m = self.t, self.m
-        for r, col in enumerate(basis):
-            if col >= self.art0:
-                continue
-            if self.basis[r] < self.art0 or not t[r, col]:
-                free = np.flatnonzero((self.basis >= self.art0) & (t[:m, col] != 0))
-                if not free.size:
-                    return None
-                r = free[0]
-            self._pivot(r, col)
-        rhs = t[:m, self.ncols]
-        if (rhs < 0).any() or (rhs[self.basis >= self.art0] != 0).any():
-            return None
-        self._drive_out_artificials(self.zero)
-        self.from_float_basis = True
-        return self._phase2()
+    def basic_solution(self, basis):
+        """(x, y) of `basis` solved exactly on this unpivoted tableau's
+        sign-normalised columns B: B x_B = b and y^T B = c_B, with y
+        un-negated as `_phase2` does; raises LinearSolveError when B is
+        singular."""
+        zero, basis = self.zero, basis.tolist()
+        block = self.t[: self.m, basis].tolist()
+        rows = tuple({k: v for k, v in enumerate(row) if v} for row in block)
+        columns = tuple({i: v for i, v in enumerate(column) if v} for column in zip(*block))
+        rhs = {i: v for i, v in enumerate(self.t[: self.m, self.ncols].tolist()) if v}
+        cost = {k: self.c[b] for k, b in enumerate(basis) if b < self.n and self.c[b]}
+        (x_b,), (y,) = solve_right(columns, (rhs,)), solve_right(rows, (cost,))
+        values = {basis[k]: v for k, v in x_b.items()}
+        x = [values.get(j, zero) for j in range(self.n)]
+        return x, [-y.get(i, zero) if neg else y.get(i, zero) for i, neg in enumerate(self.negated)]
 
     def _phase2(self):
         zero = self.zero
@@ -280,46 +270,63 @@ class _Tableau:
         return "optimal", x[: self.n], y
 
 
-def _exact_solve(lp: LinearProgram):
-    """(tableau, answer) of the exact solve: warm from the float basis when
-    that basis is exactly feasible, cold two-phase otherwise."""
-    cold = _Tableau(lp)
-    warm = cold.copy()
-    try:
-        approx = cold.copy(as_float=True)
-        status, _, _ = approx.solve()
-    except (LpError, OverflowError):
-        status = None
-    if status == "optimal":
-        answer = warm.solve_from(approx.basis)
-        if answer is not None:
-            return warm, answer
-    return cold, cold.solve()
-
-
 def solve(lp: LinearProgram) -> LpSolution:
-    """Solve the LP; optimal solutions carry a dual certificate and zero/tiny gap."""
+    """Solve the LP; an optimal answer is returned only with its certificate."""
     # float overflow gives inf and nan as it does in Python floats, silently
     with np.errstate(all="ignore"):
+        t = _Tableau(lp)
         if lp.mode == "exact":
-            t, (status, x, y) = _exact_solve(lp)
-        else:
-            t = _Tableau(lp)
-            status, x, y = t.solve()
-    pivots = (t.phase1_pivots, t.pivots - t.phase1_pivots)
+            try:
+                approx = t.copy()
+                status, _, _ = approx.solve()
+                if status == "optimal":
+                    return _assert_certificate(lp, t, *t.basic_solution(approx.basis), approx, True)
+            except (LpError, LinearSolveError, OverflowError):
+                pass
+        status, x, y = t.solve()
     if status != "optimal":
-        return LpSolution(status=status, pivots=pivots, from_float_basis=t.from_float_basis)
-    dual_ub = tuple(y[: t.m_ub])
-    dual_eq = tuple(y[t.m_ub :])
-    value = sum((c * v for c, v in zip(t.c, x)), start=t.zero)
-    dual_value = sum(
-        (b * v for b, v in zip((t.conv(b) for b in lp.b_ub), dual_ub)), start=t.zero
-    )
-    dual_value += sum(
-        (b * v for b, v in zip((t.conv(b) for b in lp.b_eq), dual_eq)), start=t.zero
-    )
-    gap = dual_value - value
-    _assert_certificate(lp, t, x, dual_ub, dual_eq, gap)
+        return LpSolution(status=status, pivots=(t.phase1_pivots, t.pivots - t.phase1_pivots))
+    return _assert_certificate(lp, t, x, y, t, False)
+
+
+def _assert_certificate(lp, t, x, y, answered, from_float_basis) -> LpSolution:
+    """The optimal answer (x, y) of the tableau `answered`, once its
+    certificate holds: x primal feasible, y dual feasible and no duality gap,
+    at tolerance zero in exact mode.  Raises LpError at the first violation."""
+    conv, zero, tol = t.conv, t.zero, t.tol
+    gap_tol, dual_tol = (zero, zero) if tol == 0 else (_FLOAT_GAP_TOL, _FLOAT_FEAS_TOL)
+    ptol = tol * 100
+    dual_ub, dual_eq = tuple(y[: t.m_ub]), tuple(y[t.m_ub :])
+    rows = tuple(lp.a_ub) + tuple(lp.a_eq)
+    bounds = [conv(b) for b in tuple(lp.b_ub) + tuple(lp.b_eq)]
+    value = sum((c * v for c, v in zip(t.c, x)), start=zero)
+    gap = sum((b * v for b, v in zip(bounds, y)), start=zero) - value
+    if abs(gap) > gap_tol:
+        raise LpError(f"duality gap {gap} beyond tolerance")
+    if any(v < -gap_tol for v in dual_ub):
+        raise LpError("negative dual on an inequality row")
+    # dual feasibility, A_ub^T y_ub + A_eq^T y_eq >= c, in one pass over the
+    # nonzero entries of the rows whose dual is nonzero
+    lhs = [zero] * t.n
+    for row, v in zip(rows, y):
+        if v:
+            for j, a in enumerate(row):
+                if a:
+                    lhs[j] += conv(a) * v
+    for j, (a, c) in enumerate(zip(lhs, t.c)):
+        if a < c - dual_tol:
+            raise LpError(f"dual certificate violates column {j}")
+    # primal feasibility of the returned point
+    for j, v in enumerate(x):
+        if v < -ptol:
+            raise LpError(f"primal point is negative at column {j}")
+    support = [(j, v) for j, v in enumerate(x) if v]
+    for i, (row, b) in enumerate(zip(rows, bounds)):
+        excess = sum((conv(row[j]) * v for j, v in support), start=zero) - b
+        if i < t.m_ub and excess > ptol:
+            raise LpError("primal point violates an inequality")
+        if i >= t.m_ub and abs(excess) > ptol:
+            raise LpError("primal point violates an equality")
     return LpSolution(
         status="optimal",
         value=value,
@@ -327,33 +334,9 @@ def solve(lp: LinearProgram) -> LpSolution:
         dual_ub=dual_ub,
         dual_eq=dual_eq,
         duality_gap=gap,
-        pivots=pivots,
-        from_float_basis=t.from_float_basis,
+        pivots=(answered.phase1_pivots, answered.pivots - answered.phase1_pivots),
+        from_float_basis=from_float_basis,
     )
-
-
-def _assert_certificate(lp, t, x, dual_ub, dual_eq, gap):
-    tol = t.tol
-    gap_tol = t.zero if tol == 0 else _FLOAT_GAP_TOL
-    if abs(gap) > gap_tol:
-        raise LpError(f"duality gap {gap} beyond tolerance")
-    for y in dual_ub:
-        if y < -gap_tol:
-            raise LpError("negative dual on an inequality row")
-    # dual feasibility: A_ub^T y_ub + A_eq^T y_eq >= c
-    for j in range(t.n):
-        lhs = sum(t.conv(row[j]) * y for row, y in zip(lp.a_ub, dual_ub))
-        lhs += sum(t.conv(row[j]) * y for row, y in zip(lp.a_eq, dual_eq))
-        if lhs < t.c[j] - (t.zero if tol == 0 else _FLOAT_FEAS_TOL):
-            raise LpError(f"dual certificate violates column {j}")
-    # primal feasibility of the returned point
-    ptol = tol * 100
-    for row, b in zip(lp.a_ub, lp.b_ub):
-        if sum(t.conv(a) * v for a, v in zip(row, x)) > t.conv(b) + ptol:
-            raise LpError("primal point violates an inequality")
-    for row, b in zip(lp.a_eq, lp.b_eq):
-        if abs(sum(t.conv(a) * v for a, v in zip(row, x)) - t.conv(b)) > ptol:
-            raise LpError("primal point violates an equality")
 
 
 @dataclass

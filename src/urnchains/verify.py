@@ -460,8 +460,11 @@ def membership_checks(config: Config) -> list[CheckResult]:
         lp = LinearProgram(tuple(c), tuple(map(tuple, rows)), tuple(b), mode="exact")
         exact = solve(lp)
         approx = solve(replace(lp, mode="float"))
-        if exact.optimal and approx.optimal:
-            worst = max(worst, abs(float(exact.value) - approx.value))
+        if not (exact.optimal and approx.optimal):
+            # every instance is feasible and bounded, so both must be optimal
+            worst = f"exact solve {exact.status}, float solve {approx.status}"
+            break
+        worst = max(worst, abs(float(exact.value) - approx.value))
     out.append(_check("lp-mode-agreement", {"instances": 10}, worst, 1e-7))
     return out
 

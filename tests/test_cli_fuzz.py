@@ -5,7 +5,8 @@ input) on whatever it is given, and raise nothing.  The examples are
 derandomised and fixed in number, so the suite is a fast, repeatable part of
 the tier-1 run.  Sizes stay small through the package's own up-front
 refusals: a bang depth is either at most 4 or at least the bang table cap,
-which every alphabet exceeds, so no example builds a large table or LP.
+which every alphabet exceeds, and a `verify-all` size flag is either at
+most 4 or past its cap, so no example builds a large table, chain or LP.
 """
 
 import json
@@ -181,3 +182,37 @@ def test_simulate_flags_keep_the_exit_codes(tmp_path, mixing, trials, prefix_len
     argv = ["definetti", "simulate", "--mixing", _write(tmp_path, "mixing.json", mixing)]
     argv += ["--trials", str(trials), "--prefix-len", str(prefix_len), "--seed", str(seed)]
     assert main(argv + ["--out", str(tmp_path / "hist.csv")]) in _EXIT_CODES
+
+
+# per verify-all flag: values small enough to run at once, and values that
+# are invalid or past a cap on every alphabet
+_PAST_TUPLE_CAP = st.integers(18, 10**6)
+_VERIFY_FLAGS = {
+    "--depth": (st.integers(1, 2), st.integers(-1, 0) | _PAST_TUPLE_CAP),
+    "--eq-depth": (st.integers(0, 2), st.just(-1) | _PAST_TUPLE_CAP),
+    "--cone-samples": (st.integers(0, 2), st.just(-1)),
+    "--tensor-samples": (st.integers(0, 2), st.just(-1)),
+    "--grid": (st.integers(2, 4), st.integers(-1, 1) | st.integers(5000, 10**30)),
+    "--tol": (st.sampled_from(["1e-12", "1e-6", "0.5"]), st.sampled_from(["nan", "-inf", "0"])),
+}
+
+
+@_FUZZ
+@given(
+    alphabet=st.none() | _ALPHABETS,
+    good=st.fixed_dictionaries({flag: good for flag, (good, _) in _VERIFY_FLAGS.items()}),
+    bad=st.none() | st.sampled_from(list(_VERIFY_FLAGS)),
+    data=st.data(),
+    seed=st.one_of(st.integers(-2, 10), st.just(2**70)),
+    inject_fault=st.booleans(),
+)
+def test_verify_all_flags_keep_the_exit_codes(tmp_path, alphabet, good, bad, data, seed, inject_fault):
+    # every flag small but at most one, which is invalid or past its cap
+    flags = dict(good)
+    if bad is not None:
+        flags[bad] = data.draw(_VERIFY_FLAGS[bad][1])
+    argv = ["verify-all", f"--seed={seed}"] + [f"{flag}={value}" for flag, value in flags.items()]
+    argv += ["--inject-fault"] * inject_fault
+    if alphabet is not None:
+        argv += ["--alphabet", _write(tmp_path, "alphabet.json", alphabet)]
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) in _EXIT_CODES

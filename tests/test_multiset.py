@@ -45,6 +45,12 @@ def test_enumerate_size_zero_is_single_empty():
     assert out == [(0, 0, 0)]
 
 
+def test_one_symbol_has_one_multiset_of_any_size():
+    # one symbol gives one grid point at any --grid, so no cap bounds n here
+    assert enumerate_multisets(Alphabet.of("a"), 10**12) == [(10**12,)]
+    assert multiset_count(1, 10**12) == 1
+
+
 def test_enumerate_three_symbols_matches_brute_force():
     # oracle: sorted pairs over {a,b,c}
     pairs = sorted(set(tuple(sorted(p)) for p in itertools.product("abc", repeat=2)))

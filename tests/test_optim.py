@@ -354,18 +354,42 @@ def test_degenerate_program_may_end_at_another_optimal_basis():
 def test_float_basis_that_is_exactly_optimal_needs_no_exact_phase_2_pivot():
     lp = LinearProgram(objective=(1, 2), a_ub=((1, 1), (1, 3)), b_ub=(4, 6))
     sol = solve(lp)
-    assert sol.from_float_basis and sol.pivots[1] == 0
+    assert sol.from_float_basis
     assert sol.x == (F(3), F(1)) and sol.value == 5
 
 
 def test_objective_tie_below_float_resolution_is_pivoted_exactly():
     # in floats both objective coefficients are 1.0, the tie enters x1 and
     # the float solve stops there;
-    # exactly, x2 is better by 1e-20, so exact phase 2 must pivot
+    # exactly, x2 is better by 1e-20, so the float basis fails its
+    # certificate and the cold exact solve answers
     lp = LinearProgram(objective=(1, 1 + F(1, 10**20)), a_ub=((1, 1),), b_ub=(1,))
     sol = solve(lp)
-    assert sol.from_float_basis and sol.pivots[1] == 1
+    assert not sol.from_float_basis
     assert sol.x == (0, 1) and sol.value == 1 + F(1, 10**20)
+
+
+@pytest.mark.parametrize("conv", [F, float], ids=["exact", "float"])
+def test_certificate_refuses_a_negative_primal_entry(conv):
+    # x = (2, -1) meets the row, y = 2 is dual feasible and both values are
+    # 2, so only x >= 0 fails
+    lp = LinearProgram(
+        objective=(conv(1), conv(0)),
+        a_eq=((conv(1), conv(1)),),
+        b_eq=(conv(1),),
+        mode="exact" if conv is F else "float",
+    )
+    t = _Tableau(lp)
+    with pytest.raises(LpError, match="negative at column 1"):
+        optim._assert_certificate(lp, t, [conv(2), conv(-1)], [conv(2)], t, False)
+
+
+def test_certificate_names_the_violated_dual_column():
+    # x = (1, 0) and y = 1 close the gap, but y does not cover column 1's cost
+    lp = LinearProgram(objective=(1, 2), a_ub=((1, 1),), b_ub=(1,))
+    t = _Tableau(lp)
+    with pytest.raises(LpError, match="violates column 1"):
+        optim._assert_certificate(lp, t, [F(1), F(0)], [F(1)], t, False)
 
 
 def test_float_overflow_falls_back_to_the_cold_exact_solve():
@@ -413,9 +437,10 @@ def _as_float(lp):
         ),
         # unbounded in floats too
         (LinearProgram(objective=(1, 0), a_ub=((0, 1),), b_ub=(1,)), "unbounded", "unbounded", False),
-        # bounded in floats (the objective rounds to 0), unbounded exactly:
-        # exact phase 2 from the float basis finds the ray
-        (LinearProgram(objective=(0, F(1, 10**20)), a_ub=((1, 0),), b_ub=(1,)), "unbounded", "optimal", True),
+        # bounded in floats (the objective is below the pivot tolerance),
+        # unbounded exactly: the float basis fails its certificate and the
+        # cold exact solve finds the ray
+        (LinearProgram(objective=(0, F(1, 10**20)), a_ub=((1, 0),), b_ub=(1,)), "unbounded", "optimal", False),
     ],
     ids=["infeasible", "infeasible-below-float", "unbounded", "unbounded-below-float"],
 )

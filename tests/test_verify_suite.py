@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from urnchains import chains, verify
+from urnchains import chains, optim, pcoh, verify
 from urnchains.multiset import Alphabet
 from urnchains.verify import Config, run_all_checks
 
@@ -23,6 +23,37 @@ def test_depth_8_moment_checks_pass_on_two_symbols():
     # 4.09e-08 beyond tolerance"
     rows = verify.moment_checks(Config(depth=8))
     assert rows and all(row.passed for row in rows), [row.deviation for row in rows]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [Config(), Config(alphabet=Alphabet.of("a", "b", "c"), depth=3, eq_depth=2, grid=8)],
+    ids=["defaults", "three-symbols"],
+)
+def test_every_exact_lp_is_answered_by_its_certified_float_basis(monkeypatch, config):
+    # a fall to the cold exact solve would be silent in the report
+    answers = []
+
+    def recording(lp, solve=optim.solve):
+        sol = solve(lp)
+        if lp.mode == "exact":
+            answers.append(sol)
+        return sol
+
+    for module in (verify, pcoh, optim):
+        monkeypatch.setattr(module, "solve", recording)
+    assert run_all_checks(config).passed
+    assert answers and all(sol.optimal and sol.from_float_basis for sol in answers)
+
+
+def test_lp_mode_agreement_fails_on_a_status_disagreement(monkeypatch):
+    def infeasible_in_floats(lp, solve=verify.solve):
+        return optim.LpSolution(status="infeasible") if lp.mode == "float" else solve(lp)
+
+    monkeypatch.setattr(verify, "solve", infeasible_in_floats)
+    row = verify.membership_checks(Config())[-1]
+    assert row.name == "lp-mode-agreement" and not row.passed
+    assert row.deviation == "exact solve optimal, float solve infeasible"
 
 
 def test_every_check_carries_a_law_string():

@@ -31,7 +31,11 @@ each one checks is stated in its docstring and in the report of `verify`.
 Chain limits are represented at a finite truncation as coherent families of
 legs, not as new objects: for the truncated-exponential chain the coherent
 families are exactly the depth-N BangElements, and for the urn chain over a
-probability carrier they are the exchangeable urn laws.
+probability carrier they are the exchangeable urn laws.  A `Cone` is its
+legs' sparse rows, one tuple of rows per level, the form that
+`DDChain.factor`, `matmul` and `max_abs_diff` take, so no matrix is built on
+the way through a round trip.  A leg of a delete-cone is accepted by the
+factorisation round trip alone, which refuses it iff a symmetry moves it.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 
 from . import pcoh as _pcoh
 from . import stoch as _stoch
@@ -48,7 +51,7 @@ from ._linalg import ONE, ZERO, LinearSolveError, identity, kron, matmul, max_ab
 from .multiset import Alphabet, multinomial
 from .pcoh import Pcs, PcsMatrix, canonical_section, eq_delta, ground_pcs, with_unit_pcs
 from .spaces import IndexSet, multiset_space, symbol_space, tuple_space, unit_space
-from .stoch import FinKernel, coeq_kernel, eq_kernel, verify_equalises
+from .stoch import FinKernel, adjacent_transpositions, coeq_kernel, eq_kernel, permute_tuple_columns
 
 
 class ChainError(Exception):
@@ -311,8 +314,10 @@ def lift_copointed_morphism(alpha, chain1: DDChain, chain2: DDChain) -> ChainMor
             )
     depth = min(chain1.depth, chain2.depth)
     components = []
+    power = identity(1)  # alpha^(x)n, one tensor factor more at each level
     for n in range(depth + 1):
-        power = reduce(lambda rows, _: kron(rows, alpha.entries, len(alpha.target)), range(n), identity(1))
+        if n:
+            power = kron(power, alpha.entries, len(alpha.target))
         target_rows = matmul(chain1.eqs[n].entries, power)
         components.append(b2.matrix(b1.level(n), b2.level(n), chain2.factor(target_rows, n)))
     return ChainMorphism(chain1, chain2, components)
@@ -330,14 +335,14 @@ def multinomial_diagonal(alphabet: Alphabet, n: int) -> PcsMatrix:
 
 @dataclass
 class Cone:
-    """A compatible family of legs from an apex into the chain.
+    """A compatible family of legs into the chain, each leg the sparse rows
+    of a map from one apex, one row per apex point.
 
     kind "dd": legs target the multiset levels, DD_n . leg_{n+1} = leg_n.
     kind "delete": legs target the tuple powers, d_n . leg_{n+1} = leg_n.
     """
 
     chain: DDChain
-    apex: IndexSet
     legs: list
     kind: str
 
@@ -346,7 +351,7 @@ class Cone:
         DD_n . leg_{n+1} = leg_n for "dd", (id^n (x) w) . leg_{n+1} = leg_n
         for "delete"."""
         steps = [step.entries for step in self.chain.steps(self.kind)]
-        legs = [leg.entries for leg in self.legs]
+        legs = self.legs
         return max(
             (max_abs_diff(matmul(legs[n + 1], steps[n]), legs[n]) for n in range(len(legs) - 1)),
             default=ZERO,
@@ -361,39 +366,38 @@ def _close_down(top_rows, steps) -> list:
     return legs
 
 
-def cone_from_top(chain: DDChain, top, kind: str) -> Cone:
-    """The cone of the given kind generated by an arbitrary top leg, closing
-    downwards: onto the multiset levels for "dd", the tuple powers for "delete"."""
-    space = chain.backend.level if kind == "dd" else chain.backend.power
-    rows = _close_down(top.entries, [step.entries for step in chain.steps(kind)])
-    legs = [chain.backend.matrix(top.source, space(n), r) for n, r in enumerate(rows[:-1])]
-    return Cone(chain, top.source, legs + [top], kind)
+def cone_from_top(chain: DDChain, top_rows, kind: str) -> Cone:
+    """The cone of the given kind generated by the rows of an arbitrary top
+    leg, closing downwards: onto the multiset levels for "dd", the tuple
+    powers for "delete"."""
+    return Cone(chain, _close_down(top_rows, [step.entries for step in chain.steps(kind)]), kind)
 
 
 def factor_delete_cone(cone: Cone) -> Cone:
     """Factor a symmetric delete-cone through the equalisers, leg by leg.
 
-    Every leg must equalise all coordinate symmetries at its level; the
-    factorisation eq_n . leg_n' = leg_n is unique because the equalisers are
-    split monos, and the factored family is a DD-cone.  Invariance is checked
-    by verify_equalises, so a leg is accepted iff it is fixed by every
-    symmetry; a rejected leg is reported with the transposition that moves
-    it furthest.
+    A leg is accepted by the round trip of `DDChain.factor`: it factors iff
+    leg . section_n . eq_n = leg.  The equaliser eq_n equalises the
+    coordinate symmetries, so that holds iff every symmetry fixes the leg;
+    the factorisation is unique because eq_n is a split mono, and the
+    factored family is a DD-cone.  A refused leg is reported with the
+    adjacent transposition that moves it furthest.
     """
     if cone.kind != "delete":
         raise ChainError("expected a delete-cone")
     chain = cone.chain
+    legs = []
     for n, leg in enumerate(cone.legs):
-        report = verify_equalises(leg, n)
-        if not report.equalises:
-            raise ChainError(
-                f"leg at level {n} does not equalise the symmetry {report.witness_perm}"
+        try:
+            legs.append(chain.factor(leg, n))
+        except ChainError:
+            space = chain.backend.power(n)
+            swap = max(
+                adjacent_transpositions(n),
+                key=lambda perm: max_abs_diff(permute_tuple_columns(leg, space, perm), leg),
             )
-    legs = [
-        chain.backend.matrix(cone.apex, chain.backend.level(n), chain.factor(leg.entries, n))
-        for n, leg in enumerate(cone.legs)
-    ]
-    out = Cone(chain, cone.apex, legs, "dd")
+            raise ChainError(f"leg at level {n} does not equalise the symmetry {swap}") from None
+    out = Cone(chain, legs, "dd")
     if out.deviation() != 0:
         raise ChainError("factored family is not a DD-cone")
     return out
@@ -404,14 +408,8 @@ def expand_dd_cone(cone: Cone) -> Cone:
     it presents on the tuple powers; inverse to factor_delete_cone."""
     if cone.kind != "dd":
         raise ChainError("expected a DD-cone")
-    chain = cone.chain
-    legs = [
-        chain.backend.matrix(
-            cone.apex, chain.backend.power(n), matmul(leg.entries, chain.eqs[n].entries)
-        )
-        for n, leg in enumerate(cone.legs)
-    ]
-    out = Cone(chain, cone.apex, legs, "delete")
+    legs = [matmul(leg, eq.entries) for leg, eq in zip(cone.legs, cone.chain.eqs)]
+    out = Cone(cone.chain, legs, "delete")
     if out.deviation() != 0:
         raise ChainError("expanded family is not a delete-cone")
     return out
@@ -479,10 +477,10 @@ def bang_cone(b, chain: DDChain) -> Cone:
         raise ChainError("chain deeper than the element's truncation")
     legs = []
     for n in range(chain.depth + 1):
-        bounded, full, mapping = pad_index_bijection(alphabet, n)
-        top = {full.labels[j]: b.at(counts) for counts, j in zip(bounded.labels, mapping)}
-        legs.append(chain.backend.matrix.build(unit_space(), full, lambda _: top))
-    cone = Cone(chain, unit_space(), legs, "dd")
+        bounded, _, mapping = pad_index_bijection(alphabet, n)
+        top = sorted(zip(mapping, map(b.at, bounded.labels)))
+        legs.append(({j: v for j, v in top if v},))
+    cone = Cone(chain, legs, "dd")
     if cone.deviation() != 0:
         raise ChainError("element table is not restriction-coherent")
     return cone
@@ -496,7 +494,7 @@ def bang_from_cone(cone: Cone):
     alphabet = Alphabet(padded.symbols[:-1])
     depth = chain.depth
     bounded, full, mapping = pad_index_bijection(alphabet, depth)
-    top = cone.legs[depth].entries[0]
+    top = cone.legs[depth][0]
     table = {counts: top.get(mapping[i], ZERO) for i, counts in enumerate(bounded.labels)}
     return _pcoh.BangElement.from_table(alphabet, depth, table)
 
@@ -504,5 +502,5 @@ def bang_from_cone(cone: Cone):
 def multinomial_cone(r, chain: DDChain) -> Cone:
     """The exchangeable urn-law family of an i.i.d. source, as a DD-cone;
     how far it is from commuting with the steps is its `Cone.deviation`."""
-    legs = [_stoch.multinomial_law(r, n) for n in range(chain.depth + 1)]
-    return Cone(chain, unit_space(), legs, "dd")
+    legs = [_stoch.multinomial_law(r, n).entries for n in range(chain.depth + 1)]
+    return Cone(chain, legs, "dd")

@@ -39,7 +39,7 @@ from .chains import Cone, DDChain, build_dd_chain, pcoh_ground_copointed
 from .multiset import Alphabet, enumerate_multisets, multiset_count
 from .optim import MAX_CONSTRAINTS, MAX_VARIABLES, feasibility_minmax
 from .pcoh import BangElement, PcsVector, multinomial_embedding, restrict_to_depth
-from .spaces import bounded_multiset_space, multiset_space, unit_space
+from .spaces import bounded_multiset_space, multiset_space
 from .stoch import AtomicMeasure, ProbVector
 
 RECOVERY_TOL = 1e-6
@@ -209,10 +209,9 @@ def cone_from_total_element(b: BangElement, chain: DDChain | None = None) -> Con
         raise MomentProblemError("chain is deeper than the element")
     legs = []
     for n in range(chain.depth + 1):
-        space = multiset_space(b.alphabet, n)
-        row = {counts: b.at(counts) for counts in space.labels}
-        legs.append(chain.backend.matrix.build(unit_space(), space, lambda _: row))
-    return Cone(chain, unit_space(), legs, "dd")
+        values = map(b.at, multiset_space(b.alphabet, n).labels)
+        legs.append(({j: v for j, v in enumerate(values) if v},))
+    return Cone(chain, legs, "dd")
 
 
 # -- the two-symbol moment view ------------------------------------------------

@@ -33,6 +33,7 @@ from .chains import (
     split_deviation,
     stoch_copointed,
     verify_tensor_parametrized,
+    _random_stochastic_rows,
 )
 from .moments import (
     RECOVERY_TOL,
@@ -56,7 +57,7 @@ from .pcoh import (
     multinomial_embedding,
     multiset_pcs,
 )
-from .spaces import symbol_space, unit_space
+from .spaces import symbol_space
 from .stoch import (
     AtomicMeasure,
     FinKernel,
@@ -353,33 +354,17 @@ def _round_trip_deviation(rng, chain, config):
     """Worst deviation of factor-then-expand and expand-then-factor over
     random DD-cones and the symmetric delete-cones they present."""
     worst = ZERO
-    for s in range(config.cone_samples):
-        top = _random_leg(rng, chain)
+    top_eq = chain.eqs[chain.depth].entries
+    for _ in range(config.cone_samples):
+        top = _random_stochastic_rows(rng, 1, len(top_eq))
         dd_cone = cone_from_top(chain, top, "dd")
-        expanded = expand_dd_cone(dd_cone)
-        back = factor_delete_cone(expanded)
-        dev = max(a.deviation(b) for a, b in zip(back.legs, dd_cone.legs))
-        worst = max(worst, dev)
+        back = factor_delete_cone(expand_dd_cone(dd_cone))
         # opposite direction: random symmetric delete-cone
-        sym_top = chain.backend.matrix(
-            top.source,
-            chain.backend.power(chain.depth),
-            matmul(top.entries, chain.eqs[chain.depth].entries),
-        )
-        del_cone = cone_from_top(chain, sym_top, "delete")
-        dd2 = factor_delete_cone(del_cone)
-        expanded2 = expand_dd_cone(dd2)
-        dev2 = max(a.deviation(b) for a, b in zip(expanded2.legs, del_cone.legs))
-        worst = max(worst, dev2)
+        del_cone = cone_from_top(chain, matmul(top, top_eq), "delete")
+        expanded = expand_dd_cone(factor_delete_cone(del_cone))
+        pairs = zip(back.legs + expanded.legs, dd_cone.legs + del_cone.legs)
+        worst = max(worst, *(max_abs_diff(a, b) for a, b in pairs))
     return worst
-
-
-def _random_leg(rng, chain):
-    level = chain.backend.level(chain.depth)
-    raw = [Fraction(rng.randint(0, 9)) for _ in range(len(level))]
-    total = sum(raw) or Fraction(1)
-    row = {j: v / total for j, v in enumerate(raw) if v}
-    return chain.backend.matrix(unit_space(), level, (row,))
 
 
 # -- moments ------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from urnchains.pcoh import (
     ground_pcs,
     multinomial_embedding,
 )
-from urnchains.spaces import symbol_space, unit_space
+from urnchains.spaces import symbol_space
 from urnchains.stoch import (
     AtomicMeasure,
     ProbVector,
@@ -154,33 +154,19 @@ def test_criterion_04_two_formulation_equivalence():
                 size = len(chain.backend.level(depth))
                 vals = [F(rng.randint(0, 9)) for _ in range(size)]
                 total = sum(vals) or F(1)
-                top = chain.backend.matrix(
-                    unit_space(),
-                    chain.backend.level(depth),
-                    sparse((tuple(v / total for v in vals),)),
-                )
-                dd_cone = cone_from_top(chain, top, "dd")
+                top = (tuple(v / total for v in vals),)
+                dd_cone = cone_from_top(chain, sparse(top), "dd")
                 back = factor_delete_cone(expand_dd_cone(dd_cone))
                 worst = max(
                     worst,
-                    max(
-                        max_abs_diff(a.entries, b.entries)
-                        for a, b in zip(back.legs, dd_cone.legs)
-                    ),
+                    max(max_abs_diff(a, b) for a, b in zip(back.legs, dd_cone.legs)),
                 )
-                sym_top = chain.backend.matrix(
-                    unit_space(),
-                    chain.backend.power(depth),
-                    sparse(mm(dense_rows(top), dense_rows(chain.eqs[depth]))),
-                )
+                sym_top = sparse(mm(top, dense_rows(chain.eqs[depth])))
                 del_cone = cone_from_top(chain, sym_top, "delete")
                 expanded = expand_dd_cone(factor_delete_cone(del_cone))
                 worst = max(
                     worst,
-                    max(
-                        max_abs_diff(a.entries, b.entries)
-                        for a, b in zip(expanded.legs, del_cone.legs)
-                    ),
+                    max(max_abs_diff(a, b) for a, b in zip(expanded.legs, del_cone.legs)),
                 )
                 cones += 2
     # parametrized variants with Y = Bool

@@ -3,9 +3,11 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dense, dense_rows, entry, mm, sparse
-from urnchains._linalg import max_abs_diff
+from urnchains._linalg import matmul, max_abs_diff
 from urnchains.chains import (
     Backend,
     ChainError,
@@ -28,8 +30,8 @@ from urnchains.chains import (
 )
 from urnchains.multiset import BOOL, Alphabet
 from urnchains.pcoh import PcsMatrix, PcsVector, bool_pcs, promotion
-from urnchains.spaces import multiset_space, symbol_space, unit_space
-from urnchains.stoch import FinKernel, ProbVector, multinomial_law
+from urnchains.spaces import IndexSet, multiset_space, symbol_space, unit_space
+from urnchains.stoch import FinKernel, ProbVector, multinomial_law, verify_equalises
 
 F = Fraction
 ABC = Alphabet.of("a", "b", "c")
@@ -186,7 +188,7 @@ def test_multinomial_cone_and_round_trip():
     assert expanded.deviation() == 0
     back = factor_delete_cone(expanded)
     for a, b in zip(back.legs, cone.legs):
-        assert dense_rows(a) == dense_rows(b)
+        assert max_abs_diff(a, b) == 0
 
 
 def test_factor_returns_original_when_legs_factor_through_eq():
@@ -195,30 +197,21 @@ def test_factor_returns_original_when_legs_factor_through_eq():
     cone = multinomial_cone(r, chain)
     # delete-cone legs defined as multinomial law then equaliser
     legs = [
-        FinKernel(
-            unit_space(),
-            chain.backend.power(n),
-            sparse(mm(dense_rows(multinomial_law(r, n)), dense_rows(chain.eqs[n]))),
-        )
+        sparse(mm(dense_rows(multinomial_law(r, n)), dense_rows(chain.eqs[n])))
         for n in range(4)
     ]
-    delete_cone = Cone(chain, unit_space(), legs, "delete")
+    delete_cone = Cone(chain, legs, "delete")
     assert delete_cone.deviation() == 0
     dagger = factor_delete_cone(delete_cone)
     for a, b in zip(dagger.legs, cone.legs):
-        assert dense_rows(a) == dense_rows(b)
+        assert max_abs_diff(a, b) == 0
 
 
 def test_factor_rejects_asymmetric_leg_naming_the_swap():
     chain = build_dd_chain(stoch_copointed(BOOL), 2)
-    tsp = chain.backend.power(2)
-    point = FinKernel(unit_space(), tsp, ({1: F(1)},))
-    legs = [
-        FinKernel(unit_space(), chain.backend.power(0), ({0: F(1)},)),
-        FinKernel(unit_space(), chain.backend.power(1), ({0: F(1)},)),
-        point,
-    ]
-    cone = Cone(chain, unit_space(), legs, "delete")
+    point = ({1: F(1)},)
+    legs = [({0: F(1)},), ({0: F(1)},), point]
+    cone = Cone(chain, legs, "delete")
     with pytest.raises(ChainError, match=r"\(1, 0\)"):
         factor_delete_cone(cone)
 
@@ -230,15 +223,48 @@ def test_factor_rejects_leg_moved_by_one_transposition_only(n, i):
     legs = []
     for m in range(n):
         space = chain.backend.power(m)
-        legs.append(FinKernel(unit_space(), space, sparse(((F(1, len(space)),) * len(space),))))
+        legs.append(sparse(((F(1, len(space)),) * len(space),)))
     top = chain.backend.power(n)
     row = [F(0)] * len(top)
     row[top.index((1,) * (i + 1) + (0,) * (n - i - 1))] = F(1)
-    legs.append(FinKernel(unit_space(), top, sparse((row,))))
+    legs.append(sparse((row,)))
     swap = list(range(n))
     swap[i], swap[i + 1] = i + 1, i
     with pytest.raises(ChainError, match=rf"level {n} .*{re.escape(str(tuple(swap)))}"):
-        factor_delete_cone(Cone(chain, unit_space(), legs, "delete"))
+        factor_delete_cone(Cone(chain, legs, "delete"))
+
+
+# the stoch and pcoh-definetti chains on t,f and a,b,c, to level 3
+_FACTOR_CHAINS = [
+    build_dd_chain(copointed(alphabet), 3)
+    for copointed in (stoch_copointed, pcoh_ground_copointed)
+    for alphabet in (BOOL, ABC)
+]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_factor_refuses_exactly_the_rows_a_symmetry_moves(data):
+    # factor_delete_cone accepts a leg by the round trip of DDChain.factor
+    # alone; this pins that the round trip refuses rows iff a symmetry moves them
+    chain = data.draw(st.sampled_from(_FACTOR_CHAINS))
+    n = data.draw(st.integers(0, 3))
+    space = chain.backend.power(n)
+    values = st.builds(F, st.integers(1, 9), st.integers(1, 4))
+    row = st.dictionaries(st.integers(0, len(space) - 1), values, max_size=6)
+    drawn = data.draw(st.lists(row, min_size=1, max_size=2))
+    # stochastic rows, so that a kernel holds them too
+    rows = tuple({j: v / sum(r.values()) for j, v in sorted(r.items())} for r in drawn)
+    if data.draw(st.booleans()):
+        rows = matmul(matmul(rows, chain.sections[n].entries), chain.eqs[n].entries)
+    apex = IndexSet("apex", tuple(range(len(rows))))
+    moved = verify_equalises(chain.backend.matrix(apex, space, rows), n).max_deviation != 0
+    try:
+        chain.factor(rows, n)
+        refused = False
+    except ChainError:
+        refused = True
+    assert refused == moved
 
 
 def test_trivial_unit_cone_is_fixed_by_both_maps():
@@ -249,12 +275,12 @@ def test_trivial_unit_cone_is_fixed_by_both_maps():
         space = chain.backend.level(n)
         row = [F(0)] * len(space)
         row[space.index((n, 0))] = F(1)
-        legs.append(FinKernel(unit_space(), space, sparse((row,))))
-    cone = Cone(chain, unit_space(), legs, "dd")
+        legs.append(sparse((row,)))
+    cone = Cone(chain, legs, "dd")
     assert cone.deviation() == 0
     back = factor_delete_cone(expand_dd_cone(cone))
     for a, b in zip(back.legs, cone.legs):
-        assert dense_rows(a) == dense_rows(b)
+        assert max_abs_diff(a, b) == 0
 
 
 @pytest.mark.parametrize("backend", ["stoch", "pcoh"])
@@ -268,26 +294,15 @@ def test_randomized_round_trips_both_directions(backend):
         top_len = len(chain.backend.level(4))
         vals = [F(rng.randint(0, 9)) for _ in range(top_len)]
         total = sum(vals) or F(1)
-        top = chain.backend.matrix(
-            unit_space(), chain.backend.level(4), sparse((tuple(v / total for v in vals),))
-        )
-        cone = cone_from_top(chain, top, "dd")
+        top = (tuple(v / total for v in vals),)
+        cone = cone_from_top(chain, sparse(top), "dd")
         assert cone.deviation() == 0
         back = factor_delete_cone(expand_dd_cone(cone))
-        assert all(
-            max_abs_diff(a.entries, b.entries) == 0 for a, b in zip(back.legs, cone.legs)
-        )
-        sym_top = chain.backend.matrix(
-            unit_space(),
-            chain.backend.power(4),
-            sparse(mm(dense_rows(top), dense_rows(chain.eqs[4]))),
-        )
+        assert all(max_abs_diff(a, b) == 0 for a, b in zip(back.legs, cone.legs))
+        sym_top = sparse(mm(top, dense_rows(chain.eqs[4])))
         delete_cone = cone_from_top(chain, sym_top, "delete")
         expanded = expand_dd_cone(factor_delete_cone(delete_cone))
-        assert all(
-            max_abs_diff(a.entries, b.entries) == 0
-            for a, b in zip(expanded.legs, delete_cone.legs)
-        )
+        assert all(max_abs_diff(a, b) == 0 for a, b in zip(expanded.legs, delete_cone.legs))
 
 
 # -- parametrized variants ---------------------------------------------------------------------

@@ -15,7 +15,7 @@ from helpers import dense_rows
 from urnchains import chains, pcoh, stoch, verify
 from urnchains.multiset import Alphabet
 from urnchains.pcoh import PcsVector, ground_pcs, promotion
-from urnchains.spaces import multiset_space, symbol_space, tuple_space
+from urnchains.spaces import multiset_space, symbol_space, tuple_space, unit_space
 
 SIZES = range(5)
 
@@ -50,7 +50,9 @@ def _bang_legs(alphabet):
     chain = chains.build_dd_chain(chains.pcoh_free_copointed(ground_pcs(alphabet)), 4)
     k = len(alphabet)
     point = PcsVector.of(symbol_space(alphabet), *[f"1/{k + 1}"] * k)
-    return chains.bang_cone(promotion(point, 4), chain).legs
+    legs = chains.bang_cone(promotion(point, 4), chain).legs
+    # bang_cone's legs are bare rows; hashed as the matrices they were recorded as
+    return [pcoh.PcsMatrix(unit_space(), chain.backend.level(n), leg) for n, leg in enumerate(legs)]
 
 
 def _constructors(alphabet):

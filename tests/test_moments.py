@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import dense_rows, mm
+from helpers import dense, dense_rows, mm
 from urnchains.moments import (
     MomentProblemError,
     MomentTable,
@@ -111,8 +111,8 @@ def test_cone_legs_of_a_dirac_are_products():
     assert cone.deviation() == 0
     leg2 = cone.legs[2]
     space = multiset_space(BOOL, 2)
-    assert dense_rows(leg2)[0][space.index((1, 1))] == F(1, 4) * F(3, 4)
-    assert dense_rows(leg2)[0][space.index((2, 0))] == F(1, 16)
+    assert dense(leg2, len(space))[0][space.index((1, 1))] == F(1, 4) * F(3, 4)
+    assert dense(leg2, len(space))[0][space.index((2, 0))] == F(1, 16)
 
 
 def test_cone_legs_average_over_atoms():
@@ -121,7 +121,7 @@ def test_cone_legs_average_over_atoms():
     cone = cone_from_total_element(b)
     space = multiset_space(BOOL, 2)
     # coefficient at [t,t]: (1/2)*1 + (1/2)*(1/4)
-    assert dense_rows(cone.legs[2])[0][space.index((2, 0))] == F(5, 8)
+    assert dense(cone.legs[2], len(space))[0][space.index((2, 0))] == F(5, 8)
 
 
 def test_cone_rejects_non_total():

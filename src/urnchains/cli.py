@@ -84,17 +84,15 @@ def cmd_simulate(args) -> int:
             emp = law.moment(symbol, order)
             rows.append((symbol, order, exact, emp, abs(exact - emp)))
     moments_csv = jsonio.moment_comparison_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(hist_csv)
-        moments_path = args.moments_out or _derive(args.out, "-moments.csv")
-        with open(moments_path, "w", encoding="utf-8") as fh:
-            fh.write(moments_csv)
-        print(f"histogram -> {args.out}")
-        print(f"moment comparison -> {moments_path}")
-    else:
-        sys.stdout.write(hist_csv)
-        sys.stdout.write(moments_csv)
+    moments_path = args.moments_out or (args.out and _derive(args.out, "-moments.csv"))
+    outputs = ((args.out, hist_csv, "histogram"), (moments_path, moments_csv, "moment comparison"))
+    for path, text, what in outputs:
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            print(f"{what} -> {path}")
+        else:
+            sys.stdout.write(text)
     worst = max(r[4] for r in rows)
     print(f"worst moment error: {worst!r}")
     return 0

@@ -29,7 +29,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from ._linalg import ONE, ZERO, Matrix, _monomial, arithmetic, frac, is_exact, matmul
+from ._linalg import (
+    ONE, ZERO, Matrix, _monomial, arithmetic, frac, identity, is_exact, kron, matmul
+)
 from .multiset import (
     Alphabet,
     Multiset,
@@ -46,6 +48,7 @@ from .spaces import (
     symbol_space,
     tuple_space,
 )
+from .stoch import coeq_kernel
 
 
 class WebConditionError(Exception):
@@ -185,29 +188,21 @@ def multiset_pcs(a: Pcs, n: int) -> Pcs:
 
     Generators are the tally-map images of n-fold tensor products of the
     generators of a (mixed products included, or middle coordinates of the
-    web would go unsupported): the image of g1 (x) ... (x) gn has
-    coefficient sum over enumerations t of mu of prod_j gj(t_j) at mu.
-    These suffice to reproduce the clique by biorthogonal closure at the
-    web sizes handled here.
+    web would go unsupported): g1 (x) ... (x) gn pushed through coeq_n, so
+    its coefficient at mu is the sum over enumerations t of mu of
+    prod_j gj(t_j).  These suffice to reproduce the clique by biorthogonal
+    closure at the web sizes handled here.
     """
-    alphabet = a.alphabet
-    web = multiset_space(alphabet, n)
+    web = multiset_space(a.alphabet, n)
+    coeq = coeq_kernel(a.alphabet, n).entries
     gens = []
     for combo in itertools.combinations_with_replacement(a.generators, n):
-        coeffs = []
-        for counts in web.labels:
-            v = ZERO
-            for t in enumerations(Multiset(alphabet, counts)):
-                term = ONE
-                for g, pos in zip(combo, t):
-                    term *= frac(g.coeffs[pos])
-                    if not term:
-                        break
-                v += term
-            coeffs.append(v)
-        gens.append(PcsVector(web, tuple(coeffs)))
-    if n == 0:
-        gens = [PcsVector(web, (ONE,))]
+        product = identity(1)
+        for g in combo:
+            row = {j: frac(v) for j, v in enumerate(g.coeffs) if v}
+            product = kron(product, (row,), len(g.coeffs))
+        (image,) = matmul(product, coeq)
+        gens.append(PcsVector(web, tuple(image.get(i, ZERO) for i in range(len(web)))))
     return Pcs(web, tuple(gens), f"M{n}({a.name})")
 
 

@@ -351,18 +351,23 @@ def cone_checks(config: Config, chains) -> list[CheckResult]:
 
 
 def _round_trip_deviation(rng, chain, config):
-    """Worst deviation of factor-then-expand and expand-then-factor over
-    random DD-cones and the symmetric delete-cones they present."""
+    """Worst deviation of factor and expand from inverting each other.
+
+    A random top leg T closes down the steps DD_n into a DD-cone D, and
+    T . eq_N down the delete maps d_n = id^n (x) w into a symmetric
+    delete-cone S.  The defining squares DD_n . eq_n = eq_{n+1} . d_n, which
+    `build_dd_chain` proves exactly, give expand(D) = S, so one expand and one
+    factor check both round trips: expand(D) = S and factor(S) = D hold iff
+    factor(expand(D)) = D and expand(factor(S)) = S.
+    """
     worst = ZERO
     top_eq = chain.eqs[chain.depth].entries
     for _ in range(config.cone_samples):
         top = _random_stochastic_rows(rng, 1, len(top_eq))
         dd_cone = cone_from_top(chain, top, "dd")
-        back = factor_delete_cone(expand_dd_cone(dd_cone))
-        # opposite direction: random symmetric delete-cone
         del_cone = cone_from_top(chain, matmul(top, top_eq), "delete")
-        expanded = expand_dd_cone(factor_delete_cone(del_cone))
-        pairs = zip(back.legs + expanded.legs, dd_cone.legs + del_cone.legs)
+        expanded, back = expand_dd_cone(dd_cone), factor_delete_cone(del_cone)
+        pairs = zip(expanded.legs + back.legs, del_cone.legs + dd_cone.legs)
         worst = max(worst, *(max_abs_diff(a, b) for a, b in pairs))
     return worst
 

@@ -306,8 +306,32 @@ def test_refusal_inside_a_check_is_a_check_failure(tmp_path, capsys, monkeypatch
         (["a", "b", "c"], ["--depth", "3", "--eq-depth", "4", "--grid", "8"], 0,
          "ba0e64044e7f47e463fa6d76168cc7b389e42fe1345b4d32ab741ba125f1e65a",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        # the bench's verify configurations at seeds 1 and 23, and depth 8,
+        # recorded before the cone round trip made one expand and one factor
+        (None, ["--depth", "5", "--eq-depth", "6", "--seed", "23"], 0,
+         "908ec5023de3c1eb65388f6c3cced005cd4b8e3a0399fbbac31e1bb31a7e3e2c",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (["a", "b", "c"], ["--depth", "3", "--eq-depth", "4", "--grid", "8", "--seed", "1"], 0,
+         "cdf27204ef24ca78086078e54a411ef96854c08b9f442914f18defdb763c42df",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (["a", "b", "c"], ["--depth", "3", "--eq-depth", "4", "--grid", "8", "--seed", "23"], 0,
+         "15a0f127d5769a74990aaaf1f6efc283c6ccf06ea9704ca348af11b91e5ad9a5",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (None, ["--inject-fault", "--seed", "1"], 1,
+         "b46051126743660d859bd7b21b3c1f3716a4f6f767d6405beebfaa6a6a3369b0",
+         "a9f4c01154037fd26675bf1bb8d555519b3b6afda060623261e3184c0ba4a914"),
+        (None, ["--inject-fault", "--seed", "23"], 1,
+         "242aa89b55c998af196539b0ea55fbf80dfc6ec8b0fab968d4f346a4d9b078a4",
+         "a9f4c01154037fd26675bf1bb8d555519b3b6afda060623261e3184c0ba4a914"),
+        (None, ["--depth", "8"], 0,
+         "eee3c3d287711e796a77af39615b0d529e755128f31ab7b1c88de70973b046f8",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ],
-    ids=["defaults", "three-symbols", "inject-fault", "two-symbols-deep", "three-symbols-small"],
+    ids=[
+        "defaults", "three-symbols", "inject-fault", "two-symbols-deep", "three-symbols-small",
+        "two-symbols-deep-seed-23", "three-symbols-small-seed-1", "three-symbols-small-seed-23",
+        "inject-fault-seed-1", "inject-fault-seed-23", "two-symbols-depth-8",
+    ],
 )
 def test_verify_all_report_digests(tmp_path, capsys, symbols, extra, code, report_digest, stderr_digest):
     out = str(tmp_path / "report.json")
@@ -444,6 +468,23 @@ def test_simulate_output_digests(tmp_path, mixing, prefix, trials, seed, hist_di
         for p in (hist, str(tmp_path / "hist-moments.csv"))
     ]
     assert digests == [hist_digest, moments_digest]
+
+
+def test_simulate_moments_out_without_out_writes_the_moment_table(tmp_path, capsys):
+    # the moment table once went to stdout, and --moments-out was dropped,
+    # whenever --out was absent
+    path = _write_mixing(tmp_path / "mixing.json", *_README_MIXING)
+    argv = ["definetti", "simulate", "--mixing", path, "--prefix-len", "50", "--trials", "600"]
+    hist, moments = str(tmp_path / "hist.csv"), str(tmp_path / "m.csv")
+    assert main(argv + ["--out", hist]) == 0
+    expected = open(hist[:-4] + "-moments.csv").read()
+    capsys.readouterr()
+    assert main(argv + ["--moments-out", moments]) == 0
+    out = capsys.readouterr().out
+    assert open(moments).read() == expected
+    assert out.startswith(open(hist).read())
+    assert f"moment comparison -> {moments}\n" in out
+    assert "symbol,order" not in out and "histogram ->" not in out
 
 
 _FOUR_SYMBOL_MIXING = ["w", "x", "y", "z"], [

@@ -12,6 +12,7 @@ from urnchains.chains import Backend, pcoh_ground_copointed
 from urnchains.multiset import BOOL, Alphabet, multinomial
 from urnchains.pcoh import (
     BangElement,
+    Pcs,
     PcsMatrix,
     PcsVector,
     WebConditionError,
@@ -173,6 +174,34 @@ def test_multiset_pcs_small_cases():
     m1 = multiset_pcs(GROUND, 1)
     assert m1.contains(PcsVector.of(m1.web, "1/2", "1/3")).inside
     assert not m1.contains(PcsVector.of(m1.web, 1, "1/2")).inside
+
+
+_SKEWED = PcsVector.of(WEB, 1, "1/2"), PcsVector.of(WEB, "1/3", 1)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [GROUND, ground_pcs(Alphabet.of("a", "b", "c")), with_unit_pcs(GROUND),
+     with_unit_pcs(Pcs(WEB, _SKEWED, "skewed"))],
+    ids=["bool", "abc", "bool-with-unit", "skewed-with-unit"],
+)
+def test_multiset_pcs_generators_are_the_tallied_tensor_products(space):
+    # oracle: coefficient at mu of the image of g1 (x) ... (x) gn is the sum,
+    # over the tuples t whose multiset is mu, of prod_j gj(t_j)
+    k = len(space.web)
+    for n in range(4):
+        m = multiset_pcs(space, n)
+        combos = list(itertools.combinations_with_replacement(space.generators, n))
+        assert len(m.generators) == len(combos)
+        for combo, g in zip(combos, m.generators):
+            expected = dict.fromkeys(m.web.labels, F(0))
+            for t in itertools.product(range(k), repeat=n):
+                term = F(1)
+                for gen, pos in zip(combo, t):
+                    term *= gen.coeffs[pos]
+                expected[tuple(t.count(a) for a in range(k))] += term
+            assert g.coeffs == tuple(expected[mu] for mu in m.web.labels)
+            assert all(type(v) is F for v in g.coeffs)
 
 
 def test_multiset_pcs_binomial_point_inside():

@@ -1,10 +1,12 @@
 import ast
 import inspect
+import random
 from collections import Counter
 
 import pytest
 
 from urnchains import chains, optim, pcoh, verify
+from urnchains._linalg import matmul
 from urnchains.multiset import Alphabet
 from urnchains.verify import Config, run_all_checks
 
@@ -182,3 +184,61 @@ def test_equaliser_checks_above_the_chain_depth_build_each_section_once(monkeypa
     # levels 0..3 of the stoch and delta coordinates, levels 0..2 of the padded bang chain
     assert len(sections) == 11 and set(sections.values()) == {1}
     assert {n for _, symbols, n in sections if symbols == ("t", "f")} == {0, 1, 2, 3}
+
+
+def _cone_rows(config):
+    _, built = verify.chain_checks(config)
+    rows = verify.cone_checks(config, built)
+    return [row for row in rows if row.name == "cone-round-trip"], built
+
+
+def test_cone_round_trip_makes_one_expand_and_one_factor_per_sample(monkeypatch):
+    calls = Counter()
+    for name in ("expand_dd_cone", "factor_delete_cone"):
+
+        def counted(cone, name=name, original=getattr(verify, name)):
+            calls[name, id(cone.chain)] += 1
+            return original(cone)
+
+        monkeypatch.setattr(verify, name, counted)
+    rows, built = _cone_rows(Config(depth=3, cone_samples=3, tensor_samples=1))
+    assert [row.passed for row in rows] == [True, True]
+    names = ("expand_dd_cone", "factor_delete_cone")
+    per_chain = [id(built[label]) for label in ("stoch", "pcoh-definetti")]
+    assert calls == {(name, c): 3 for name in names for c in per_chain}
+
+
+@pytest.mark.parametrize("name", ["expand_dd_cone", "factor_delete_cone"])
+def test_cone_round_trip_checks_the_output_of_each_direction(monkeypatch, name):
+    # doubling one entry of one returned leg must show in both chains' rows
+    original = getattr(verify, name)
+
+    def skewed(cone):
+        out = original(cone)
+        top = out.legs[-1]
+        first = dict(top[0])
+        j = next(iter(first))
+        first[j] *= 2
+        return chains.Cone(out.chain, out.legs[:-1] + [(first,) + top[1:]], out.kind)
+
+    monkeypatch.setattr(verify, name, skewed)
+    rows, _ = _cone_rows(Config(depth=3, cone_samples=2, tensor_samples=1))
+    assert len(rows) == 2
+    assert not any(row.passed or isinstance(row.deviation, str) for row in rows)
+    assert all(row.deviation > 0 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "symbols, depth", [(("t", "f"), 4), (("a", "b", "c"), 3)], ids=["two-symbols", "three-symbols"]
+)
+@pytest.mark.parametrize("label", ["stoch", "pcoh-definetti"])
+def test_expanding_a_dd_cone_gives_the_delete_cone_of_its_top(symbols, depth, label):
+    # the premise of the one-pass round trip: by the defining squares,
+    # expand(cone of T) is the delete-cone of T . eq_N, exactly
+    chain = chains.build_dd_chain(verify._COPOINTED[label](Alphabet.of(*symbols)), depth)
+    rng = random.Random(f"{label}:{depth}")
+    top_eq = chain.eqs[depth].entries
+    for apex in (1, 2, 3):
+        top = chains._random_stochastic_rows(rng, apex, len(top_eq))
+        expanded = chains.expand_dd_cone(chains.cone_from_top(chain, top, "dd"))
+        assert expanded.legs == chains.cone_from_top(chain, matmul(top, top_eq), "delete").legs

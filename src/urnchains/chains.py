@@ -15,18 +15,16 @@ by canonical_section).  The two differ by the multinomial diagonal
 (`multinomial_diagonal`), so the step's closed form differs only by the
 uniform draw probability mu(b)/(n+1).  A `DDChain` holds every map it is
 built from: the equalisers, their sections, the delete maps and the steps.
-The builder checks each square once, through the exact linear solve of the
-square: a closed form equal to the unique solution satisfies it, so a wrong
-closed form in either coordinate system cannot survive construction.  Next
-to it, the builder checks the split law section_n . eq_n = id at every level
-(`split_deviation`), which every factorisation rests on.  Every
-factorisation through an equaliser, with or without a parameter Y, is the
-one round trip of `DDChain.factor`.  The n-1 adjacent transpositions
-generate the symmetries, so they have the same equaliser, and invariance
-checks compare against them alone.  Every validation returns bare exact
-deviations, one per level with the level as the list index (`DDChain.validate`,
-`ChainMorphism.validate`), or their maximum (`Cone.deviation`); the law
-each one checks is stated in its docstring and in the report of `verify`.
+The builder checks the split law section_n . eq_n = id at every level
+(`split_deviation`) first, which makes every factorisation through eq_n
+unique; each one, with or without a parameter Y, is the split round trip of
+`DDChain.factor`, which proves each defining square, so a wrong closed form
+cannot survive construction.  The n-1 adjacent transpositions generate the
+symmetries, so they have the same equaliser, and invariance checks compare
+against them alone.  Every validation returns bare exact deviations, one per
+level with the level as the list index (`DDChain.validate`,
+`ChainMorphism.validate`), or their maximum (`Cone.deviation`); the law each
+one checks is stated in its docstring and in the report of `verify`.
 
 Chain limits are represented at a finite truncation as coherent families of
 legs, not as new objects: for the truncated-exponential chain the coherent
@@ -47,7 +45,7 @@ from fractions import Fraction
 
 from . import pcoh as _pcoh
 from . import stoch as _stoch
-from ._linalg import ONE, ZERO, LinearSolveError, identity, kron, matmul, max_abs_diff, solve_right
+from ._linalg import ONE, ZERO, identity, kron, matmul, max_abs_diff
 from .multiset import Alphabet, multinomial
 from .pcoh import Pcs, PcsMatrix, canonical_section, eq_delta, ground_pcs, with_unit_pcs
 from .spaces import IndexSet, multiset_space, symbol_space, tuple_space, unit_space
@@ -244,12 +242,12 @@ def split_deviation(eq, section) -> Fraction:
 def build_dd_chain(copointed: CopointedObject, depth: int) -> DDChain:
     """Build levels 0..depth with their equalisers, sections and chain steps.
 
-    The steps come from the backend closed form.  At every level the split
-    law section_n . eq_n = id is checked exactly, and each defining square
-    DD_n . eq_n = eq_{n+1} . (id^n (x) w) is checked once, exactly, by
-    solving it for its unique solution (eq_n is a split mono): the closed
-    form satisfies the square iff it equals that solution.  A failure is a
-    backend bug and raises ChainError naming the level.
+    The steps come from the backend closed form.  The split law
+    section_n . eq_n = id is checked exactly at every level first.  Given
+    it, the defining square X . eq_n = R, with R = eq_{n+1} . (id^n (x) w),
+    has at most one solution, R . section_n, and the split round trip of
+    `DDChain.factor` proves it one; the closed form DD_n must equal it.  A
+    failure is a backend bug and raises ChainError naming the level.
     """
     if depth < 0:
         raise ChainError("depth must be nonnegative")
@@ -261,16 +259,17 @@ def build_dd_chain(copointed: CopointedObject, depth: int) -> DDChain:
     for n, (eq, section) in enumerate(zip(eqs, sections)):
         if split_deviation(eq, section) != 0:
             raise ChainError(f"the section does not split the equaliser at level {n}")
+    chain = DDChain(copointed, depth, eqs, sections, deletes, dds)
     for n in range(depth):
         try:
-            solved = solve_right(eqs[n].entries, matmul(eqs[n + 1].entries, deletes[n].entries))
-        except LinearSolveError as exc:
+            solved = chain.factor(matmul(eqs[n + 1].entries, deletes[n].entries), n)
+        except ChainError as exc:
             raise ChainError(f"defining square unsolvable at level {n}: {exc}") from exc
         if max_abs_diff(solved, dds[n].entries) != 0:
             raise ChainError(
                 f"defining square fails at level {n}: the closed form differs from its unique solution"
             )
-    return DDChain(copointed, depth, eqs, sections, deletes, dds)
+    return chain
 
 
 # -- chain morphisms -----------------------------------------------------------

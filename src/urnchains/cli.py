@@ -18,7 +18,7 @@ import functools
 import math
 import sys
 
-from . import jsonio
+from . import jsonio, spaces
 from ._linalg import FLOAT_TOL
 from .jsonio import FormatError
 from .moments import (
@@ -247,6 +247,7 @@ def _validate(args) -> None:
 
 
 def main(argv=None) -> int:
+    spaces.BUILT.clear()  # each command builds its own index sets, also in a process that ran others
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

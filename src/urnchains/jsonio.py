@@ -146,7 +146,7 @@ def bang_from_json(data) -> BangElement:
             f"multiset {list(next(iter(table)))} is not a multiset of size <= {depth}"
             f" over {','.join(alphabet.symbols)}"
         )
-    return BangElement.on_web(web, alphabet, depth, coeffs)
+    return BangElement(alphabet, depth, coeffs)
 
 
 # -- files and CSV -------------------------------------------------------------------

@@ -66,13 +66,13 @@ def embed_mixing_measure(
     web = bounded_multiset_space(alphabet, depth)
     atoms = [(point.weights, w) for point, w in mixing.atoms]
     if is_exact(v for point, w in atoms for v in (w, *point)):
-        return BangElement.on_web(web, alphabet, depth, _exact_mixture(web, atoms))
+        return BangElement(alphabet, depth, _exact_mixture(web, atoms))
     starts = [(point, frac(w) if is_exact((w,)) else w) for point, w in atoms]
     coeffs = tuple(
         sum((_monomial(point, counts, start) for point, start in starts), ZERO)
         for counts in web.labels
     )
-    return BangElement.on_web(web, alphabet, depth, coeffs)
+    return BangElement(alphabet, depth, coeffs)
 
 
 def _exact_mixture(web, atoms) -> tuple:
@@ -192,7 +192,7 @@ def damp(b: BangElement, p) -> BangElement:
     coeffs = tuple(
         p ** sum(counts) * v for counts, v in zip(b.web.labels, b.coeffs)
     )
-    return BangElement.on_web(b.web, b.alphabet, b.depth, coeffs)
+    return BangElement(b.alphabet, b.depth, coeffs)
 
 
 def cone_from_total_element(b: BangElement, chain: DDChain | None = None) -> Cone:
@@ -267,7 +267,7 @@ def bang_from_moments(m: MomentTable, alphabet: Alphabet | None = None) -> BangE
                 f" {counts} reconstructs to {value}"
             )
         coeffs.append(value)
-    return BangElement.on_web(web, alphabet, depth, tuple(coeffs))
+    return BangElement(alphabet, depth, tuple(coeffs))
 
 
 # -- measure recovery ----------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 
 from ._linalg import (
@@ -266,7 +265,8 @@ def refuse_oversized_bang(symbols: int, depth: int, lower: str) -> None:
 @dataclass(frozen=True)
 class BangElement:
     """Depth-truncated element of the exponential: a full coefficient table
-    on multisets of size <= depth."""
+    on multisets of size <= depth, in the order of the one web
+    bounded_multiset_space(alphabet, depth) that `spaces` builds for them."""
 
     alphabet: Alphabet
     depth: int
@@ -284,24 +284,15 @@ class BangElement:
             if (v.numerator if type(v) is Fraction else v) < 0:
                 raise ValueError("coefficients must be nonnegative")
 
-    @cached_property
+    @property
     def web(self) -> IndexSet:
         return bounded_multiset_space(self.alphabet, self.depth)
-
-    @classmethod
-    def on_web(cls, web: IndexSet, alphabet: Alphabet, depth: int, coeffs: tuple) -> "BangElement":
-        """The element whose table is aligned with `web`, which the caller
-        built as bounded_multiset_space(alphabet, depth); it becomes the
-        element's web, so that nothing builds it again."""
-        b = cls(alphabet, depth, coeffs)
-        vars(b)["web"] = web  # where cached_property keeps its value
-        return b
 
     @classmethod
     def from_table(cls, alphabet: Alphabet, depth: int, table: dict) -> "BangElement":
         web = bounded_multiset_space(alphabet, depth)
         coeffs = tuple(frac(table.get(counts, 0)) for counts in web.labels)
-        return cls.on_web(web, alphabet, depth, coeffs)
+        return cls(alphabet, depth, coeffs)
 
     def at(self, counts: tuple[int, ...]):
         return self.coeffs[self.web.index(counts)]
@@ -321,7 +312,7 @@ def promotion(x: PcsVector, depth: int) -> BangElement:
     alphabet = Alphabet(x.web.labels)
     web = bounded_multiset_space(alphabet, depth)
     coeffs = tuple(_monomial(x.coeffs, counts) for counts in web.labels)
-    return BangElement.on_web(web, alphabet, depth, coeffs)
+    return BangElement(alphabet, depth, coeffs)
 
 
 def restrict_to_depth(b: BangElement, n: int) -> PcsVector:
@@ -329,6 +320,5 @@ def restrict_to_depth(b: BangElement, n: int) -> PcsVector:
     if n > b.depth:
         raise ValueError(f"cannot restrict to depth {n}: element has depth {b.depth}")
     web = bounded_multiset_space(b.alphabet, n)
-    src = b.web
-    return PcsVector(web, tuple(b.coeffs[src.index(lab)] for lab in web.labels))
+    return PcsVector(web, tuple(map(b.at, web.labels)))
 

@@ -3,9 +3,9 @@
 An IndexSet is an ordered list of hashable labels with a name; matrices in
 `stoch` and `pcoh` are indexed (source label, target label).  Tuple labels
 are tuples of alphabet positions; multiset labels are the count tuples of
-`multiset.enumerate_multisets`, used as they are.  Constructors here are
-deterministic, so two calls with the same arguments produce equal index sets
-and matrices built against them compose without surprises.
+`multiset.enumerate_multisets`, used as they are.  Each constructor builds
+the one index set of its (constructor, alphabet, n) on its first call in a
+command and returns that same object on every later call (see `BUILT`).
 """
 
 from __future__ import annotations
@@ -44,23 +44,33 @@ def unit_space() -> IndexSet:
     return IndexSet("1", ("*",))
 
 
+BUILT: dict = {}  # (constructor, alphabet, n) -> its IndexSet; `cli.main` empties it per command
+
+
+def _once(kind: str, alphabet: Alphabet, n: int, name: str, labels) -> IndexSet:
+    """The index set of (kind, alphabet, n), built on the first call.  The key
+    holds the alphabet, not its name: ("a,b", "c") and ("a", "b,c") are both X(a,b,c)."""
+    key = (kind, alphabet, n)
+    if key not in BUILT:
+        BUILT[key] = IndexSet(name.format(",".join(alphabet.symbols)), tuple(labels()))
+    return BUILT[key]
+
+
 def symbol_space(alphabet: Alphabet) -> IndexSet:
-    return IndexSet(f"X({','.join(alphabet.symbols)})", alphabet.symbols)
+    return _once("X", alphabet, 1, "X({})", lambda: alphabet.symbols)
 
 
 def tuple_space(alphabet: Alphabet, n: int) -> IndexSet:
     """Length-n tuples of alphabet positions, in row-major product order."""
-    labels = tuple(itertools.product(range(len(alphabet)), repeat=n))
-    return IndexSet(f"X({','.join(alphabet.symbols)})^{n}", labels)
+    return _once("X^n", alphabet, n, f"X({{}})^{n}", lambda: itertools.product(range(len(alphabet)), repeat=n))
 
 
 def multiset_space(alphabet: Alphabet, n: int) -> IndexSet:
     """Size-n multisets (count-vector labels) in canonical descending order."""
-    labels = tuple(enumerate_multisets(alphabet, n))
-    return IndexSet(f"M{n}({','.join(alphabet.symbols)})", labels)
+    return _once("M", alphabet, n, f"M{n}({{}})", lambda: enumerate_multisets(alphabet, n))
 
 
 def bounded_multiset_space(alphabet: Alphabet, n: int) -> IndexSet:
     """Multisets of size <= n; sizes 0..n concatenated, each in canonical order."""
-    labels = tuple(counts for m in range(n + 1) for counts in enumerate_multisets(alphabet, m))
-    return IndexSet(f"M<={n}({','.join(alphabet.symbols)})", labels)
+    labels = lambda: (counts for m in range(n + 1) for counts in enumerate_multisets(alphabet, m))
+    return _once("M<=", alphabet, n, f"M<={n}({{}})", labels)

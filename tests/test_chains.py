@@ -116,6 +116,26 @@ def test_closed_form_breaking_one_square_is_refused_naming_its_level(monkeypatch
         build_dd_chain(cop, 3)
 
 
+def test_square_without_a_solution_is_refused_naming_its_level(monkeypatch):
+    # redirecting (t,t,f) -> (t,t) to (f,t) at level 2 makes eq_3 . d_2
+    # asymmetric, so no X solves X . eq_2 = eq_3 . d_2: the square cannot be
+    # solved at all, which no change to the closed form can bring about
+    cop = stoch_copointed(BOOL)
+    delete_map = Backend.delete_map
+
+    def redirected_at_level_2(weaken, n):
+        d = delete_map(cop.backend, weaken, n)
+        if n != 2:
+            return d
+        row = d.source.index((0, 0, 1))
+        rows = d.entries[:row] + ({d.target.index((1, 0)): F(1)},) + d.entries[row + 1:]
+        return FinKernel(d.source, d.target, rows)
+
+    monkeypatch.setattr(cop.backend, "delete_map", redirected_at_level_2)
+    with pytest.raises(ChainError, match="defining square unsolvable at level 2: "):
+        build_dd_chain(cop, 3)
+
+
 def test_section_that_does_not_split_is_refused_naming_its_level(monkeypatch):
     from urnchains import chains
 

@@ -883,9 +883,16 @@ def test_bang_iota_and_totality_build_no_multiset(tmp_path, monkeypatch):
     assert built == []
 
 
-def test_bang_commands_build_the_web_once(tmp_path, dirac_mixing, monkeypatch):
+@pytest.mark.parametrize("command", ["iota", "totality"])
+def test_bang_commands_build_the_web_once(tmp_path, dirac_mixing, monkeypatch, command):
     # `spaces` builds each index set on its first call in a command and hands
     # it out after; iota and totality on one element each build M<=5 once
+    bang = str(tmp_path / "bang.json")
+    assert main(["bang", "iota", "--mixing", dirac_mixing, "--depth", "5", "--out", bang]) == 0
+    argv = {
+        "iota": ["bang", "iota", "--mixing", dirac_mixing, "--depth", "5", "--out", bang],
+        "totality": ["bang", "totality", "--bang", bang],
+    }[command]
     built = []
     init = spaces.IndexSet.__init__
 
@@ -894,14 +901,8 @@ def test_bang_commands_build_the_web_once(tmp_path, dirac_mixing, monkeypatch):
         init(self, name, labels)
 
     monkeypatch.setattr(spaces.IndexSet, "__init__", counting_init)
-    bang = str(tmp_path / "bang.json")
-    for argv in (
-        ["bang", "iota", "--mixing", dirac_mixing, "--depth", "5", "--out", bang],
-        ["bang", "totality", "--bang", bang],
-    ):
-        built.clear()
-        assert main(argv) == 0
-        assert built.count("M<=5(t,f)") == 1, argv[1]
+    assert main(argv) == 0
+    assert built.count("M<=5(t,f)") == 1
 
 
 def test_repeated_main_calls_give_the_same_results(tmp_path, dirac_mixing, capsys):

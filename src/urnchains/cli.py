@@ -233,6 +233,9 @@ def _validate(args) -> None:
         raise FormatError("--depth must be nonnegative")
     if getattr(args, "trials", 1) < 1:
         raise FormatError("--trials must be at least 1")
+    # a larger trial number would span two words of the trial's spawn key
+    if getattr(args, "trials", 1) > 2**32:
+        raise FormatError(f"--trials must be at most 2**32, not {args.trials}")
     if args.func is cmd_simulate and args.seed < 0:
         raise FormatError("--seed must be nonnegative")
     # numpy's multinomial draw takes counts up to the largest int64

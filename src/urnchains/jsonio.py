@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from ._linalg import ZERO, frac
@@ -213,11 +214,11 @@ def _render(o, newline: str) -> str:
 
 def histogram_csv(law: EmpiricalLaw) -> str:
     header = ",".join(f"freq_{s}" for s in law.alphabet.symbols)
-    n = law.prefix_length
+    n, hist = law.prefix_length, law.histogram
+    # one repr per distinct count, shared by every row and column
+    freq = {c: repr(c / n) for c in set(chain.from_iterable(hist))}.get
     lines = [f"{header},count"]
-    for counts, count in sorted(law.histogram.items(), reverse=True):
-        freqs = ",".join([repr(c / n) for c in counts])
-        lines.append(f"{freqs},{count}")
+    lines += [f"{','.join(map(freq, counts))},{hist[counts]}" for counts in sorted(hist, reverse=True)]
     return "\n".join(lines) + "\n"
 
 

@@ -5,15 +5,17 @@ on the shared `_linalg.Matrix` base; `_linalg.compose(f, g)` is "f then g".
 Everything structural (equalisers of the symmetry action on tuple spaces,
 the multinomial urn laws) is exact; the draw-and-delete step between the
 equalisers is `chains.Backend.dd_closed_form`.  The Monte Carlo law of
-exchangeable prefixes uses 64-bit floats and explicit seeds.
+exchangeable prefixes uses 64-bit floats and explicit seeds: each trial's
+PCG64 stream, and the uniform that picks its atom, are computed in bulk in
+numpy, and the trial itself is one multinomial draw.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -284,7 +286,9 @@ _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
+_LOW32 = np.uint64(_MASK32)
+_SHIFT32 = np.uint64(32)
 # trials whose states are derived in one numpy pass
 _STATE_CHUNK = 1024
 
@@ -310,21 +314,60 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _trial_states(seed: int, trials: int):
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    # the high word of the 128-bit products a * b, on 32-bit limbs
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
+    lh, hl = a_lo * b_hi, a_hi * b_lo
+    mid = (a_lo * b_lo >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
+    return a_hi * b_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """state * _PCG64_MULT + inc mod 2**128, PCG64's LCG step, on uint64 halves."""
+    m_hi, m_lo = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64)
+    return _add128(_mulhi64(lo, m_lo) + lo * m_hi + hi * m_lo, lo * m_lo, inc_hi, inc_lo)
+
+
+def _first_uniforms(hi, lo, inc_hi, inc_lo):
+    """The first `Generator.random()` of each stream, and the state halves
+    after it: one LCG step, PCG64's XSL-RR output rotr64(hi ^ lo, hi >> 58),
+    then (x >> 11) * 2**-53."""
+    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+    rot, x = hi >> np.uint64(58), hi ^ lo
+    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53, hi, lo
+
+
+def _state_dicts(hi, lo, inc_hi, inc_lo) -> list[dict]:
+    """`PCG64.state` dicts of a chunk of streams given as uint64 halves."""
+    return [
+        {
+            "bit_generator": "PCG64",
+            "state": {"state": h << 64 | l, "inc": ih << 64 | il},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for h, l, ih, il in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
+    ]
+
+
+def _trial_streams(seed: int, trials: int):
     """PCG64 states of the per-trial streams, derived in bulk.
 
-    Yields, for trial = 0, ..., trials - 1, the `PCG64.state` dict of
-    `PCG64(SeedSequence(entropy=seed, spawn_key=(trial,)))` without building
-    either object per trial.  The spawn key is the last word SeedSequence
-    hashes into its pool, so the pool is mixed once over the seed's words
-    and only the last round is vectorised over the trial numbers, in chunks
-    of _STATE_CHUNK; `generate_state(4, uint64)` and PCG64's `set_seed` then
-    follow.  numpy refuses what it refuses today (a negative seed, a float),
-    and trial 0 is checked against numpy's own construction on every call.
-
-    >>> [np.random.PCG64(np.random.SeedSequence(entropy=2**64 + 1, spawn_key=(t,))).state
-    ...  for t in range(3)] == list(_trial_states(2**64 + 1, 3))
-    True
+    Returns an iterator over chunks of up to _STATE_CHUNK trials, each the
+    uint64 halves (state_hi, state_lo, inc_hi, inc_lo) of the seeded
+    `PCG64(SeedSequence(entropy=seed, spawn_key=(trial,)))`.  The spawn key
+    is the last word SeedSequence hashes into its pool, so the pool is mixed
+    once over the seed's words and only the last round is vectorised over
+    the trial numbers; `generate_state(4, uint64)` and PCG64's `set_seed`
+    follow.  numpy's refusals (a negative seed, a float) raise at the call,
+    and trial 0's state and first uniform are checked against numpy's.
     """
     entropy = np.random.SeedSequence(seed).entropy
     if trials > 1 << 32:
@@ -346,7 +389,7 @@ def _trial_states(seed: int, trials: int):
             h, hash_const = _hash(np.array([word], dtype=np.uint32), hash_const, _MULT_A)
             pool[dst] = _mix(pool[dst], h)
 
-    def derive(start: int, stop: int) -> list[dict]:
+    def derive(start: int, stop: int):
         trial_words = np.arange(start, stop, dtype=np.uint32)
         hc = hash_const
         mixed = []
@@ -359,52 +402,39 @@ def _trial_states(seed: int, trials: int):
         for i in range(8):
             h, hc = _hash(mixed[i % _POOL_SIZE], hc, _MULT_B)
             out.append(h.astype(np.uint64))
-        halves = [(out[2 * j] | (out[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)]
-        states = []
-        for s_hi, s_lo, i_hi, i_lo in zip(*halves):
-            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-            states.append(
-                {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-            )
-        return states
+        s_hi, s_lo, i_hi, i_lo = (out[2 * j] | (out[2 * j + 1] << _SHIFT32) for j in range(4))
+        # set_seed: inc = 2 * initseq + 1, state = (inc + initstate) * mult + inc
+        inc_hi = (i_hi << np.uint64(1)) | (i_lo >> np.uint64(63))
+        inc_lo = (i_lo << np.uint64(1)) | np.uint64(1)
+        return (*_lcg_step(*_add128(s_hi, s_lo, inc_hi, inc_lo), inc_hi, inc_lo), inc_hi, inc_lo)
 
-    expected = np.random.PCG64(np.random.SeedSequence(entropy=entropy, spawn_key=(0,))).state
-    if derive(0, 1)[0] != expected:
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=entropy, spawn_key=(0,))))
+    expected = (rng.bit_generator.state, rng.random())
+    first = derive(0, 1)
+    if (_state_dicts(*first)[0], _first_uniforms(*first)[0][0]) != expected:
         raise RuntimeError(
             f"PCG64 state derivation disagrees with numpy {np.__version__}'s SeedSequence"
         )
-    return itertools.chain.from_iterable(
-        derive(start, min(start + _STATE_CHUNK, trials))
-        for start in range(0, trials, _STATE_CHUNK)
-    )
+    return (derive(start, min(start + _STATE_CHUNK, trials)) for start in range(0, trials, _STATE_CHUNK))
 
 
-def _trial_rngs(seed: int, trials: int):
-    """One Generator per trial, in order, on the stream of _trial_states.
+def _trial_states(seed: int, trials: int):
+    """`PCG64.state` dicts of the per-trial streams of _trial_streams, in order.
 
-    The same Generator is re-seeded for each trial, so use it before taking
-    the next.
+    >>> [np.random.PCG64(np.random.SeedSequence(entropy=2**64 + 1, spawn_key=(t,))).state
+    ...  for t in range(3)] == list(_trial_states(2**64 + 1, 3))
+    True
     """
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for state in _trial_states(seed, trials):
-        bit_generator.state = state
-        yield rng
+    return itertools.chain.from_iterable(_state_dicts(*chunk) for chunk in _trial_streams(seed, trials))
 
 
-def _atom_cdf(mixing: AtomicMeasure) -> list[float]:
+def _atom_cdf(mixing: AtomicMeasure) -> np.ndarray:
     # the CDF that Generator.choice(len(atoms), p=weights / weights.sum())
     # searches, with searchsorted(side="right"), for its one uniform
     weights = np.asarray([float(w) for _, w in mixing.atoms])
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
-    return cdf.tolist()
+    return cdf
 
 
 @dataclass
@@ -416,13 +446,30 @@ class EmpiricalLaw:
     trials: int
     histogram: Counter = field(default_factory=Counter)
 
+    @cached_property
+    def _columns(self) -> tuple[list, np.ndarray]:
+        # the histogram transposed: per symbol, its distinct counts and each
+        # row's index among them; and the rows' tallies, in insertion order
+        hist, k = self.histogram, len(self.alphabet)
+        counts = np.fromiter(itertools.chain.from_iterable(hist), np.int64, len(hist) * k)
+        columns = [np.unique(column, return_inverse=True) for column in counts.reshape(-1, k).T]
+        tallies = np.fromiter(hist.values(), np.int64, len(hist))
+        return [(distinct.tolist(), where) for distinct, where in columns], tallies
+
     def moment(self, symbol: str, order: int) -> float:
-        i = self.alphabet.index(symbol)
+        """(1/trials) Σ tally * (count of symbol / n) ** order over the rows.
+
+        The histogram is transposed on the first call and kept, so it must be
+        complete by then.  `(count / n) ** order` is taken once per distinct
+        count, with Python `**`; the terms tally * power and their order (the
+        histogram's) are those of the row-by-row sum, and `sum()` adds them,
+        so the moment has that sum's bits on every Python version.
+        """
+        columns, tallies = self._columns
+        distinct, where = columns[self.alphabet.index(symbol)]
         n = self.prefix_length
-        total = sum(
-            c * (counts[i] / n) ** order for counts, c in self.histogram.items()
-        )
-        return total / self.trials
+        powers = np.array([(v / n) ** order for v in distinct], dtype=np.float64)
+        return sum((tallies * powers[where]).tolist()) / self.trials
 
 
 def empirical_law(mixing: AtomicMeasure, n: int, trials: int, seed: int) -> EmpiricalLaw:
@@ -433,9 +480,11 @@ def empirical_law(mixing: AtomicMeasure, n: int, trials: int, seed: int) -> Empi
     count vector directly.  Trial t runs on the PCG64 stream of
     SeedSequence(entropy=seed, spawn_key=(t,)): one uniform picks the atom as
     Generator.choice would, then one multinomial draw gives the counts.  The
-    streams are derived in bulk (_trial_states) and the atom CDF and float
-    atoms once per call, so the histogram is bit-identical to building a
-    default_rng per trial, and does not depend on how trials are split.
+    streams and their atom-picking uniforms are derived in bulk
+    (_trial_streams, _first_uniforms), and the atom CDF and float atoms once
+    per call, so each trial only sets its state and draws the counts.  The
+    histogram is bit-identical to building a default_rng per trial, and does
+    not depend on how trials are split.
     """
     if not mixing.is_probability:
         raise ValueError("empirical law needs a probability mixing measure")
@@ -445,8 +494,16 @@ def empirical_law(mixing: AtomicMeasure, n: int, trials: int, seed: int) -> Empi
     points = [p.as_floats() for p, _ in mixing.atoms]
     law = EmpiricalLaw(mixing.alphabet, n, trials)
     histogram = law.histogram
-    for rng in _trial_rngs(seed, trials):
-        counts = rng.multinomial(n, points[bisect.bisect_right(cdf, rng.random())])
-        histogram[tuple(counts.tolist())] += 1
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    # the state setter copies the two ints out, so one dict serves every trial
+    state = {"state": 0, "inc": 0}
+    setting = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    for hi, lo, inc_hi, inc_lo in _trial_streams(seed, trials):
+        uniforms, hi, lo = _first_uniforms(hi, lo, inc_hi, inc_lo)
+        atoms = np.searchsorted(cdf, uniforms, side="right").tolist()
+        for j, h, l, ih, il in zip(atoms, hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
+            state["state"], state["inc"] = h << 64 | l, ih << 64 | il
+            bit_generator.state = setting
+            histogram[tuple(rng.multinomial(n, points[j]).tolist())] += 1
     return law
-

@@ -207,3 +207,24 @@ def totality_oracle(table, labels, depth):
         if abs(table[mu] - rhs) > worst:
             worst, found = abs(table[mu] - rhs), (mu, table[mu], rhs)
     return (worst, *found)
+
+
+def histogram_csv_rows(law):
+    """The histogram CSV of an empirical law, written row by row: one repr
+    per cell, rows in descending order of their count vectors."""
+    header = ",".join(f"freq_{s}" for s in law.alphabet.symbols)
+    n = law.prefix_length
+    lines = [f"{header},count"]
+    for counts, count in sorted(law.histogram.items(), reverse=True):
+        freqs = ",".join([repr(c / n) for c in counts])
+        lines.append(f"{freqs},{count}")
+    return "\n".join(lines) + "\n"
+
+
+def row_moment(law, symbol, order):
+    """The empirical moment of an empirical law, summed row by row in the
+    histogram's order."""
+    i = law.alphabet.index(symbol)
+    n = law.prefix_length
+    total = sum(c * (counts[i] / n) ** order for counts, c in law.histogram.items())
+    return total / law.trials

@@ -1,10 +1,12 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from helpers import dense_rows, sparse
@@ -384,6 +386,13 @@ def test_bad_flag_values_are_input_errors(dirac_mixing, capsys, tmp_path):
     argv = ["definetti", "simulate", "--mixing", dirac_mixing, "--seed", "-1"]
     assert main(argv) == 2
     assert "--seed must be nonnegative" in capsys.readouterr().err
+    # more trials than one spawn-key word counts are refused up front, naming the flag
+    argv = ["definetti", "simulate", "--mixing", dirac_mixing, "--trials", str(2**32 + 1)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert "--trials must be at most 2**32" in capsys.readouterr().err
+    _validate(_build_parser().parse_args(["definetti", "simulate", "--mixing", dirac_mixing, "--trials", str(2**32)]))
     # verify-all keeps accepting negative seeds
     _validate(_build_parser().parse_args(["verify-all", "--seed", "-1"]))
     # sizes past a cap are refused before any work, naming the flag to lower
@@ -479,6 +488,32 @@ def test_simulate_output_digests(tmp_path, mixing, prefix, trials, seed, hist_di
         for p in (hist, str(tmp_path / "hist-moments.csv"))
     ]
     assert digests == [hist_digest, moments_digest]
+
+
+def _bench_workloads(monkeypatch):
+    """perfbench/workloads.py as a module, loaded without writing bytecode beside it."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_simulate_matches_the_bench_digests_of_seed_0(tmp_path, capsys, monkeypatch):
+    # the benchmark's bit-identity gate: its seed-0 round of 12 simulate tasks
+    # against the histogram digests it recorded, which hold for one numpy version
+    workloads = _bench_workloads(monkeypatch)
+    with open(workloads.DIGESTS_PATH, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    if recorded["numpy"] != np.__version__:
+        pytest.skip(f"digests recorded with numpy {recorded['numpy']}, not {np.__version__}")
+    tasks = workloads.make_tasks("simulate", 0, str(tmp_path))
+    assert len(tasks) == 12
+    for task in tasks:
+        assert main(task.steps[0].argv) == 0
+        assert workloads.histogram_digest(task.info["hist"]) == recorded["seeds"]["0"][task.name], task.name
 
 
 def test_simulate_moments_out_without_out_writes_the_moment_table(tmp_path, capsys):

@@ -4,18 +4,20 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import histogram_csv_rows, row_moment
 from urnchains import jsonio
 from urnchains._linalg import frac
 from urnchains.jsonio import FormatError
-from urnchains.multiset import BOOL
+from urnchains.multiset import BOOL, Alphabet
 from urnchains.pcoh import BangElement
-from urnchains.stoch import AtomicMeasure, ProbVector, empirical_law
+from urnchains.stoch import AtomicMeasure, EmpiricalLaw, ProbVector, empirical_law
 
 F = Fraction
 
@@ -94,6 +96,44 @@ def test_histogram_csv_shape():
     lines = csv.strip().split("\n")
     assert lines[0] == "freq_t,freq_f,count"
     assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) == 50
+
+
+@st.composite
+def _laws(draw):
+    """Empirical laws of 1-4 symbols whose rows are count vectors summing to
+    the prefix length, with small and boundary counts over-represented (so
+    that repr gives forms like 1e-05) and, sometimes, a column of zeros."""
+    n = draw(st.sampled_from([1, 7, 100_000]))
+    k = draw(st.integers(1, 4))
+    zero = draw(st.none() | st.integers(0, k - 1)) if k > 1 else None
+    cut = st.one_of(st.integers(0, 3), st.integers(0, n), st.integers(max(n - 3, 0), n))
+    parts = k - 1 if zero is not None else k
+
+    def row(cuts):
+        bounds = [0, *sorted(cuts), n]
+        counts = [b - a for a, b in zip(bounds, bounds[1:])]
+        return tuple(counts[:zero] + [0] + counts[zero:]) if zero is not None else tuple(counts)
+
+    rows = draw(st.lists(st.lists(cut, min_size=parts - 1, max_size=parts - 1).map(row), min_size=1, max_size=40))
+    tallies = draw(st.lists(st.integers(1, 10_000), min_size=len(rows), max_size=len(rows)))
+    histogram = Counter()
+    for counts, tally in zip(rows, tallies):
+        histogram[counts] += tally
+    alphabet = Alphabet.of(*"abcd"[:k])
+    return EmpiricalLaw(alphabet, n, sum(histogram.values()), histogram)
+
+
+_ONE_ROW = EmpiricalLaw(Alphabet.of("a", "b", "c"), 100_000, 3, Counter({(1, 0, 99_999): 3}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_laws())
+@example(_ONE_ROW)
+def test_histogram_csv_and_moments_match_row_by_row_oracles(law):
+    assert jsonio.histogram_csv(law) == histogram_csv_rows(law)
+    for symbol in law.alphabet.symbols:
+        for order in (1, 2, 3):
+            assert repr(law.moment(symbol, order)) == repr(row_moment(law, symbol, order))
 
 
 # -- the writer: json.dump(indent=2, sort_keys=True) bytes ---------------------------

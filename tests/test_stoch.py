@@ -29,7 +29,7 @@ from urnchains.stoch import (
     symmetry_kernel,
     verify_equalises,
 )
-from urnchains.stoch import _STATE_CHUNK, _trial_states
+from urnchains.stoch import _STATE_CHUNK, _first_uniforms, _state_dicts, _trial_states, _trial_streams
 
 F = Fraction
 ABC = Alphabet.of("a", "b", "c")
@@ -385,6 +385,30 @@ def test_trial_states_match_numpy_seed_sequence(seed, trials, picks):
     for t in sorted({t for t in near if 0 <= t < trials} | {p % trials for p in picks}):
         expected = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(t,))).state
         assert states[t] == expected
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.one_of(
+        st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3]),
+        st.integers(0, 2**200),
+    ),
+    trials=st.sampled_from([1, _STATE_CHUNK - 1, _STATE_CHUNK, _STATE_CHUNK + 1, 2 * _STATE_CHUNK + 1]),
+)
+@example(seed=2**128 + 3, trials=2 * _STATE_CHUNK + 1)
+@example(seed=2**32 - 1, trials=_STATE_CHUNK + 1)
+def test_first_uniforms_and_states_after_them_match_numpy(seed, trials):
+    # the bulk first draw of every trial: the atom-picking uniform, and the
+    # state that the trial's multinomial draw starts from
+    draws = []
+    for hi, lo, inc_hi, inc_lo in _trial_streams(seed, trials):
+        uniforms, hi, lo = _first_uniforms(hi, lo, inc_hi, inc_lo)
+        draws += zip(uniforms.tolist(), _state_dicts(hi, lo, inc_hi, inc_lo))
+    assert len(draws) == trials
+    for t, (uniform, state) in enumerate(draws):
+        rng = _per_trial_rng(seed, t)
+        assert uniform == rng.random()
+        assert state == rng.bit_generator.state
 
 
 def test_trial_states_refuse_what_numpy_refuses_and_check_numpy(monkeypatch):

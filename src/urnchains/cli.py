@@ -136,8 +136,7 @@ def cmd_iota(args) -> int:
     mixing = jsonio.measure_from_json(jsonio.load_json(args.mixing))
     refuse_oversized_bang(len(mixing.alphabet), args.depth, "lower --depth")
     b = embed_mixing_measure(mixing, args.depth)
-    payload = jsonio.bang_to_json(b, mode=args.mode)
-    jsonio.dump_json(payload, args.out)
+    jsonio.dump_json(b, args.out, mode=args.mode)
     if args.out:
         print(f"bang element -> {args.out}")
     if not mixing.is_probability:

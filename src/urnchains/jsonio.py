@@ -9,6 +9,9 @@ are refused as values, and multiset counts must be JSON integers.
 Every JSON file and stdout payload is 2-space indented, key-sorted JSON and a
 newline, byte-identical to `json.dump(data, fh, indent=2, sort_keys=True)`
 followed by "\n"; `dump_json` renders the whole text first and writes it once.
+A bang element goes to `dump_json` as it is: its file is written straight
+from its labels and coefficients, one entry template per multiset width,
+with no dict per coefficient; other payloads are rendered from their dicts.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 
 from ._linalg import ZERO, frac
@@ -106,18 +109,6 @@ def measure_from_json(data) -> AtomicMeasure:
 
 # -- bang elements -----------------------------------------------------------------
 
-def bang_to_json(b: BangElement, mode: str = "exact") -> dict:
-    return {
-        "alphabet": alphabet_to_json(b.alphabet),
-        "depth": b.depth,
-        "coeffs": [
-            {"multiset": list(counts), "value": _value_out(v, mode)}
-            for counts, v in zip(b.web.labels, b.coeffs)
-            if v
-        ],
-    }
-
-
 def bang_from_json(data) -> BangElement:
     """Read a bang element; every listed multiset must be on its web, once."""
     try:
@@ -162,10 +153,12 @@ def load_json(path: str) -> dict:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def dump_json(data, path: str | None) -> None:
+def dump_json(data, path: str | None, mode: str = "exact") -> None:
     """Indented, key-sorted JSON and a newline, to path or, without one, to
-    stdout, in one write; the bytes json.dump(indent=2, sort_keys=True) gives."""
-    text = _render(data, "\n") + "\n"
+    stdout, in one write; the bytes json.dump(indent=2, sort_keys=True) gives.
+    A BangElement is written as its bang file (see `_bang_text`), its values
+    exact or, in mode "float", floats."""
+    text = _bang_text(data, mode) if isinstance(data, BangElement) else _render(data, "\n") + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -174,6 +167,32 @@ def dump_json(data, path: str | None) -> None:
 
 
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# a bang file entry {"multiset": counts, "value": value}, formatted with the
+# %d count slots of one multiset width and the value's JSON text
+_BANG_ENTRY = '    {{\n      "multiset": [\n        {}\n      ],\n      "value": %s\n    }}'
+
+
+def _bang_text(b: BangElement, mode: str) -> str:
+    """The bang file of b: the text of {"alphabet": ..., "coeffs": [...],
+    "depth": ...} with one coeffs entry {"multiset": counts, "value": value}
+    per nonzero coefficient, in web order; exact values as ints and "p/q"
+    strings, float ones as floats.  Every entry is formatted from one
+    template for the alphabet's width."""
+    labels = list(compress(b.web.labels, b.coeffs))
+    values = list(compress(b.coeffs, b.coeffs))
+    if mode == "float":
+        texts = [_FLOAT_SPECIALS.get(t, t) for t in map(repr, map(float, values))]
+    else:
+        values = [v if type(v) is Fraction else frac(v) for v in values]
+        texts = [
+            str(v.numerator) if v.denominator == 1 else '"%d/%d"' % (v.numerator, v.denominator)
+            for v in values
+        ]
+    entry = _BANG_ENTRY.format(",\n        ".join(["%d"] * len(b.alphabet)))
+    entries = ",\n".join([entry % (*counts, text) for counts, text in zip(labels, texts)])
+    coeffs = "[\n" + entries + "\n  ]" if entries else "[]"
+    alphabet = _render(alphabet_to_json(b.alphabet), "\n  ")
+    return f'{{\n  "alphabet": {alphabet},\n  "coeffs": {coeffs},\n  "depth": {b.depth}\n}}\n'
 
 
 def _render(o, newline: str) -> str:

@@ -20,19 +20,26 @@ image of no mixing measure; the program does not tell the two apart (the urn
 above has residual 1/4 at every grid).
 
 Exact tables are checked at tolerance zero and float ones at
-`_linalg.FLOAT_TOL`, the package's one exact-versus-float policy.  Exact
-arithmetic runs on integer numerators: the embedding of exact atoms is built
-by `_exact_mixture` over one common denominator per multiset size,
-and the totality recurrence of an exact table runs on the table times the
-lcm of its denominators, so its defects are ints until they are reported as
-Fractions.  Float inputs keep the float loops, operation for operation.
+`_linalg.FLOAT_TOL`, the package's one exact-versus-float policy.  Both the
+embedding and the recurrence run one size block of the web at a time, on the
+nesting of its blocks (see `spaces.bounded_multiset_space`): the labels of
+size s+1 with a count of x are the labels of size s plus one x, in order.
+The embedding of exact atoms builds each block's integer monomials from the
+block below and sums the atoms over one common denominator per size; the
+recurrence takes each block's right-hand sides as k filtered slices of the
+block above, on the table times the lcm of its denominators when it is
+exact, so that its defects are ints until they are reported as Fractions.
+A float table's right-hand sides are added in symbol order from zero, as the
+recurrence reads, so its defects are the same floats label by label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import comb, lcm
+from operator import itemgetter
 
 from ._linalg import ZERO, _monomial, arithmetic, frac, is_exact
 from .chains import Cone, DDChain, build_dd_chain, pcoh_ground_copointed
@@ -63,51 +70,51 @@ def embed_mixing_measure(
         alphabet = mixing.alphabet
     elif alphabet is None:
         raise ValueError("empty measure needs an explicit alphabet")
-    web = bounded_multiset_space(alphabet, depth)
     atoms = [(point.weights, w) for point, w in mixing.atoms]
     if is_exact(v for point, w in atoms for v in (w, *point)):
-        return BangElement(alphabet, depth, _exact_mixture(web, atoms))
+        return BangElement(alphabet, depth, _exact_mixture(len(alphabet), depth, atoms))
     starts = [(point, frac(w) if is_exact((w,)) else w) for point, w in atoms]
     coeffs = tuple(
         sum((_monomial(point, counts, start) for point, start in starts), ZERO)
-        for counts in web.labels
+        for counts in bounded_multiset_space(alphabet, depth).labels
     )
     return BangElement(alphabet, depth, coeffs)
 
 
-def _exact_mixture(web, atoms) -> tuple:
-    """The exact table sum_j w_j prod_a r_j(a)^mu(a) over the labels mu of
-    `web`, a bounded multiset web, of exact (point r_j, weight w_j) atoms.
+def _exact_mixture(k: int, depth: int, atoms) -> tuple:
+    """The exact table sum_j w_j prod_a r_j(a)^mu(a) over the multisets mu
+    of size <= depth over k symbols, in web order, of exact (point r_j,
+    weight w_j) atoms.
 
     Each point is written over its own common denominator d_j, so that its
-    monomial at mu is an integer over d_j^|mu|, built with one int product
-    per label: every nonempty label is a smaller label plus its first
-    symbol.  At each size s the atoms are summed over the common denominator
-    D_s = lcm_j(den(w_j) d_j^s), one Fraction per coefficient.
+    monomial at mu is an integer over d_j^|mu|.  The monomials of size s+1
+    are built from those of size s, one int product each: the labels of
+    size s+1 whose first nonzero count is at x are the last
+    multiset_count(k - x, s) labels of size s plus one x, in order (see
+    `spaces.bounded_multiset_space`).  At each size s the atoms are summed
+    over the common denominator D_s = lcm_j(den(w_j) d_j^s), one Fraction
+    per coefficient.
     """
-    labels = web.labels
-    # for each nonempty label: the index of the label less its first symbol, and that symbol
-    steps = []
-    for counts in labels[1:]:
-        x = next(x for x, c in enumerate(counts) if c)
-        steps.append((web.index(counts[:x] + (counts[x] - 1,) + counts[x + 1 :]), x))
     terms = []
     for point, w in atoms:
         d = lcm(*(v.denominator for v in point))
         nums = [v.numerator * (d // v.denominator) for v in point]
-        monomials = [1]
-        for parent, x in steps:
-            monomials.append(monomials[parent] * nums[x])
-        terms.append((w.numerator, w.denominator, d, monomials))
+        terms.append((w.numerator, w.denominator, d, nums))
+    blocks = [[1] for _ in terms]  # each atom's monomials of the current size
     coeffs = []
-    last = None
-    for i, counts in enumerate(labels):
-        size = sum(counts)
-        if size != last:
-            last = size
-            den = lcm(*(q * d**size for _, q, d, _ in terms))
-            scales = [(p * (den // (q * d**size)), monomials) for p, q, d, monomials in terms]
-        coeffs.append(Fraction(sum(c * monomials[i] for c, monomials in scales), den))
+    for s in range(depth + 1):
+        if s:
+            tails = [multiset_count(k - x, s - 1) for x in range(k)]
+            blocks = [
+                [m * num for tail, num in zip(tails, nums) for m in block[-tail:]]
+                for block, (_, _, _, nums) in zip(blocks, terms)
+            ]
+        den = lcm(*(q * d**s for _, q, d, _ in terms))
+        numerators = [0] * multiset_count(k, s)
+        for (p, q, d, _), block in zip(terms, blocks):
+            scale = p * (den // (q * d**s))
+            numerators = [n + scale * m for n, m in zip(numerators, block)]
+        coeffs += [Fraction(n, den) for n in numerators]
     return tuple(coeffs)
 
 
@@ -133,8 +140,13 @@ def check_totality(b: BangElement, tol=None) -> TotalityReport:
 
     The recurrence coeffs(mu) = sum_x coeffs(mu + [x]) for every |mu| < depth
     is exactly the compatibility of the element's level family with the
-    draw-and-delete chain; the worst-violating multiset is reported.  The
-    tolerance defaults to the one `_linalg.arithmetic` gives the table.
+    draw-and-delete chain; the worst-violating multiset, the first in web
+    order, is reported.  It is checked one size block at a time: the
+    right-hand sides of size s are the sums of k filtered slices of the
+    block of size s+1, those of the labels with a count of each symbol x.
+    An exact table is checked on ints, the table times the lcm of its
+    denominators.  The tolerance defaults to the one `_linalg.arithmetic`
+    gives the table.
     """
     exact = is_exact(b.coeffs)
     if tol is None:
@@ -155,26 +167,34 @@ def check_totality(b: BangElement, tol=None) -> TotalityReport:
 def _worst_defect(b: BangElement, values, one, zero):
     """(defect, witness, lhs, rhs) of the first of the worst violations of
     values[empty] = one and of the recurrence, for `values` aligned with
-    b.web; witness, lhs and rhs are None when no defect exceeds `zero`."""
-    web = b.web
+    b.web; witness, lhs and rhs are None when no defect exceeds `zero`.
+
+    The labels of size s+1 with a count of x are, in order, those of size s
+    plus one x (see `spaces.bounded_multiset_space`), so each block's
+    right-hand sides are k filtered slices of the block above, added in
+    symbol order from `zero`, as the recurrence reads.
+    """
     k = len(b.alphabet)
+    labels = b.web.labels
     worst = zero
     witness = lhs_w = rhs_w = None
-    empty = (0,) * k
-    norm = values[web.index(empty)]
-    defect = abs(norm - one)
+    defect = abs(values[0] - one)  # the empty multiset is the web's first label
     if defect > worst:
-        worst, witness, lhs_w, rhs_w = defect, empty, norm, one
-    for i, counts in enumerate(web.labels):
-        if sum(counts) >= b.depth:
-            continue
-        lhs = values[i]
-        rhs = zero
+        worst, witness, lhs_w, rhs_w = defect, labels[0], values[0], one
+    start = 0
+    for s in range(b.depth):
+        middle = start + multiset_count(k, s)
+        end = middle + multiset_count(k, s + 1)
+        lhs, upper, upper_labels = values[start:middle], values[middle:end], labels[middle:end]
+        rhs = [zero] * len(lhs)
         for x in range(k):
-            rhs += values[web.index(counts[:x] + (counts[x] + 1,) + counts[x + 1 :])]
-        defect = abs(lhs - rhs)
-        if defect > worst:
-            worst, witness, lhs_w, rhs_w = defect, counts, lhs, rhs
+            rhs = [r + v for r, v in zip(rhs, compress(upper, map(itemgetter(x), upper_labels)))]
+        defects = [abs(v - r) for v, r in zip(lhs, rhs)]
+        top = max(defects)
+        if top > worst:
+            i = defects.index(top)  # the first of the block's worst
+            worst, witness, lhs_w, rhs_w = top, labels[start + i], lhs[i], rhs[i]
+        start = middle
     return worst, witness, lhs_w, rhs_w
 
 

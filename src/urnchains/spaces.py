@@ -71,6 +71,15 @@ def multiset_space(alphabet: Alphabet, n: int) -> IndexSet:
 
 
 def bounded_multiset_space(alphabet: Alphabet, n: int) -> IndexSet:
-    """Multisets of size <= n; sizes 0..n concatenated, each in canonical order."""
+    """Multisets of size <= n; sizes 0..n concatenated, each in canonical order.
+
+    The size blocks nest: for each of the k symbols x, the labels of size
+    s+1 with a count of x of at least one are, in order, the labels of size
+    s plus one x, since adding one x is a bijection between the two that
+    keeps the descending lexicographic order.  Hence the labels of size s+1
+    whose first nonzero count is at x are, in order, the last
+    multiset_count(k - x, s) labels of size s (those with no count before
+    x) plus one x, and block s+1 is these runs for x = 0..k-1.
+    """
     labels = lambda: (counts for m in range(n + 1) for counts in enumerate_multisets(alphabet, m))
     return _once("M<=", alphabet, n, f"M<={n}({{}})", labels)

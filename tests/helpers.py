@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
+
+from urnchains._linalg import ZERO, arithmetic, is_exact
+from urnchains.moments import TotalityReport
 
 
 def mm(a, b):
@@ -228,3 +232,90 @@ def row_moment(law, symbol, order):
     n = law.prefix_length
     total = sum(c * (counts[i] / n) ** order for counts, c in law.histogram.items())
     return total / law.trials
+
+
+def parent_step_mixture(web, atoms):
+    """The exact table sum_j w_j prod_a r_j(a)^mu(a) over the labels of a
+    bounded multiset web, label by label: each nonempty label's monomial is
+    its parent's (the label less its first symbol, looked up in the web)
+    times that symbol's numerator, over the point's common denominator; the
+    atoms are summed over one common denominator per size."""
+    labels = web.labels
+    steps = []
+    for counts in labels[1:]:
+        x = next(x for x, c in enumerate(counts) if c)
+        steps.append((web.index(counts[:x] + (counts[x] - 1,) + counts[x + 1 :]), x))
+    terms = []
+    for point, w in atoms:
+        d = lcm(*(v.denominator for v in point))
+        nums = [v.numerator * (d // v.denominator) for v in point]
+        monomials = [1]
+        for parent, x in steps:
+            monomials.append(monomials[parent] * nums[x])
+        terms.append((w.numerator, w.denominator, d, monomials))
+    coeffs = []
+    last = None
+    for i, counts in enumerate(labels):
+        size = sum(counts)
+        if size != last:
+            last = size
+            den = lcm(*(q * d**size for _, q, d, _ in terms))
+            scales = [(p * (den // (q * d**size)), monomials) for p, q, d, monomials in terms]
+        coeffs.append(Fraction(sum(c * monomials[i] for c, monomials in scales), den))
+    return tuple(coeffs)
+
+
+def label_by_label_totality(b, tol=None):
+    """check_totality of b, label by label: the recurrence's right-hand side
+    at each label is the sum, in symbol order from the zero, of its k
+    successors looked up in the web; an exact table runs on the ints of the
+    table times the lcm of its denominators."""
+    exact = is_exact(b.coeffs)
+    if tol is None:
+        _, _, tol = arithmetic(exact)
+    web, k = b.web, len(b.alphabet)
+    scale, values, zero = 1, b.coeffs, ZERO
+    if exact:
+        scale = lcm(*(v.denominator for v in b.coeffs))
+        values, zero = [v.numerator * (scale // v.denominator) for v in b.coeffs], 0
+    worst, witness, lhs_w, rhs_w = zero, None, None, None
+    empty = (0,) * k
+    norm = values[web.index(empty)]
+    if abs(norm - scale) > worst:
+        worst, witness, lhs_w, rhs_w = abs(norm - scale), empty, norm, scale
+    for i, counts in enumerate(web.labels):
+        if sum(counts) >= b.depth:
+            continue
+        rhs = zero
+        for x in range(k):
+            rhs += values[web.index(counts[:x] + (counts[x] + 1,) + counts[x + 1 :])]
+        if abs(values[i] - rhs) > worst:
+            worst, witness, lhs_w, rhs_w = abs(values[i] - rhs), counts, values[i], rhs
+    if exact:
+        worst, lhs_w, rhs_w = (v if v is None else Fraction(v, scale) for v in (worst, lhs_w, rhs_w))
+    if worst > tol:
+        return TotalityReport(False, worst, witness, lhs_w, rhs_w)
+    return TotalityReport(True, worst, None)
+
+
+def bang_json_oracle(b, mode="exact"):
+    """The bang file of b as the dict that json.dump writes: its alphabet,
+    its depth and one {"multiset", "value"} entry per nonzero coefficient in
+    web order, values as floats in mode "float" and otherwise as ints or
+    "p/q" strings (floats read through their decimal repr)."""
+
+    def value(v):
+        if mode == "float":
+            return float(v)
+        f = Fraction(repr(v)) if isinstance(v, float) else Fraction(v)
+        return f.numerator if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+    return {
+        "alphabet": {"symbols": list(b.alphabet.symbols)},
+        "depth": b.depth,
+        "coeffs": [
+            {"multiset": list(counts), "value": value(v)}
+            for counts, v in zip(b.web.labels, b.coeffs)
+            if v
+        ],
+    }

@@ -2,9 +2,11 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -556,6 +558,58 @@ def test_iota_output_digests(tmp_path, mixing, depth, digest):
     out = str(tmp_path / "bang.json")
     assert main(["bang", "iota", "--mixing", path, "--depth", str(depth), "--out", out]) == 0
     assert hashlib.sha256(open(out, "rb").read()).hexdigest() == digest
+
+
+def _seeded_mixing(seed, k, atoms, mass=1):
+    """(symbols, atoms) of a mixing of `atoms` random points over k symbols,
+    with denominators 3..20, whose weights sum to `mass`."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(atoms):
+        den = rng.randint(3, 20)
+        edges = [0, *sorted(rng.randint(0, den) for _ in range(k - 1)), den]
+        points.append([str(Fraction(b - a, den)) for a, b in zip(edges, edges[1:])])
+    raw = [rng.randint(1, 6) for _ in range(atoms)]
+    weights = [str(Fraction(mass) * Fraction(r, sum(raw))) for r in raw]
+    return list("abcd"[:k]), list(zip(points, weights))
+
+
+# SHA-256 of the bang iota file and of the bang totality stdout of seeded
+# mixings, recorded with the label-by-label embedding, recurrence and writer
+@pytest.mark.parametrize(
+    "k, atoms, mass, depth, mode, code, bang_digest, stdout_digest",
+    [
+        (2, 1, 1, 12, "exact", 0,
+         "c1666bddb373e26b096cafa1265c9e0361acad21c12881b8eb0e4bc40ac58de7",
+         "2c3fc3c633fdef6d40fd0c882b13034bb9ac6af217d2b16a8f15a395292ea648"),
+        (2, 3, 1, 10, "float", 0,
+         "b82b4d790ae52918b3c105066758770327d8bc7df198d28dc9dfd7e743e3d084",
+         "12d146238301664d02cf31d7948d815530b0a800b812aa90b9070d6f67ce072e"),
+        (3, 2, 1, 7, "exact", 0,
+         "db049241792252b2f61241e5bdb440ee0c26b40eb9c1f12c3ed32a7b192831a0",
+         "2c3fc3c633fdef6d40fd0c882b13034bb9ac6af217d2b16a8f15a395292ea648"),
+        (3, 1, 1, 6, "float", 0,
+         "71bb552b2be723f332fca0e011e8b5d6affe68ee354105c779d942bf001182bc",
+         "12d146238301664d02cf31d7948d815530b0a800b812aa90b9070d6f67ce072e"),
+        (4, 3, 1, 5, "exact", 0,
+         "e1692efa594539af8590a394a56e0115b0eccfde6d0dc03537b44cb18c7584e1",
+         "2c3fc3c633fdef6d40fd0c882b13034bb9ac6af217d2b16a8f15a395292ea648"),
+        (4, 2, Fraction(5, 7), 4, "exact", 1,
+         "74543a4882399791acd479ae1cf83c0b90b0fdc8602a725a54586ac940c97bcf",
+         "1dffd885c520cecf455849f006673e80c48abe48d7cf2508260612233f60db3f"),
+    ],
+    ids=["2sym-exact", "2sym-float", "3sym-exact", "3sym-float", "4sym-exact", "4sym-substochastic"],
+)
+def test_embed_output_digests(tmp_path, capsys, k, atoms, mass, depth, mode, code, bang_digest, stdout_digest):
+    mixing = _write_mixing(tmp_path / "mixing.json", *_seeded_mixing(f"{k}:{atoms}:{mode}", k, atoms, mass))
+    bang = str(tmp_path / "bang.json")
+    argv = ["bang", "iota", "--mixing", mixing, "--depth", str(depth), "--mode", mode, "--out", bang]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["bang", "totality", "--bang", bang]) == code
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(open(bang, "rb").read()).hexdigest() == bang_digest
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
 
 
 def _fixed_reproducer_bang(tmp_path) -> str:

@@ -2,19 +2,21 @@
 
 `moments.embed_mixing_measure` builds exact tables over common
 denominators, and `moments.check_totality` runs the recurrence of an exact
-table on ints.
+table on ints, both one size block at a time.
 These tests compare both, and the `_monomial` tables of `pcoh.promotion`,
-with term-by-term Fraction arithmetic, and check that float inputs to the
-embedding still take the `_monomial` loop.
+with term-by-term Fraction arithmetic and with label-by-label oracles that
+look every parent and successor up in the web, and check that float inputs
+to the embedding still take the `_monomial` loop.
 """
 
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import promotion_mixture_oracle, totality_oracle
+from helpers import label_by_label_totality, parent_step_mixture, promotion_mixture_oracle, totality_oracle
 from urnchains._linalg import ZERO, _monomial
 from urnchains.moments import TotalityReport, check_totality, embed_mixing_measure
 from urnchains.multiset import Alphabet
@@ -65,6 +67,7 @@ def test_exact_embedding_matches_the_fraction_oracle(case):
     b = embed_mixing_measure(measure(alphabet, atoms), depth, alphabet=alphabet)
     assert dict(zip(b.web.labels, b.coeffs)) == promotion_mixture_oracle(atoms, count_vectors(k, depth))
     assert all(type(v) is Fraction for v in b.coeffs)
+    assert b.coeffs == parent_step_mixture(b.web, atoms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,3 +130,50 @@ def test_float_embedding_is_the_monomial_loop(case, float_points, float_weights)
         for i, counts in enumerate(b.web.labels):
             expected[i] += _monomial(point, counts, w if float_weights else F(w))
     assert _bits(b.coeffs) == _bits(expected)
+
+
+def _report_bits(report):
+    return [(type(v), repr(v)) for v in (report.total, report.defect, report.witness, report.lhs, report.rhs)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 6), mixings(k))),
+    st.sampled_from(["exact", "float", "mixed"]),
+    st.data(),
+)
+def test_block_totality_matches_the_label_by_label_oracle(case, kind, data):
+    # bumps by equal deltas tie defects within and across size blocks; float
+    # and mixed Fraction-and-float tables take the float path
+    k, depth, atoms = case
+    alphabet = Alphabet(SYMBOLS[:k])
+    coeffs = list(embed_mixing_measure(measure(alphabet, atoms), depth, alphabet=alphabet).coeffs)
+    bumps = st.tuples(st.integers(0, len(coeffs) - 1), st.sampled_from([F(1, 7), F(2, 7), F(1, 3)]))
+    for i, delta in data.draw(st.lists(bumps, max_size=4)):
+        coeffs[i] += delta
+    if kind != "exact":
+        floats = data.draw(st.lists(st.booleans(), min_size=len(coeffs), max_size=len(coeffs)))
+        coeffs = [float(v) if kind == "float" or f else v for v, f in zip(coeffs, floats)]
+    b = BangElement(alphabet, depth, tuple(coeffs))
+    assert _report_bits(check_totality(b)) == _report_bits(label_by_label_totality(b))
+    tol = data.draw(st.sampled_from([None, F(1, 7), 1e-9]))
+    assert _report_bits(check_totality(b, tol)) == _report_bits(label_by_label_totality(b, tol))
+
+
+@pytest.mark.parametrize(
+    "bumped, witness, lhs, rhs",
+    [
+        # defects 1/7 at [a] and [b]: the first in web order is [a]
+        ([(2, 0), (0, 2)], (1, 0), F(1, 2), F(1, 2) + F(1, 7)),
+        # defects 1/7 at [] and at [b], across two size blocks: [] comes first
+        ([(0, 1)], (0, 0), F(1), F(8, 7)),
+    ],
+    ids=["one-block", "two-blocks"],
+)
+def test_tied_worst_defects_report_the_first_in_web_order(bumped, witness, lhs, rhs):
+    alphabet = Alphabet(SYMBOLS[:2])
+    b = embed_mixing_measure(measure(alphabet, [((F(1, 2), F(1, 2)), F(1))]), 2)
+    coeffs = [v + F(1, 7) if mu in bumped else v for mu, v in zip(b.web.labels, b.coeffs)]
+    b = BangElement(alphabet, 2, tuple(coeffs))
+    assert check_totality(b) == TotalityReport(False, F(1, 7), witness, lhs, rhs)
+    assert check_totality(b) == label_by_label_totality(b)

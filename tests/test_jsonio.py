@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import histogram_csv_rows, row_moment
+from helpers import bang_json_oracle, histogram_csv_rows, row_moment
 from urnchains import jsonio
 from urnchains._linalg import frac
 from urnchains.jsonio import FormatError
@@ -46,11 +46,20 @@ def test_measure_round_trip_with_mixed_value_styles():
     assert again.atoms == measure.atoms
 
 
+def _written(b, mode="exact"):
+    """The bang file dump_json writes for b, read back as JSON."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        jsonio.dump_json(b, None, mode=mode)
+    return json.loads(stdout.getvalue())
+
+
 def test_bang_round_trip_drops_zeros():
     b = BangElement.from_table(
         BOOL, 2, {(0, 0): 1, (1, 0): F(1, 2), (2, 0): F(1, 8)}
     )
-    data = jsonio.bang_to_json(b)
+    data = _written(b)
+    assert data == bang_json_oracle(b)
     assert len(data["coeffs"]) == 3  # zero entries are omitted
     back = jsonio.bang_from_json(data)
     assert back.coeffs == b.coeffs
@@ -58,7 +67,8 @@ def test_bang_round_trip_drops_zeros():
 
 def test_bang_float_mode_values():
     b = BangElement.from_table(BOOL, 1, {(0, 0): 1, (1, 0): F(1, 2)})
-    data = jsonio.bang_to_json(b, mode="float")
+    data = _written(b, mode="float")
+    assert data == bang_json_oracle(b, mode="float")
     values = {tuple(e["multiset"]): e["value"] for e in data["coeffs"]}
     assert values == {(0, 0): 1.0, (1, 0): 0.5}
 
@@ -66,11 +76,46 @@ def test_bang_float_mode_values():
 def test_bang_float_values_stay_floats():
     # a float table read back is a float table, judged at the float tolerance
     b = BangElement.from_table(BOOL, 1, {(0, 0): 1, (1, 0): F(1, 3), (0, 1): F(2, 3)})
-    back = jsonio.bang_from_json(jsonio.bang_to_json(b, mode="float"))
+    back = jsonio.bang_from_json(_written(b, mode="float"))
     assert back.coeffs == (1.0, 1 / 3, 2 / 3)
     assert all(type(v) is float for v in back.coeffs)
-    exact = jsonio.bang_from_json(jsonio.bang_to_json(b))
+    exact = jsonio.bang_from_json(_written(b))
     assert exact.coeffs == b.coeffs
+
+
+_coefficients = st.one_of(
+    st.just(0),
+    st.integers(0, 10**30),
+    st.builds(F, st.integers(0, 10**20), st.integers(1, 10**20)),
+    st.floats(min_value=0, allow_infinity=False),
+)
+
+
+@st.composite
+def _bang_elements(draw):
+    """Tables of 1-4 symbols at depths 0-4 whose coefficients are zeros,
+    ints, Fractions and floats."""
+    k = draw(st.integers(1, 4))
+    depth = draw(st.integers(0, 4))
+    alphabet = Alphabet(tuple(draw(st.lists(st.text(max_size=3), min_size=k, max_size=k, unique=True))))
+    size = math.comb(depth + k, k)
+    coeffs = draw(st.lists(_coefficients, min_size=size, max_size=size))
+    return BangElement(alphabet, depth, tuple(coeffs))
+
+
+@given(_bang_elements(), st.sampled_from(["exact", "float"]))
+@settings(max_examples=150, deadline=None)
+def test_bang_writer_writes_json_dump_bytes_of_the_oracle(b, mode):
+    expected = json.dumps(bang_json_oracle(b, mode), indent=2, sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bang.json")
+        jsonio.dump_json(b, path, mode=mode)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.encode("utf-8")
+    stdout = _CountingStdout()
+    with contextlib.redirect_stdout(stdout):
+        jsonio.dump_json(b, None, mode=mode)
+    assert stdout.getvalue() == expected and stdout.writes == 1
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

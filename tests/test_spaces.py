@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from urnchains import spaces
-from urnchains.multiset import Alphabet, enumerate_multisets
+from urnchains.multiset import Alphabet, enumerate_multisets, multiset_count
 from urnchains.spaces import bounded_multiset_space, multiset_space, symbol_space, tuple_space
 
 ABC = ("a", "b", "c")
@@ -57,3 +57,24 @@ def test_alphabets_with_one_name_get_distinct_symbol_spaces(monkeypatch):
     assert {space.name for space in built} == {"X(a,b,c)"}
     assert [space.labels for space in built] == alphabets
     assert [len(tuple_space(Alphabet(symbols), 2)) for symbols in alphabets] == [4, 4, 9]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_size_blocks_nest_in_web_order(monkeypatch, k):
+    # the fact the block-wise embedding and totality check rest on: the
+    # labels of size s+1 with a count of x are, in order, those of size s
+    # plus one x; and those whose first nonzero count is at x are the last
+    # multiset_count(k - x, s) labels of size s plus one x
+    monkeypatch.setattr(spaces, "BUILT", {})
+    labels = bounded_multiset_space(Alphabet(("a", "b", "c", "d")[:k]), 9).labels
+    blocks = [[mu for mu in labels if sum(mu) == s] for s in range(10)]
+    for s in range(9):
+        below, above = blocks[s], blocks[s + 1]
+        runs = []
+        for x in range(k):
+            plus_x = [mu[:x] + (mu[x] + 1,) + mu[x + 1 :] for mu in below]
+            assert [nu for nu in above if nu[x] >= 1] == plus_x
+            tail = below[len(below) - multiset_count(k - x, s) :]
+            assert tail == [mu for mu in below if not any(mu[:x])]
+            runs += [mu[:x] + (mu[x] + 1,) + mu[x + 1 :] for mu in tail]
+        assert runs == above

@@ -4,7 +4,10 @@ Rational values travel as "p/q" strings (or plain integers).  Floats in
 measures are parsed through their decimal representation, so a file
 containing 0.1 means exactly 1/10; a bang element's float coefficients stay
 floats, so that its table is judged at the float tolerance.  JSON booleans
-are refused as values, and multiset counts must be JSON integers.
+are refused as values, and multiset counts must be JSON integers.  A list or
+object of the wrong shape is refused by name.  An exact bang table is read
+and written as ints over one scale (see `pcoh.BangElement`), with no Fraction
+per coefficient.
 
 Every JSON file and stdout payload is 2-space indented, key-sorted JSON and a
 newline, byte-identical to `json.dump(data, fh, indent=2, sort_keys=True)`
@@ -18,12 +21,13 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import sys
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 
-from ._linalg import ZERO, frac
+from ._linalg import frac
 from .multiset import Alphabet
 from .pcoh import BangElement, refuse_oversized_bang
 from .spaces import bounded_multiset_space
@@ -41,19 +45,35 @@ def _value_out(v, mode: str = "exact"):
     return f.numerator if f.denominator == 1 else str(f)
 
 
-def _value_in(v):
+def _value_in(v) -> Fraction:
+    return Fraction(*_ratio_in(v))
+
+
+def _ratio_in(v) -> tuple[int, int]:
+    """(p, q) with v = p/q: "p/q" and "p" strings of ASCII digits and JSON
+    ints unreduced; other values, a zero q too, through Fraction's parser."""
+    if type(v) is str:
+        num, slash, den = v.partition("/")
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            q = int(den) if slash else 1
+            if q:
+                return int(num), q
+    elif type(v) is int:
+        return v, 1
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise FormatError(f"cannot parse value {v!r}")
     try:
-        if type(v) is str:
-            # "p/q" and "p" in ASCII digits go straight to int; signs, spaces,
-            # decimals and the rest take Fraction's parser
-            num, slash, den = v.partition("/")
-            if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-                return Fraction(int(num), int(den) if slash else 1)
-        return frac(v)
+        f = frac(v)
     except ZeroDivisionError:
         raise FormatError(f"value {v!r} has a zero denominator") from None
+    return f.numerator, f.denominator
+
+
+def _require(value, kind: type, what: str):
+    """value, refused by name unless it is a JSON list or object (`kind`)."""
+    if not isinstance(value, kind):
+        raise FormatError(f"{what} must be a JSON {'list' if kind is list else 'object'}, not {reprlib.repr(value)}")
+    return value
 
 
 # -- alphabets ---------------------------------------------------------------
@@ -63,6 +83,7 @@ def alphabet_to_json(alphabet: Alphabet) -> dict:
 
 
 def alphabet_from_json(data) -> Alphabet:
+    _require(data, dict, "bad alphabet: the alphabet")
     try:
         symbols = data["symbols"]
         if not isinstance(symbols, list):
@@ -94,14 +115,14 @@ def measure_to_json(measure: AtomicMeasure, mode: str = "exact", extra: dict | N
 
 
 def measure_from_json(data) -> AtomicMeasure:
+    _require(data, dict, "bad measure: the top-level value")
     try:
         alphabet = alphabet_from_json(data["alphabet"])
         atoms = []
-        for atom in data["atoms"]:
-            if not isinstance(atom["point"], list):
-                raise FormatError(f"bad measure: point must be a JSON list, not {atom['point']!r}")
-            point = ProbVector(alphabet, tuple(_value_in(v) for v in atom["point"]))
-            atoms.append((point, _value_in(atom["weight"])))
+        for atom in _require(data["atoms"], list, "bad measure: atoms"):
+            _require(atom, dict, "bad measure: an atom")
+            point = _require(atom["point"], list, "bad measure: point")
+            atoms.append((ProbVector(alphabet, tuple(map(_value_in, point))), _value_in(atom["weight"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad measure: {exc}") from exc
     return AtomicMeasure(tuple(atoms))
@@ -110,7 +131,10 @@ def measure_from_json(data) -> AtomicMeasure:
 # -- bang elements -----------------------------------------------------------------
 
 def bang_from_json(data) -> BangElement:
-    """Read a bang element; every listed multiset must be on its web, once."""
+    """Read a bang element; every listed multiset must be on its web, once.
+    Values are read as (p, q) int pairs (see `_ratio_in`), and scaled to the
+    lcm of the q when none is a float; else the other values are Fractions."""
+    _require(data, dict, "bad bang element: the top-level value")
     try:
         alphabet = alphabet_from_json(data["alphabet"])
         depth = data["depth"]
@@ -118,9 +142,10 @@ def bang_from_json(data) -> BangElement:
             raise FormatError(f"bad bang element: depth {depth!r} is not a nonnegative integer")
         lower = "rebuild the element with a lower bang iota --depth"
         refuse_oversized_bang(len(alphabet), depth, lower)
-        table = {}
-        for entry in data["coeffs"]:
-            counts = tuple(entry["multiset"])
+        table, floats = {}, False
+        for entry in _require(data["coeffs"], list, "bad bang element: coeffs"):
+            _require(entry, dict, "bad bang element: a coeffs entry")
+            counts = tuple(_require(entry["multiset"], list, "bad bang element: multiset"))
             for c in counts:
                 if type(c) is not int:
                     raise FormatError(f"multiset {list(counts)} has a count {c!r} that is not an integer")
@@ -128,9 +153,10 @@ def bang_from_json(data) -> BangElement:
                 raise FormatError(f"multiset {list(counts)} is listed twice")
             value = entry["value"]
             # a finite float stays a float; NaN and infinities are refused below
-            table[counts] = value if type(value) is float and math.isfinite(value) else _value_in(value)
+            floats = floats or type(value) is float
+            table[counts] = value if type(value) is float and math.isfinite(value) else _ratio_in(value)
         web = bounded_multiset_space(alphabet, depth)
-        coeffs = tuple(table.pop(counts, ZERO) for counts in web.labels)
+        values = [table.pop(counts, (0, 1)) for counts in web.labels]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad bang element: {exc}") from exc
     if table:
@@ -138,7 +164,10 @@ def bang_from_json(data) -> BangElement:
             f"multiset {list(next(iter(table)))} is not a multiset of size <= {depth}"
             f" over {','.join(alphabet.symbols)}"
         )
-    return BangElement(alphabet, depth, coeffs)
+    if floats:
+        return BangElement(alphabet, depth, tuple(v if type(v) is float else Fraction(*v) for v in values))
+    scale = math.lcm(*[q for _, q in values])
+    return BangElement.from_ints(alphabet, depth, [p * (scale // q) for p, q in values], scale)
 
 
 # -- files and CSV -------------------------------------------------------------------
@@ -176,18 +205,21 @@ def _bang_text(b: BangElement, mode: str) -> str:
     """The bang file of b: the text of {"alphabet": ..., "coeffs": [...],
     "depth": ...} with one coeffs entry {"multiset": counts, "value": value}
     per nonzero coefficient, in web order; exact values as ints and "p/q"
-    strings, float ones as floats.  Every entry is formatted from one
-    template for the alphabet's width."""
-    labels = list(compress(b.web.labels, b.coeffs))
-    values = list(compress(b.coeffs, b.coeffs))
+    strings, float ones as floats; v/scale of a scaled table rounds as
+    float(Fraction) does.  Every entry is formatted from one template for
+    the alphabet's width."""
+    labels = list(compress(b.web.labels, b.table))
+    values = list(compress(b.table, b.table))
+    scale = b.scale
     if mode == "float":
-        texts = [_FLOAT_SPECIALS.get(t, t) for t in map(repr, map(float, values))]
+        floats = map(float, values) if scale is None else [v / scale for v in values]
+        texts = [_FLOAT_SPECIALS.get(t, t) for t in map(repr, floats)]
     else:
-        values = [v if type(v) is Fraction else frac(v) for v in values]
-        texts = [
-            str(v.numerator) if v.denominator == 1 else '"%d/%d"' % (v.numerator, v.denominator)
-            for v in values
-        ]
+        if scale is None:
+            pairs = [(f.numerator, f.denominator) for f in map(frac, values)]
+        else:
+            pairs = [(v // g, scale // g) for v, g in zip(values, map(math.gcd, values, repeat(scale)))]
+        texts = [str(p) if q == 1 else '"%d/%d"' % (p, q) for p, q in pairs]
     entry = _BANG_ENTRY.format(",\n        ".join(["%d"] * len(b.alphabet)))
     entries = ",\n".join([entry % (*counts, text) for counts, text in zip(labels, texts)])
     coeffs = "[\n" + entries + "\n  ]" if entries else "[]"

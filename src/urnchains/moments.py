@@ -25,10 +25,11 @@ embedding and the recurrence run one size block of the web at a time, on the
 nesting of its blocks (see `spaces.bounded_multiset_space`): the labels of
 size s+1 with a count of x are the labels of size s plus one x, in order.
 The embedding of exact atoms builds each block's integer monomials from the
-block below and sums the atoms over one common denominator per size; the
-recurrence takes each block's right-hand sides as k filtered slices of the
-block above, on the table times the lcm of its denominators when it is
-exact, so that its defects are ints until they are reported as Fractions.
+block below and sums the atoms over one common denominator, into a table of
+ints over one scale (see `pcoh.BangElement`); the recurrence takes each
+block's right-hand sides as k filtered slices of the block above, on such
+ints when the table is exact, so that its defects are ints until they are
+reported as Fractions.
 A float table's right-hand sides are added in symbol order from zero, as the
 recurrence reads, so its defects are the same floats label by label.
 """
@@ -72,7 +73,7 @@ def embed_mixing_measure(
         raise ValueError("empty measure needs an explicit alphabet")
     atoms = [(point.weights, w) for point, w in mixing.atoms]
     if is_exact(v for point, w in atoms for v in (w, *point)):
-        return BangElement(alphabet, depth, _exact_mixture(len(alphabet), depth, atoms))
+        return BangElement.from_ints(alphabet, depth, *_exact_mixture(len(alphabet), depth, atoms))
     starts = [(point, frac(w) if is_exact((w,)) else w) for point, w in atoms]
     coeffs = tuple(
         sum((_monomial(point, counts, start) for point, start in starts), ZERO)
@@ -81,27 +82,29 @@ def embed_mixing_measure(
     return BangElement(alphabet, depth, coeffs)
 
 
-def _exact_mixture(k: int, depth: int, atoms) -> tuple:
-    """The exact table sum_j w_j prod_a r_j(a)^mu(a) over the multisets mu
-    of size <= depth over k symbols, in web order, of exact (point r_j,
-    weight w_j) atoms.
+def _exact_mixture(k: int, depth: int, atoms) -> tuple[list, int]:
+    """(numerators, D) of the exact table sum_j w_j prod_a r_j(a)^mu(a)
+    over the multisets mu of size <= depth over k symbols, in web order, of
+    exact (point r_j, weight w_j) atoms: its values times one common
+    denominator D, as ints.
 
     Each point is written over its own common denominator d_j, so that its
     monomial at mu is an integer over d_j^|mu|.  The monomials of size s+1
     are built from those of size s, one int product each: the labels of
     size s+1 whose first nonzero count is at x are the last
     multiset_count(k - x, s) labels of size s plus one x, in order (see
-    `spaces.bounded_multiset_space`).  At each size s the atoms are summed
-    over the common denominator D_s = lcm_j(den(w_j) d_j^s), one Fraction
-    per coefficient.
+    `spaces.bounded_multiset_space`).  The atoms are summed over
+    D = lcm_j(den(w_j) d_j^depth), which every size's common denominator
+    lcm_j(den(w_j) d_j^s) divides.
     """
     terms = []
     for point, w in atoms:
         d = lcm(*(v.denominator for v in point))
         nums = [v.numerator * (d // v.denominator) for v in point]
         terms.append((w.numerator, w.denominator, d, nums))
+    den = lcm(*(q * d**depth for _, q, d, _ in terms))
     blocks = [[1] for _ in terms]  # each atom's monomials of the current size
-    coeffs = []
+    table = []
     for s in range(depth + 1):
         if s:
             tails = [multiset_count(k - x, s - 1) for x in range(k)]
@@ -109,13 +112,12 @@ def _exact_mixture(k: int, depth: int, atoms) -> tuple:
                 [m * num for tail, num in zip(tails, nums) for m in block[-tail:]]
                 for block, (_, _, _, nums) in zip(blocks, terms)
             ]
-        den = lcm(*(q * d**s for _, q, d, _ in terms))
         numerators = [0] * multiset_count(k, s)
         for (p, q, d, _), block in zip(terms, blocks):
             scale = p * (den // (q * d**s))
             numerators = [n + scale * m for n, m in zip(numerators, block)]
-        coeffs += [Fraction(n, den) for n in numerators]
-    return tuple(coeffs)
+        table += numerators
+    return table, den
 
 
 @dataclass(frozen=True)
@@ -144,17 +146,19 @@ def check_totality(b: BangElement, tol=None) -> TotalityReport:
     order, is reported.  It is checked one size block at a time: the
     right-hand sides of size s are the sums of k filtered slices of the
     block of size s+1, those of the labels with a count of each symbol x.
-    An exact table is checked on ints, the table times the lcm of its
-    denominators.  The tolerance defaults to the one `_linalg.arithmetic`
-    gives the table.
+    An exact table is checked on ints: those of a table held over a scale,
+    or the table times the lcm of its denominators.  The tolerance defaults
+    to the one `_linalg.arithmetic` gives the table.
     """
-    exact = is_exact(b.coeffs)
+    exact = b.scale is not None or is_exact(b.coeffs)
     if tol is None:
         _, _, tol = arithmetic(exact)
     if exact:
-        # the recurrence on ints: the table times the lcm of its denominators
-        scale = lcm(*(v.denominator for v in b.coeffs))
-        values = [v.numerator * (scale // v.denominator) for v in b.coeffs]
+        # the recurrence on ints: a scaled table's, or the table over the lcm of its denominators
+        scale, values = b.scale, b.table
+        if scale is None:
+            scale = lcm(*(v.denominator for v in b.coeffs))
+            values = [v.numerator * (scale // v.denominator) for v in b.coeffs]
         worst, witness, lhs, rhs = _worst_defect(b, values, scale, 0)
         worst, lhs, rhs = (v if v is None else Fraction(v, scale) for v in (worst, lhs, rhs))
     else:

@@ -26,7 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import comb, gcd
 
 from ._linalg import (
     ONE, ZERO, Matrix, _monomial, arithmetic, frac, identity, is_exact, kron, matmul
@@ -266,23 +267,34 @@ def refuse_oversized_bang(symbols: int, depth: int, lower: str) -> None:
 class BangElement:
     """Depth-truncated element of the exponential: a full coefficient table
     on multisets of size <= depth, in the order of the one web
-    bounded_multiset_space(alphabet, depth) that `spaces` builds for them."""
+    bounded_multiset_space(alphabet, depth) that `spaces` builds for them.
+    With an int scale, an exact table is held as ints: the coefficient at
+    web position i is Fraction(table[i], scale), and the scale is the lcm of
+    the coefficients' denominators, so gcd(scale, *table) is 1."""
 
     alphabet: Alphabet
     depth: int
-    coeffs: tuple  # aligned with bounded_multiset_space(alphabet, depth)
+    table: tuple  # aligned with bounded_multiset_space(alphabet, depth)
+    scale: int | None = None
 
     def __post_init__(self):
         # C(depth + k, k) multisets of size <= depth over k symbols
         expected = comb(self.depth + len(self.alphabet), len(self.alphabet))
-        if len(self.coeffs) != expected:
+        if len(self.table) != expected:
             raise ValueError(
-                f"need {expected} coefficients for depth {self.depth}, got {len(self.coeffs)}"
+                f"need {expected} coefficients for depth {self.depth}, got {len(self.table)}"
             )
-        for v in self.coeffs:
+        for v in self.table:
             # an exact coefficient's sign is its numerator's
             if (v.numerator if type(v) is Fraction else v) < 0:
                 raise ValueError("coefficients must be nonnegative")
+        if self.scale is not None and (self.scale < 1 or gcd(self.scale, *self.table) != 1):
+            raise ValueError(f"scale {self.scale} is not the lcm of the table's denominators")
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        scale = self.scale
+        return self.table if scale is None else tuple(Fraction(v, scale) for v in self.table)
 
     @property
     def web(self) -> IndexSet:
@@ -294,8 +306,18 @@ class BangElement:
         coeffs = tuple(frac(table.get(counts, 0)) for counts in web.labels)
         return cls(alphabet, depth, coeffs)
 
+    @classmethod
+    def from_ints(cls, alphabet: Alphabet, depth: int, table, scale: int) -> "BangElement":
+        """table[i] / scale at web position i, held over the least scale."""
+        g = gcd(scale, *table)
+        if g > 1:
+            scale //= g
+            table = [v // g for v in table]
+        return cls(alphabet, depth, tuple(table), scale)
+
     def at(self, counts: tuple[int, ...]):
-        return self.coeffs[self.web.index(counts)]
+        v = self.table[self.web.index(counts)]
+        return v if self.scale is None else Fraction(v, self.scale)
 
 
 def promotion(x: PcsVector, depth: int) -> BangElement:

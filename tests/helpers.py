@@ -1,11 +1,15 @@
 """Shared test oracles, kept independent of the library's own code paths."""
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
 
-from urnchains._linalg import ZERO, arithmetic, is_exact
+from urnchains._linalg import ZERO, arithmetic, frac, is_exact
+from urnchains.jsonio import FormatError, alphabet_from_json
 from urnchains.moments import TotalityReport
+from urnchains.pcoh import BangElement, refuse_oversized_bang
+from urnchains.spaces import bounded_multiset_space
 
 
 def mm(a, b):
@@ -319,3 +323,51 @@ def bang_json_oracle(b, mode="exact"):
             if v
         ],
     }
+
+
+def _fraction_value_in(v):
+    """A bang file's value as a Fraction, one Fraction per value: "p/q" and
+    "p" strings of ASCII digits through int, the rest through Fraction's
+    parser."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise FormatError(f"cannot parse value {v!r}")
+    try:
+        if type(v) is str:
+            num, slash, den = v.partition("/")
+            if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+                return Fraction(int(num), int(den) if slash else 1)
+        return frac(v)
+    except ZeroDivisionError:
+        raise FormatError(f"value {v!r} has a zero denominator") from None
+
+
+def bang_from_json_oracle(data):
+    """The bang element of a bang file's JSON, read value by value into a
+    table of Fractions and floats, with the refusals and messages of
+    `jsonio.bang_from_json` for the inputs both read."""
+    try:
+        alphabet = alphabet_from_json(data["alphabet"])
+        depth = data["depth"]
+        if type(depth) is not int or depth < 0:
+            raise FormatError(f"bad bang element: depth {depth!r} is not a nonnegative integer")
+        refuse_oversized_bang(len(alphabet), depth, "rebuild the element with a lower bang iota --depth")
+        table = {}
+        for entry in data["coeffs"]:
+            counts = tuple(entry["multiset"])
+            for c in counts:
+                if type(c) is not int:
+                    raise FormatError(f"multiset {list(counts)} has a count {c!r} that is not an integer")
+            if counts in table:
+                raise FormatError(f"multiset {list(counts)} is listed twice")
+            value = entry["value"]
+            table[counts] = value if type(value) is float and math.isfinite(value) else _fraction_value_in(value)
+        web = bounded_multiset_space(alphabet, depth)
+        coeffs = tuple(table.pop(counts, ZERO) for counts in web.labels)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad bang element: {exc}") from exc
+    if table:
+        raise FormatError(
+            f"multiset {list(next(iter(table)))} is not a multiset of size <= {depth}"
+            f" over {','.join(alphabet.symbols)}"
+        )
+    return BangElement(alphabet, depth, coeffs)

@@ -518,6 +518,21 @@ def test_simulate_matches_the_bench_digests_of_seed_0(tmp_path, capsys, monkeypa
         assert workloads.histogram_digest(task.info["hist"]) == recorded["seeds"]["0"][task.name], task.name
 
 
+def test_embed_passes_the_bench_check_of_seed_0(tmp_path, capsys, monkeypatch):
+    # the benchmark's correctness gate: its seed-0 round of 180 embed tasks,
+    # each checked by recomputing every coefficient from the mixing file
+    workloads = _bench_workloads(monkeypatch)
+    tasks = workloads.make_tasks("embed", 0, str(tmp_path))
+    assert len(tasks) == 180
+    for task in tasks:
+        outputs = {"stdout": [], "codes": []}
+        for step in task.steps:
+            outputs["codes"].append(main(step.argv))
+            outputs["stdout"].append(capsys.readouterr().out)
+        assert outputs["codes"] == [step.exit_code for step in task.steps], task.name
+        task.check(task, outputs)
+
+
 def test_simulate_moments_out_without_out_writes_the_moment_table(tmp_path, capsys):
     # the moment table once went to stdout, and --moments-out was dropped,
     # whenever --out was absent
@@ -958,6 +973,38 @@ def test_a_point_that_is_not_a_list_is_an_input_error(tmp_path, capsys, point):
     assert main(["bang", "iota", "--mixing", mixing, "--depth", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error") and "point must be a JSON list" in err
+
+
+_TF_MIXING = {"alphabet": {"symbols": ["t", "f"]}, "atoms": [{"point": ["1/2", "1/2"], "weight": 1}]}
+_TF_BANG = {"alphabet": {"symbols": ["t", "f"]}, "depth": 1, "coeffs": _BANG_TF_DEPTH_1}
+
+
+@pytest.mark.parametrize(
+    "command, data, named",
+    [
+        ("iota", [1, 2], "the top-level value must be a JSON object, not [1, 2]"),
+        ("iota", {**_TF_MIXING, "atoms": "xx"}, "atoms must be a JSON list, not 'xx'"),
+        ("iota", {**_TF_MIXING, "atoms": [5]}, "an atom must be a JSON object, not 5"),
+        ("iota", {**_TF_MIXING, "alphabet": "tf"}, "the alphabet must be a JSON object, not 'tf'"),
+        ("totality", [1, 2], "the top-level value must be a JSON object, not [1, 2]"),
+        ("totality", {**_TF_BANG, "coeffs": "xx"}, "coeffs must be a JSON list, not 'xx'"),
+        ("totality", {**_TF_BANG, "coeffs": {"multiset": [0, 0]}}, "coeffs must be a JSON list"),
+        ("totality", {**_TF_BANG, "coeffs": [5]}, "a coeffs entry must be a JSON object, not 5"),
+        ("totality", {**_TF_BANG, "coeffs": [{"multiset": 5, "value": 1}]}, "multiset must be a JSON list, not 5"),
+    ],
+    ids=[
+        "mixing-top-level", "atoms", "atom", "alphabet",
+        "bang-top-level", "coeffs-string", "coeffs-object", "coeffs-entry", "multiset",
+    ],
+)
+def test_json_values_of_the_wrong_shape_are_named_input_errors(tmp_path, capsys, command, data, named):
+    # these leaked Python's own messages, such as "string indices must be integers"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    flag = {"iota": "--mixing", "totality": "--bang"}[command]
+    assert main(["bang", command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and named in err
 
 
 def test_bang_iota_and_totality_build_no_multiset(tmp_path, monkeypatch):

@@ -1,26 +1,39 @@
 """Exact bang tables on integer numerators, against plain Fraction oracles.
 
 `moments.embed_mixing_measure` builds exact tables over common
-denominators, and `moments.check_totality` runs the recurrence of an exact
-table on ints, both one size block at a time.
+denominators and holds them as ints over one scale, and
+`moments.check_totality` runs the recurrence of an exact table on ints, both
+one size block at a time.
 These tests compare both, and the `_monomial` tables of `pcoh.promotion`,
 with term-by-term Fraction arithmetic and with label-by-label oracles that
-look every parent and successor up in the web, and check that float inputs
-to the embedding still take the `_monomial` loop.
+look every parent and successor up in the web, check that float inputs
+to the embedding still take the `_monomial` loop, and that a table held over
+a scale reads, checks and writes as the same table of Fractions does.
 """
 
+import contextlib
+import io
 import itertools
+import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import label_by_label_totality, parent_step_mixture, promotion_mixture_oracle, totality_oracle
+from helpers import (
+    bang_json_oracle, label_by_label_totality, parent_step_mixture, promotion_mixture_oracle, totality_oracle
+)
+from urnchains import jsonio
 from urnchains._linalg import ZERO, _monomial
-from urnchains.moments import TotalityReport, check_totality, embed_mixing_measure
+from urnchains.chains import build_dd_chain, pcoh_ground_copointed
+from urnchains.moments import (
+    MomentProblemError, TotalityReport, check_totality, cone_from_total_element, damp, embed_mixing_measure,
+    recover_measure,
+)
 from urnchains.multiset import Alphabet
-from urnchains.pcoh import BangElement, PcsVector, promotion
+from urnchains.pcoh import BangElement, PcsVector, promotion, restrict_to_depth
 from urnchains.spaces import symbol_space
 from urnchains.stoch import AtomicMeasure, ProbVector
 
@@ -177,3 +190,71 @@ def test_tied_worst_defects_report_the_first_in_web_order(bumped, witness, lhs, 
     b = BangElement(alphabet, 2, tuple(coeffs))
     assert check_totality(b) == TotalityReport(False, F(1, 7), witness, lhs, rhs)
     assert check_totality(b) == label_by_label_totality(b)
+
+
+# -- tables held as ints over one scale ---------------------------------------------------
+
+def _outcome(f, *args):
+    """f(*args), or the message of the MomentProblemError it raises."""
+    try:
+        return f(*args)
+    except MomentProblemError as exc:
+        return str(exc)
+
+
+def _legs(b, chain):
+    cone = _outcome(cone_from_total_element, b, chain)
+    return cone if isinstance(cone, str) else (cone.legs, cone.kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 4), mixings(k))))
+@example((2, 3, [((F(1, 3), F(2, 3)), F(1, 2)), ((F(1), F(0)), F(1, 2))]))  # total, so recovered
+def test_a_scaled_table_reads_and_checks_as_its_fractions_do(case):
+    k, depth, atoms = case
+    alphabet = Alphabet(SYMBOLS[:k])
+    scaled = embed_mixing_measure(measure(alphabet, atoms), depth, alphabet=alphabet)
+    assert all(type(v) is int for v in scaled.table)
+    assert math.gcd(scaled.scale, *scaled.table) == 1  # the scale is the lcm of the denominators
+    assert all(type(v) is Fraction for v in scaled.coeffs)
+    plain = BangElement(alphabet, depth, scaled.coeffs)
+    assert plain.scale is None and plain.coeffs == scaled.coeffs
+    for counts in scaled.web.labels:
+        assert type(scaled.at(counts)) is Fraction and scaled.at(counts) == plain.at(counts)
+    for n in range(depth + 1):
+        assert restrict_to_depth(scaled, n) == restrict_to_depth(plain, n)
+    assert damp(scaled, F(2, 3)) == damp(plain, F(2, 3))
+    assert check_totality(scaled) == check_totality(plain)
+    assert check_totality(scaled, F(1, 7)) == check_totality(plain, F(1, 7))
+    chain = build_dd_chain(pcoh_ground_copointed(alphabet), min(depth, 2))
+    assert _legs(scaled, chain) == _legs(plain, chain)
+    if k < 3 and depth < 4:
+        assert _outcome(recover_measure, scaled, 4) == _outcome(recover_measure, plain, 4)
+
+
+@pytest.mark.parametrize("table, scale", [((1, -1, 0), 1), ((2, -1, 0), 3)], ids=["unit-scale", "scale-3"])
+def test_a_negative_scaled_entry_is_refused(table, scale):
+    with pytest.raises(ValueError, match="coefficients must be nonnegative"):
+        BangElement(Alphabet(SYMBOLS[:2]), 1, table, scale)
+
+
+@pytest.mark.parametrize("table, scale", [((2, 2, 0), 2), ((1, 0, 0), 0)], ids=["common-factor", "zero"])
+def test_a_scale_that_is_not_the_lcm_of_the_denominators_is_refused(table, scale):
+    with pytest.raises(ValueError, match="is not the lcm"):
+        BangElement(Alphabet(SYMBOLS[:2]), 1, table, scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 5), mixings(k))),
+    st.sampled_from(["exact", "float"]),
+)
+def test_the_writer_writes_a_scaled_table_as_json_dump_of_the_oracle(case, mode):
+    k, depth, atoms = case
+    alphabet = Alphabet(SYMBOLS[:k])
+    b = embed_mixing_measure(measure(alphabet, atoms), depth, alphabet=alphabet)
+    assert b.scale is not None
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        jsonio.dump_json(b, None, mode=mode)
+    assert stdout.getvalue() == json.dumps(bang_json_oracle(b, mode), indent=2, sort_keys=True) + "\n"

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import bang_json_oracle, histogram_csv_rows, row_moment
+from helpers import bang_from_json_oracle, bang_json_oracle, histogram_csv_rows, row_moment
 from urnchains import jsonio
 from urnchains._linalg import frac
 from urnchains.jsonio import FormatError
@@ -276,3 +277,76 @@ def test_value_in_reads_digit_strings_as_fraction_does(num, den):
 )
 def test_value_in_falls_back_to_fraction_on_other_strings(s):
     assert _outcome(jsonio._value_in, s) == _outcome(_frac_reader, s)
+
+
+# -- the bang reader against the value-by-value Fraction reader ------------------------
+
+_LONG_DENOMINATOR = "1/" + "7" * 200
+# strings read as written, strings that take Fraction's parser, and refusals
+_EXACT_VALUES = ["6/4", "007/010", "0/5", "0", "1", 3, 0, _LONG_DENOMINATOR]
+_PARSED_VALUES = [" 1/2", "1e-3", "-0/3", "0.5"]
+_REFUSED_VALUES = ["3/0", "1/000", "-1/2", -1, "abc", True, None]
+
+
+def _reading(data):
+    """What a reader makes of data: each value with its type, or the refusal."""
+    def read(reader):
+        try:
+            b = reader(data)
+        except Exception as exc:  # the type and message must match too
+            return type(exc), str(exc)
+        return b.alphabet, b.depth, [(type(v), v) for v in b.coeffs]
+
+    return read
+
+
+@st.composite
+def _bang_files(draw):
+    """Bang file JSON of 1-3 symbols at depths 0-3: exact, float or mixed
+    values on some of the web, and sometimes a refused value, a duplicate
+    multiset or one off the web."""
+    k = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, 3))
+    labels = [mu for mu in itertools.product(range(depth + 1), repeat=k) if sum(mu) <= depth]
+    exact = st.one_of(
+        st.sampled_from(_EXACT_VALUES + _PARSED_VALUES),
+        st.integers(0, 10**25),
+        st.builds("{}/{}".format, st.integers(0, 10**12), st.integers(1, 10**12)),
+    )
+    floats = st.floats(min_value=0, max_value=1e6)
+    values = {"exact": exact, "float": floats, "mixed": exact | floats}[draw(st.sampled_from(["exact", "float", "mixed"]))]
+    chosen = draw(st.lists(st.sampled_from(labels), unique=True))
+    coeffs = [{"multiset": list(mu), "value": draw(values)} for mu in chosen]
+    fault = draw(st.sampled_from(["none", "none", "value", "duplicate", "off-web"]))
+    if fault == "value" and coeffs:
+        coeffs[draw(st.integers(0, len(coeffs) - 1))]["value"] = draw(st.sampled_from(_REFUSED_VALUES))
+    elif fault == "duplicate" and coeffs:
+        coeffs.append({"multiset": coeffs[0]["multiset"], "value": "1/2"})
+    elif fault == "off-web":
+        coeffs.insert(draw(st.integers(0, len(coeffs))), {"multiset": [depth + 1] + [0] * (k - 1), "value": 1})
+    return {"alphabet": {"symbols": list("abc"[:k])}, "depth": depth, "coeffs": coeffs}
+
+
+@given(_bang_files())
+@settings(max_examples=300, deadline=None)
+def test_bang_reader_reads_what_the_fraction_reader_reads(data):
+    read = _reading(data)
+    assert read(jsonio.bang_from_json) == read(bang_from_json_oracle)
+
+
+@pytest.mark.parametrize("value", _EXACT_VALUES + _PARSED_VALUES + _REFUSED_VALUES + [0.25])
+def test_each_bang_value_is_read_as_the_fraction_reader_reads_it(value):
+    data = {"alphabet": {"symbols": ["t", "f"]}, "depth": 1, "coeffs": [{"multiset": [1, 0], "value": value}]}
+    read = _reading(data)
+    assert read(jsonio.bang_from_json) == read(bang_from_json_oracle)
+
+
+def test_exact_bang_files_are_read_over_one_scale():
+    data = {
+        "alphabet": {"symbols": ["t", "f"]},
+        "depth": 1,
+        "coeffs": [{"multiset": [0, 0], "value": "6/4"}, {"multiset": [0, 1], "value": _LONG_DENOMINATOR}],
+    }
+    b = jsonio.bang_from_json(data)
+    assert b.scale == 2 * int("7" * 200) and b.table == (3 * int("7" * 200), 0, 2)
+    assert b.coeffs == (F(3, 2), F(0), F(1, int("7" * 200)))

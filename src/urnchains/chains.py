@@ -492,10 +492,9 @@ def bang_from_cone(cone: Cone):
     padded = chain.backend.alphabet
     alphabet = Alphabet(padded.symbols[:-1])
     depth = chain.depth
-    bounded, full, mapping = pad_index_bijection(alphabet, depth)
+    _, _, mapping = pad_index_bijection(alphabet, depth)
     top = cone.legs[depth][0]
-    table = {counts: top.get(mapping[i], ZERO) for i, counts in enumerate(bounded.labels)}
-    return _pcoh.BangElement.from_table(alphabet, depth, table)
+    return _pcoh.BangElement.of(alphabet, depth, (top.get(j, ZERO) for j in mapping))
 
 
 def multinomial_cone(r, chain: DDChain) -> Cone:

@@ -2,12 +2,13 @@
 
 Rational values travel as "p/q" strings (or plain integers).  Floats in
 measures are parsed through their decimal representation, so a file
-containing 0.1 means exactly 1/10; a bang element's float coefficients stay
-floats, so that its table is judged at the float tolerance.  JSON booleans
-are refused as values, and multiset counts must be JSON integers.  A list or
-object of the wrong shape is refused by name.  An exact bang table is read
-and written as ints over one scale (see `pcoh.BangElement`), with no Fraction
-per coefficient.
+containing 0.1 means exactly 1/10; a bang file holding a float is read as a
+float table, its floats kept and its other values as Fractions, so that it
+is judged at the float tolerance.  JSON booleans are refused as values, and
+multiset counts must be JSON integers.  A list or object of the wrong shape
+is refused by name.  An exact bang table is read and written as ints over
+one scale, the one form of an exact `pcoh.BangElement`, with no Fraction per
+coefficient.
 
 Every JSON file and stdout payload is 2-space indented, key-sorted JSON and a
 newline, byte-identical to `json.dump(data, fh, indent=2, sort_keys=True)`

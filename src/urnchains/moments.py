@@ -27,9 +27,9 @@ size s+1 with a count of x are the labels of size s plus one x, in order.
 The embedding of exact atoms builds each block's integer monomials from the
 block below and sums the atoms over one common denominator, into a table of
 ints over one scale (see `pcoh.BangElement`); the recurrence takes each
-block's right-hand sides as k filtered slices of the block above, on such
-ints when the table is exact, so that its defects are ints until they are
-reported as Fractions.
+block's right-hand sides as k filtered slices of the block above, on the
+ints of an exact table (every exact table is held over a scale), so that its
+defects are ints until they are reported as Fractions.
 A float table's right-hand sides are added in symbol order from zero, as the
 recurrence reads, so its defects are the same floats label by label.
 """
@@ -75,11 +75,11 @@ def embed_mixing_measure(
     if is_exact(v for point, w in atoms for v in (w, *point)):
         return BangElement.from_ints(alphabet, depth, *_exact_mixture(len(alphabet), depth, atoms))
     starts = [(point, frac(w) if is_exact((w,)) else w) for point, w in atoms]
-    coeffs = tuple(
+    coeffs = (
         sum((_monomial(point, counts, start) for point, start in starts), ZERO)
         for counts in bounded_multiset_space(alphabet, depth).labels
     )
-    return BangElement(alphabet, depth, coeffs)
+    return BangElement.of(alphabet, depth, coeffs)
 
 
 def _exact_mixture(k: int, depth: int, atoms) -> tuple[list, int]:
@@ -146,23 +146,21 @@ def check_totality(b: BangElement, tol=None) -> TotalityReport:
     order, is reported.  It is checked one size block at a time: the
     right-hand sides of size s are the sums of k filtered slices of the
     block of size s+1, those of the labels with a count of each symbol x.
-    An exact table is checked on ints: those of a table held over a scale,
-    or the table times the lcm of its denominators.  The tolerance defaults
-    to the one `_linalg.arithmetic` gives the table.
+    An exact table is checked on its ints over its scale, a float one on its
+    entries.  The tolerance defaults to the one `_linalg.arithmetic` gives
+    the table.
     """
-    exact = b.scale is not None or is_exact(b.coeffs)
+    scale = b.scale
     if tol is None:
-        _, _, tol = arithmetic(exact)
-    if exact:
-        # the recurrence on ints: a scaled table's, or the table over the lcm of its denominators
-        scale, values = b.scale, b.table
-        if scale is None:
-            scale = lcm(*(v.denominator for v in b.coeffs))
-            values = [v.numerator * (scale // v.denominator) for v in b.coeffs]
+        _, _, tol = arithmetic(scale is not None)
+    # a list, not the table's tuple: the slices of each size block are then
+    # lists too, and are not kept in the free lists of small tuples
+    values = list(b.table)
+    if scale is None:
+        worst, witness, lhs, rhs = _worst_defect(b, values, 1, ZERO)
+    else:
         worst, witness, lhs, rhs = _worst_defect(b, values, scale, 0)
         worst, lhs, rhs = (v if v is None else Fraction(v, scale) for v in (worst, lhs, rhs))
-    else:
-        worst, witness, lhs, rhs = _worst_defect(b, b.coeffs, 1, ZERO)
     if worst > tol:
         return TotalityReport(False, worst, witness, lhs, rhs)
     return TotalityReport(True, worst, None)
@@ -213,10 +211,8 @@ def damp(b: BangElement, p) -> BangElement:
     element by p < 1 breaks totality with defect (1-p) times the damped
     coefficient."""
     p = frac(p)
-    coeffs = tuple(
-        p ** sum(counts) * v for counts, v in zip(b.web.labels, b.coeffs)
-    )
-    return BangElement(b.alphabet, b.depth, coeffs)
+    coeffs = (p ** sum(counts) * v for counts, v in zip(b.web.labels, b.coeffs))
+    return BangElement.of(b.alphabet, b.depth, coeffs)
 
 
 def cone_from_total_element(b: BangElement, chain: DDChain | None = None) -> Cone:
@@ -291,7 +287,7 @@ def bang_from_moments(m: MomentTable, alphabet: Alphabet | None = None) -> BangE
                 f" {counts} reconstructs to {value}"
             )
         coeffs.append(value)
-    return BangElement(alphabet, depth, tuple(coeffs))
+    return BangElement.of(alphabet, depth, coeffs)
 
 
 # -- measure recovery ----------------------------------------------------------

@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from ._linalg import (
     ONE, ZERO, Matrix, _monomial, arithmetic, frac, identity, is_exact, kron, matmul
@@ -268,9 +268,11 @@ class BangElement:
     """Depth-truncated element of the exponential: a full coefficient table
     on multisets of size <= depth, in the order of the one web
     bounded_multiset_space(alphabet, depth) that `spaces` builds for them.
-    With an int scale, an exact table is held as ints: the coefficient at
-    web position i is Fraction(table[i], scale), and the scale is the lcm of
-    the coefficients' denominators, so gcd(scale, *table) is 1."""
+    An exact table is held as ints over an int scale: the coefficient at web
+    position i is Fraction(table[i], scale), and the scale is the lcm of the
+    coefficients' denominators, so gcd(scale, *table) is 1.  A table with no
+    scale is a float table: it holds at least one float, and its entries are
+    the coefficients.  `of` builds either form from the coefficients."""
 
     alphabet: Alphabet
     depth: int
@@ -284,11 +286,12 @@ class BangElement:
             raise ValueError(
                 f"need {expected} coefficients for depth {self.depth}, got {len(self.table)}"
             )
-        for v in self.table:
-            # an exact coefficient's sign is its numerator's
-            if (v.numerator if type(v) is Fraction else v) < 0:
-                raise ValueError("coefficients must be nonnegative")
-        if self.scale is not None and (self.scale < 1 or gcd(self.scale, *self.table) != 1):
+        if any(v < 0 for v in self.table):  # not min(): a NaN before a negative hides it
+            raise ValueError("coefficients must be nonnegative")
+        if self.scale is None:
+            if is_exact(self.table):
+                raise ValueError("an exact table needs a scale; build it with BangElement.of")
+        elif self.scale < 1 or gcd(self.scale, *self.table) != 1:
             raise ValueError(f"scale {self.scale} is not the lcm of the table's denominators")
 
     @cached_property
@@ -301,10 +304,14 @@ class BangElement:
         return bounded_multiset_space(self.alphabet, self.depth)
 
     @classmethod
-    def from_table(cls, alphabet: Alphabet, depth: int, table: dict) -> "BangElement":
-        web = bounded_multiset_space(alphabet, depth)
-        coeffs = tuple(frac(table.get(counts, 0)) for counts in web.labels)
-        return cls(alphabet, depth, coeffs)
+    def of(cls, alphabet: Alphabet, depth: int, values) -> "BangElement":
+        """The element with these coefficients, in web order: exact ones as
+        ints over the lcm of their denominators, a table with a float as given."""
+        values = tuple(values)
+        if not is_exact(values):
+            return cls(alphabet, depth, values)
+        scale = lcm(*(v.denominator for v in values))
+        return cls(alphabet, depth, tuple(v.numerator * (scale // v.denominator) for v in values), scale)
 
     @classmethod
     def from_ints(cls, alphabet: Alphabet, depth: int, table, scale: int) -> "BangElement":
@@ -333,8 +340,7 @@ def promotion(x: PcsVector, depth: int) -> BangElement:
         raise ValueError("promotion requires a subdistribution (coefficients sum <= 1)")
     alphabet = Alphabet(x.web.labels)
     web = bounded_multiset_space(alphabet, depth)
-    coeffs = tuple(_monomial(x.coeffs, counts) for counts in web.labels)
-    return BangElement(alphabet, depth, coeffs)
+    return BangElement.of(alphabet, depth, (_monomial(x.coeffs, counts) for counts in web.labels))
 
 
 def restrict_to_depth(b: BangElement, n: int) -> PcsVector:

@@ -63,14 +63,6 @@ def apply_perm(perm: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def symmetry_kernel(alphabet: Alphabet, n: int, perm: tuple[int, ...]) -> FinKernel:
-    """Deterministic kernel permuting tuple coordinates along perm."""
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    space = tuple_space(alphabet, n)
-    return FinKernel.build(space, space, lambda t: {apply_perm(perm, t): ONE})
-
-
 def permute_tuple_columns(rows: tuple, space: IndexSet, perm: tuple[int, ...]) -> tuple:
     """Sparse rows of (f then symmetry(perm)), for the sparse rows of f,
     without materialising the permutation matrix."""

@@ -5,11 +5,12 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
 
-from urnchains._linalg import ZERO, arithmetic, frac, is_exact
+from urnchains._linalg import ONE, ZERO, arithmetic, frac, is_exact
 from urnchains.jsonio import FormatError, alphabet_from_json
 from urnchains.moments import TotalityReport
 from urnchains.pcoh import BangElement, refuse_oversized_bang
-from urnchains.spaces import bounded_multiset_space
+from urnchains.spaces import bounded_multiset_space, tuple_space
+from urnchains.stoch import FinKernel, apply_perm
 
 
 def mm(a, b):
@@ -106,6 +107,15 @@ def dense_solve_right(e, b):
             return "inconsistent"
         out.append(tuple(system[k][r] for k in range(r)))
     return tuple(out)
+
+
+def symmetry_kernel(alphabet, n, perm):
+    """The deterministic kernel permuting tuple coordinates along perm: one
+    of the n! coordinate symmetries, the oracle of `stoch.verify_equalises`."""
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
+    space = tuple_space(alphabet, n)
+    return FinKernel.build(space, space, lambda t: {apply_perm(perm, t): ONE})
 
 
 def symmetrization_oracle(k, n):
@@ -370,4 +380,4 @@ def bang_from_json_oracle(data):
             f"multiset {list(next(iter(table)))} is not a multiset of size <= {depth}"
             f" over {','.join(alphabet.symbols)}"
         )
-    return BangElement(alphabet, depth, coeffs)
+    return BangElement.of(alphabet, depth, coeffs)

@@ -376,11 +376,8 @@ def test_every_depth_table_is_a_coherent_family():
     chain = build_dd_chain(pcoh_free_copointed(bool_pcs()), 2)
     rng = random.Random(23)
     for _ in range(5):
-        table = {
-            counts: F(rng.randint(0, 9), 9)
-            for counts in bounded_multiset_space(BOOL, 2).labels
-        }
-        b = BangElement.from_table(BOOL, 2, table)
+        table = [F(rng.randint(0, 9), 9) for _ in bounded_multiset_space(BOOL, 2).labels]
+        b = BangElement.of(BOOL, 2, table)
         cone = bang_cone(b, chain)
         assert cone.deviation() == 0
         assert bang_from_cone(cone).coeffs == b.coeffs

@@ -7,8 +7,9 @@ one size block at a time.
 These tests compare both, and the `_monomial` tables of `pcoh.promotion`,
 with term-by-term Fraction arithmetic and with label-by-label oracles that
 look every parent and successor up in the web, check that float inputs
-to the embedding still take the `_monomial` loop, and that a table held over
-a scale reads, checks and writes as the same table of Fractions does.
+to the embedding still take the `_monomial` loop, that every exact table is
+held over one scale, whichever producer builds it, and that it reads, checks
+and writes as its table of Fractions does.
 """
 
 import contextlib
@@ -29,12 +30,12 @@ from urnchains import jsonio
 from urnchains._linalg import ZERO, _monomial
 from urnchains.chains import build_dd_chain, pcoh_ground_copointed
 from urnchains.moments import (
-    MomentProblemError, TotalityReport, check_totality, cone_from_total_element, damp, embed_mixing_measure,
-    recover_measure,
+    MomentProblemError, TotalityReport, bang_from_moments, check_totality, cone_from_total_element, damp,
+    embed_mixing_measure, moment_sequence, recover_measure,
 )
 from urnchains.multiset import Alphabet
 from urnchains.pcoh import BangElement, PcsVector, promotion, restrict_to_depth
-from urnchains.spaces import symbol_space
+from urnchains.spaces import bounded_multiset_space, multiset_space, symbol_space
 from urnchains.stoch import AtomicMeasure, ProbVector
 
 F = Fraction
@@ -111,7 +112,7 @@ def test_exact_totality_matches_the_fraction_recurrence(case, data):
     bumps = st.tuples(st.integers(0, len(coeffs) - 1), st.sampled_from([F(1, 7), F(2, 7), F(1, 3)]))
     for i, delta in data.draw(st.lists(bumps, max_size=4)):
         coeffs[i] += delta
-    b = BangElement(alphabet, depth, tuple(coeffs))
+    b = BangElement.of(alphabet, depth, coeffs)
     worst, witness, lhs, rhs = totality_oracle(dict(zip(b.web.labels, coeffs)), b.web.labels, depth)
     report = check_totality(b)
     assert report == TotalityReport(worst == 0, worst, witness, lhs, rhs)
@@ -167,7 +168,7 @@ def test_block_totality_matches_the_label_by_label_oracle(case, kind, data):
     if kind != "exact":
         floats = data.draw(st.lists(st.booleans(), min_size=len(coeffs), max_size=len(coeffs)))
         coeffs = [float(v) if kind == "float" or f else v for v, f in zip(coeffs, floats)]
-    b = BangElement(alphabet, depth, tuple(coeffs))
+    b = BangElement.of(alphabet, depth, coeffs)
     assert _report_bits(check_totality(b)) == _report_bits(label_by_label_totality(b))
     tol = data.draw(st.sampled_from([None, F(1, 7), 1e-9]))
     assert _report_bits(check_totality(b, tol)) == _report_bits(label_by_label_totality(b, tol))
@@ -187,7 +188,7 @@ def test_tied_worst_defects_report_the_first_in_web_order(bumped, witness, lhs, 
     alphabet = Alphabet(SYMBOLS[:2])
     b = embed_mixing_measure(measure(alphabet, [((F(1, 2), F(1, 2)), F(1))]), 2)
     coeffs = [v + F(1, 7) if mu in bumped else v for mu, v in zip(b.web.labels, b.coeffs)]
-    b = BangElement(alphabet, 2, tuple(coeffs))
+    b = BangElement.of(alphabet, 2, coeffs)
     assert check_totality(b) == TotalityReport(False, F(1, 7), witness, lhs, rhs)
     assert check_totality(b) == label_by_label_totality(b)
 
@@ -217,19 +218,73 @@ def test_a_scaled_table_reads_and_checks_as_its_fractions_do(case):
     assert all(type(v) is int for v in scaled.table)
     assert math.gcd(scaled.scale, *scaled.table) == 1  # the scale is the lcm of the denominators
     assert all(type(v) is Fraction for v in scaled.coeffs)
-    plain = BangElement(alphabet, depth, scaled.coeffs)
-    assert plain.scale is None and plain.coeffs == scaled.coeffs
-    for counts in scaled.web.labels:
-        assert type(scaled.at(counts)) is Fraction and scaled.at(counts) == plain.at(counts)
+    # the same coefficients in term-by-term Fraction arithmetic, and the element `of` builds from them
+    labels = scaled.web.labels
+    fractions = promotion_mixture_oracle(atoms, labels)
+    plain = BangElement.of(alphabet, depth, [fractions[mu] for mu in labels])
+    assert plain.scale == scaled.scale and plain.coeffs == scaled.coeffs
+    assert plain == scaled
+    for counts in labels:
+        assert type(scaled.at(counts)) is Fraction and scaled.at(counts) == fractions[counts]
     for n in range(depth + 1):
-        assert restrict_to_depth(scaled, n) == restrict_to_depth(plain, n)
-    assert damp(scaled, F(2, 3)) == damp(plain, F(2, 3))
-    assert check_totality(scaled) == check_totality(plain)
-    assert check_totality(scaled, F(1, 7)) == check_totality(plain, F(1, 7))
+        web = bounded_multiset_space(alphabet, n)
+        assert restrict_to_depth(scaled, n) == PcsVector(web, tuple(fractions[mu] for mu in web.labels))
+    damped = damp(scaled, F(2, 3))
+    assert damped.coeffs == tuple(F(2, 3) ** sum(mu) * fractions[mu] for mu in labels)
+    assert check_totality(scaled) == _fraction_report(fractions, labels, depth)
+    assert check_totality(scaled, F(1, 7)) == _fraction_report(fractions, labels, depth, F(1, 7))
     chain = build_dd_chain(pcoh_ground_copointed(alphabet), min(depth, 2))
-    assert _legs(scaled, chain) == _legs(plain, chain)
+    report = _fraction_report(fractions, labels, depth)
+    legs = [
+        ({j: fractions[mu] for j, mu in enumerate(multiset_space(alphabet, n).labels) if fractions[mu]},)
+        for n in range(chain.depth + 1)
+    ]
+    assert _legs(scaled, chain) == ((legs, "dd") if report.total else f"element is {report}")
     if k < 3 and depth < 4:
         assert _outcome(recover_measure, scaled, 4) == _outcome(recover_measure, plain, 4)
+
+
+def _fraction_report(fractions, labels, depth, tol=0):
+    """check_totality's report on the Fraction table, from `totality_oracle`."""
+    worst, witness, lhs, rhs = totality_oracle(fractions, labels, depth)
+    if worst <= tol:
+        return TotalityReport(True, worst, None)
+    return TotalityReport(False, worst, witness, lhs, rhs)
+
+
+def test_an_exact_table_without_a_scale_is_refused():
+    alphabet = Alphabet(SYMBOLS[:2])
+    for table in [(1, 0, 0), (F(1), F(1, 2), F(1, 2))]:
+        with pytest.raises(ValueError, match="an exact table needs a scale"):
+            BangElement(alphabet, 1, table)
+    # the sign is checked first
+    with pytest.raises(ValueError, match="coefficients must be nonnegative"):
+        BangElement(alphabet, 1, (1, -1, 0))
+    # a table holding a float is a float table, kept as given
+    mixed = BangElement(alphabet, 1, (1, 0.5, F(1, 2)))
+    assert mixed.scale is None and mixed.coeffs == mixed.table == (1, 0.5, F(1, 2))
+    assert BangElement.of(alphabet, 1, mixed.table) == mixed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(0, 6), simplex_points(k), mixings(k))
+    ),
+    unit_fractions,
+)
+@example((2, 3, (F(1, 3), F(2, 3)), []), F(1, 2))
+def test_one_table_is_one_element_whichever_producer_builds_it(case, p):
+    # elements compare field by field, so each exact table must have one form
+    k, depth, point, atoms = case
+    alphabet = Alphabet(SYMBOLS[:k])
+    b = promotion(PcsVector(symbol_space(alphabet), point), depth)
+    assert b == embed_mixing_measure(AtomicMeasure.dirac(ProbVector(alphabet, point)), depth)
+    if k == 2:
+        assert bang_from_moments(moment_sequence(b), alphabet) == b
+    scaled = embed_mixing_measure(measure(alphabet, atoms), depth, alphabet=alphabet)
+    damped = [p ** sum(mu) * v for mu, v in zip(scaled.web.labels, scaled.coeffs)]
+    assert damp(scaled, p) == BangElement.of(alphabet, depth, damped)
 
 
 @pytest.mark.parametrize("table, scale", [((1, -1, 0), 1), ((2, -1, 0), 3)], ids=["unit-scale", "scale-3"])

@@ -56,9 +56,8 @@ def _written(b, mode="exact"):
 
 
 def test_bang_round_trip_drops_zeros():
-    b = BangElement.from_table(
-        BOOL, 2, {(0, 0): 1, (1, 0): F(1, 2), (2, 0): F(1, 8)}
-    )
+    # web order: [], [t], [f], [t,t], [t,f], [f,f]
+    b = BangElement.of(BOOL, 2, (1, F(1, 2), 0, F(1, 8), 0, 0))
     data = _written(b)
     assert data == bang_json_oracle(b)
     assert len(data["coeffs"]) == 3  # zero entries are omitted
@@ -67,7 +66,7 @@ def test_bang_round_trip_drops_zeros():
 
 
 def test_bang_float_mode_values():
-    b = BangElement.from_table(BOOL, 1, {(0, 0): 1, (1, 0): F(1, 2)})
+    b = BangElement.of(BOOL, 1, (1, F(1, 2), 0))
     data = _written(b, mode="float")
     assert data == bang_json_oracle(b, mode="float")
     values = {tuple(e["multiset"]): e["value"] for e in data["coeffs"]}
@@ -76,7 +75,7 @@ def test_bang_float_mode_values():
 
 def test_bang_float_values_stay_floats():
     # a float table read back is a float table, judged at the float tolerance
-    b = BangElement.from_table(BOOL, 1, {(0, 0): 1, (1, 0): F(1, 3), (0, 1): F(2, 3)})
+    b = BangElement.of(BOOL, 1, (1, F(1, 3), F(2, 3)))
     back = jsonio.bang_from_json(_written(b, mode="float"))
     assert back.coeffs == (1.0, 1 / 3, 2 / 3)
     assert all(type(v) is float for v in back.coeffs)
@@ -101,7 +100,7 @@ def _bang_elements(draw):
     alphabet = Alphabet(tuple(draw(st.lists(st.text(max_size=3), min_size=k, max_size=k, unique=True))))
     size = math.comb(depth + k, k)
     coeffs = draw(st.lists(_coefficients, min_size=size, max_size=size))
-    return BangElement(alphabet, depth, tuple(coeffs))
+    return BangElement.of(alphabet, depth, coeffs)
 
 
 @given(_bang_elements(), st.sampled_from(["exact", "float"]))

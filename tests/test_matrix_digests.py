@@ -11,7 +11,7 @@ import itertools
 
 import pytest
 
-from helpers import dense_rows
+from helpers import dense_rows, symmetry_kernel
 from urnchains import chains, pcoh, stoch, verify
 from urnchains.multiset import Alphabet
 from urnchains.pcoh import PcsVector, ground_pcs, promotion
@@ -58,7 +58,7 @@ def _bang_legs(alphabet):
 def _constructors(alphabet):
     out = {
         "symmetry_kernel": [
-            stoch.symmetry_kernel(alphabet, n, perm)
+            symmetry_kernel(alphabet, n, perm)
             for n in SIZES
             for perm in itertools.permutations(range(n))
         ],

@@ -117,9 +117,12 @@ def test_canonical_section_splits_eq_delta():
 @pytest.mark.parametrize("negative", [F(-1, 10**30), -1, -1e-300])
 def test_bang_element_refuses_a_negative_coefficient(negative):
     for v in (F(0), 0, 0.0, F(1, 10**30)):
-        BangElement(BOOL, 1, (1, v, 0))
+        BangElement.of(BOOL, 1, (1, v, 0))
     with pytest.raises(ValueError, match="nonnegative"):
-        BangElement(BOOL, 1, (1, negative, 0))
+        BangElement.of(BOOL, 1, (1, negative, 0))
+    # a NaN before the negative value does not hide it
+    with pytest.raises(ValueError, match="nonnegative"):
+        BangElement.of(BOOL, 1, (float("nan"), negative, 0))
 
 
 # -- chain step matrices -----------------------------------------------------------------

@@ -30,9 +30,6 @@ TEST_ONLY = {
     "moments.cone_from_total_element":
         "a total element is a cone over the De Finetti chain"
         " (test_moments::test_cone_legs_of_a_dirac_are_products)",
-    "stoch.symmetry_kernel":
-        "the n! coordinate symmetries, the oracle of verify_equalises"
-        " (test_stoch::test_verify_equalises_agrees_with_every_symmetry)",
 }
 
 

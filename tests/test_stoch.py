@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rows, entry, mm, sparse
+from helpers import dense_rows, entry, mm, sparse, symmetry_kernel
 from urnchains._linalg import compose, identity, kron, matmul
 from urnchains.chains import Backend
 from urnchains.multiset import BOOL, Alphabet
@@ -26,7 +26,6 @@ from urnchains.stoch import (
     multinomial_law,
     permute_tuple_columns,
     symmetrization_average,
-    symmetry_kernel,
     verify_equalises,
 )
 from urnchains.stoch import _STATE_CHUNK, _first_uniforms, _state_dicts, _trial_states, _trial_streams

@@ -10,12 +10,12 @@ is refused by name.  An exact bang table is read and written as ints over
 one scale, the one form of an exact `pcoh.BangElement`, with no Fraction per
 coefficient.
 
-Every JSON file and stdout payload is 2-space indented, key-sorted JSON and a
-newline, byte-identical to `json.dump(data, fh, indent=2, sort_keys=True)`
-followed by "\n"; `dump_json` renders the whole text first and writes it once.
-A bang element goes to `dump_json` as it is: its file is written straight
-from its labels and coefficients, one entry template per multiset width,
-with no dict per coefficient; other payloads are rendered from their dicts.
+Every JSON file and stdout payload is `json.dumps(data, indent=2,
+sort_keys=True)` and a newline, which `dump_json` writes at once.  A bang
+element goes to `dump_json` as it is: its coefficient list is formatted
+straight from its labels and values, one entry template per multiset width,
+with no dict per coefficient, and its alphabet through `json.dumps`; the
+bytes are those of its file's dict.  Other payloads are dicts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import reprlib
 import sys
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from json.encoder import encode_basestring_ascii
 
 from ._linalg import frac
 from .multiset import Alphabet
@@ -184,11 +183,12 @@ def load_json(path: str) -> dict:
 
 
 def dump_json(data, path: str | None, mode: str = "exact") -> None:
-    """Indented, key-sorted JSON and a newline, to path or, without one, to
-    stdout, in one write; the bytes json.dump(indent=2, sort_keys=True) gives.
-    A BangElement is written as its bang file (see `_bang_text`), its values
-    exact or, in mode "float", floats."""
-    text = _bang_text(data, mode) if isinstance(data, BangElement) else _render(data, "\n") + "\n"
+    """json.dumps(data, indent=2, sort_keys=True) and a newline, to path or,
+    without one, to stdout, in one write.  A BangElement is written as its
+    bang file (see `_bang_text`), the bytes json.dumps gives for the file's
+    dict, its values exact or, in mode "float", floats."""
+    bang = isinstance(data, BangElement)
+    text = _bang_text(data, mode) if bang else json.dumps(data, indent=2, sort_keys=True) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -196,7 +196,6 @@ def dump_json(data, path: str | None, mode: str = "exact") -> None:
         sys.stdout.write(text)
 
 
-_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # a bang file entry {"multiset": counts, "value": value}, formatted with the
 # %d count slots of one multiset width and the value's JSON text
 _BANG_ENTRY = '    {{\n      "multiset": [\n        {}\n      ],\n      "value": %s\n    }}'
@@ -214,7 +213,7 @@ def _bang_text(b: BangElement, mode: str) -> str:
     scale = b.scale
     if mode == "float":
         floats = map(float, values) if scale is None else [v / scale for v in values]
-        texts = [_FLOAT_SPECIALS.get(t, t) for t in map(repr, floats)]
+        texts = list(map(repr, floats))
     else:
         if scale is None:
             pairs = [(f.numerator, f.denominator) for f in map(frac, values)]
@@ -224,44 +223,9 @@ def _bang_text(b: BangElement, mode: str) -> str:
     entry = _BANG_ENTRY.format(",\n        ".join(["%d"] * len(b.alphabet)))
     entries = ",\n".join([entry % (*counts, text) for counts, text in zip(labels, texts)])
     coeffs = "[\n" + entries + "\n  ]" if entries else "[]"
-    alphabet = _render(alphabet_to_json(b.alphabet), "\n  ")
+    # the alphabet object, indented one level: its strings hold no raw newline
+    alphabet = json.dumps(alphabet_to_json(b.alphabet), indent=2).replace("\n", "\n  ")
     return f'{{\n  "alphabet": {alphabet},\n  "coeffs": {coeffs},\n  "depth": {b.depth}\n}}\n'
-
-
-def _render(o, newline: str) -> str:
-    """o as json's indented, key-sorted text; `newline` is a newline and the
-    indent of o's own line.  The type tests follow json.encoder's order."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        text = float.__repr__(o)
-        return _FLOAT_SPECIALS.get(text, text)
-    inner = newline + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        # ints (multiset counts) skip the call, as str values do below
-        items = [int.__repr__(v) if type(v) is int else _render(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = []
-        for key, value in sorted(o.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
-            text = encode_basestring_ascii(value) if type(value) is str else _render(value, inner)
-            items.append(encode_basestring_ascii(key) + ": " + text)
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def histogram_csv(law: EmpiricalLaw) -> str:

@@ -44,7 +44,7 @@ from operator import itemgetter
 
 from ._linalg import ZERO, _monomial, arithmetic, frac, is_exact
 from .chains import Cone, DDChain, build_dd_chain, pcoh_ground_copointed
-from .multiset import Alphabet, enumerate_multisets, multiset_count
+from .multiset import BOOL, Alphabet, enumerate_multisets, multiset_count
 from .optim import MAX_CONSTRAINTS, MAX_VARIABLES, feasibility_minmax
 from .pcoh import BangElement, PcsVector, multinomial_embedding, restrict_to_depth
 from .spaces import bounded_multiset_space, multiset_space
@@ -261,7 +261,7 @@ def moment_sequence(b: BangElement) -> MomentTable:
     return MomentTable(tuple(b.at((a, 0)) for a in range(b.depth + 1)))
 
 
-def bang_from_moments(m: MomentTable, alphabet: Alphabet | None = None) -> BangElement:
+def bang_from_moments(m: MomentTable, alphabet: Alphabet = BOOL) -> BangElement:
     """Rebuild the full table from pure moments by alternating finite
     differences: coefficient at [s^a, t^b] is sum_i (-1)^i C(b,i) m_{a+i}.
 
@@ -269,7 +269,6 @@ def bang_from_moments(m: MomentTable, alphabet: Alphabet | None = None) -> BangE
     coefficient that comes out negative (web order: by size, then canonical)
     is reported; a completely monotone sequence never triggers this.
     """
-    alphabet = alphabet or Alphabet.of("t", "f")
     if len(alphabet) != 2:
         raise MomentProblemError("moment tables are for two-symbol alphabets")
     depth = m.depth

@@ -27,12 +27,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, lcm
+from math import comb, gcd, isfinite, lcm
 
 from ._linalg import (
     ONE, ZERO, Matrix, _monomial, arithmetic, frac, identity, is_exact, kron, matmul
 )
 from .multiset import (
+    BOOL,
     Alphabet,
     Multiset,
     canonical_enumeration,
@@ -165,7 +166,7 @@ def ground_pcs(alphabet: Alphabet) -> Pcs:
 
 
 def bool_pcs() -> Pcs:
-    return ground_pcs(Alphabet.of("t", "f"))
+    return ground_pcs(BOOL)
 
 
 def with_unit_pcs(a: Pcs) -> Pcs:
@@ -291,6 +292,11 @@ class BangElement:
         if self.scale is None:
             if is_exact(self.table):
                 raise ValueError("an exact table needs a scale; build it with BangElement.of")
+            # NaN and infinities, the floats a bang file refuses; a Fraction
+            # is not passed to isfinite, where a huge one would overflow
+            for v in self.table:
+                if isinstance(v, float) and not isfinite(v):
+                    raise ValueError(f"coefficients must be finite, not {v!r}")
         elif self.scale < 1 or gcd(self.scale, *self.table) != 1:
             raise ValueError(f"scale {self.scale} is not the lcm of the table's denominators")
 

@@ -410,16 +410,6 @@ def _trial_streams(seed: int, trials: int):
     return (derive(start, min(start + _STATE_CHUNK, trials)) for start in range(0, trials, _STATE_CHUNK))
 
 
-def _trial_states(seed: int, trials: int):
-    """`PCG64.state` dicts of the per-trial streams of _trial_streams, in order.
-
-    >>> [np.random.PCG64(np.random.SeedSequence(entropy=2**64 + 1, spawn_key=(t,))).state
-    ...  for t in range(3)] == list(_trial_states(2**64 + 1, 3))
-    True
-    """
-    return itertools.chain.from_iterable(_state_dicts(*chunk) for chunk in _trial_streams(seed, trials))
-
-
 def _atom_cdf(mixing: AtomicMeasure) -> np.ndarray:
     # the CDF that Generator.choice(len(atoms), p=weights / weights.sum())
     # searches, with searchsorted(side="right"), for its one uniform

@@ -340,7 +340,7 @@ def cone_checks(config: Config, chains) -> list[CheckResult]:
         for label, chain in built.items():
             dev = _or_refusal(lambda: _round_trip_deviation(rng, chain, config))
             out.append(_check("cone-round-trip", {"backend": label, "samples": samples}, dev))
-        y = symbol_space(Alphabet.of("t", "f"))  # the parameter Y
+        y = symbol_space(BOOL)  # the parameter Y
         samples, seed = config.tensor_samples, config.seed
         for label, chain in built.items():
             dev = _or_refusal(

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import lcm
 
 from urnchains._linalg import ONE, ZERO, arithmetic, frac, is_exact
@@ -10,7 +10,7 @@ from urnchains.jsonio import FormatError, alphabet_from_json
 from urnchains.moments import TotalityReport
 from urnchains.pcoh import BangElement, refuse_oversized_bang
 from urnchains.spaces import bounded_multiset_space, tuple_space
-from urnchains.stoch import FinKernel, apply_perm
+from urnchains.stoch import FinKernel, _state_dicts, _trial_streams, apply_perm
 
 
 def mm(a, b):
@@ -107,6 +107,12 @@ def dense_solve_right(e, b):
             return "inconsistent"
         out.append(tuple(system[k][r] for k in range(r)))
     return tuple(out)
+
+
+def trial_states(seed, trials):
+    """`PCG64.state` dicts of the per-trial streams of `stoch._trial_streams`,
+    in trial order."""
+    return list(chain.from_iterable(_state_dicts(*chunk) for chunk in _trial_streams(seed, trials)))
 
 
 def symmetry_kernel(alphabet, n, perm):

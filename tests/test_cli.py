@@ -627,6 +627,43 @@ def test_embed_output_digests(tmp_path, capsys, k, atoms, mass, depth, mode, cod
     assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
 
 
+# SHA-256 of the definetti recover measure file, recorded with the
+# hand-written JSON encoder: each case embeds its mixing at its depth, or,
+# with no mixing, reads the depth-2 urn table, whose recovery writes a
+# diagnostic
+@pytest.mark.parametrize(
+    "symbols, atoms, depth, grid, mode, digest",
+    [
+        (["t", "f"], [([1, 0], "1/3"), ([0, 1], "2/3")], 4, 8, "exact",
+         "0e3b1e0cd2294aa22ccd6b2b5cac1e5f4bc2c4c44524fef028b79d2a01970140"),
+        (["t", "f"], [(["1/4", "3/4"], "1/2"), (["2/3", "1/3"], "1/2")], 5, 12, "float",
+         "0f5dc47af382ccf6954d07b983617749e7024004cae74ba786791200f5b63a29"),
+        (["é", "b", "c"], [(["1/4", "1/4", "1/2"], "1/3"), (["1/2", "3/8", "1/8"], "2/3")], 4, 8, "float",
+         "79847ea61c83b3ae095cf5a89c8749867466943d7ad32b30d2451229001ac516"),
+        (["é", "b", "c"], [([1, 0, 0], "1/2"), (["0", "1/2", "1/2"], "1/2")], 3, 4, "exact",
+         "8d08e4a1326e896e127a7f3771c773fa0f58a3ea7cca69c990a8ce876a772c32"),
+        (["t", "f"], None, 2, 8, "float",
+         "6f37eca47e3fde8413f98a3d60c476cead9be8ea65f11cad9bd2f78038d54611"),
+        (["t", "f"], None, 2, 8, "exact",
+         "17b780479b9556972229d35c3762ddf811515f67de4e386bfedbe1fb973f2ad8"),
+    ],
+    ids=["vertex-exact", "2atom-float", "3sym-float", "3sym-exact", "diagnostic-float", "diagnostic-exact"],
+)
+def test_recover_output_digests(tmp_path, capsys, symbols, atoms, depth, grid, mode, digest):
+    bang = tmp_path / "bang.json"
+    if atoms is None:
+        coeffs = _BANG_TF_DEPTH_1 + [{"multiset": [1, 1], "value": "1/2"}]
+        bang.write_text(json.dumps({"alphabet": {"symbols": symbols}, "depth": depth, "coeffs": coeffs}))
+    else:
+        mixing = _write_mixing(tmp_path / "mixing.json", symbols, atoms)
+        assert main(["bang", "iota", "--mixing", mixing, "--depth", str(depth), "--out", str(bang)]) == 0
+    out = str(tmp_path / "measure.json")
+    argv = ["definetti", "recover", "--bang", str(bang), "--grid", str(grid), "--mode", mode, "--out", out]
+    assert main(argv) == 0
+    assert ("diagnostic" in json.loads(open(out).read())) == (atoms is None)
+    assert hashlib.sha256(open(out, "rb").read()).hexdigest() == digest
+
+
 def _fixed_reproducer_bang(tmp_path) -> str:
     # the mixture whose float recovery once broke down in simplex phase 1
     mixing = tmp_path / "mixing.json"

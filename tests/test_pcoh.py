@@ -125,6 +125,29 @@ def test_bang_element_refuses_a_negative_coefficient(negative):
         BangElement.of(BOOL, 1, (float("nan"), negative, 0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("position", [0, 1])
+def test_bang_element_refuses_a_non_finite_coefficient(bad, position):
+    # check_totality keeps a defect only when it exceeds the worst, so a NaN
+    # table would read "total (defect 0)"
+    table = [1.0, 0.5, 0.5]
+    table[position] = bad
+    with pytest.raises(ValueError, match=f"coefficients must be finite, not {bad!r}"):
+        BangElement.of(BOOL, 1, table)
+
+
+def test_promotion_of_a_nan_vector_is_refused():
+    # a NaN point passes promotion's subdistribution check
+    x = PcsVector(symbol_space(BOOL), (float("nan"), 0.5))
+    with pytest.raises(ValueError, match="coefficients must be finite, not nan"):
+        promotion(x, 2)
+
+
+def test_bang_element_leaves_the_fractions_of_a_float_table_unchecked():
+    # isfinite would overflow on this Fraction
+    assert BangElement.of(BOOL, 1, (1.0, F(10**400), F(1, 2))).table[1] == 10**400
+
+
 # -- chain step matrices -----------------------------------------------------------------
 
 def test_dd_inclusion_rows():

@@ -1,11 +1,12 @@
-"""Every public function, class and method of the package has a caller in the program.
+"""Every function, class and method of the package has a caller in the program.
 
-A public top-level function or class of `src/urnchains` must be referred to,
-as an `ast` Name or Attribute, by some package module or some `perfbench/`
-file; a public method or property of a package class must be read as an
-attribute `.name` there.  A mention in a docstring or comment does not
-count.  A name that only the tests use is allowed only when a test checks a
-law of the paper through it, and `TEST_ONLY` names that law.
+A top-level function or class of `src/urnchains`, public or private, must be
+referred to, as an `ast` Name or Attribute, by some package module or some
+`perfbench/` file; a method or property of a package class must be read as
+an attribute `.name` there.  Dunders, which Python calls, are exempt.  A
+mention in a docstring or comment does not count.  A name that only the
+tests use is allowed only when a test checks a law of the paper through it,
+and `TEST_ONLY` names that law.
 """
 
 import ast
@@ -44,16 +45,20 @@ def _parse(path):
         return ast.parse(fh.read(), filename=path)
 
 
-def _public_definitions(module, tree):
-    """({qualified name: name} of the public top-level functions and classes,
-    the same of the public methods and properties of every class)."""
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(module, tree):
+    """({qualified name: name} of the top-level functions and classes, the
+    same of the methods and properties of every class), dunders left out."""
     definitions, methods = {}, {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_dunder(node.name):
             definitions[f"{module}.{node.name}"] = node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
                     methods[f"{module}.{node.name}.{item.name}"] = item.name
     return definitions, methods
 
@@ -73,7 +78,7 @@ def _uncalled(package_trees, other_trees):
     definitions, methods = {}, {}
     names, attributes = set(), set()
     for module, tree in package_trees.items():
-        defined, defined_methods = _public_definitions(module, tree)
+        defined, defined_methods = _definitions(module, tree)
         definitions.update(defined)
         methods.update(defined_methods)
     for tree in [*package_trees.values(), *other_trees]:
@@ -100,9 +105,13 @@ def test_the_guard_sees_what_it_forbids():
         "    def read(self): pass\n"
         "    def unread(self): pass\n"
         "    def _private(self): pass\n"
+        "    def _helper(self): pass\n"
+        "    def __len__(self): pass\n"
         "def _private(): pass\n"
+        "def _helper(): pass\n"
     )
-    # a method counts as called only when read as an attribute, not as a name
-    caller = ast.parse("from m import used\nused()\nm.Kept().read()\nunread = 1\n")
-    assert _uncalled({"m": mod}, [caller]) == ["m.Kept.unread", "m.unused"]
+    # a method counts as called only when read as an attribute, not as a name;
+    # a private name is held to the same rule, a dunder is exempt
+    caller = ast.parse("from m import used\nused()\nm.Kept().read()\nunread = 1\n_helper(m.Kept()._helper)\n")
+    assert _uncalled({"m": mod}, [caller]) == ["m.Kept._private", "m.Kept.unread", "m._private", "m.unused"]
     assert os.path.isfile(os.path.join(PERFBENCH, "run.py"))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rows, entry, mm, sparse, symmetry_kernel
+from helpers import dense_rows, entry, mm, sparse, symmetry_kernel, trial_states
 from urnchains._linalg import compose, identity, kron, matmul
 from urnchains.chains import Backend
 from urnchains.multiset import BOOL, Alphabet
@@ -28,7 +28,7 @@ from urnchains.stoch import (
     symmetrization_average,
     verify_equalises,
 )
-from urnchains.stoch import _STATE_CHUNK, _first_uniforms, _state_dicts, _trial_states, _trial_streams
+from urnchains.stoch import _STATE_CHUNK, _first_uniforms, _state_dicts, _trial_streams
 
 F = Fraction
 ABC = Alphabet.of("a", "b", "c")
@@ -373,11 +373,11 @@ def _per_trial_rng(seed, trial):
     picks=st.lists(st.integers(0, 2**32), max_size=4),
 )
 # seeds of more than four 32-bit words take the extra mixing rounds of
-# _trial_states on every run, whatever hypothesis draws
+# _trial_streams on every run, whatever hypothesis draws
 @example(seed=2**128 + 3, trials=_STATE_CHUNK + 2, picks=[7])
 @example(seed=2**200 - 1, trials=2 * _STATE_CHUNK + 1, picks=[])
 def test_trial_states_match_numpy_seed_sequence(seed, trials, picks):
-    states = list(_trial_states(seed, trials))
+    states = trial_states(seed, trials)
     assert len(states) == trials
     # both sides of every chunk boundary, the last trial and a few others
     near = {b + d for b in range(0, trials + 1, _STATE_CHUNK) for d in (-1, 0, 1)}
@@ -412,12 +412,12 @@ def test_first_uniforms_and_states_after_them_match_numpy(seed, trials):
 
 def test_trial_states_refuse_what_numpy_refuses_and_check_numpy(monkeypatch):
     with pytest.raises(ValueError):
-        _trial_states(-1, 3)
+        trial_states(-1, 3)
     with pytest.raises(TypeError):
-        _trial_states(1.5, 3)
+        trial_states(1.5, 3)
     monkeypatch.setattr(stoch, "_PCG64_MULT", stoch._PCG64_MULT + 2)
     with pytest.raises(RuntimeError, match=np.__version__):
-        _trial_states(0, 3)
+        trial_states(0, 3)
 
 
 def test_empirical_law_matches_per_trial_generators():

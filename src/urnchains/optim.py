@@ -18,19 +18,20 @@ holding Fractions in exact mode; its pivot tolerance is the one of
 pivot updates only the block of rows with a nonzero in the pivot column by
 columns where the pivot row is nonzero, so its cost follows the fill.
 
-Exact mode solves the float copy of the program and certifies its final
-basis B in rational arithmetic, after Applegate, Cook, Dash and Espinoza,
-"Exact solutions to linear programming problems", Oper. Res. Lett. 35
-(2007), and Dhiflaoui et al., "Certifying and repairing solutions to large
-LPs", SODA 2003: B x_B = b and y^T B = c_B are solved exactly on the sparse
-basis columns, and that answer stands when B is nonsingular and it passes
-the certificate at tolerance zero.  Otherwise (the float solve fails,
-overflows or ends non-optimal, or its basis does not certify) the exact
-two-phase solve runs from scratch, so every status is decided in exact
-arithmetic.  The certificate is the one check of every optimal answer,
-float or exact: x is primal feasible (rows and x >= 0), y is dual feasible
-(y_ub >= 0, A^T y >= c) and their values meet (within float tolerances in
-float mode).
+Exact mode solves the program on a float tableau built from its entries and
+certifies the final basis B in rational arithmetic, after Applegate, Cook,
+Dash and Espinoza, "Exact solutions to linear programming problems", Oper.
+Res. Lett. 35 (2007), and Dhiflaoui et al., "Certifying and repairing
+solutions to large LPs", SODA 2003: B x_B = b and y^T B = c_B are solved
+exactly on the program's columns, and that answer stands when B is
+nonsingular and it passes the certificate at tolerance zero.  Otherwise (the
+float solve fails, overflows or ends non-optimal, or its basis does not
+certify) the exact two-phase solve runs from scratch, the one use of the
+dtype=object tableau, so every status is decided in exact arithmetic.  The
+certificate is the one check of every optimal answer, float or exact, and
+reads the program: x is primal feasible (rows and x >= 0), y is dual
+feasible (y_ub >= 0, A^T y >= c) and their values meet (within float
+tolerances in float mode), each test failing on a NaN.
 
 Problems are: maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 Sizes are capped (5000 variables, 2000 constraints); this is a desk-scale
@@ -39,12 +40,11 @@ solver, not a production one.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import LinearSolveError, arithmetic, solve_right
+from ._linalg import ONE, ZERO, LinearSolveError, arithmetic, frac, solve_right
 
 MAX_VARIABLES = 5000
 MAX_CONSTRAINTS = 2000
@@ -99,8 +99,9 @@ class LpSolution:
     # pivots of the tableau that gave the answer: (phase 1, phase 2); for
     # an exact answer from the certified float basis, the float solve's
     pivots: tuple = (0, 0)
-    # whether an exact answer is the float solve's basis, certified exactly
-    # (otherwise the cold exact solve gave it)
+    # whether an exact answer is the float solve's basis, solved and
+    # certified exactly on the program (otherwise the cold exact solve, on
+    # the Fraction tableau, gave it)
     from_float_basis: bool = False
 
     @property
@@ -147,16 +148,6 @@ class _Tableau:
         self.basis = np.arange(self.art0, self.ncols)
         self.pivots = 0
         self.phase1_pivots = 0
-
-    def copy(self) -> _Tableau:
-        """An independent float64 copy (raising OverflowError when an entry is
-        beyond float range)."""
-        other = copy.copy(self)
-        other.basis = self.basis.copy()
-        other.conv, other.zero, other.tol = arithmetic(False)
-        other.c = [float(v) for v in self.c]
-        other.t = self.t.astype(float)
-        return other
 
     def _set_cost(self, c_full):
         # reduced-cost row for maximization, basic columns eliminated
@@ -236,22 +227,6 @@ class _Tableau:
         self._drive_out_artificials(feas_tol)
         return self._phase2()
 
-    def basic_solution(self, basis):
-        """(x, y) of `basis` solved exactly on this unpivoted tableau's
-        sign-normalised columns B: B x_B = b and y^T B = c_B, with y
-        un-negated as `_phase2` does; raises LinearSolveError when B is
-        singular."""
-        zero, basis = self.zero, basis.tolist()
-        block = self.t[: self.m, basis].tolist()
-        rows = tuple({k: v for k, v in enumerate(row) if v} for row in block)
-        columns = tuple({i: v for i, v in enumerate(column) if v} for column in zip(*block))
-        rhs = {i: v for i, v in enumerate(self.t[: self.m, self.ncols].tolist()) if v}
-        cost = {k: self.c[b] for k, b in enumerate(basis) if b < self.n and self.c[b]}
-        (x_b,), (y,) = solve_right(columns, (rhs,)), solve_right(rows, (cost,))
-        values = {basis[k]: v for k, v in x_b.items()}
-        x = [values.get(j, zero) for j in range(self.n)]
-        return x, [-y.get(i, zero) if neg else y.get(i, zero) for i, neg in enumerate(self.negated)]
-
     def _phase2(self):
         zero = self.zero
         allowed = np.arange(self.ncols) < self.art0
@@ -274,58 +249,85 @@ def solve(lp: LinearProgram) -> LpSolution:
     """Solve the LP; an optimal answer is returned only with its certificate."""
     # float overflow gives inf and nan as it does in Python floats, silently
     with np.errstate(all="ignore"):
-        t = _Tableau(lp)
         if lp.mode == "exact":
             try:
-                approx = t.copy()
-                status, _, _ = approx.solve()
-                if status == "optimal":
-                    return _assert_certificate(lp, t, *t.basic_solution(approx.basis), approx, True)
+                # float(Fraction) rounds correctly; beyond float range it raises
+                # OverflowError.  A NaN or infinite float is left to the cold
+                # solve, which refuses it.
+                approx = _Tableau(replace(lp, mode="float"))
+                if np.isfinite(approx.t).all() and approx.solve()[0] == "optimal":
+                    return _assert_certificate(lp, *_basic_solution(lp, approx.basis), approx, True)
             except (LpError, LinearSolveError, OverflowError):
                 pass
+        t = _Tableau(lp)
         status, x, y = t.solve()
     if status != "optimal":
         return LpSolution(status=status, pivots=(t.phase1_pivots, t.pivots - t.phase1_pivots))
-    return _assert_certificate(lp, t, x, y, t, False)
+    return _assert_certificate(lp, x, y, t, False)
 
 
-def _assert_certificate(lp, t, x, y, answered, from_float_basis) -> LpSolution:
+def _basic_solution(lp, basis):
+    """(x, y) of a tableau basis solved exactly on the program's columns B:
+    B x_B = b and y^T B = c_B, slack and artificial i being the unit column
+    of row i (an artificial's x and cost are 0, so its sign does not
+    matter); raises LinearSolveError when B is singular."""
+    n, art0 = len(lp.objective), len(lp.objective) + len(lp.a_ub)
+    basis = basis.tolist()
+    constraints = tuple(lp.a_ub) + tuple(lp.a_eq)
+    block = [[frac(a_row[b]) if b < n else ZERO for b in basis] for a_row in constraints]
+    for k, b in enumerate(basis):
+        if b >= n:
+            block[b - n if b < art0 else b - art0][k] = ONE
+    rows = tuple({k: v for k, v in enumerate(row) if v} for row in block)
+    columns = tuple({i: v for i, v in enumerate(column) if v} for column in zip(*block))
+    rhs = {i: v for i, b in enumerate(tuple(lp.b_ub) + tuple(lp.b_eq)) if (v := frac(b))}
+    cost = {k: v for k, b in enumerate(basis) if b < n and (v := frac(lp.objective[b]))}
+    (x_b,), (y,) = solve_right(columns, (rhs,)), solve_right(rows, (cost,))
+    values = {basis[k]: v for k, v in x_b.items()}
+    x = [values.get(j, ZERO) for j in range(n)]
+    return x, [y.get(i, ZERO) for i in range(len(constraints))]
+
+
+def _assert_certificate(lp, x, y, answered, from_float_basis) -> LpSolution:
     """The optimal answer (x, y) of the tableau `answered`, once its
-    certificate holds: x primal feasible, y dual feasible and no duality gap,
-    at tolerance zero in exact mode.  Raises LpError at the first violation."""
-    conv, zero, tol = t.conv, t.zero, t.tol
+    certificate holds on the program: x primal feasible, y dual feasible and
+    no duality gap, at tolerance zero in exact mode.  Each test is written so
+    that a NaN fails it.  Raises LpError at the first violation."""
+    conv, zero, tol = arithmetic(lp.mode == "exact")
     gap_tol, dual_tol = (zero, zero) if tol == 0 else (_FLOAT_GAP_TOL, _FLOAT_FEAS_TOL)
     ptol = tol * 100
-    dual_ub, dual_eq = tuple(y[: t.m_ub]), tuple(y[t.m_ub :])
+    m_ub = len(lp.a_ub)
+    dual_ub, dual_eq = tuple(y[:m_ub]), tuple(y[m_ub:])
     rows = tuple(lp.a_ub) + tuple(lp.a_eq)
     bounds = [conv(b) for b in tuple(lp.b_ub) + tuple(lp.b_eq)]
-    value = sum((c * v for c, v in zip(t.c, x)), start=zero)
+    c = [conv(v) for v in lp.objective]
+    value = sum((cj * v for cj, v in zip(c, x)), start=zero)
     gap = sum((b * v for b, v in zip(bounds, y)), start=zero) - value
-    if abs(gap) > gap_tol:
+    if not abs(gap) <= gap_tol:
         raise LpError(f"duality gap {gap} beyond tolerance")
-    if any(v < -gap_tol for v in dual_ub):
+    if not all(v >= -gap_tol for v in dual_ub):
         raise LpError("negative dual on an inequality row")
     # dual feasibility, A_ub^T y_ub + A_eq^T y_eq >= c, in one pass over the
     # nonzero entries of the rows whose dual is nonzero
-    lhs = [zero] * t.n
+    lhs = [zero] * len(c)
     for row, v in zip(rows, y):
         if v:
             for j, a in enumerate(row):
                 if a:
                     lhs[j] += conv(a) * v
-    for j, (a, c) in enumerate(zip(lhs, t.c)):
-        if a < c - dual_tol:
+    for j, (a, cj) in enumerate(zip(lhs, c)):
+        if not a >= cj - dual_tol:
             raise LpError(f"dual certificate violates column {j}")
     # primal feasibility of the returned point
     for j, v in enumerate(x):
-        if v < -ptol:
+        if not v >= -ptol:
             raise LpError(f"primal point is negative at column {j}")
     support = [(j, v) for j, v in enumerate(x) if v]
     for i, (row, b) in enumerate(zip(rows, bounds)):
         excess = sum((conv(row[j]) * v for j, v in support), start=zero) - b
-        if i < t.m_ub and excess > ptol:
+        if i < m_ub and not excess <= ptol:
             raise LpError("primal point violates an inequality")
-        if i >= t.m_ub and abs(excess) > ptol:
+        if i >= m_ub and not abs(excess) <= ptol:
             raise LpError("primal point violates an equality")
     return LpSolution(
         status="optimal",
@@ -373,16 +375,7 @@ def feasibility_minmax(columns, b_target, mode: str = "exact") -> MinmaxResult:
         a_ub.append(tuple(row_minus))
         b_ub.append(-conv(b_target[i]))
     a_eq = (tuple([conv(1)] * ncols + [zero]),)
-    b_eq = (conv(1),)
-    lp = LinearProgram(
-        objective=tuple(objective),
-        a_ub=tuple(a_ub),
-        b_ub=tuple(b_ub),
-        a_eq=a_eq,
-        b_eq=b_eq,
-        mode=mode,
-    )
-    sol = solve(lp)
+    sol = solve(LinearProgram(tuple(objective), tuple(a_ub), tuple(b_ub), a_eq, (conv(1),), mode))
     if not sol.optimal:
         return MinmaxResult(status=sol.status, solution=sol)
     return MinmaxResult(

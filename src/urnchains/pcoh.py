@@ -66,10 +66,19 @@ class PcsVector:
             raise ValueError("coefficient vector length must match web size")
         if any(v < 0 for v in self.coeffs):
             raise ValueError("coefficients must be nonnegative")
+        _refuse_non_finite(self.coeffs)
 
     @classmethod
     def of(cls, web: IndexSet, *coeffs) -> "PcsVector":
         return cls(web, tuple(frac(v) for v in coeffs))
+
+
+def _refuse_non_finite(values):
+    # NaN and infinities, the floats a bang file refuses; a Fraction is not
+    # passed to isfinite, where a huge one would overflow
+    for v in values:
+        if isinstance(v, float) and not isfinite(v):
+            raise ValueError(f"coefficients must be finite, not {v!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,11 +301,7 @@ class BangElement:
         if self.scale is None:
             if is_exact(self.table):
                 raise ValueError("an exact table needs a scale; build it with BangElement.of")
-            # NaN and infinities, the floats a bang file refuses; a Fraction
-            # is not passed to isfinite, where a huge one would overflow
-            for v in self.table:
-                if isinstance(v, float) and not isfinite(v):
-                    raise ValueError(f"coefficients must be finite, not {v!r}")
+            _refuse_non_finite(self.table)
         elif self.scale < 1 or gcd(self.scale, *self.table) != 1:
             raise ValueError(f"scale {self.scale} is not the lcm of the table's denominators")
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -304,8 +304,25 @@ def _programs(draw):
     )
 
 
+# Programs whose float basis certifies, each solved on the program's columns
+# in their own signs while the tableau negates the rows with a negative
+# right-hand side: a binding <= row and a binding = row of that kind, a basic
+# slack of such a row, and a redundant equality row whose artificial stays
+# basic at zero.
+_SIGNED = (
+    LinearProgram(objective=(-1, 1), a_ub=((-1, 0), (0, 1)), b_ub=(-2, 3)),
+    LinearProgram(objective=(0, 1), a_ub=((1, 0),), b_ub=(3,), a_eq=((-1, 1),), b_eq=(-1,)),
+    LinearProgram(objective=(1,), a_ub=((1,), (-1,)), b_ub=(1, F(-1, 2))),
+    LinearProgram(objective=(1, 2), a_ub=((1, 0),), b_ub=(5,), a_eq=((-1, -1), (-2, -2)), b_eq=(-1, -2)),
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_programs())
+@example(_SIGNED[0])
+@example(_SIGNED[1])
+@example(_SIGNED[2])
+@example(_SIGNED[3])
 def test_exact_solve_matches_the_cold_exact_solve(lp):
     sol = solve(lp)
     cold = _Tableau(lp)
@@ -369,6 +386,60 @@ def test_objective_tie_below_float_resolution_is_pivoted_exactly():
     assert sol.x == (0, 1) and sol.value == 1 + F(1, 10**20)
 
 
+def _tableau_modes(monkeypatch):
+    """The mode of each `_Tableau` built from now on, in order."""
+    modes = []
+    build = _Tableau.__init__
+
+    def counting(self, lp):
+        modes.append(lp.mode)
+        build(self, lp)
+
+    monkeypatch.setattr(_Tableau, "__init__", counting)
+    return modes
+
+
+@pytest.mark.parametrize("lp", _SIGNED)
+def test_a_certified_exact_solve_builds_no_fraction_tableau(monkeypatch, lp):
+    modes = _tableau_modes(monkeypatch)
+    assert solve(lp).from_float_basis
+    assert modes == ["float"]
+
+
+def test_a_refused_certificate_builds_one_fraction_tableau(monkeypatch):
+    # the objective tie below float resolution: the float basis fails its
+    # certificate, and the cold exact solve builds the one Fraction tableau
+    modes = _tableau_modes(monkeypatch)
+    lp = LinearProgram(objective=(1, 1 + F(1, 10**20)), a_ub=((1, 1),), b_ub=(1,))
+    assert not solve(lp).from_float_basis
+    assert modes == ["float", "exact"]
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "lp, refusal",
+    [
+        (LinearProgram(objective=(NAN, 1.0), a_ub=((1.0, 1.0),), b_ub=(1.0,), mode="float"), "duality gap nan"),
+        (LinearProgram(objective=(0.0, 1.0), a_ub=((NAN, 1.0),), b_ub=(1.0,), mode="float"), "violates column 0"),
+    ],
+    ids=["objective", "row"],
+)
+def test_certificate_refuses_a_nan(lp, refusal):
+    # a test written `bad > tol` is False for a NaN, so these were "optimal"
+    with pytest.raises(LpError, match=refusal):
+        solve(lp)
+
+
+def test_an_exact_program_holding_a_nan_is_refused():
+    # the certificate reads neither the NaN's row (dual 0) nor its column
+    # (x 0), so the cold solve's conversion refuses it
+    lp = LinearProgram(objective=(0, 1), a_ub=((1, 1), (NAN, 0)), b_ub=(1, 1))
+    with pytest.raises(ValueError, match="nan"):
+        solve(lp)
+
+
 @pytest.mark.parametrize("conv", [F, float], ids=["exact", "float"])
 def test_certificate_refuses_a_negative_primal_entry(conv):
     # x = (2, -1) meets the row, y = 2 is dual feasible and both values are
@@ -379,17 +450,15 @@ def test_certificate_refuses_a_negative_primal_entry(conv):
         b_eq=(conv(1),),
         mode="exact" if conv is F else "float",
     )
-    t = _Tableau(lp)
     with pytest.raises(LpError, match="negative at column 1"):
-        optim._assert_certificate(lp, t, [conv(2), conv(-1)], [conv(2)], t, False)
+        optim._assert_certificate(lp, [conv(2), conv(-1)], [conv(2)], _Tableau(lp), False)
 
 
 def test_certificate_names_the_violated_dual_column():
     # x = (1, 0) and y = 1 close the gap, but y does not cover column 1's cost
     lp = LinearProgram(objective=(1, 2), a_ub=((1, 1),), b_ub=(1,))
-    t = _Tableau(lp)
     with pytest.raises(LpError, match="violates column 1"):
-        optim._assert_certificate(lp, t, [F(1), F(0)], [F(1)], t, False)
+        optim._assert_certificate(lp, [F(1), F(0)], [F(1)], _Tableau(lp), False)
 
 
 def test_float_overflow_falls_back_to_the_cold_exact_solve():

@@ -137,10 +137,15 @@ def test_bang_element_refuses_a_non_finite_coefficient(bad, position):
 
 
 def test_promotion_of_a_nan_vector_is_refused():
-    # a NaN point passes promotion's subdistribution check
-    x = PcsVector(symbol_space(BOOL), (float("nan"), 0.5))
+    # a NaN point would pass promotion's subdistribution check, and the
+    # membership LP would answer "outside" with optimum nan; the vector
+    # itself is refused
     with pytest.raises(ValueError, match="coefficients must be finite, not nan"):
-        promotion(x, 2)
+        promotion(PcsVector(symbol_space(BOOL), (float("nan"), 0.5)), 2)
+    with pytest.raises(ValueError, match="coefficients must be finite, not nan"):
+        GROUND.contains(PcsVector(symbol_space(BOOL), (float("nan"), 0.5)))
+    with pytest.raises(ValueError, match="coefficients must be finite, not inf"):
+        PcsVector(symbol_space(BOOL), (0.5, float("inf")))
 
 
 def test_bang_element_leaves_the_fractions_of_a_float_table_unchecked():

@@ -33,8 +33,9 @@ def test_depth_8_moment_checks_pass_on_two_symbols():
     ids=["defaults", "three-symbols"],
 )
 def test_every_exact_lp_is_answered_by_its_certified_float_basis(monkeypatch, config):
-    # a fall to the cold exact solve would be silent in the report
-    answers = []
+    # a fall to the cold exact solve, and so to the Fraction tableau, would
+    # be silent in the report
+    answers, modes = [], []
 
     def recording(lp, solve=optim.solve):
         sol = solve(lp)
@@ -42,10 +43,16 @@ def test_every_exact_lp_is_answered_by_its_certified_float_basis(monkeypatch, co
             answers.append(sol)
         return sol
 
+    def building(self, lp, build=optim._Tableau.__init__):
+        modes.append(lp.mode)
+        build(self, lp)
+
     for module in (verify, pcoh, optim):
         monkeypatch.setattr(module, "solve", recording)
+    monkeypatch.setattr(optim._Tableau, "__init__", building)
     assert run_all_checks(config).passed
     assert answers and all(sol.optimal and sol.from_float_basis for sol in answers)
+    assert modes and "exact" not in modes
 
 
 def test_lp_mode_agreement_fails_on_a_status_disagreement(monkeypatch):

@@ -6,13 +6,14 @@ Everything structural (equalisers of the symmetry action on tuple spaces,
 the multinomial urn laws) is exact; the draw-and-delete step between the
 equalisers is `chains.Backend.dd_closed_form`.  The Monte Carlo law of
 exchangeable prefixes uses 64-bit floats and explicit seeds: each trial's
-PCG64 stream, and the uniform that picks its atom, are computed in bulk in
-numpy, and the trial itself is one multinomial draw.
+PCG64 stream, the uniform that picks its atom and its multinomial draw are
+computed in numpy over a block of trials at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -281,8 +282,8 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _LOW32 = np.uint64(_MASK32)
 _SHIFT32 = np.uint64(32)
-# trials whose states are derived in one numpy pass
-_STATE_CHUNK = 1024
+# trials per block: their states are derived and their counts drawn together
+_STATE_CHUNK = 4096
 
 
 def _hash(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
@@ -315,9 +316,9 @@ def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
     # the high word of the 128-bit products a * b, on 32-bit limbs
     a_lo, a_hi = a & _LOW32, a >> _SHIFT32
     b_lo, b_hi = b & _LOW32, b >> _SHIFT32
-    lh, hl = a_lo * b_hi, a_hi * b_lo
-    mid = (a_lo * b_lo >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
-    return a_hi * b_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    mid = a_hi * b_lo + (a_lo * b_lo >> _SHIFT32)
+    low = a_lo * b_hi + (mid & _LOW32)
+    return a_hi * b_hi + (mid >> _SHIFT32) + (low >> _SHIFT32)
 
 
 def _lcg_step(hi, lo, inc_hi, inc_lo):
@@ -326,40 +327,29 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
     return _add128(_mulhi64(lo, m_lo) + lo * m_hi + hi * m_lo, lo * m_lo, inc_hi, inc_lo)
 
 
-def _first_uniforms(hi, lo, inc_hi, inc_lo):
-    """The first `Generator.random()` of each stream, and the state halves
-    after it: one LCG step, PCG64's XSL-RR output rotr64(hi ^ lo, hi >> 58),
-    then (x >> 11) * 2**-53."""
+def _next_doubles(streams: np.ndarray, t=slice(None)) -> np.ndarray:
+    """The next `Generator.random()` of the streams t, which it advances, for
+    streams as `_trial_streams` yields them: one LCG step, PCG64's XSL-RR
+    output rotr64(hi ^ lo, hi >> 58), then (x >> 11) * 2**-53."""
+    hi, lo, inc_hi, inc_lo = streams[:, t] if isinstance(t, slice) else streams.take(t, axis=1)
     hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+    streams[0, t], streams[1, t] = hi, lo
     rot, x = hi >> np.uint64(58), hi ^ lo
     x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53, hi, lo
-
-
-def _state_dicts(hi, lo, inc_hi, inc_lo) -> list[dict]:
-    """`PCG64.state` dicts of a chunk of streams given as uint64 halves."""
-    return [
-        {
-            "bit_generator": "PCG64",
-            "state": {"state": h << 64 | l, "inc": ih << 64 | il},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        for h, l, ih, il in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
-    ]
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def _trial_streams(seed: int, trials: int):
     """PCG64 states of the per-trial streams, derived in bulk.
 
-    Returns an iterator over chunks of up to _STATE_CHUNK trials, each the
-    uint64 halves (state_hi, state_lo, inc_hi, inc_lo) of the seeded
-    `PCG64(SeedSequence(entropy=seed, spawn_key=(trial,)))`.  The spawn key
-    is the last word SeedSequence hashes into its pool, so the pool is mixed
-    once over the seed's words and only the last round is vectorised over
-    the trial numbers; `generate_state(4, uint64)` and PCG64's `set_seed`
-    follow.  numpy's refusals (a negative seed, a float) raise at the call,
-    and trial 0's state and first uniform are checked against numpy's.
+    Returns an iterator over blocks of up to _STATE_CHUNK trials, each a
+    (4, trials) uint64 array of the halves (state_hi, state_lo, inc_hi,
+    inc_lo) of `PCG64(SeedSequence(entropy=seed, spawn_key=(trial,)))`.  The
+    spawn key is the last word SeedSequence hashes into its pool, so the pool
+    is mixed once over the seed's words and only the last round is vectorised
+    over the trial numbers; `generate_state(4, uint64)` and PCG64's
+    `set_seed` follow.  numpy's refusals (a negative seed, a float) raise at
+    the call, and trial 0's state and first uniform are checked against numpy's.
     """
     entropy = np.random.SeedSequence(seed).entropy
     if trials > 1 << 32:
@@ -398,15 +388,14 @@ def _trial_streams(seed: int, trials: int):
         # set_seed: inc = 2 * initseq + 1, state = (inc + initstate) * mult + inc
         inc_hi = (i_hi << np.uint64(1)) | (i_lo >> np.uint64(63))
         inc_lo = (i_lo << np.uint64(1)) | np.uint64(1)
-        return (*_lcg_step(*_add128(s_hi, s_lo, inc_hi, inc_lo), inc_hi, inc_lo), inc_hi, inc_lo)
+        return np.stack((*_lcg_step(*_add128(s_hi, s_lo, inc_hi, inc_lo), inc_hi, inc_lo), inc_hi, inc_lo))
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=entropy, spawn_key=(0,))))
-    expected = (rng.bit_generator.state, rng.random())
+    expected = (rng.bit_generator.state["state"], rng.random())
     first = derive(0, 1)
-    if (_state_dicts(*first)[0], _first_uniforms(*first)[0][0]) != expected:
-        raise RuntimeError(
-            f"PCG64 state derivation disagrees with numpy {np.__version__}'s SeedSequence"
-        )
+    hi, lo, inc_hi, inc_lo = first[:, 0].tolist()
+    if ({"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}, _next_doubles(first)[0]) != expected:
+        raise RuntimeError(f"PCG64 state derivation disagrees with numpy {np.__version__}'s SeedSequence")
     return (derive(start, min(start + _STATE_CHUNK, trials)) for start in range(0, trials, _STATE_CHUNK))
 
 
@@ -417,6 +406,175 @@ def _atom_cdf(mixing: AtomicMeasure) -> np.ndarray:
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     return cdf
+
+
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    # f entrywise by `math`, which calls the C library as numpy's sampler does
+    return np.fromiter(map(f, x.tolist()), np.float64, len(x))
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    # C's log (np.log rounds otherwise): -inf at 0, nan below, where math.log raises
+    return _libm(math.log if x.min(initial=1.0) > 0
+                 else lambda v: math.log(v) if v > 0 else -math.inf if v == 0 else math.nan, x)
+
+
+def _rows(mask: np.ndarray) -> np.ndarray:
+    """mask's true indices, the last repeated up to a multiple of 64: a trial
+    listed twice draws and decides as once, and arrays below 1 KiB come in few
+    sizes, so numpy's cache of freed ones (seven per size) stays small."""
+    found = np.flatnonzero(mask)
+    rows = np.empty(-(-len(found) // 64) * 64, np.int64)
+    rows[:len(found)] = found
+    rows[len(found):] = found[-1] if len(found) else 0
+    return rows
+
+
+def _inversion(streams, t, n, p):
+    """numpy's random_binomial_inversion on the streams t: X counts up while
+    the uniform passes the mass so far, restarting on a new uniform past bound."""
+    nf, q = n.astype(np.float64), 1.0 - p
+    # C's exp is inf past log(DBL_MAX), where math.exp raises
+    qn = _libm(lambda x: math.inf if x > 709.782712893384 else math.exp(x), nf * _libm(math.log1p, -p))
+    bound = np.minimum(nf, nf * p + 10.0 * np.sqrt(nf * p * q + 1)).astype(np.int64)
+    out = np.zeros_like(n)
+    ints = np.stack((np.arange(len(t)), t, n, bound, out))
+    floats = np.stack((p, q, qn, qn, _next_doubles(streams, t)))
+    keep = floats[4] > floats[3]
+    while keep.any():
+        r = _rows(keep)
+        ints, floats = ints.take(r, axis=1), floats.take(r, axis=1)
+        (i, t, n, bound, x), (p, q, qn, px, u) = ints, floats
+        x += 1
+        u -= px
+        px[:] = ((n - x + 1) * p * px) / (x * q)
+        r = _rows(x > bound)
+        if len(r):
+            x[r], px[r] = 0, qn[r]
+            u[r] = _next_doubles(streams, t[r])
+        keep = u > px
+        out[i] = x  # final for the trials that stop here
+    return out
+
+
+def _btpe(streams, t, n, p):
+    """numpy's random_binomial_btpe for p <= 1/2 (so r = p) on the streams t, the
+    BTPE of Kachitvichyanukul and Schmeiser, Comm. ACM 31 (1988): a round draws u
+    and v for the trials undecided; `_btpe_test` takes the points past the triangle."""
+    floats = np.empty((8, len(t)))
+    _, nrq, xm, c, laml, lamr, p1, p4 = floats
+    floats[0], q = p, 1.0 - p
+    nrq[:], fm = n * p * q, n * p + p
+    m = np.floor(fm).astype(np.int64)
+    p1[:] = np.floor(2.195 * np.sqrt(nrq) - 4.6 * q) + 0.5
+    xm[:], c[:] = m + 0.5, 0.134 + 20.5 / (15.3 + m)
+    a = (fm - (xm - p1)) / (fm - (xm - p1) * p)
+    laml[:] = a * (1.0 + a / 2.0)
+    a = (xm + p1 - fm) / ((xm + p1) * q)
+    lamr[:] = a * (1.0 + a / 2.0)
+    p4[:] = p1 * (1.0 + 2.0 * c) + c / laml + c / lamr
+    ints, out = np.stack((np.arange(len(t)), t, n, m)), np.empty_like(n)
+    del q, fm, m, a
+    while ints.shape[1]:
+        i, t, xm, p1, p4 = ints[0], ints[1], floats[2], floats[6], floats[7]
+        u = _next_doubles(streams, t) * p4
+        v = _next_doubles(streams, t)
+        y = np.floor(xm - p1 * v + u).astype(np.int64)
+        done = ~(u > p1)
+        j = _rows(~done)
+        if len(j):
+            y[j], done[j] = _btpe_test(u[j], v[j], ints[2:].take(j, axis=1), floats.take(j, axis=1))
+        out[i] = y  # final for the trials done
+        r = _rows(~done)
+        ints, floats = ints.take(r, axis=1), floats.take(r, axis=1)
+    return out
+
+
+def _btpe_test(u, v, ints, floats):
+    """BTPE's test of points (u, v) past the triangle: the y each gives in the
+    parallelogram or a tail, and whether Step 50 or Step 52 accepts it."""
+    (n, m), (p, nrq, xm, c, laml, lamr, p1, p4) = ints, floats
+    q, xl, xr, p2 = 1.0 - p, xm - p1, xm + p1, p1 * (1.0 + 2.0 * c)
+    p3 = p2 + c / laml
+    tail, right = u > p2, u > p3
+    x = xl + (u - p1) / c
+    para_v = v * c + 1.0 - np.abs(m - x + 0.5) / p1
+    logv, r = np.zeros_like(v), _rows(tail)
+    logv[r] = _log(v[r])
+    y = np.floor(np.where(right, xr - logv / lamr, np.where(tail, xl + logv / laml, x))).astype(np.int64)
+    accept = ~np.where(tail, np.where(right, y > n, y < 0) | (v == 0.0), para_v > 1.0)
+    v = np.where(right, v * (u - p3) * lamr, np.where(tail, v * (u - p2) * laml, para_v))
+    k = np.abs(y - m)
+    squeeze = accept & (k > 20) & (k < nrq / 2.0 - 1)
+    j = _rows(accept & ~squeeze)  # Step 50: accept when v <= F, y's mass over the mode's
+    if len(j):
+        s = p[j] / q[j]
+        accept[j] = ~(v[j] > _step50(s * (n[j] + 1), s, np.minimum(m[j], y[j]), k[j], m[j] < y[j]))
+    j = _rows(squeeze)  # Step 52: the squeeze on log v, and the Stirling bound inside it
+    if len(j):
+        kj, nrqj, big = k[j], nrq[j], _log(v[j])
+        rho = (kj / nrqj) * ((kj * (kj / 3.0 + 0.625) + 0.16666666666666666) / nrqj + 0.5)
+        tt = -kj * kj / (2 * nrqj)
+        accept[j] = big < tt - rho
+        r = _rows(~(big < tt - rho) & ~(big > tt + rho))
+        j, big = j[r], big[r]
+        if len(j):
+            nj, mj, yj = n[j], m[j], y[j]
+            # x1 and f1 are int64 sums, z and w start from n as a double, as
+            # numpy's binary computes them: it shows once n passes 2**53
+            x1, f1 = (yj + 1).astype(np.float64), (mj + 1).astype(np.float64)
+            z, w = nj.astype(np.float64) + 1.0 - mj, nj.astype(np.float64) - yj + 1.0
+            logs = _log(np.concatenate((f1 / x1, z / w, w * p[j] / (x1 * q[j])))).reshape(3, -1)
+            bound = xm[j] * logs[0] + ((nj - mj) + 0.5) * logs[1] + (yj - mj) * logs[2]
+            x = np.stack((f1, z, x1, w))  # the Stirling series terms, added in numpy's order
+            x2 = x * x
+            for term in (13680. - (462. - (132. - (99. - 140. / x2) / x2) / x2) / x2) / x / 166320.:
+                bound = bound + term
+            accept[j] = ~(big > bound)
+    return y, accept
+
+
+def _step50(a, s, low, k, up):
+    """F of BTPE's Step 50, the product of a / i - s over i in (low, low + k] (1
+    over it where not up), 24 factors at a time padded with 1: a ufunc's reduce
+    over the first axis applies it row by row, in the order of C's loop."""
+    f, cols = np.ones(len(k)), np.arange(1, 25)[:, None]
+    for op, rows in ((np.multiply, _rows(up)), (np.divide, _rows(~up & (k != 0)))):
+        i = cols
+        while len(rows):
+            x = a[rows] / (low[rows] + i) - s[rows]
+            np.copyto(x, 1.0, where=i > k[rows])
+            f[rows] = op.reduce(np.vstack((f[rows], x)))
+            rows, i = rows[_rows(k[rows] > i[-1])], i + 24
+    return f
+
+
+def _binomial(streams, t, n, p):
+    """numpy's random_binomial(p, n) on the streams t, n > 0: 0 at p = 0, else
+    inversion if min(p, 1 - p) * n <= 30, BTPE if not; for 1 - p if p > 1/2."""
+    flip, drawn = ~(p <= 0.5), p != 0.0
+    p = np.where(flip, 1.0 - p, p)
+    y, small = np.zeros_like(n), p * n <= 30.0
+    for draw, j in ((_inversion, drawn & small), (_btpe, drawn & ~small)):
+        j = _rows(j)
+        if len(j):
+            y[j] = draw(streams, t[j], n[j], p[j])
+    return np.where(flip, n - y, y)
+
+
+def _multinomial(streams, n: int, points: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """numpy's random_multinomial(n, points[atom]) for each trial of a block: a
+    binomial per symbol of the count left, until none is, and the rest last."""
+    counts = np.zeros((len(atoms), points.shape[1]), np.int64)
+    t = np.arange(len(atoms) if n > 0 else 0)
+    left, remaining = np.full(len(t), n, np.int64), np.ones(len(t))
+    for j in range(points.shape[1] - 1):
+        p = points[atoms[t], j]
+        counts[t, j] = y = _binomial(streams, t, left, p / remaining)
+        r = _rows(left - y > 0)
+        t, left, remaining = t[r], (left - y)[r], (remaining - p)[r]
+    counts[t, -1] = left
+    return counts
 
 
 @dataclass
@@ -457,35 +615,27 @@ class EmpiricalLaw:
 def empirical_law(mixing: AtomicMeasure, n: int, trials: int, seed: int) -> EmpiricalLaw:
     """Law of the empirical frequency of a length-n exchangeable prefix.
 
-    The frequency vector of a prefix is a deterministic function of its
-    symbol counts, so each trial draws the atom and then the multinomial
-    count vector directly.  Trial t runs on the PCG64 stream of
-    SeedSequence(entropy=seed, spawn_key=(t,)): one uniform picks the atom as
-    Generator.choice would, then one multinomial draw gives the counts.  The
-    streams and their atom-picking uniforms are derived in bulk
-    (_trial_streams, _first_uniforms), and the atom CDF and float atoms once
-    per call, so each trial only sets its state and draws the counts.  The
-    histogram is bit-identical to building a default_rng per trial, and does
-    not depend on how trials are split.
+    Each trial draws the atom and then the prefix's symbol counts directly.
+    Trial t runs on the PCG64 stream of SeedSequence(entropy=seed,
+    spawn_key=(t,)): one uniform picks the atom as Generator.choice would,
+    then numpy's multinomial sampler gives the counts.  Both run in numpy
+    over blocks of _STATE_CHUNK trials, with the operations of numpy's C in
+    its order, so the histogram is bit-identical to a default_rng per trial;
+    trial 0's counts are checked against numpy's own Generator.multinomial.
     """
     if not mixing.is_probability:
         raise ValueError("empirical law needs a probability mixing measure")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cdf = _atom_cdf(mixing)
-    points = [p.as_floats() for p, _ in mixing.atoms]
+    points = np.stack([p.as_floats() for p, _ in mixing.atoms])
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    expected = tuple(rng.multinomial(n, points[np.searchsorted(cdf, rng.random(), side="right")]).tolist())
     law = EmpiricalLaw(mixing.alphabet, n, trials)
-    histogram = law.histogram
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    # the state setter copies the two ints out, so one dict serves every trial
-    state = {"state": 0, "inc": 0}
-    setting = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-    for hi, lo, inc_hi, inc_lo in _trial_streams(seed, trials):
-        uniforms, hi, lo = _first_uniforms(hi, lo, inc_hi, inc_lo)
-        atoms = np.searchsorted(cdf, uniforms, side="right").tolist()
-        for j, h, l, ih, il in zip(atoms, hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
-            state["state"], state["inc"] = h << 64 | l, ih << 64 | il
-            bit_generator.state = setting
-            histogram[tuple(rng.multinomial(n, points[j]).tolist())] += 1
+    with np.errstate(all="ignore"):  # C's inf and nan, as numpy's sampler meets them
+        for streams in _trial_streams(seed, trials):
+            atoms = np.searchsorted(cdf, _next_doubles(streams), side="right")
+            law.histogram.update(zip(*_multinomial(streams, n, points, atoms).T.tolist()))
+            if next(iter(law.histogram)) != expected:
+                raise RuntimeError(f"bulk multinomial draw disagrees with numpy {np.__version__}'s Generator.multinomial")
     return law

@@ -10,7 +10,7 @@ from urnchains.jsonio import FormatError, alphabet_from_json
 from urnchains.moments import TotalityReport
 from urnchains.pcoh import BangElement, refuse_oversized_bang
 from urnchains.spaces import bounded_multiset_space, tuple_space
-from urnchains.stoch import FinKernel, _state_dicts, _trial_streams, apply_perm
+from urnchains.stoch import FinKernel, _trial_streams, apply_perm
 
 
 def mm(a, b):
@@ -109,10 +109,23 @@ def dense_solve_right(e, b):
     return tuple(out)
 
 
+def state_dicts(hi, lo, inc_hi, inc_lo) -> list[dict]:
+    """`PCG64.state` dicts of a block of streams given as uint64 halves."""
+    return [
+        {
+            "bit_generator": "PCG64",
+            "state": {"state": h << 64 | l, "inc": ih << 64 | il},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for h, l, ih, il in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
+    ]
+
+
 def trial_states(seed, trials):
     """`PCG64.state` dicts of the per-trial streams of `stoch._trial_streams`,
     in trial order."""
-    return list(chain.from_iterable(_state_dicts(*chunk) for chunk in _trial_streams(seed, trials)))
+    return list(chain.from_iterable(state_dicts(*block) for block in _trial_streams(seed, trials)))
 
 
 def symmetry_kernel(alphabet, n, perm):

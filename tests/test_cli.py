@@ -476,8 +476,20 @@ _THREE_SYMBOL_MIXING = ["a", "b", "c"], [
             "2b89d651ff52af7ca37dd78bd0a15b0523dd02da656703e8b99ba1a065a0eca5",
             "b557a0aeb69cd38d85f72025320ddfbe1f8bf9ed38f987b4e0d439db73795bf3",
         ),
+        # counts near 2**63, where numpy's sampler keeps some quantities int64
+        # and takes others from n as a double
+        (
+            _THREE_SYMBOL_MIXING, 2**62, 300, 11,
+            "15560dff33f8ecfe453dda4bdf0317ef47319a7f23f80b4eb843cced3c8ddcb6",
+            "6c51efa44b68f5333a6dcb842f286f7b45d12577e9dcedfad183cd7b56c780ba",
+        ),
+        (
+            _THREE_SYMBOL_MIXING, 2**63 - 1, 300, 11,
+            "c795c95bf712f5f2d2e6043573b627eb083e0ef840e60a7b9f729badcbfd479f",
+            "9436922e3586468f28ad9e3aa4dea67ce91f8c8d352f255c2f7bab508dbf3d66",
+        ),
     ],
-    ids=["readme", "three-symbols", "seed-above-2**64", "2500-trials"],
+    ids=["readme", "three-symbols", "seed-above-2**64", "2500-trials", "prefix-2**62", "prefix-2**63-1"],
 )
 def test_simulate_output_digests(tmp_path, mixing, prefix, trials, seed, hist_digest, moments_digest):
     path = _write_mixing(tmp_path / "mixing.json", *mixing)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rows, entry, mm, sparse, symmetry_kernel, trial_states
+from helpers import dense_rows, entry, mm, sparse, state_dicts, symmetry_kernel, trial_states
 from urnchains._linalg import compose, identity, kron, matmul
 from urnchains.chains import Backend
 from urnchains.multiset import BOOL, Alphabet
@@ -28,7 +29,7 @@ from urnchains.stoch import (
     symmetrization_average,
     verify_equalises,
 )
-from urnchains.stoch import _STATE_CHUNK, _first_uniforms, _state_dicts, _trial_streams
+from urnchains.stoch import _STATE_CHUNK, _multinomial, _next_doubles, _trial_streams
 
 F = Fraction
 ABC = Alphabet.of("a", "b", "c")
@@ -400,9 +401,9 @@ def test_first_uniforms_and_states_after_them_match_numpy(seed, trials):
     # the bulk first draw of every trial: the atom-picking uniform, and the
     # state that the trial's multinomial draw starts from
     draws = []
-    for hi, lo, inc_hi, inc_lo in _trial_streams(seed, trials):
-        uniforms, hi, lo = _first_uniforms(hi, lo, inc_hi, inc_lo)
-        draws += zip(uniforms.tolist(), _state_dicts(hi, lo, inc_hi, inc_lo))
+    for streams in _trial_streams(seed, trials):
+        uniforms = _next_doubles(streams)
+        draws += zip(uniforms.tolist(), state_dicts(*streams))
     assert len(draws) == trials
     for t, (uniform, state) in enumerate(draws):
         rng = _per_trial_rng(seed, t)
@@ -430,14 +431,115 @@ def test_empirical_law_matches_per_trial_generators():
     floats = AtomicMeasure(
         ((ProbVector(BOOL, (0.3, 0.7)), 0.1), (ProbVector(BOOL, (0.9, 0.1)), 0.9))
     )
-    for mixing, n, seed in ((exact, 60, 4), (floats, 25, 2**70 + 5)):
+    # one block and a trial either side of it
+    for mixing, n, seed, trials in (
+        (exact, 60, 4, _STATE_CHUNK + 1), (exact, 60, 4, _STATE_CHUNK), (floats, 25, 2**70 + 5, _STATE_CHUNK - 1)
+    ):
         weights = np.asarray([float(w) for _, w in mixing.atoms])
         expected = Counter()
-        for trial in range(_STATE_CHUNK + 7):
+        for trial in range(trials):
             rng = _per_trial_rng(seed, trial)
             atom = mixing.atoms[rng.choice(len(mixing.atoms), p=weights / weights.sum())][0]
             expected[tuple(int(c) for c in rng.multinomial(n, atom.as_floats()))] += 1
-        assert empirical_law(mixing, n, _STATE_CHUNK + 7, seed).histogram == expected
+        assert empirical_law(mixing, n, trials, seed).histogram == expected
+
+
+def _bulk_counts(seed, trials, n, p):
+    # the bulk draw of every trial of one block: the atom-picking uniform,
+    # then the multinomial counts of n over the one point p
+    (streams,) = _trial_streams(seed, trials)
+    _next_doubles(streams)
+    with np.errstate(all="ignore"):
+        return _multinomial(streams, n, np.array([p]), np.zeros(trials, np.int64)).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    trials=st.integers(1, 300),
+    n=st.one_of(st.integers(1, 200), st.integers(1, 10**6), st.integers(1, 2**63 - 1)),
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=2, max_size=4),
+)
+# inversion (n p <= 30)
+@example(seed=3, trials=300, n=60, weights=[0.3, 0.7])
+# inversion on the flipped p > 1/2
+@example(seed=4, trials=300, n=100, weights=[0.9, 0.1])
+# BTPE on the flipped p > 1/2, and every BTPE branch: the triangle, the
+# parallelogram (accepted and rejected), both tails, Step 50's product with
+# m < y and m > y (and rejecting), Step 52's squeeze accept and reject and
+# its Stirling bound (accepting and rejecting)
+@example(seed=5, trials=300, n=1000, weights=[0.9, 0.1])
+# n p of exactly 29 and 30 (inversion) and 31 (BTPE)
+@example(seed=6, trials=200, n=116, weights=[0.25, 0.75])
+@example(seed=6, trials=200, n=120, weights=[0.25, 0.75])
+@example(seed=6, trials=200, n=124, weights=[0.25, 0.75])
+# BTPE with Step 50 at m = y
+@example(seed=6, trials=200, n=100, weights=[0.31, 0.69])
+# every BTPE branch as above, flipped and not, across three symbols
+@example(seed=7, trials=300, n=1000, weights=[0.3, 0.5, 0.2])
+# BTPE far from the mode: tails and Step 52, squeeze and Stirling rejection
+@example(seed=8, trials=300, n=100_000, weights=[0.3, 0.7])
+# a zero probability
+@example(seed=9, trials=50, n=40, weights=[0.5, 0.0, 0.5])
+# a Dirac point: a zero probability, then p = 1, whose flip draws with p = 0
+# and leaves no count before the last symbol
+@example(seed=9, trials=50, n=40, weights=[0.0, 1.0, 0.0])
+# no count left before the last symbol
+@example(seed=10, trials=100, n=1, weights=[0.25, 0.25, 0.25, 0.25])
+# every BTPE branch at n near 2**63, where numpy keeps m, y, k and the counts
+# as int64 but takes n + 1 - m and n - y + 1 from n as a double.  The restart
+# past the inversion's bound needs a uniform within round-off of 1: see the
+# test below; trials either side of a block are in the test above.
+@example(seed=11, trials=300, n=2**63 - 1, weights=[1e-15, 1.0])
+@example(seed=12, trials=300, n=2**62, weights=[0.25, 1e-15, 0.75])
+def test_bulk_multinomial_matches_per_trial_generators(seed, trials, n, weights):
+    p = [w / sum(weights) for w in weights] if sum(weights) else [1.0] + [0.0] * (len(weights) - 1)
+    counts = _bulk_counts(seed, trials, n, p)
+    for t in range(trials):
+        rng = _per_trial_rng(seed, t)
+        rng.random()
+        assert counts[t] == rng.multinomial(n, p).tolist(), t
+
+
+def test_inversion_restarts_past_its_bound_as_numpy_does():
+    # a stream whose next double is 1 - 2**-53 passes the whole mass of
+    # binomial(1, 0.46) by round-off, so the inversion draws again
+    inc = (12345 << 64) | 6789 | 1
+    hi = 987654321 << 20
+    after = hi << 64 | (~hi & (2**64 - 1))  # hi ^ lo is all ones: the double 1 - 2**-53
+    state = (after - inc) * pow(stoch._PCG64_MULT, -1, 2**128) % 2**128
+    streams = np.array([[state >> 64], [state & (2**64 - 1)], [inc >> 64], [inc & (2**64 - 1)]], np.uint64)
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    drawn = stoch._binomial(streams, np.arange(1), np.array([1]), np.array([0.46]))
+    assert drawn.tolist() == [np.random.Generator(bit_generator).binomial(1, 0.46)]
+    # both took two doubles: the one past the bound and the one after it
+    assert state_dicts(*streams)[0]["state"] == bit_generator.state["state"]
+    assert bit_generator.state["state"]["state"] == (stoch._PCG64_MULT * after + inc) % 2**128
+
+
+def test_empirical_law_checks_trial_0_against_numpy(monkeypatch):
+    mixing = AtomicMeasure.dirac(ProbVector.of(BOOL, F(1, 2), F(1, 2)))
+    btpe = stoch._btpe
+    monkeypatch.setattr(stoch, "_btpe", lambda *args: btpe(*args) + 1)
+    with pytest.raises(RuntimeError, match=np.__version__):
+        empirical_law(mixing, 1000, 3, seed=0)
+
+
+def test_empirical_law_memory_is_bounded_by_the_block():
+    # one histogram key, so what grows with trials is the working memory
+    mixing = AtomicMeasure.dirac(ProbVector.of(BOOL, 1, 0))
+    empirical_law(mixing, 10**5, 3, seed=1)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            empirical_law(mixing, 10**5, trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8 * _STATE_CHUNK) <= 1.25 * peak(_STATE_CHUNK)
 
 
 def test_discard_kernel_is_all_ones_column():

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from . import jsonio, spaces
@@ -87,12 +88,9 @@ def cmd_simulate(args) -> int:
     moments_path = args.moments_out or (args.out and _derive(args.out, "-moments.csv"))
     outputs = ((args.out, hist_csv, "histogram"), (moments_path, moments_csv, "moment comparison"))
     for path, text, what in outputs:
+        jsonio.write_text(text, path)
         if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
             print(f"{what} -> {path}")
-        else:
-            sys.stdout.write(text)
     worst = max(r[4] for r in rows)
     print(f"worst moment error: {worst!r}")
     return 0
@@ -237,6 +235,10 @@ def _validate(args) -> None:
         raise FormatError(f"--trials must be at most 2**32, not {args.trials}")
     if args.func is cmd_simulate and args.seed < 0:
         raise FormatError("--seed must be nonnegative")
+    # the moment table would overwrite the histogram
+    both = args.func is cmd_simulate and args.out and args.moments_out
+    if both and os.path.realpath(args.out) == os.path.realpath(args.moments_out):
+        raise FormatError(f"--out and --moments-out name the same file {args.out}")
     # numpy's multinomial draw takes counts up to the largest int64
     if not 1 <= getattr(args, "prefix_len", 1) < 2**63:
         raise FormatError(f"--prefix-len must be at least 1 and below 2**63, not {args.prefix_len}")

@@ -25,7 +25,9 @@ import math
 import reprlib
 import sys
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
+
+import numpy as np
 
 from ._linalg import frac
 from .multiset import Alphabet
@@ -188,12 +190,20 @@ def dump_json(data, path: str | None, mode: str = "exact") -> None:
     bang file (see `_bang_text`), the bytes json.dumps gives for the file's
     dict, its values exact or, in mode "float", floats."""
     bang = isinstance(data, BangElement)
-    text = _bang_text(data, mode) if bang else json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if path:
+    write_text(_bang_text(data, mode) if bang else json.dumps(data, indent=2, sort_keys=True) + "\n", path)
+
+
+def write_text(text: str, path: str | None) -> None:
+    """text to path or, without one, to stdout, in one write; a path that
+    cannot be written is a FormatError naming it."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
 # a bang file entry {"multiset": counts, "value": value}, formatted with the
@@ -229,13 +239,19 @@ def _bang_text(b: BangElement, mode: str) -> str:
 
 
 def histogram_csv(law: EmpiricalLaw) -> str:
+    """The law as CSV: a header, then one line per distinct count vector in
+    descending order, its frequencies repr(count / n) and its tally.  The
+    order is the law's sort read backwards; each column is written from one
+    repr per distinct count of its symbol (`EmpiricalLaw.columns`), and the
+    lines are joined with no tuple kept per row."""
     header = ",".join(f"freq_{s}" for s in law.alphabet.symbols)
-    n, hist = law.prefix_length, law.histogram
-    # one repr per distinct count, shared by every row and column
-    freq = {c: repr(c / n) for c in set(chain.from_iterable(hist))}.get
-    lines = [f"{header},count"]
-    lines += [f"{','.join(map(freq, counts))},{hist[counts]}" for counts in sorted(hist, reverse=True)]
-    return "\n".join(lines) + "\n"
+    n, descending = law.prefix_length, law.ascending[::-1]
+    columns = [
+        np.array([repr(c / n) for c in distinct], dtype=object)[where[descending]].tolist()
+        for distinct, where in law.columns
+    ]
+    lines = map(",".join, zip(*columns, map(str, law.tallies[descending].tolist())))
+    return f"{header},count\n" + "\n".join(lines) + "\n"
 
 
 def moment_comparison_csv(rows) -> str:

@@ -7,12 +7,13 @@ the multinomial urn laws) is exact; the draw-and-delete step between the
 equalisers is `chains.Backend.dd_closed_form`.  The Monte Carlo law of
 exchangeable prefixes uses 64-bit floats and explicit seeds: each trial's
 PCG64 stream, the uniform that picks its atom and its multinomial draw are
-computed in numpy over a block of trials at a time.
+computed in numpy over a block of trials at a time, and the law of the
+counts is held as numpy arrays of distinct rows and tallies, merged block
+by block, with no Python object per trial or per row.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -282,8 +283,10 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _LOW32 = np.uint64(_MASK32)
 _SHIFT32 = np.uint64(32)
-# trials per block: their states are derived and their counts drawn together
-_STATE_CHUNK = 4096
+# trials per block: their states are derived and their counts drawn together.
+# The CLI's default 10,000 trials are one block, so BTPE's fixed numpy calls
+# per rejection round are paid once per call
+_STATE_CHUNK = 16384
 
 
 def _hash(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
@@ -430,9 +433,10 @@ def _rows(mask: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _inversion(streams, t, n, p):
-    """numpy's random_binomial_inversion on the streams t: X counts up while
+def _inversion(streams, j, t, n, p):
+    """numpy's random_binomial_inversion on the streams t[j]: X counts up while
     the uniform passes the mass so far, restarting on a new uniform past bound."""
+    t, n, p = t[j], n[j], p[j]
     nf, q = n.astype(np.float64), 1.0 - p
     # C's exp is inf past log(DBL_MAX), where math.exp raises
     qn = _libm(lambda x: math.inf if x > 709.782712893384 else math.exp(x), nf * _libm(math.log1p, -p))
@@ -457,10 +461,11 @@ def _inversion(streams, t, n, p):
     return out
 
 
-def _btpe(streams, t, n, p):
-    """numpy's random_binomial_btpe for p <= 1/2 (so r = p) on the streams t, the
+def _btpe(streams, j, t, n, p):
+    """numpy's random_binomial_btpe for p <= 1/2 (so r = p) on the streams t[j], the
     BTPE of Kachitvichyanukul and Schmeiser, Comm. ACM 31 (1988): a round draws u
     and v for the trials undecided; `_btpe_test` takes the points past the triangle."""
+    t, n, p = t[j], n[j], p[j]
     floats = np.empty((8, len(t)))
     _, nrq, xm, c, laml, lamr, p1, p4 = floats
     floats[0], q = p, 1.0 - p
@@ -474,7 +479,7 @@ def _btpe(streams, t, n, p):
     lamr[:] = a * (1.0 + a / 2.0)
     p4[:] = p1 * (1.0 + 2.0 * c) + c / laml + c / lamr
     ints, out = np.stack((np.arange(len(t)), t, n, m)), np.empty_like(n)
-    del q, fm, m, a
+    del n, p, q, fm, m, a  # copied into ints and floats
     while ints.shape[1]:
         i, t, xm, p1, p4 = ints[0], ints[1], floats[2], floats[6], floats[7]
         u = _next_doubles(streams, t) * p4
@@ -558,7 +563,7 @@ def _binomial(streams, t, n, p):
     for draw, j in ((_inversion, drawn & small), (_btpe, drawn & ~small)):
         j = _rows(j)
         if len(j):
-            y[j] = draw(streams, t[j], n[j], p[j])
+            y[j] = draw(streams, j, t, n, p)
     return np.where(flip, n - y, y)
 
 
@@ -573,43 +578,66 @@ def _multinomial(streams, n: int, points: np.ndarray, atoms: np.ndarray) -> np.n
         counts[t, j] = y = _binomial(streams, t, left, p / remaining)
         r = _rows(left - y > 0)
         t, left, remaining = t[r], (left - y)[r], (remaining - p)[r]
+        del y, r  # free before the next symbol's draw
     counts[t, -1] = left
     return counts
 
 
-@dataclass
+def _tally(rows: np.ndarray, tallies: np.ndarray, block: np.ndarray):
+    """rows and tallies with the count vectors of a block of trials added:
+    the distinct rows in order of first appearance, their tallies, and the
+    permutation sorting them ascending.  One stable lexsort of the known rows
+    and the block groups equal rows, and its first index in each group is
+    where the row first appears."""
+    both = np.concatenate((rows, block))
+    order = np.lexsort(both.T[::-1])  # its last key, column 0, sorts first
+    ranked = both[order]
+    starts = np.flatnonzero(np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
+    sums = np.add.reduceat(np.concatenate((tallies, np.ones(len(block), np.int64)))[order], starts)
+    first = order[starts]
+    by_first = np.argsort(first)
+    ascending = np.empty_like(by_first)
+    ascending[by_first] = np.arange(len(by_first))
+    return both[first[by_first]], sums[by_first], ascending
+
+
+@dataclass(eq=False)
 class EmpiricalLaw:
-    """Histogram of prefix frequency vectors over independent trials."""
+    """Histogram of prefix frequency vectors over independent trials.
+
+    `rows` is a (distinct, symbols) int64 array of the distinct count
+    vectors, in order of first appearance over the trials, and `tallies`
+    the number of trials that drew each.  `ascending` is the permutation
+    that sorts `rows` as their tuples compare.  No Python object is made
+    per row.
+    """
 
     alphabet: Alphabet
     prefix_length: int
     trials: int
-    histogram: Counter = field(default_factory=Counter)
+    rows: np.ndarray
+    tallies: np.ndarray
+    ascending: np.ndarray = field(repr=False)
 
     @cached_property
-    def _columns(self) -> tuple[list, np.ndarray]:
-        # the histogram transposed: per symbol, its distinct counts and each
-        # row's index among them; and the rows' tallies, in insertion order
-        hist, k = self.histogram, len(self.alphabet)
-        counts = np.fromiter(itertools.chain.from_iterable(hist), np.int64, len(hist) * k)
-        columns = [np.unique(column, return_inverse=True) for column in counts.reshape(-1, k).T]
-        tallies = np.fromiter(hist.values(), np.int64, len(hist))
-        return [(distinct.tolist(), where) for distinct, where in columns], tallies
+    def columns(self) -> list:
+        """Per symbol, its distinct counts as an ascending list, and each
+        row's index among them."""
+        columns = (np.unique(column, return_inverse=True) for column in self.rows.T)
+        return [(distinct.tolist(), where) for distinct, where in columns]
 
     def moment(self, symbol: str, order: int) -> float:
         """(1/trials) Σ tally * (count of symbol / n) ** order over the rows.
 
-        The histogram is transposed on the first call and kept, so it must be
-        complete by then.  `(count / n) ** order` is taken once per distinct
-        count, with Python `**`; the terms tally * power and their order (the
-        histogram's) are those of the row-by-row sum, and `sum()` adds them,
-        so the moment has that sum's bits on every Python version.
+        `(count / n) ** order` is taken once per distinct count, with Python
+        `**`; the terms tally * power and their order (first appearance) are
+        those of the row-by-row sum, and `sum()` adds them, so the moment has
+        that sum's bits on every Python version.
         """
-        columns, tallies = self._columns
-        distinct, where = columns[self.alphabet.index(symbol)]
+        distinct, where = self.columns[self.alphabet.index(symbol)]
         n = self.prefix_length
         powers = np.array([(v / n) ** order for v in distinct], dtype=np.float64)
-        return sum((tallies * powers[where]).tolist()) / self.trials
+        return sum((self.tallies * powers[where]).tolist()) / self.trials
 
 
 def empirical_law(mixing: AtomicMeasure, n: int, trials: int, seed: int) -> EmpiricalLaw:
@@ -622,6 +650,8 @@ def empirical_law(mixing: AtomicMeasure, n: int, trials: int, seed: int) -> Empi
     over blocks of _STATE_CHUNK trials, with the operations of numpy's C in
     its order, so the histogram is bit-identical to a default_rng per trial;
     trial 0's counts are checked against numpy's own Generator.multinomial.
+    Each block's counts are merged into the law's rows as it is drawn, so
+    memory grows with the block and the distinct rows, not with the trials.
     """
     if not mixing.is_probability:
         raise ValueError("empirical law needs a probability mixing measure")
@@ -630,12 +660,12 @@ def empirical_law(mixing: AtomicMeasure, n: int, trials: int, seed: int) -> Empi
     cdf = _atom_cdf(mixing)
     points = np.stack([p.as_floats() for p, _ in mixing.atoms])
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    expected = tuple(rng.multinomial(n, points[np.searchsorted(cdf, rng.random(), side="right")]).tolist())
-    law = EmpiricalLaw(mixing.alphabet, n, trials)
+    expected = rng.multinomial(n, points[np.searchsorted(cdf, rng.random(), side="right")]).tolist()
+    rows, tallies = np.empty((0, len(mixing.alphabet)), np.int64), np.empty(0, np.int64)
     with np.errstate(all="ignore"):  # C's inf and nan, as numpy's sampler meets them
         for streams in _trial_streams(seed, trials):
             atoms = np.searchsorted(cdf, _next_doubles(streams), side="right")
-            law.histogram.update(zip(*_multinomial(streams, n, points, atoms).T.tolist()))
-            if next(iter(law.histogram)) != expected:
+            rows, tallies, ascending = _tally(rows, tallies, _multinomial(streams, n, points, atoms))
+            if rows[0].tolist() != expected:
                 raise RuntimeError(f"bulk multinomial draw disagrees with numpy {np.__version__}'s Generator.multinomial")
-    return law
+    return EmpiricalLaw(mixing.alphabet, n, trials, rows, tallies, ascending)

@@ -5,12 +5,14 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations, product
 from math import lcm
 
+import numpy as np
+
 from urnchains._linalg import ONE, ZERO, arithmetic, frac, is_exact
 from urnchains.jsonio import FormatError, alphabet_from_json
 from urnchains.moments import TotalityReport
 from urnchains.pcoh import BangElement, refuse_oversized_bang
 from urnchains.spaces import bounded_multiset_space, tuple_space
-from urnchains.stoch import FinKernel, _trial_streams, apply_perm
+from urnchains.stoch import EmpiricalLaw, FinKernel, _trial_streams, apply_perm
 
 
 def mm(a, b):
@@ -246,13 +248,28 @@ def totality_oracle(table, labels, depth):
     return (worst, *found)
 
 
+def law_of_histogram(alphabet, n, histogram):
+    """The EmpiricalLaw of a {count vector: tally} histogram, its rows in the
+    histogram's order and its trials the tallies' sum."""
+    keys = list(histogram)
+    rows = np.array(keys, np.int64).reshape(-1, len(alphabet))
+    tallies = np.array(list(histogram.values()), np.int64)
+    ascending = np.array(sorted(range(len(keys)), key=keys.__getitem__), np.int64)
+    return EmpiricalLaw(alphabet, n, int(tallies.sum()), rows, tallies, ascending)
+
+
+def histogram_of(law):
+    """{count vector: tally} of an EmpiricalLaw, in order of first appearance."""
+    return dict(zip(map(tuple, law.rows.tolist()), law.tallies.tolist()))
+
+
 def histogram_csv_rows(law):
     """The histogram CSV of an empirical law, written row by row: one repr
     per cell, rows in descending order of their count vectors."""
     header = ",".join(f"freq_{s}" for s in law.alphabet.symbols)
     n = law.prefix_length
     lines = [f"{header},count"]
-    for counts, count in sorted(law.histogram.items(), reverse=True):
+    for counts, count in sorted(histogram_of(law).items(), reverse=True):
         freqs = ",".join([repr(c / n) for c in counts])
         lines.append(f"{freqs},{count}")
     return "\n".join(lines) + "\n"
@@ -263,7 +280,7 @@ def row_moment(law, symbol, order):
     histogram's order."""
     i = law.alphabet.index(symbol)
     n = law.prefix_length
-    total = sum(c * (counts[i] / n) ** order for counts, c in law.histogram.items())
+    total = sum(c * (counts[i] / n) ** order for counts, c in histogram_of(law).items())
     return total / law.trials
 
 

@@ -562,6 +562,39 @@ def test_simulate_moments_out_without_out_writes_the_moment_table(tmp_path, caps
     assert "symbol,order" not in out and "histogram ->" not in out
 
 
+@pytest.mark.parametrize("bad", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", ["simulate", "simulate-moments", "verify-all", "iota", "recover"])
+def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, dirac_mixing, command, bad):
+    # the failed open() once escaped as a traceback and exit 1
+    path = str(tmp_path / "missing" / "out") if bad == "missing-directory" else str(tmp_path)
+    bang = str(tmp_path / "bang.json")
+    assert main(["bang", "iota", "--mixing", dirac_mixing, "--depth", "4", "--out", bang]) == 0
+    simulate = ["definetti", "simulate", "--mixing", dirac_mixing, "--prefix-len", "20", "--trials", "10"]
+    argv = {
+        "simulate": simulate + ["--out", path],
+        "simulate-moments": simulate + ["--out", str(tmp_path / "h.csv"), "--moments-out", path],
+        "verify-all": _small_verify_args(path),
+        "iota": ["bang", "iota", "--mixing", dirac_mixing, "--depth", "3", "--out", path],
+        "recover": ["definetti", "recover", "--bang", bang, "--grid", "8", "--out", path],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"input error: cannot write {path}: " in capsys.readouterr().err
+
+
+def test_simulate_refuses_one_file_for_both_tables(tmp_path, capsys, dirac_mixing, monkeypatch):
+    # the moment table once overwrote the histogram, and the command exited 0
+    monkeypatch.chdir(tmp_path)
+    argv = ["definetti", "simulate", "--mixing", dirac_mixing, "--trials", "10", "--out", "h.csv"]
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to("h.csv")
+    for same in ("h.csv", "./h.csv", str(tmp_path / "h.csv"), str(tmp_path / "sub" / ".." / "h.csv"), "link.csv"):
+        assert main(argv + ["--moments-out", same]) == 2
+        assert "input error: --out and --moments-out name the same file h.csv" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+    assert main(argv + ["--moments-out", "m.csv"]) == 0
+
+
 _FOUR_SYMBOL_MIXING = ["w", "x", "y", "z"], [
     (["1/4", "0", "3/4", "0"], "2/7"),
     (["1/7", "2/7", "3/7", "1/7"], "3/7"),

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import bang_from_json_oracle, bang_json_oracle, histogram_csv_rows, row_moment
+from helpers import bang_from_json_oracle, bang_json_oracle, histogram_csv_rows, law_of_histogram, row_moment
 from urnchains import jsonio
 from urnchains._linalg import frac
 from urnchains.jsonio import FormatError
 from urnchains.multiset import BOOL, Alphabet
 from urnchains.pcoh import BangElement
-from urnchains.stoch import AtomicMeasure, EmpiricalLaw, ProbVector, empirical_law
+from urnchains.stoch import AtomicMeasure, ProbVector, empirical_law
 
 F = Fraction
 
@@ -164,11 +164,10 @@ def _laws(draw):
     histogram = Counter()
     for counts, tally in zip(rows, tallies):
         histogram[counts] += tally
-    alphabet = Alphabet.of(*"abcd"[:k])
-    return EmpiricalLaw(alphabet, n, sum(histogram.values()), histogram)
+    return law_of_histogram(Alphabet.of(*"abcd"[:k]), n, histogram)
 
 
-_ONE_ROW = EmpiricalLaw(Alphabet.of("a", "b", "c"), 100_000, 3, Counter({(1, 0, 99_999): 3}))
+_ONE_ROW = law_of_histogram(Alphabet.of("a", "b", "c"), 100_000, Counter({(1, 0, 99_999): 3}))
 
 
 @settings(max_examples=150, deadline=None)

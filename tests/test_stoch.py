@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rows, entry, mm, sparse, state_dicts, symmetry_kernel, trial_states
+from helpers import dense_rows, entry, histogram_of, mm, sparse, state_dicts, symmetry_kernel, trial_states
 from urnchains._linalg import compose, identity, kron, matmul
 from urnchains.chains import Backend
+from urnchains.cli import _build_parser
 from urnchains.multiset import BOOL, Alphabet
 from urnchains.spaces import symbol_space, tuple_space, unit_space
 from urnchains import stoch
@@ -321,7 +322,7 @@ def _two_atom_mixing():
 
 def test_simulate_dirac_is_constant():
     mixing = AtomicMeasure.dirac(ProbVector.of(BOOL, 1, 0))
-    assert empirical_law(mixing, 50, trials=3, seed=1).histogram == {(50, 0): 3}
+    assert histogram_of(empirical_law(mixing, 50, trials=3, seed=1)) == {(50, 0): 3}
 
 
 def test_simulate_rejects_subprobability():
@@ -343,10 +344,10 @@ def test_empirical_law_bimodal_for_two_atoms():
     mixing = _two_atom_mixing()
     law = empirical_law(mixing, 400, trials=400, seed=9)
     near_low = sum(
-        c for counts, c in law.histogram.items() if abs(counts[0] / 400 - 0.2) < 0.05
+        c for counts, c in histogram_of(law).items() if abs(counts[0] / 400 - 0.2) < 0.05
     )
     near_high = sum(
-        c for counts, c in law.histogram.items() if abs(counts[0] / 400 - 0.9) < 0.05
+        c for counts, c in histogram_of(law).items() if abs(counts[0] / 400 - 0.9) < 0.05
     )
     assert near_low + near_high >= 392  # ~2.5 sigma windows catch 98%+
     assert near_low > 120 and near_high > 120
@@ -354,8 +355,8 @@ def test_empirical_law_bimodal_for_two_atoms():
 
 def test_empirical_law_deterministic():
     mixing = _two_atom_mixing()
-    a = empirical_law(mixing, 100, trials=200, seed=5).histogram
-    b = empirical_law(mixing, 100, trials=200, seed=5).histogram
+    a = histogram_of(empirical_law(mixing, 100, trials=200, seed=5))
+    b = histogram_of(empirical_law(mixing, 100, trials=200, seed=5))
     assert a == b
 
 
@@ -431,9 +432,12 @@ def test_empirical_law_matches_per_trial_generators():
     floats = AtomicMeasure(
         ((ProbVector(BOOL, (0.3, 0.7)), 0.1), (ProbVector(BOOL, (0.9, 0.1)), 0.9))
     )
-    # one block and a trial either side of it
+    # one block, a trial either side of it, and a trial past two blocks
     for mixing, n, seed, trials in (
-        (exact, 60, 4, _STATE_CHUNK + 1), (exact, 60, 4, _STATE_CHUNK), (floats, 25, 2**70 + 5, _STATE_CHUNK - 1)
+        (exact, 60, 4, _STATE_CHUNK + 1),
+        (exact, 60, 4, _STATE_CHUNK),
+        (floats, 25, 2**70 + 5, _STATE_CHUNK - 1),
+        (exact, 12, 7, 2 * _STATE_CHUNK + 1),
     ):
         weights = np.asarray([float(w) for _, w in mixing.atoms])
         expected = Counter()
@@ -441,7 +445,29 @@ def test_empirical_law_matches_per_trial_generators():
             rng = _per_trial_rng(seed, trial)
             atom = mixing.atoms[rng.choice(len(mixing.atoms), p=weights / weights.sum())][0]
             expected[tuple(int(c) for c in rng.multinomial(n, atom.as_floats()))] += 1
-        assert empirical_law(mixing, n, trials, seed).histogram == expected
+        law = empirical_law(mixing, n, trials, seed)
+        assert histogram_of(law) == expected
+        # the arrays: rows and tallies in order of first appearance, and the
+        # permutation that sorts the rows
+        assert law.rows.tolist() == [list(counts) for counts in expected]
+        assert law.tallies.tolist() == list(expected.values())
+        assert law.rows[law.ascending].tolist() == sorted(law.rows.tolist())
+
+
+def test_default_simulate_call_draws_one_block(monkeypatch):
+    # the CLI's default trial count fits one block, so the sampler's fixed
+    # numpy calls per rejection round are paid once
+    trials = _build_parser().parse_args(["definetti", "simulate", "--mixing", "m.json"]).trials
+    calls = []
+    multinomial = stoch._multinomial
+
+    def counting(streams, *args):
+        calls.append(streams.shape[1])
+        return multinomial(streams, *args)
+
+    monkeypatch.setattr(stoch, "_multinomial", counting)
+    empirical_law(_two_atom_mixing(), 1000, trials, seed=0)
+    assert calls == [trials]
 
 
 def _bulk_counts(seed, trials, n, p):

@@ -147,9 +147,11 @@ def matmul(a, b) -> tuple:
 
 
 def kron(a, b, width: int) -> tuple:
-    """Kronecker product, b having `width` columns, in row-major product order."""
+    """Kronecker product, b having `width` columns, in row-major product order.
+    A product by the shared ONE is the other entry itself, as in `matmul`, so
+    the identity factors of a tensored map keep its ONEs shared."""
     return tuple(
-        {i * width + j: x * y for i, x in arow.items() for j, y in brow.items()}
+        {i * width + j: x if y is ONE else y if x is ONE else x * y for i, x in arow.items() for j, y in brow.items()}
         for arow in a
         for brow in b
     )

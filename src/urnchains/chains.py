@@ -444,12 +444,11 @@ def verify_tensor_parametrized(chain: DDChain, y_space: IndexSet, samples: int, 
 def _random_stochastic_rows(rng: random.Random, nrows: int, ncols: int):
     rows = []
     for _ in range(nrows):
-        raw = [Fraction(rng.randint(0, 6)) for _ in range(ncols)]
+        raw = [rng.randint(0, 6) for _ in range(ncols)]
         total = sum(raw)
         if total == 0:
-            raw[rng.randrange(ncols)] = Fraction(1)
-            total = Fraction(1)
-        rows.append({j: v / total for j, v in enumerate(raw) if v})
+            raw[rng.randrange(ncols)] = total = 1
+        rows.append({j: Fraction(v, total) for j, v in enumerate(raw) if v})
     return tuple(rows)
 
 

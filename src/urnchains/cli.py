@@ -86,9 +86,8 @@ def cmd_simulate(args) -> int:
             rows.append((symbol, order, exact, emp, abs(exact - emp)))
     moments_csv = jsonio.moment_comparison_csv(rows)
     moments_path = args.moments_out or (args.out and _derive(args.out, "-moments.csv"))
-    outputs = ((args.out, hist_csv, "histogram"), (moments_path, moments_csv, "moment comparison"))
-    for path, text, what in outputs:
-        jsonio.write_text(text, path)
+    jsonio.write_texts(((hist_csv, args.out), (moments_csv, moments_path)))
+    for path, what in ((args.out, "histogram"), (moments_path, "moment comparison")):
         if path:
             print(f"{what} -> {path}")
     worst = max(r[4] for r in rows)

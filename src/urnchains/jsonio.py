@@ -20,8 +20,11 @@ bytes are those of its file's dict.  Other payloads are dicts.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
 import math
+import os
 import reprlib
 import sys
 from fractions import Fraction
@@ -204,6 +207,41 @@ def write_text(text: str, path: str | None) -> None:
             fh.write(text)
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
+def write_texts(outputs) -> None:
+    """Each (text, path) of `outputs` as `write_text` writes it, all or
+    none.  A text whose path leads to a regular file, or to none yet, goes
+    first to a temporary file beside that file; only once every one is
+    written are they moved onto their files by os.replace, and then the
+    other texts (to stdout, or to a device such as /dev/null) are written.
+    A path that cannot be written is a FormatError naming it, and the
+    temporaries are removed on any error: a text that cannot be written to
+    its temporary leaves every file as it was."""
+    staged, in_place = [], []
+    try:
+        for text, path in outputs:
+            target = os.path.realpath(path) if path else None
+            if not target or os.path.exists(target) and not (os.path.isfile(target) or os.path.isdir(target)):
+                in_place.append((text, path))
+                continue
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            temporary = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+            with open(temporary, "x", encoding="utf-8") as fh:
+                staged.append((temporary, target, path))
+                fh.write(text)
+        for temporary, target, path in staged:
+            os.replace(temporary, target)
+    except OSError as exc:
+        # `path` is the one being written, in either loop
+        raise FormatError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        for temporary, _, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temporary)
+    for text, path in in_place:
+        write_text(text, path)
 
 
 # a bang file entry {"multiset": counts, "value": value}, formatted with the

@@ -40,9 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import comb, lcm
-from operator import itemgetter
+from operator import itemgetter, truediv
 
-from ._linalg import ZERO, _monomial, arithmetic, frac, is_exact
+from ._linalg import ONE, ZERO, _monomial, arithmetic, frac, is_exact
 from .chains import Cone, DDChain, build_dd_chain, pcoh_ground_copointed
 from .multiset import BOOL, Alphabet, enumerate_multisets, multiset_count
 from .optim import MAX_CONSTRAINTS, MAX_VARIABLES, feasibility_minmax
@@ -348,7 +348,13 @@ def recover_measure(
     _require_total(check_totality(b, totality_tol))
     alphabet = b.alphabet
     grid = simplex_grid(alphabet, grid_resolution)
-    columns = [tuple(_monomial(point, counts) for counts in b.web.labels) for point in grid]
+    # a column is a point's promotion, int monomials over one denominator;
+    # n / den rounds correctly, as float(Fraction(n, den)) does
+    entry = Fraction if mode == "exact" else truediv
+    columns = []
+    for point in grid:
+        numerators, den = _exact_mixture(len(alphabet), b.depth, [(point, ONE)])
+        columns.append([entry(v, den) for v in numerators])
     result = feasibility_minmax(columns, b.coeffs, mode=mode)
     if result.status != "optimal":
         raise MomentProblemError(f"recovery program ended {result.status}")

@@ -27,11 +27,16 @@ exactly on the program's columns, and that answer stands when B is
 nonsingular and it passes the certificate at tolerance zero.  Otherwise (the
 float solve fails, overflows or ends non-optimal, or its basis does not
 certify) the exact two-phase solve runs from scratch, the one use of the
-dtype=object tableau, so every status is decided in exact arithmetic.  The
-certificate is the one check of every optimal answer, float or exact, and
-reads the program: x is primal feasible (rows and x >= 0), y is dual
-feasible (y_ub >= 0, A^T y >= c) and their values meet (within float
-tolerances in float mode), each test failing on a NaN.
+dtype=object tableau, so every status is decided in exact arithmetic.  A
+basic slack or artificial is the unit column of its row, so that row's dual
+is 0 and its equation sets only that variable: both systems are solved on
+the structural block alone, the rows with no basic unit column by the basic
+structural columns (in the recovery LPs of `verify-all`, 3 or 4 columns of
+a basis of 41 or 43 rows), and B is singular exactly when that block is or
+a row holds two basic unit columns.  The certificate is the one check of every optimal
+answer, float or exact, and reads the program: x is primal feasible (rows
+and x >= 0), y is dual feasible (y_ub >= 0, A^T y >= c) and their values
+meet (within float tolerances in float mode), each test failing on a NaN.
 
 Problems are: maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 Sizes are capped (5000 variables, 2000 constraints); this is a desk-scale
@@ -44,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import ONE, ZERO, LinearSolveError, arithmetic, frac, solve_right
+from ._linalg import ZERO, LinearSolveError, arithmetic, frac, solve_right
 
 MAX_VARIABLES = 5000
 MAX_CONSTRAINTS = 2000
@@ -267,25 +272,32 @@ def solve(lp: LinearProgram) -> LpSolution:
 
 
 def _basic_solution(lp, basis):
-    """(x, y) of a tableau basis solved exactly on the program's columns B:
-    B x_B = b and y^T B = c_B, slack and artificial i being the unit column
-    of row i (an artificial's x and cost are 0, so its sign does not
-    matter); raises LinearSolveError when B is singular."""
+    """(x, y) of a tableau basis B solved exactly on the program's columns:
+    B x_B = b and y^T B = c_B.  Slack and artificial i are the unit column
+    of row i at cost 0 (an artificial's sign does not matter), so a row
+    holding one has dual 0, and its equation only sets that basic variable,
+    which x does not report.  What is left is M x_S = b_R and y_R^T M = c_S
+    on the block M = A[R, S] of the rows R holding no basic unit column and
+    the basic structural columns S.  Raises LinearSolveError when B is
+    singular: a row holds two basic unit columns, or M is singular."""
     n, art0 = len(lp.objective), len(lp.objective) + len(lp.a_ub)
     basis = basis.tolist()
     constraints = tuple(lp.a_ub) + tuple(lp.a_eq)
-    block = [[frac(a_row[b]) if b < n else ZERO for b in basis] for a_row in constraints]
-    for k, b in enumerate(basis):
-        if b >= n:
-            block[b - n if b < art0 else b - art0][k] = ONE
+    structural = [b for b in basis if b < n]
+    covered = {b - n if b < art0 else b - art0 for b in basis if b >= n}
+    if len(covered) + len(structural) < len(basis):
+        raise LinearSolveError("a row holds two basic unit columns")
+    free = [i for i in range(len(constraints)) if i not in covered]
+    block = [[frac(constraints[i][b]) for b in structural] for i in free]
     rows = tuple({k: v for k, v in enumerate(row) if v} for row in block)
-    columns = tuple({i: v for i, v in enumerate(column) if v} for column in zip(*block))
-    rhs = {i: v for i, b in enumerate(tuple(lp.b_ub) + tuple(lp.b_eq)) if (v := frac(b))}
-    cost = {k: v for k, b in enumerate(basis) if b < n and (v := frac(lp.objective[b]))}
-    (x_b,), (y,) = solve_right(columns, (rhs,)), solve_right(rows, (cost,))
-    values = {basis[k]: v for k, v in x_b.items()}
-    x = [values.get(j, ZERO) for j in range(n)]
-    return x, [y.get(i, ZERO) for i in range(len(constraints))]
+    columns = tuple({r: v for r, v in enumerate(column) if v} for column in zip(*block))
+    bounds = tuple(lp.b_ub) + tuple(lp.b_eq)
+    rhs = {r: v for r, i in enumerate(free) if (v := frac(bounds[i]))}
+    cost = {k: v for k, b in enumerate(structural) if (v := frac(lp.objective[b]))}
+    (x_s,), (y_r,) = solve_right(columns, (rhs,)), solve_right(rows, (cost,))
+    values = {structural[k]: v for k, v in x_s.items()}
+    duals = {free[r]: v for r, v in y_r.items()}
+    return [values.get(j, ZERO) for j in range(n)], [duals.get(i, ZERO) for i in range(len(constraints))]
 
 
 def _assert_certificate(lp, x, y, answered, from_float_basis) -> LpSolution:

@@ -580,6 +580,19 @@ def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, dirac_mixing
     capsys.readouterr()
     assert main(argv) == 2
     assert f"input error: cannot write {path}: " in capsys.readouterr().err
+    # neither table is written unless both can be, and no temporary is left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bang.json", "dirac.json"]
+
+
+def test_simulate_writes_through_a_link_and_to_a_device(tmp_path, dirac_mixing):
+    # the tables are staged beside the file a path leads to, and a device is written in place
+    (tmp_path / "h.csv").write_text("old")
+    (tmp_path / "link.csv").symlink_to("h.csv")
+    argv = ["definetti", "simulate", "--mixing", dirac_mixing, "--prefix-len", "20", "--trials", "10"]
+    assert main(argv + ["--out", str(tmp_path / "link.csv"), "--moments-out", os.devnull]) == 0
+    assert (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "h.csv").read_text().startswith("freq_t,freq_f,count\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dirac.json", "h.csv", "link.csv"]
 
 
 def test_simulate_refuses_one_file_for_both_tables(tmp_path, capsys, dirac_mixing, monkeypatch):

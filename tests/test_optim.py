@@ -1,12 +1,16 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from helpers import dense_solve_right
 from urnchains import optim
+from urnchains._linalg import LinearSolveError
 from urnchains.optim import (
     LinearProgram,
     LpError,
@@ -413,6 +417,77 @@ def test_a_refused_certificate_builds_one_fraction_tableau(monkeypatch):
     lp = LinearProgram(objective=(1, 1 + F(1, 10**20)), a_ub=((1, 1),), b_ub=(1,))
     assert not solve(lp).from_float_basis
     assert modes == ["float", "exact"]
+
+
+def _full_basis_solution(lp, basis):
+    """(x, y) of a basis from the whole m x m basis matrix B, solved by the
+    dense oracle (slack and artificial i the unit column of row i), or None
+    when B is singular."""
+    n, m_ub = len(lp.objective), len(lp.a_ub)
+    rows = tuple(lp.a_ub) + tuple(lp.a_eq)
+    unit = lambda i: tuple(F(int(r == i)) for r in range(len(rows)))
+    columns = tuple(
+        tuple(F(row[b]) for row in rows) if b < n else unit(b - n if b < n + m_ub else b - n - m_ub)
+        for b in basis
+    )
+    bounds = tuple(F(v) for v in tuple(lp.b_ub) + tuple(lp.b_eq))
+    costs = tuple(F(lp.objective[b]) if b < n else F(0) for b in basis)
+    x_b, y = dense_solve_right(columns, (bounds,)), dense_solve_right(tuple(zip(*columns)), (costs,))
+    if isinstance(x_b, str) or isinstance(y, str):
+        return None
+    values = dict(zip(basis, x_b[0]))
+    return [values.get(j, F(0)) for j in range(n)], list(y[0]) if rows else []
+
+
+@settings(max_examples=200, deadline=None)
+@given(_programs(), st.randoms(use_true_random=False))
+@example(_SIGNED[0], random.Random(0))
+@example(_SIGNED[1], random.Random(0))
+@example(_SIGNED[2], random.Random(0))
+@example(_SIGNED[3], random.Random(0))
+@example(_beale(F), random.Random(0))
+def test_structural_block_solve_matches_the_full_basis(lp, rng):
+    # the float solve's final basis and random bases, singular ones among them
+    m = len(lp.a_ub) + len(lp.a_eq)
+    columns = len(lp.objective) + len(lp.a_ub) + m
+    bases = [rng.sample(range(columns), m) for _ in range(8)]
+    approx = _Tableau(replace(lp, mode="float"))
+    if approx.solve()[0] == "optimal":
+        bases.append(approx.basis.tolist())
+    for basis in bases:
+        expected = _full_basis_solution(lp, basis)
+        if expected is None:
+            with pytest.raises(LinearSolveError):
+                optim._basic_solution(lp, np.array(basis, dtype=int))
+        else:
+            assert list(optim._basic_solution(lp, np.array(basis, dtype=int))) == list(expected)
+
+
+# max x0 + x1 on x0 + x1 <= 1, 2 x0 + 2 x1 <= 2, with two singular bases: the
+# slack and the artificial of row 0 together, and the columns of x0 and x1,
+# whose structural block is the singular matrix of both rows
+_TWO_ROWS = LinearProgram(objective=(1, 1), a_ub=((1, 1), (2, 2)), b_ub=(1, 2))
+
+
+@pytest.mark.parametrize("basis", [[2, 4], [0, 1]], ids=["slack-and-artificial", "singular-block"])
+def test_a_singular_float_basis_falls_back_to_the_cold_exact_solve(monkeypatch, basis):
+    with pytest.raises(LinearSolveError):
+        optim._basic_solution(_TWO_ROWS, np.array(basis))
+    assert _full_basis_solution(_TWO_ROWS, basis) is None
+    solve_tableau = _Tableau.solve
+
+    def ending_at_the_basis(self):
+        result = solve_tableau(self)
+        if self.tol:  # the float solve
+            self.basis[:] = basis
+        return result
+
+    monkeypatch.setattr(_Tableau, "solve", ending_at_the_basis)
+    modes = _tableau_modes(monkeypatch)
+    sol = solve(_TWO_ROWS)
+    cold = _Tableau(_TWO_ROWS).solve()
+    assert sol.status == cold[0] == "optimal" and sol.value == 1
+    assert not sol.from_float_basis and modes == ["float", "exact", "exact"]
 
 
 NAN = float("nan")
